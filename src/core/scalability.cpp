@@ -19,10 +19,7 @@ ScalabilityManager::ScalabilityManager(bool use_profiling, double pace_factor,
 }
 
 AdmissionResult ScalabilityManager::admit(fl::Fleet& fleet, int client_id) {
-  fl::Client* joining = nullptr;
-  for (auto& c : fleet.clients()) {
-    if (c->id() == client_id) joining = c.get();
-  }
+  fl::Client* joining = fleet.find_client(client_id);
   if (!joining) throw std::invalid_argument("admit: unknown client");
 
   // Collaboration pace: the slowest *capable* existing device.

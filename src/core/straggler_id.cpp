@@ -87,8 +87,8 @@ StragglerReport StragglerIdentifier::resource_based(fl::Fleet& fleet,
 void StragglerIdentifier::apply(fl::Fleet& fleet,
                                 const StragglerReport& report) {
   for (const auto& t : report.timings) {
-    for (auto& c : fleet.clients()) {
-      if (c->id() == t.client_id) c->set_straggler(t.straggler);
+    if (fl::Client* c = fleet.find_client(t.client_id)) {
+      c->set_straggler(t.straggler);
     }
   }
 }

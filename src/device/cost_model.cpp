@@ -1,5 +1,6 @@
 #include "device/cost_model.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace helios::device {
@@ -8,35 +9,42 @@ constexpr double kBytesPerParam = 4.0;  // float32
 constexpr double kMb = 1.0e6;
 }  // namespace
 
-WorkloadEstimate estimate_workload(nn::Model& model, int samples_per_epoch,
-                                   int local_epochs) {
+ArchitectureCost architecture_cost(nn::Model& model) {
+  // Upload only the parameters of neurons that actually trained. The frozen
+  // flat mask (0/1 per parameter) is empty when no submodel is installed.
+  const auto& frozen = model.frozen_flat_mask();
+  const std::size_t params = model.param_count();
+  return {model.train_flops_per_sample(),
+          model.activation_numel_per_sample(), params,
+          params - static_cast<std::size_t>(
+                       std::count(frozen.begin(), frozen.end(), 1))};
+}
+
+WorkloadEstimate scale_workload(const ArchitectureCost& arch,
+                                int samples_per_epoch, int local_epochs) {
   if (samples_per_epoch < 0 || local_epochs < 0) {
     throw std::invalid_argument("estimate_workload: negative counts");
   }
   const double steps =
       static_cast<double>(samples_per_epoch) * local_epochs;
   WorkloadEstimate w;
-  w.train_gflops = model.train_flops_per_sample() * steps / 1.0e9;
+  w.train_gflops = arch.train_flops_per_sample * steps / 1.0e9;
 
   const double param_bytes =
-      static_cast<double>(model.param_count()) * kBytesPerParam;
-  const double act_bytes =
-      model.activation_numel_per_sample() * kBytesPerParam;
+      static_cast<double>(arch.param_count) * kBytesPerParam;
+  const double act_bytes = arch.activation_numel_per_sample * kBytesPerParam;
   // Each sample streams its activations forward and backward; parameters are
   // re-read once per cycle for the optimizer update.
   w.mem_traffic_mb = (act_bytes * 2.0 * steps + param_bytes) / kMb;
-
-  // Upload only the parameters of neurons that actually trained. The frozen
-  // flat mask is non-empty exactly when a submodel mask is installed.
-  const auto& frozen = model.frozen_flat_mask();
-  std::size_t uploaded = model.param_count();
-  if (!frozen.empty()) {
-    std::size_t frozen_count = 0;
-    for (auto b : frozen) frozen_count += (b != 0);
-    uploaded -= frozen_count;
-  }
-  w.upload_mb = static_cast<double>(uploaded) * kBytesPerParam / kMb;
+  w.upload_mb =
+      static_cast<double>(arch.uploaded_param_count) * kBytesPerParam / kMb;
   return w;
+}
+
+WorkloadEstimate estimate_workload(nn::Model& model, int samples_per_epoch,
+                                   int local_epochs) {
+  return scale_workload(architecture_cost(model), samples_per_epoch,
+                        local_epochs);
 }
 
 double training_cycle_seconds(const ResourceProfile& p,

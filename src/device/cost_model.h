@@ -21,8 +21,23 @@ struct WorkloadEstimate {
   double upload_mb = 0.0;
 };
 
+/// What `model` costs per sample and uploads per cycle under its *current*
+/// mask: independent of device, data and epochs, so one evaluation serves
+/// every client of the same architecture and mask shape.
+struct ArchitectureCost {
+  double train_flops_per_sample = 0.0;
+  double activation_numel_per_sample = 0.0;
+  std::size_t param_count = 0;
+  std::size_t uploaded_param_count = 0;  // params of the trained neurons
+};
+ArchitectureCost architecture_cost(nn::Model& model);
+
+/// Scales an architecture cost to `samples_per_epoch * local_epochs` steps.
+WorkloadEstimate scale_workload(const ArchitectureCost& arch,
+                                int samples_per_epoch, int local_epochs);
+
 /// Estimates one local training cycle of `model` under its *current* mask:
-/// `samples_per_epoch * local_epochs` optimization steps' worth of compute.
+/// scale_workload(architecture_cost(model), ...).
 WorkloadEstimate estimate_workload(nn::Model& model, int samples_per_epoch,
                                    int local_epochs);
 

@@ -262,10 +262,15 @@ double Client::estimate_cycle_seconds(
   } else {
     model.set_neuron_mask(neuron_mask);
   }
-  const device::WorkloadEstimate workload = device::estimate_workload(
-      model, static_cast<int>(num_samples()), config_.local_epochs);
+  const device::ArchitectureCost arch = device::architecture_cost(model);
   model.clear_neuron_mask();
-  return device::total_cycle_seconds(profile_, workload);
+  return cycle_seconds(arch);
+}
+
+double Client::cycle_seconds(const device::ArchitectureCost& arch) const {
+  return device::total_cycle_seconds(
+      profile_, device::scale_workload(arch, static_cast<int>(num_samples()),
+                                       config_.local_epochs));
 }
 
 double Client::testbench_seconds(int iterations) {

@@ -97,6 +97,8 @@ class Client {
 
   /// Cost-model estimate of a cycle under `neuron_mask` without training.
   double estimate_cycle_seconds(std::span<const std::uint8_t> neuron_mask);
+  /// The same estimate from a precomputed (shareable) architecture cost.
+  double cycle_seconds(const device::ArchitectureCost& arch) const;
 
   /// Virtual cost of the lightweight identification test bench
   /// (`iterations` mini-batches of full-model training).

@@ -35,8 +35,7 @@ Fleet::Fleet(Fleet&& other) noexcept
       network_(other.network_),
       hierarchy_(other.hierarchy_),
       sampler_(other.sampler_),
-      checkpointables_(std::move(other.checkpointables_)),
-      next_id_(other.next_id_) {
+      checkpointables_(std::move(other.checkpointables_)) {
   for (auto& c : clients_) c->set_estimation_model(&server_.reference_model());
 }
 
@@ -52,15 +51,14 @@ Fleet& Fleet::operator=(Fleet&& other) noexcept {
   hierarchy_ = other.hierarchy_;
   sampler_ = other.sampler_;
   checkpointables_ = std::move(other.checkpointables_);
-  next_id_ = other.next_id_;
   for (auto& c : clients_) c->set_estimation_model(&server_.reference_model());
   return *this;
 }
 
 Client& Fleet::add_client(data::Dataset local_data, ClientConfig config,
                           device::ResourceProfile profile) {
-  auto client = std::make_unique<Client>(next_id_++, spec_,
-                                         std::move(local_data), config,
+  auto client = std::make_unique<Client>(static_cast<int>(clients_.size()),
+                                         spec_, std::move(local_data), config,
                                          std::move(profile));
   // No eager model build here: the replica materializes on first use and the
   // parameter-count check runs then. Cost estimates for hibernated clients
@@ -75,8 +73,8 @@ Client& Fleet::add_client(data::Dataset local_data, ClientConfig config,
 Client& Fleet::add_client(Client::DataFactory data_factory,
                           std::size_t nominal_samples, ClientConfig config,
                           device::ResourceProfile profile) {
-  auto client = std::make_unique<Client>(next_id_++, spec_,
-                                         std::move(data_factory),
+  auto client = std::make_unique<Client>(static_cast<int>(clients_.size()),
+                                         spec_, std::move(data_factory),
                                          nominal_samples, config,
                                          std::move(profile));
   client->set_expected_params(server_.param_count());
@@ -103,10 +101,11 @@ void Fleet::set_telemetry(obs::TelemetrySink* sink) {
 }
 
 Client* Fleet::find_client(int id) {
-  for (auto& c : clients_) {
-    if (c->id() == id) return c.get();
+  if (id < 0 || static_cast<std::size_t>(id) >= clients_.size()) {
+    return nullptr;
   }
-  return nullptr;
+  Client* c = clients_[static_cast<std::size_t>(id)].get();
+  return c->id() == id ? c : nullptr;
 }
 
 std::vector<Client*> Fleet::active_clients() {

@@ -71,7 +71,9 @@ class Fleet {
   std::size_t size() const { return clients_.size(); }
   Client& client(std::size_t i) { return *clients_.at(i); }
   std::vector<std::unique_ptr<Client>>& clients() { return clients_; }
-  /// Client by id (nullptr if unknown). Ids are stable across churn.
+  /// Client by id in O(1) (nullptr if unknown). Ids are dense and stable:
+  /// a client's id is its roster index; departed clients are deactivated,
+  /// never erased.
   Client* find_client(int id);
   /// Clients currently in the roster (active; excludes dead devices).
   std::vector<Client*> active_clients();
@@ -182,7 +184,6 @@ class Fleet {
   HierarchySession* hierarchy_ = nullptr;
   const RosterSampler* sampler_ = nullptr;
   std::vector<std::pair<std::string, Checkpointable*>> checkpointables_;
-  int next_id_ = 0;
 };
 
 }  // namespace helios::fl

@@ -2,10 +2,13 @@
 // sampling and churn completes a short Helios run, stays memory-bounded
 // (unsampled clients hold no replicas), and reports helios.sim.* metrics.
 // Kept small (<= 64 devices, 3 rounds) and labeled `scale_smoke` so CI can
-// run it on every change without paying for the full scale benchmarks.
+// run it on every change without paying for the full scale benchmarks; the
+// one 32k-device case runs set-up only, which is linear in the population.
 #include <gtest/gtest.h>
 
 #include "core/helios_strategy.h"
+#include "core/straggler_id.h"
+#include "core/target.h"
 #include "fl/hierarchy.h"
 #include "fl/transport.h"
 #include "obs/telemetry.h"
@@ -122,6 +125,31 @@ TEST(ScaleSmokeTest, HierarchicalTreeUnderChurnAndLossCompletes) {
             static_cast<long long>(kCycles));
   fleet.set_sampler(nullptr);
   fleet.set_telemetry(nullptr);
+}
+
+// Population-scale set-up: identification, flag writing and profiled
+// targets over 32k lazy devices stay analytic (no replica or shard
+// materializes). Timing is the benchmark's job; this checks the outcome.
+TEST(ScaleSmokeTest, SetupAt32kDevicesStaysAnalytic) {
+  const int kDevices = 32768;
+  sim::PopulationConfig cfg = sim::mobile_longtail(kDevices);
+  cfg.lazy_data = true;
+  fl::Fleet fleet = sim::build_fleet(sim::PopulationGenerator(cfg));
+  const core::StragglerReport report =
+      core::StragglerIdentifier::time_based(fleet, kDevices / 4);
+  core::StragglerIdentifier::apply(fleet, report);
+  const std::vector<double> volumes =
+      core::TargetDeterminer::assign_profiled(fleet, report);
+
+  EXPECT_EQ(fleet.stragglers().size(), static_cast<std::size_t>(kDevices / 4));
+  ASSERT_EQ(volumes.size(), static_cast<std::size_t>(kDevices));
+  for (std::size_t i = 0; i < volumes.size(); ++i) {
+    EXPECT_GE(volumes[i], 0.05) << i;
+    EXPECT_LE(volumes[i], 1.0) << i;
+  }
+  std::size_t materialized = 0;
+  for (auto& c : fleet.clients()) materialized += c->materialized() ? 1 : 0;
+  EXPECT_EQ(materialized, 0u);
 }
 
 }  // namespace

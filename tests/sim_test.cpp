@@ -5,6 +5,7 @@
 // unsampled clients stay unmaterialized (memory-bounded fleets); churn
 // events are deterministic on the virtual clock.
 #include <cstring>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -108,6 +109,49 @@ TEST(PopulationTest, Paper4DevPresetReproducesHandBuiltFleet) {
                         hand_global.size() * sizeof(float)),
             0)
       << "paper-4dev preset is not bit-identical to the hand-built fleet";
+}
+
+// ---- Fleet::find_client ----------------------------------------------------
+
+void expect_ids_index_clients(fl::Fleet& fleet) {
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    fl::Client* c = fleet.find_client(static_cast<int>(i));
+    ASSERT_EQ(c, &fleet.client(i)) << i;
+    EXPECT_EQ(c->id(), static_cast<int>(i));
+  }
+  EXPECT_EQ(fleet.find_client(static_cast<int>(fleet.size())), nullptr);
+}
+
+TEST(FindClientTest, NegativeAndOutOfRangeIdsReturnNull) {
+  const sim::PopulationGenerator pop(sim::mobile_longtail(8));
+  fl::Fleet fleet = sim::build_fleet(pop);
+  for (int id : {-1, -8, std::numeric_limits<int>::min(), 8, 9,
+                 std::numeric_limits<int>::max()}) {
+    EXPECT_EQ(fleet.find_client(id), nullptr) << id;
+  }
+}
+
+TEST(FindClientTest, EveryIdMapsToItsClientAfterJoinersAndMoves) {
+  const sim::PopulationGenerator pop(sim::mobile_longtail(8));
+  fl::Fleet fleet = sim::build_fleet(pop);
+  // Joiners extend the dense id range; a departed device stays indexed.
+  for (int i = 8; i < 12; ++i) sim::add_device(fleet, pop, i);
+  fleet.client(3).set_active(false);
+  ASSERT_EQ(fleet.size(), 12u);
+  expect_ids_index_clients(fleet);
+
+  fl::Fleet moved(std::move(fleet));
+  ASSERT_EQ(moved.size(), 12u);
+  expect_ids_index_clients(moved);
+
+  fl::Fleet assigned =
+      sim::build_fleet(sim::PopulationGenerator(sim::mobile_longtail(2)));
+  assigned = std::move(moved);
+  ASSERT_EQ(assigned.size(), 12u);
+  expect_ids_index_clients(assigned);
+  // Joining after a move keeps the ids dense.
+  EXPECT_EQ(sim::add_device(assigned, pop, 12).id(), 12);
+  expect_ids_index_clients(assigned);
 }
 
 // ---- CohortSampler ---------------------------------------------------------

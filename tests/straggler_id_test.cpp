@@ -98,6 +98,20 @@ TEST(Apply, WritesFlagsOntoClients) {
   EXPECT_TRUE(fleet.client(3).is_straggler());
 }
 
+TEST(Apply, PartialReportLeavesUnreportedClientsUntouched) {
+  fl::Fleet fleet = fresh_fleet();
+  fleet.client(1).set_straggler(true);
+  StragglerReport report;
+  // Clients 1 and 2 are absent; unknown ids are ignored.
+  report.timings = {{3, 9.0, true}, {-1, 8.0, true}, {4, 7.0, true},
+                    {0, 1.0, false}};
+  StragglerIdentifier::apply(fleet, report);
+  EXPECT_FALSE(fleet.client(0).is_straggler());
+  EXPECT_TRUE(fleet.client(1).is_straggler());
+  EXPECT_FALSE(fleet.client(2).is_straggler());
+  EXPECT_TRUE(fleet.client(3).is_straggler());
+}
+
 TEST(TimeBasedAndResourceBased, AgreeOnThisFleet) {
   fl::Fleet fleet = fresh_fleet();
   auto a = StragglerIdentifier::time_based(fleet, 2).straggler_ids();

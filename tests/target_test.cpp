@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/straggler_id.h"
 #include "core/target.h"
+#include "fl/submodel.h"
+#include "sim/population.h"
 #include "test_support.h"
 
 namespace helios::core {
@@ -103,6 +107,65 @@ TEST(Target, ImpossiblePaceFallsBackToMinVolume) {
   fl::Client& c = fleet.client(3);
   const double v = TargetDeterminer::profile_volume(c, 1e-9, 0.05);
   EXPECT_DOUBLE_EQ(v, 0.05);
+}
+
+// A lazy long-tail fleet with its slowest quarter flagged, as population-scale
+// runs set it up: every estimate goes through the shared architecture twin.
+fl::Fleet lazy_longtail_fleet(int devices, StragglerReport& report) {
+  sim::PopulationConfig cfg = sim::mobile_longtail(devices);
+  cfg.lazy_data = true;
+  fl::Fleet fleet = sim::build_fleet(sim::PopulationGenerator(cfg));
+  report = StragglerIdentifier::time_based(fleet, devices / 4);
+  StragglerIdentifier::apply(fleet, report);
+  return fleet;
+}
+
+TEST(Target, MemoizedProfilingMatchesPerClientProfileBitForBit) {
+  StragglerReport report;
+  fl::Fleet fleet = lazy_longtail_fleet(2048, report);
+  const auto volumes = TargetDeterminer::assign_profiled(fleet, report);
+  ASSERT_EQ(volumes.size(), fleet.size());
+  std::set<double> distinct;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    fl::Client& c = fleet.client(i);
+    if (!c.is_straggler()) {
+      EXPECT_EQ(volumes[i], 1.0) << i;
+      continue;
+    }
+    // profile_volume re-evaluates the masked model on every probe: the
+    // unmemoized reference path.
+    EXPECT_EQ(volumes[i],
+              TargetDeterminer::profile_volume(c, report.pace_seconds))
+        << i;
+    EXPECT_EQ(c.volume(), volumes[i]) << i;
+    distinct.insert(volumes[i]);
+  }
+  EXPECT_GT(distinct.size(), 10u);  // the memo serves many distinct searches
+  for (auto& c : fleet.clients()) EXPECT_FALSE(c->materialized());
+}
+
+TEST(Target, CycleSecondsAtVolumeEqualsFirstKMaskEstimate) {
+  StragglerReport report;
+  fl::Fleet fleet = lazy_longtail_fleet(2048, report);
+  for (int id : report.straggler_ids()) {
+    if (id % 97 != 0) continue;
+    fl::Client& c = *fleet.find_client(id);
+    nn::Model& model = c.estimation_model();
+    const auto ranges = fl::layer_ranges(model);
+    for (double v : {0.05, 0.2, 0.5, 0.731, 0.99}) {
+      const auto budgets = fl::layer_budgets(ranges, v);
+      std::vector<std::uint8_t> mask(
+          static_cast<std::size_t>(model.neuron_total()), 0);
+      for (std::size_t l = 0; l < ranges.size(); ++l) {
+        for (int j = 0; j < budgets[l]; ++j) {
+          mask[static_cast<std::size_t>(ranges[l].begin + j)] = 1;
+        }
+      }
+      EXPECT_EQ(TargetDeterminer::cycle_seconds_at_volume(c, v),
+                c.estimate_cycle_seconds(mask))
+          << "client " << id << " volume " << v;
+    }
+  }
 }
 
 TEST(Target, DefaultLevelsAreDescendingInRange) {
