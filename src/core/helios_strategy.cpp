@@ -5,12 +5,25 @@
 #include <cmath>
 
 #include "fl/hierarchy.h"
-#include "fl/transport.h"
 #include "obs/telemetry.h"
 
 namespace helios::core {
 
-HeliosStrategy::HeliosStrategy(HeliosConfig config) : config_(config) {}
+namespace {
+
+fl::AggOptions agg_options(const HeliosConfig& config) {
+  fl::AggOptions opts;
+  opts.hetero_volume_weights = config.hetero_aggregation;
+  opts.per_neuron_merge = config.hetero_aggregation;
+  opts.alpha_damping = config.alpha_damping;
+  return opts;
+}
+
+}  // namespace
+
+HeliosStrategy::HeliosStrategy(HeliosConfig config)
+    : fl::SyncRoundStrategy("helios.cycle", agg_options(config)),
+      config_(config) {}
 
 std::string HeliosStrategy::name() const {
   return config_.hetero_aggregation ? "Helios" : "S.T. Only";
@@ -39,157 +52,104 @@ HeliosStrategy::StragglerState& HeliosStrategy::state_for(fl::Client& client) {
   return it->second;
 }
 
-void HeliosStrategy::run_range(fl::Fleet& fleet, fl::RunResult& result,
-                               int begin, int end) {
-  fl::AggOptions opts;
-  opts.hetero_volume_weights = config_.hetero_aggregation;
-  opts.per_neuron_merge = config_.hetero_aggregation;
-  opts.alpha_damping = config_.alpha_damping;
-  if (begin == 0) state_.clear();
+void HeliosStrategy::begin_run(fl::Fleet& /*fleet*/) { state_.clear(); }
 
+std::vector<fl::PlannedClient> HeliosStrategy::plan(fl::Fleet& fleet,
+                                                    int cycle) {
+  if (cycle_hook_) cycle_hook_(fleet, cycle);
+  // Phase 1: choose each straggler's submodel for this cycle.
+  HELIOS_TRACE_SPAN("helios.select_submodels", {{"cycle", cycle}});
+  std::vector<fl::PlannedClient> plan = SyncRoundStrategy::plan(fleet, cycle);
+  forced_.assign(plan.size(), 0);
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    fl::Client& client = *plan[i].client;
+    if (!client.is_straggler() || client.volume() >= 1.0) continue;
+    StragglerState& st = state_for(client);
+    std::vector<int> forced;
+    if (config_.rotation_regulation) forced = st.regulator->overdue();
+    forced_[i] = static_cast<int>(forced.size());
+    plan[i].mask = st.trainer->select_mask(forced);
+  }
+  return plan;
+}
+
+void HeliosStrategy::before_aggregate(fl::Fleet& fleet,
+                                      const fl::SyncRound& round) {
+  // With an active aggregator tree the edges compute the U^ij shards.
+  fl::HierarchySession* hier = fleet.hierarchy();
+  if (hier != nullptr && hier->active()) {
+    hier->stage_bookkeeping(round.global_before);
+  }
+}
+
+void HeliosStrategy::after_aggregate(fl::Fleet& fleet,
+                                     const fl::SyncRound& round) {
+  // Phase 3: contribution updates + rotation bookkeeping. Only *delivered*
+  // updates count: if a straggler's frame was dropped, the server never saw
+  // its parameters, so crediting contributions and advancing the C_s
+  // rotation counters would drift the soft-training state away from what
+  // actually aggregated (a cohort lost whole closes as a clean no-op).
+  // With an aggregator tree attached, the edge nodes computed each device's
+  // U^ij shard while folding (armed in before_aggregate) and the root merged
+  // the shards — an exact disjoint union, bit-identical to computing them
+  // here against the same base snapshot. The C_s counters stay per-device.
+  const fl::HierarchySession* hier = fleet.hierarchy();
   obs::TelemetrySink* tel = fleet.telemetry();
-  for (int cycle = begin; cycle < end; ++cycle) {
-    HELIOS_TRACE_SPAN("helios.cycle", {{"cycle", cycle}});
-    if (tel) tel->set_cycle(cycle);
-    if (cycle_hook_) cycle_hook_(fleet, cycle);
-
-    // Phase 1: choose each straggler's submodel for this cycle.
-    struct Planned {
-      fl::Client* client;
-      std::vector<std::uint8_t> mask;  // empty = full model
-      int forced = 0;                  // rotation-forced neuron count
-    };
-    std::vector<Planned> plan;
-    plan.reserve(fleet.size());
-    {
-      HELIOS_TRACE_SPAN("helios.select_submodels", {{"cycle", cycle}});
-      for (fl::Client* client : fleet.round_roster(cycle)) {
-        Planned p{client, {}, 0};
-        if (client->is_straggler() && client->volume() < 1.0) {
-          StragglerState& st = state_for(*client);
-          std::vector<int> forced;
-          if (config_.rotation_regulation) forced = st.regulator->overdue();
-          p.forced = static_cast<int>(forced.size());
-          p.mask = st.trainer->select_mask(forced);
-        }
-        plan.push_back(std::move(p));
-      }
+  const fl::NetDelivery& net = round.net;
+  for (std::size_t i = 0; i < round.plan.size(); ++i) {
+    const fl::PlannedClient& p = round.plan[i];
+    if (p.mask.empty()) continue;
+    if (!net.pass_through && !net.delivered[i]) continue;
+    StragglerState& st = state_for(*p.client);
+    const std::vector<double>* shard =
+        hier != nullptr ? hier->contributions_for(p.client->id()) : nullptr;
+    if (shard != nullptr) {
+      st.trainer->apply_contributions(p.mask, *shard);
+    } else {
+      st.trainer->update_contributions(round.global_before,
+                                       round.updates[i].params, p.mask);
     }
-
-    // Phase 2: local training (synchronous round; virtual times from the
-    // cost model, round length = slowest participant). The masks were all
-    // chosen in phase 1, so the cycles are independent and fan out across
-    // the pool; the updates come back in plan order.
-    const std::vector<float> global_before(fleet.server().global());
-    const std::vector<float> buffers_before(fleet.server().global_buffers());
-    std::vector<fl::Client*> roster;
-    roster.reserve(plan.size());
-    for (Planned& p : plan) roster.push_back(p.client);
-    std::vector<fl::ClientUpdate> updates = fl::Fleet::parallel_train(
-        roster, [&](fl::Client& client, std::size_t i) {
-          return client.run_cycle(global_before, buffers_before, plan[i].mask);
-        });
-    // The network (if any) decides which updates arrive, each device's
-    // actual communication time, and the round length; without a session
-    // this is the analytic max(train + upload) closure.
-    fl::NetDelivery net =
-        fl::deliver_round(fleet, updates, global_before);
-    double capable_pace = 0.0;
-    double loss = 0.0;
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      const double cycle_seconds =
-          updates[i].train_seconds + net.comm_seconds[i];
-      if (!plan[i].client->is_straggler()) {
-        capable_pace = std::max(capable_pace, cycle_seconds);
-      }
-      loss += updates[i].mean_loss;
-    }
-    fleet.clock().advance(net.round_seconds);
-
-    // Phase 3: contribution updates + rotation bookkeeping + aggregation.
-    // Only *delivered* updates count: if a straggler's frame was dropped,
-    // the server never saw its parameters, so crediting contributions and
-    // advancing the C_s rotation counters would drift the soft-training
-    // state away from what actually aggregated. In the extreme case — the
-    // whole cohort lost before the deadline — the round must close as a
-    // clean no-op (Server::aggregate already skips an empty span).
-    // With an aggregator tree attached, the U^ij statistics are computed by
-    // the edge nodes while folding (stage_bookkeeping arms that), so the
-    // aggregation runs first and the loop below adopts each device's
-    // root-merged shard — bit-identical to computing it here, because the
-    // edges run agg::neuron_change_means on the decoded (bit-exact) params
-    // against the same base snapshot. Devices are partitioned across edges,
-    // so the root's merge of the shards is an exact disjoint union, and the
-    // C_s rotation counters stay per-device (disjoint by construction).
-    fl::HierarchySession* hier = fleet.hierarchy();
-    const bool sharded_bookkeeping = hier != nullptr && hier->active();
-    if (sharded_bookkeeping) {
-      hier->stage_bookkeeping(global_before);
-      fleet.server().aggregate(net.aggregate_span(updates), opts);
-    }
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      if (plan[i].mask.empty()) continue;
-      if (!net.pass_through && !net.delivered[i]) continue;
-      StragglerState& st = state_for(*plan[i].client);
-      const std::vector<double>* shard =
-          sharded_bookkeeping
-              ? hier->contributions_for(plan[i].client->id())
-              : nullptr;
-      if (shard != nullptr) {
-        st.trainer->apply_contributions(plan[i].mask, *shard);
-      } else {
-        st.trainer->update_contributions(global_before, updates[i].params,
-                                         plan[i].mask);
-      }
-      st.regulator->record_cycle(plan[i].mask);
-      if (tel) {
-        // Skipped-cycle distribution: neurons with C_s = 0 / 1 / 2 / >= 3.
-        std::array<int, 4> cs{0, 0, 0, 0};
-        const int m = st.regulator->neuron_total();
-        for (int j = 0; j < m; ++j) {
-          cs[static_cast<std::size_t>(
-              std::min(st.regulator->skipped_cycles(j), 3))]++;
-        }
-        tel->record_rotation(plan[i].client->id(), plan[i].forced, cs);
-      }
-    }
-    if (!sharded_bookkeeping) {
-      fleet.server().aggregate(net.aggregate_span(updates), opts);
-    }
-
-    // Phase 4: pace adaptation during the first cycles (Sec. V-A Step 1 —
-    // "Helios needs first few training cycles to finalize the stragglers
-    // and model volumes"). Uses the *observed* per-device times, so under a
-    // simulated network the wire (retries included) drives the volumes.
-    if (cycle < config_.pace_adaptation_cycles && capable_pace > 0.0) {
-      for (std::size_t i = 0; i < plan.size(); ++i) {
-        fl::Client& c = *plan[i].client;
-        if (plan[i].mask.empty()) continue;
-        if (!c.active()) continue;  // died this round
-        const double t =
-            updates[i].train_seconds + net.comm_seconds[i];
-        const double ratio = t / capable_pace;
-        // Outside a 10% band, rescale the volume toward the pace.
-        if (ratio > 1.1 || ratio < 0.9) {
-          const double next = std::clamp(c.volume() / ratio,
-                                         config_.min_volume, 1.0);
-          c.set_volume(next);
-          StragglerState& st = state_for(c);
-          st.trainer->set_keep_ratio(next);
-          st.regulator->set_budget_total(st.trainer->budget_total());
-        }
-      }
-    }
-
-    result.rounds.push_back(
-        {cycle, fleet.clock().now(), fleet.evaluate(),
-         loss / static_cast<double>(std::max<std::size_t>(1, plan.size())),
-         net.upload_mb});
+    st.regulator->record_cycle(p.mask);
     if (tel) {
-      const fl::RoundRecord& r = result.rounds.back();
-      tel->record_cycle_result(result.method, cycle, r.virtual_time,
-                               r.test_accuracy, r.mean_train_loss,
-                               r.upload_mb);
+      // Skipped-cycle distribution: neurons with C_s = 0 / 1 / 2 / >= 3.
+      std::array<int, 4> cs{0, 0, 0, 0};
+      const int m = st.regulator->neuron_total();
+      for (int j = 0; j < m; ++j) {
+        cs[static_cast<std::size_t>(
+            std::min(st.regulator->skipped_cycles(j), 3))]++;
+      }
+      tel->record_rotation(p.client->id(), forced_[i], cs);
+    }
+  }
+
+  // Phase 4: pace adaptation during the first cycles (Sec. V-A Step 1 —
+  // "Helios needs first few training cycles to finalize the stragglers
+  // and model volumes"). Uses the *observed* per-device times, so under a
+  // simulated network the wire (retries included) drives the volumes.
+  if (round.cycle >= config_.pace_adaptation_cycles) return;
+  auto observed_seconds = [&](std::size_t i) {
+    return round.updates[i].train_seconds + net.comm_seconds[i];
+  };
+  double capable_pace = 0.0;
+  for (std::size_t i = 0; i < round.plan.size(); ++i) {
+    if (!round.plan[i].client->is_straggler()) {
+      capable_pace = std::max(capable_pace, observed_seconds(i));
+    }
+  }
+  if (capable_pace <= 0.0) return;
+  for (std::size_t i = 0; i < round.plan.size(); ++i) {
+    fl::Client& c = *round.plan[i].client;
+    if (round.plan[i].mask.empty()) continue;
+    if (!c.active()) continue;  // died this round
+    const double ratio = observed_seconds(i) / capable_pace;
+    // Outside a 10% band, rescale the volume toward the pace.
+    if (ratio > 1.1 || ratio < 0.9) {
+      const double next =
+          std::clamp(c.volume() / ratio, config_.min_volume, 1.0);
+      c.set_volume(next);
+      StragglerState& st = state_for(c);
+      st.trainer->set_keep_ratio(next);
+      st.regulator->set_budget_total(st.trainer->budget_total());
     }
   }
 }

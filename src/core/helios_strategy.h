@@ -14,7 +14,7 @@
 
 #include "core/rotation.h"
 #include "core/soft_training.h"
-#include "fl/strategy.h"
+#include "fl/sync_round.h"
 
 namespace helios::core {
 
@@ -39,13 +39,11 @@ struct HeliosConfig {
   std::uint64_t seed = 31;
 };
 
-class HeliosStrategy final : public fl::Strategy {
+class HeliosStrategy final : public fl::SyncRoundStrategy {
  public:
   explicit HeliosStrategy(HeliosConfig config = {});
 
   std::string name() const override;
-  void run_range(fl::Fleet& fleet, fl::RunResult& result, int begin,
-                 int end) override;
 
   /// Cross-cycle soft-training state, per straggler: keep ratio, per-neuron
   /// contributions U^ij, the mask-drawing RNG position, and the C_s
@@ -68,9 +66,21 @@ class HeliosStrategy final : public fl::Strategy {
   };
   StragglerState& state_for(fl::Client& client);
 
+  void begin_run(fl::Fleet& fleet) override;
+  /// Runs the cycle hook, then selects each straggler's soft-training
+  /// submodel (rotation-forced neurons included).
+  std::vector<fl::PlannedClient> plan(fl::Fleet& fleet, int cycle) override;
+  /// Arms the aggregator tree's sharded U^ij bookkeeping.
+  void before_aggregate(fl::Fleet& fleet,
+                        const fl::SyncRound& round) override;
+  /// Contribution updates, C_s rotation bookkeeping and pace adaptation.
+  void after_aggregate(fl::Fleet& fleet, const fl::SyncRound& round) override;
+
   HeliosConfig config_;
   std::unordered_map<int, StragglerState> state_;
   std::function<void(fl::Fleet&, int)> cycle_hook_;
+  /// Rotation-forced neuron count per plan entry of the current round.
+  std::vector<int> forced_;
 };
 
 }  // namespace helios::core

@@ -1,76 +1,35 @@
 #include "fl/baselines.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "fl/submodel.h"
-#include "fl/transport.h"
-#include "obs/telemetry.h"
 
 namespace helios::fl {
 namespace {
 
-/// Shared synchronous loop over cycles [begin, end): `mask_for(client,
-/// cycle)` supplies each straggler's submodel mask (empty = full model).
-template <typename MaskFn>
-void run_sync_submodel(Fleet& fleet, RunResult& result, int begin, int end,
-                       MaskFn mask_for) {
-  AggOptions opts;  // sample weighting, no hetero weights for baselines
-  obs::TelemetrySink* tel = fleet.telemetry();
-  for (int cycle = begin; cycle < end; ++cycle) {
-    HELIOS_TRACE_SPAN("baseline.cycle", {{"cycle", cycle}});
-    if (tel) tel->set_cycle(cycle);
-    // Masks are drawn sequentially first (mask_for may consume per-client
-    // RNG state), then the independent training cycles fan out.
-    std::vector<Client*> roster = fleet.round_roster(cycle);
-    std::vector<std::vector<std::uint8_t>> masks;
-    masks.reserve(roster.size());
-    for (Client* client : roster) {
-      masks.push_back(mask_for(*client, cycle));
-    }
-    std::vector<ClientUpdate> updates = Fleet::parallel_train(
-        roster, [&](Client& client, std::size_t i) {
-          return client.run_cycle(fleet.server().global(),
-                                  fleet.server().global_buffers(), masks[i]);
-        });
-    double loss = 0.0;
-    for (const ClientUpdate& u : updates) loss += u.mean_loss;
-    NetDelivery net = deliver_round(fleet, updates, fleet.server().global());
-    fleet.clock().advance(net.round_seconds);
-    fleet.server().aggregate(net.aggregate_span(updates), opts);
-    result.rounds.push_back(
-        {cycle, fleet.clock().now(), fleet.evaluate(),
-         loss / static_cast<double>(std::max<std::size_t>(1, roster.size())),
-         net.upload_mb});
-    if (tel) {
-      const RoundRecord& r = result.rounds.back();
-      tel->record_cycle_result(result.method, cycle, r.virtual_time,
-                               r.test_accuracy, r.mean_train_loss,
-                               r.upload_mb);
-    }
-  }
+/// Straggler `id`'s mask stream. fork() does not advance the parent, so the
+/// stream is the same whenever the straggler is first planned (joiners too).
+util::Rng mask_stream(std::uint64_t seed, int id) {
+  return util::Rng(seed).fork(static_cast<std::uint64_t>(id));
 }
 
 }  // namespace
 
-RandomSubmodel::RandomSubmodel(std::uint64_t seed) : seed_(seed) {}
+// Both baselines aggregate with plain sample weighting (default AggOptions).
+RandomSubmodel::RandomSubmodel(std::uint64_t seed)
+    : SyncRoundStrategy("baseline.cycle"), seed_(seed) {}
 
-void RandomSubmodel::run_range(Fleet& fleet, RunResult& result, int begin,
-                               int end) {
-  if (begin == 0) {
-    util::Rng rng(seed_);
-    client_rng_.clear();
-    for (auto& c : fleet.clients()) {
-      client_rng_.emplace(c->id(),
-                          rng.fork(static_cast<std::uint64_t>(c->id())));
-    }
+void RandomSubmodel::begin_run(Fleet& /*fleet*/) { client_rng_.clear(); }
+
+std::vector<PlannedClient> RandomSubmodel::plan(Fleet& fleet, int cycle) {
+  std::vector<PlannedClient> plan = SyncRoundStrategy::plan(fleet, cycle);
+  for (PlannedClient& p : plan) {
+    Client& c = *p.client;
+    if (!c.is_straggler() || c.volume() >= 1.0) continue;
+    auto it = client_rng_.try_emplace(c.id(), mask_stream(seed_, c.id())).first;
+    p.mask = random_volume_mask(c.estimation_model(), c.volume(), it->second);
   }
-  run_sync_submodel(
-      fleet, result, begin, end,
-      [&](Client& client, int /*cycle*/) -> std::vector<std::uint8_t> {
-        if (!client.is_straggler() || client.volume() >= 1.0) return {};
-        return random_volume_mask(client.estimation_model(), client.volume(),
-                                  client_rng_.at(client.id()));
-      });
+  return plan;
 }
 
 void RandomSubmodel::save_state(const Fleet& fleet,
@@ -93,29 +52,27 @@ void RandomSubmodel::load_state(Fleet& fleet, CheckpointReader& r) {
   }
 }
 
-StaticPrune::StaticPrune(std::uint64_t seed) : seed_(seed) {}
+StaticPrune::StaticPrune(std::uint64_t seed)
+    : SyncRoundStrategy("baseline.cycle"), seed_(seed) {}
 
-void StaticPrune::run_range(Fleet& fleet, RunResult& result, int begin,
-                            int end) {
-  if (begin == 0) {
-    util::Rng rng(seed_);
-    // One fixed mask per straggler for the whole run.
-    fixed_.clear();
-    for (auto& c : fleet.clients()) {
-      if (c->is_straggler() && c->volume() < 1.0) {
-        util::Rng crng = rng.fork(static_cast<std::uint64_t>(c->id()));
-        fixed_.emplace(c->id(), random_volume_mask(c->estimation_model(),
-                                                   c->volume(), crng));
-      }
+void StaticPrune::begin_run(Fleet& /*fleet*/) { fixed_.clear(); }
+
+std::vector<PlannedClient> StaticPrune::plan(Fleet& fleet, int cycle) {
+  std::vector<PlannedClient> plan = SyncRoundStrategy::plan(fleet, cycle);
+  for (PlannedClient& p : plan) {
+    Client& c = *p.client;
+    auto it = fixed_.find(c.id());
+    if (it == fixed_.end()) {
+      if (!c.is_straggler() || c.volume() >= 1.0) continue;
+      // One fixed mask per straggler for the whole run.
+      util::Rng rng = mask_stream(seed_, c.id());
+      std::vector<std::uint8_t> mask =
+          random_volume_mask(c.estimation_model(), c.volume(), rng);
+      it = fixed_.emplace(c.id(), std::move(mask)).first;
     }
+    p.mask = it->second;
   }
-  run_sync_submodel(
-      fleet, result, begin, end,
-      [&](Client& client, int /*cycle*/) -> std::vector<std::uint8_t> {
-        auto it = fixed_.find(client.id());
-        if (it == fixed_.end()) return {};
-        return it->second;
-      });
+  return plan;
 }
 
 void StaticPrune::save_state(const Fleet& fleet, CheckpointWriter& w) const {

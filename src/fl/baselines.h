@@ -12,41 +12,43 @@
 
 #include <map>
 
-#include "fl/strategy.h"
+#include "fl/sync_round.h"
 #include "util/rng.h"
 
 namespace helios::fl {
 
-class RandomSubmodel final : public Strategy {
+class RandomSubmodel final : public SyncRoundStrategy {
  public:
   explicit RandomSubmodel(std::uint64_t seed = 99);
   std::string name() const override { return "Random"; }
-  void run_range(Fleet& fleet, RunResult& result, int begin,
-                 int end) override;
 
   /// Cross-cycle state: each straggler's mask-drawing RNG position.
   void save_state(const Fleet& fleet, CheckpointWriter& w) const override;
   void load_state(Fleet& fleet, CheckpointReader& r) override;
 
  private:
+  void begin_run(Fleet& fleet) override;
+  std::vector<PlannedClient> plan(Fleet& fleet, int cycle) override;
+
   std::uint64_t seed_;
-  /// Per-client mask RNG, forked by id at cycle 0 (ordered map: checkpoint
-  /// serialization must not depend on hash iteration order).
+  /// Per-straggler mask RNG, forked by id when first planned (ordered map:
+  /// checkpoint serialization must not depend on hash iteration order).
   std::map<int, util::Rng> client_rng_;
 };
 
-class StaticPrune final : public Strategy {
+class StaticPrune final : public SyncRoundStrategy {
  public:
   explicit StaticPrune(std::uint64_t seed = 99);
   std::string name() const override { return "Static Prune"; }
-  void run_range(Fleet& fleet, RunResult& result, int begin,
-                 int end) override;
 
   /// Cross-cycle state: the once-drawn permanent mask per straggler.
   void save_state(const Fleet& fleet, CheckpointWriter& w) const override;
   void load_state(Fleet& fleet, CheckpointReader& r) override;
 
  private:
+  void begin_run(Fleet& fleet) override;
+  std::vector<PlannedClient> plan(Fleet& fleet, int cycle) override;
+
   std::uint64_t seed_;
   std::map<int, std::vector<std::uint8_t>> fixed_;
 };

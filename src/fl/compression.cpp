@@ -109,7 +109,7 @@ CompressionStats compress_update_topk(ClientUpdate& update,
 }
 
 CompressedSyncFL::CompressedSyncFL(double keep_fraction)
-    : keep_fraction_(keep_fraction) {
+    : SyncRoundStrategy("compression.cycle"), keep_fraction_(keep_fraction) {
   if (keep_fraction <= 0.0 || keep_fraction > 1.0) {
     throw std::invalid_argument("CompressedSyncFL: bad keep_fraction");
   }
@@ -120,34 +120,13 @@ std::string CompressedSyncFL::name() const {
              keep_fraction_ * 100.0)) + "%";
 }
 
-void CompressedSyncFL::run_range(Fleet& fleet, RunResult& result, int begin,
-                                 int end) {
-  AggOptions opts;
-  for (int cycle = begin; cycle < end; ++cycle) {
-    const std::vector<float> base(fleet.server().global());
-    std::vector<Client*> roster = fleet.active_clients();
-    const net::WireLayout* layout =
-        fleet.network() != nullptr ? &fleet.network()->layout() : nullptr;
-    std::vector<ClientUpdate> updates;
-    double loss = 0.0;
-    for (Client* client : roster) {
-      updates.push_back(client->run_cycle(base,
-                                          fleet.server().global_buffers(),
-                                          {}));
-      compress_update_topk(
-          updates.back(), base, keep_fraction_, layout,
-          fleet.network() != nullptr
-              ? fleet.network()->options().payload_codec
-              : codec::CodecId::kFp32);
-      loss += updates.back().mean_loss;
-    }
-    NetDelivery net = deliver_round(fleet, updates, base);
-    fleet.clock().advance(net.round_seconds);
-    fleet.server().aggregate(net.aggregate_span(updates), opts);
-    result.rounds.push_back({cycle, fleet.clock().now(), fleet.evaluate(),
-                             loss / static_cast<double>(roster.size()),
-                             net.upload_mb});
-  }
+void CompressedSyncFL::post_train(const Fleet& fleet, ClientUpdate& update,
+                                  std::span<const float> base) const {
+  const NetworkSession* net = fleet.network();
+  compress_update_topk(update, base, keep_fraction_,
+                       net != nullptr ? &net->layout() : nullptr,
+                       net != nullptr ? net->options().payload_codec
+                                      : codec::CodecId::kFp32);
 }
 
 }  // namespace helios::fl

@@ -13,7 +13,7 @@
 #include <cstddef>
 #include <span>
 
-#include "fl/strategy.h"
+#include "fl/sync_round.h"
 #include "net/wire.h"
 
 namespace helios::fl {
@@ -48,16 +48,19 @@ CompressionStats compress_update_topk(ClientUpdate& update,
                                           codec::CodecId::kFp32);
 
 /// Synchronous FedAvg with per-client top-k compression — the comparison
-/// harness for accuracy-vs-communication sweeps.
-class CompressedSyncFL final : public Strategy {
+/// harness for accuracy-vs-communication sweeps. No cross-cycle strategy
+/// state — inherits the no-op checkpoint hooks.
+class CompressedSyncFL final : public SyncRoundStrategy {
  public:
   explicit CompressedSyncFL(double keep_fraction);
   std::string name() const override;
-  /// No cross-cycle strategy state — inherits the no-op checkpoint hooks.
-  void run_range(Fleet& fleet, RunResult& result, int begin,
-                 int end) override;
 
  private:
+  /// Sparsifies each update against the round's global snapshot, sized at
+  /// the attached session's payload codec.
+  void post_train(const Fleet& fleet, ClientUpdate& update,
+                  std::span<const float> base) const override;
+
   double keep_fraction_;
 };
 

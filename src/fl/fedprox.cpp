@@ -3,63 +3,25 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "fl/transport.h"
-#include "obs/telemetry.h"
-
 namespace helios::fl {
 
-FedProx::FedProx(float mu, double min_work) : mu_(mu), min_work_(min_work) {
+FedProx::FedProx(float mu, double min_work)
+    : SyncRoundStrategy("fedprox.cycle"), mu_(mu), min_work_(min_work) {
   if (mu < 0.0F) throw std::invalid_argument("FedProx: negative mu");
   if (min_work <= 0.0 || min_work > 1.0) {
     throw std::invalid_argument("FedProx: min_work out of (0, 1]");
   }
 }
 
-void FedProx::run_range(Fleet& fleet, RunResult& result, int begin, int end) {
-  AggOptions opts;
-  // Install mu only when the run starts: after a resume the per-client
-  // checkpoint section already restored each client's mu (including any
-  // churn joiner that never received it), identical to the uninterrupted
-  // run.
-  if (begin == 0) {
-    for (auto& client : fleet.clients()) client->set_proximal_mu(mu_);
-  }
-  obs::TelemetrySink* tel = fleet.telemetry();
-  for (int cycle = begin; cycle < end; ++cycle) {
-    HELIOS_TRACE_SPAN("fedprox.cycle", {{"cycle", cycle}});
-    if (tel) tel->set_cycle(cycle);
-    // Per-client work scales are fixed by straggler volume, so they are
-    // computed up front and the independent cycles fan out.
-    std::vector<Client*> roster = fleet.round_roster(cycle);
-    std::vector<double> work;
-    work.reserve(roster.size());
-    for (Client* client : roster) {
-      work.push_back(client->is_straggler()
-                         ? std::clamp(client->volume(), min_work_, 1.0)
-                         : 1.0);
-    }
-    std::vector<ClientUpdate> updates = Fleet::parallel_train(
-        roster, [&](Client& client, std::size_t i) {
-          return client.run_cycle(fleet.server().global(),
-                                  fleet.server().global_buffers(), {},
-                                  work[i]);
-        });
-    double loss = 0.0;
-    for (const ClientUpdate& u : updates) loss += u.mean_loss;
-    NetDelivery net = deliver_round(fleet, updates, fleet.server().global());
-    fleet.clock().advance(net.round_seconds);
-    fleet.server().aggregate(net.aggregate_span(updates), opts);
-    result.rounds.push_back(
-        {cycle, fleet.clock().now(), fleet.evaluate(),
-         loss / static_cast<double>(std::max<std::size_t>(1, roster.size())),
-         net.upload_mb});
-    if (tel) {
-      const RoundRecord& r = result.rounds.back();
-      tel->record_cycle_result(result.method, cycle, r.virtual_time,
-                               r.test_accuracy, r.mean_train_loss,
-                               r.upload_mb);
+std::vector<PlannedClient> FedProx::plan(Fleet& fleet, int cycle) {
+  std::vector<PlannedClient> plan = SyncRoundStrategy::plan(fleet, cycle);
+  for (PlannedClient& p : plan) {
+    p.client->set_proximal_mu(mu_);
+    if (p.client->is_straggler()) {
+      p.work_scale = std::clamp(p.client->volume(), min_work_, 1.0);
     }
   }
+  return plan;
 }
 
 }  // namespace helios::fl

@@ -10,11 +10,11 @@
 // rotating submodel.
 #pragma once
 
-#include "fl/strategy.h"
+#include "fl/sync_round.h"
 
 namespace helios::fl {
 
-class FedProx final : public Strategy {
+class FedProx final : public SyncRoundStrategy {
  public:
   /// `mu` is the proximal coefficient. Stragglers' per-cycle work fraction
   /// is their volume (set by target determination), floored at
@@ -22,12 +22,13 @@ class FedProx final : public Strategy {
   explicit FedProx(float mu = 0.01F, double min_work = 0.05);
 
   std::string name() const override { return "FedProx"; }
-  /// No cross-cycle strategy state: the proximal mu is installed into the
-  /// clients at cycle 0 and travels with the per-client checkpoint section.
-  void run_range(Fleet& fleet, RunResult& result, int begin,
-                 int end) override;
 
  private:
+  /// Installs mu into every planned client (joiners included) and scales
+  /// each straggler's local work by its volume. No cross-cycle strategy
+  /// state: mu travels with the per-client checkpoint section.
+  std::vector<PlannedClient> plan(Fleet& fleet, int cycle) override;
+
   float mu_;
   double min_work_;
 };

@@ -4,14 +4,12 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "fl/transport.h"
-#include "obs/telemetry.h"
-#include "util/rng.h"
-
 namespace helios::fl {
 
 SyncFL::SyncFL(double participation, std::uint64_t seed)
-    : participation_(participation), seed_(seed) {
+    : SyncRoundStrategy("sync.cycle"),
+      participation_(participation),
+      seed_(seed) {
   if (participation <= 0.0 || participation > 1.0) {
     throw std::invalid_argument("SyncFL: participation out of (0, 1]");
   }
@@ -22,58 +20,21 @@ std::string SyncFL::name() const {
   return "Syn. FL (C=" + std::to_string(participation_).substr(0, 4) + ")";
 }
 
-void SyncFL::run_range(Fleet& fleet, RunResult& result, int begin, int end) {
-  AggOptions opts;  // plain sample-weighted FedAvg
-  if (begin == 0) rng_ = util::Rng(seed_);
-  obs::TelemetrySink* tel = fleet.telemetry();
-  for (int cycle = begin; cycle < end; ++cycle) {
-    HELIOS_TRACE_SPAN("sync.cycle", {{"cycle", cycle}});
-    if (tel) tel->set_cycle(cycle);
-    // Sample this cycle's participants from the round roster: the fleet's
-    // population sampler (if set) draws the cohort first, then the
-    // strategy's own participation fraction subsamples it (identical to
-    // the legacy full roster — and RNG stream — absent sampler and churn).
-    std::vector<Client*> active = fleet.round_roster(cycle);
-    std::vector<Client*> participants;
-    if (participation_ >= 1.0) {
-      participants = active;
-    } else {
-      const std::size_t k = std::max<std::size_t>(
-          1, static_cast<std::size_t>(
-                 std::llround(participation_ *
-                              static_cast<double>(active.size()))));
-      for (std::size_t idx :
-           rng_.sample_without_replacement(active.size(), k)) {
-        participants.push_back(active[idx]);
-      }
-    }
+void SyncFL::begin_run(Fleet& /*fleet*/) { rng_ = util::Rng(seed_); }
 
-    // Participants were sampled above (sequentially, from this run's RNG);
-    // their cycles are independent and fan out across the pool.
-    std::vector<ClientUpdate> updates = Fleet::parallel_train(
-        participants, [&](Client& client, std::size_t) {
-          return client.run_cycle(fleet.server().global(),
-                                  fleet.server().global_buffers(), {});
-        });
-    double loss = 0.0;
-    for (const ClientUpdate& u : updates) loss += u.mean_loss;
-    // The network (if any) decides what arrived and how long the round took;
-    // without a session this is the analytic max(train + upload) closure.
-    NetDelivery net = deliver_round(fleet, updates, fleet.server().global());
-    fleet.clock().advance(net.round_seconds);
-    fleet.server().aggregate(net.aggregate_span(updates), opts);
-    result.rounds.push_back(
-        {cycle, fleet.clock().now(), fleet.evaluate(),
-         loss / static_cast<double>(
-                    std::max<std::size_t>(1, participants.size())),
-         net.upload_mb});
-    if (tel) {
-      const RoundRecord& r = result.rounds.back();
-      tel->record_cycle_result(result.method, cycle, r.virtual_time,
-                               r.test_accuracy, r.mean_train_loss,
-                               r.upload_mb);
-    }
+std::vector<PlannedClient> SyncFL::plan(Fleet& fleet, int cycle) {
+  // The fleet's population sampler (if set) draws the cohort first, then
+  // the participation fraction subsamples it from this run's RNG.
+  std::vector<PlannedClient> cohort = SyncRoundStrategy::plan(fleet, cycle);
+  if (participation_ >= 1.0 || cohort.empty()) return cohort;
+  const std::size_t k = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::llround(
+             participation_ * static_cast<double>(cohort.size()))));
+  std::vector<PlannedClient> participants;
+  for (std::size_t idx : rng_.sample_without_replacement(cohort.size(), k)) {
+    participants.push_back(cohort[idx]);
   }
+  return participants;
 }
 
 void SyncFL::save_state(const Fleet& fleet, CheckpointWriter& w) const {

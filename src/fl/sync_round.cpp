@@ -1,0 +1,70 @@
+#include "fl/sync_round.h"
+
+#include <algorithm>
+
+#include "obs/telemetry.h"
+
+namespace helios::fl {
+
+std::vector<PlannedClient> SyncRoundStrategy::plan(Fleet& fleet, int cycle) {
+  std::vector<PlannedClient> plan;
+  for (Client* client : fleet.round_roster(cycle)) {
+    plan.push_back({client, {}, 1.0});
+  }
+  return plan;
+}
+
+void SyncRoundStrategy::run_range(Fleet& fleet, RunResult& result, int begin,
+                                  int end) {
+  if (begin == 0) begin_run(fleet);
+  obs::TelemetrySink* tel = fleet.telemetry();
+  for (int cycle = begin; cycle < end; ++cycle) {
+    HELIOS_TRACE_SPAN(cycle_span_, {{"cycle", cycle}});
+    if (tel) tel->set_cycle(cycle);
+    SyncRound round;
+    round.cycle = cycle;
+    round.plan = plan(fleet, cycle);
+    round.global_before.assign(fleet.server().global().begin(),
+                               fleet.server().global().end());
+    const std::vector<float> buffers_before(
+        fleet.server().global_buffers().begin(),
+        fleet.server().global_buffers().end());
+
+    // Every per-client decision was made in plan(), so the cycles are
+    // independent and fan out; updates come back in plan order.
+    std::vector<Client*> roster;
+    roster.reserve(round.plan.size());
+    for (const PlannedClient& p : round.plan) roster.push_back(p.client);
+    round.updates = Fleet::parallel_train(
+        roster, [&](Client& client, std::size_t i) {
+          ClientUpdate u =
+              client.run_cycle(round.global_before, buffers_before,
+                               round.plan[i].mask, round.plan[i].work_scale);
+          post_train(fleet, u, round.global_before);
+          return u;
+        });
+    // The network (if any) decides what arrived and how long the round
+    // took; without a session this is the analytic max(train + upload).
+    round.net = deliver_round(fleet, round.updates, round.global_before);
+    fleet.clock().advance(round.net.round_seconds);
+    before_aggregate(fleet, round);
+    fleet.server().aggregate(round.net.aggregate_span(round.updates), agg_);
+    after_aggregate(fleet, round);
+
+    double loss = 0.0;
+    for (const ClientUpdate& u : round.updates) loss += u.mean_loss;
+    result.rounds.push_back(
+        {cycle, fleet.clock().now(), fleet.evaluate(),
+         loss / static_cast<double>(
+                    std::max<std::size_t>(1, round.updates.size())),
+         round.net.upload_mb});
+    if (tel) {
+      const RoundRecord& r = result.rounds.back();
+      tel->record_cycle_result(result.method, cycle, r.virtual_time,
+                               r.test_accuracy, r.mean_train_loss,
+                               r.upload_mb);
+    }
+  }
+}
+
+}  // namespace helios::fl

@@ -24,6 +24,7 @@
 #include "fl/async.h"
 #include "fl/baselines.h"
 #include "fl/checkpoint.h"
+#include "fl/compression.h"
 #include "fl/fedprox.h"
 #include "fl/hierarchy.h"
 #include "fl/sync.h"
@@ -323,6 +324,9 @@ std::unique_ptr<fl::Strategy> make_strategy(const std::string& kind) {
   if (kind == "random") return std::make_unique<fl::RandomSubmodel>();
   if (kind == "static") return std::make_unique<fl::StaticPrune>();
   if (kind == "fedprox") return std::make_unique<fl::FedProx>();
+  if (kind == "compressed") {
+    return std::make_unique<fl::CompressedSyncFL>(0.25);
+  }
   throw std::invalid_argument("unknown strategy kind " + kind);
 }
 
@@ -358,7 +362,8 @@ Snapshot run_tree(const std::string& kind, int edge_nodes, int fanout,
 TEST(HierarchyFlatIdentityTest, SingleEdgeTreeBitIdenticalForAllStrategies) {
   ThreadGuard guard;
   for (const std::string kind : {"helios", "st_only", "sync", "async", "afo",
-                                 "random", "static", "fedprox"}) {
+                                 "random", "static", "fedprox",
+                                 "compressed"}) {
     const Snapshot flat = run_tree(kind, /*edge_nodes=*/0, 0, 1);
     const Snapshot inactive = run_tree(kind, /*edge_nodes=*/0, 0, 4);
     expect_identical(flat, inactive, kind + " inactive-topology threads=4");

@@ -23,6 +23,7 @@
 #include "fl/async.h"
 #include "fl/baselines.h"
 #include "fl/checkpoint.h"
+#include "fl/compression.h"
 #include "fl/fedprox.h"
 #include "fl/hierarchy.h"
 #include "fl/sync.h"
@@ -79,6 +80,10 @@ std::unique_ptr<fl::Strategy> make_strategy(const std::string& kind) {
   if (kind == "afo") return std::make_unique<fl::Afo>();
   if (kind == "random") return std::make_unique<fl::RandomSubmodel>();
   if (kind == "static") return std::make_unique<fl::StaticPrune>();
+  if (kind == "fedprox") return std::make_unique<fl::FedProx>();
+  if (kind == "compressed") {
+    return std::make_unique<fl::CompressedSyncFL>(0.25);
+  }
   throw std::invalid_argument("unknown strategy kind " + kind);
 }
 
@@ -202,6 +207,14 @@ TEST(CrashResumeTest, RandomSubmodelBitIdenticalAtEveryKillPoint) {
 
 TEST(CrashResumeTest, StaticPruneBitIdenticalAtEveryKillPoint) {
   check_resume_contract("static");
+}
+
+TEST(CrashResumeTest, FedProxBitIdenticalAtEveryKillPoint) {
+  check_resume_contract("fedprox");
+}
+
+TEST(CrashResumeTest, CompressedSyncFLBitIdenticalAtEveryKillPoint) {
+  check_resume_contract("compressed");
 }
 
 // FedProx carries per-client state only (mu, optimizer velocity) — the

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "core/helios_strategy.h"
+#include "fl/compression.h"
+#include "fl/fedprox.h"
 #include "fl/sync.h"
 #include "fl/transport.h"
 #include "test_support.h"
@@ -79,6 +81,22 @@ TEST(DeterminismTest, HeliosBitIdenticalAcrossThreadCounts) {
 TEST(DeterminismTest, SyncFLBitIdenticalAcrossThreadCounts) {
   ThreadGuard guard;
   auto make = [] { return fl::SyncFL(); };
+  const Snapshot seq = run_with_threads(1, make, 4);
+  const Snapshot par = run_with_threads(4, make, 4);
+  expect_identical(seq, par);
+}
+
+TEST(DeterminismTest, FedProxBitIdenticalAcrossThreadCounts) {
+  ThreadGuard guard;
+  auto make = [] { return fl::FedProx(); };
+  const Snapshot seq = run_with_threads(1, make, 4);
+  const Snapshot par = run_with_threads(4, make, 4);
+  expect_identical(seq, par);
+}
+
+TEST(DeterminismTest, CompressedSyncFLBitIdenticalAcrossThreadCounts) {
+  ThreadGuard guard;
+  auto make = [] { return fl::CompressedSyncFL(0.25); };
   const Snapshot seq = run_with_threads(1, make, 4);
   const Snapshot par = run_with_threads(4, make, 4);
   expect_identical(seq, par);
