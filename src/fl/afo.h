@@ -5,16 +5,14 @@
 //     alpha_t = alpha * (1 + staleness)^(-a)
 // (polynomial staleness function), and the device immediately restarts from
 // the fresh global model. Metrics are recorded once per completion of the
-// first capable device, aligning the cycle axis with the other strategies.
+// first capable device (client 0 when there is none), aligning the cycle
+// axis with the other strategies.
 //
-// Engine state (event heap, in-flight snapshots, model version counter)
-// lives in members so a run can be checkpointed at any round boundary and
-// resumed bit-identically via save_state/load_state.
+// The loop, its checkpointable state and the joiner rule are the shared
+// AsyncEngine's; AFO configures it with (alpha, a).
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
+#include "fl/async_engine.h"
 #include "fl/strategy.h"
 
 namespace helios::fl {
@@ -25,40 +23,19 @@ class Afo final : public Strategy {
 
   std::string name() const override { return "AFO"; }
   void run_range(Fleet& fleet, RunResult& result, int begin,
-                 int end) override;
+                 int end) override {
+    engine_.run_range(fleet, result, begin, end);
+  }
 
-  /// Event heap, in-flight base snapshots + started versions, accumulators.
-  void save_state(const Fleet& fleet, CheckpointWriter& w) const override;
-  void load_state(Fleet& fleet, CheckpointReader& r) override;
+  void save_state(const Fleet& /*fleet*/, CheckpointWriter& w) const override {
+    engine_.save_state(w);
+  }
+  void load_state(Fleet& fleet, CheckpointReader& r) override {
+    engine_.load_state(fleet, r);
+  }
 
  private:
-  /// Serialized as the plain heap array (std::push_heap/std::pop_heap):
-  /// restoring the same vector reproduces the identical pop order.
-  struct Event {
-    double time = 0.0;
-    int client_index = 0;
-    bool operator>(const Event& other) const { return time > other.time; }
-  };
-  /// The global snapshot and version a device started training from.
-  /// Addressed by fleet index so the state survives serialization.
-  struct InFlight {
-    std::vector<float> base;
-    std::vector<float> base_buffers;
-    long started_version = 0;
-  };
-
-  double alpha_;
-  double staleness_exponent_;
-
-  std::vector<Event> events_;  // min-heap via std::greater<Event>
-  std::vector<InFlight> inflight_;
-  std::vector<std::uint8_t> parked_;
-  long version_ = 0;
-  int reference_id_ = -1;
-  int recorded_ = 0;
-  double loss_acc_ = 0.0;
-  double upload_acc_ = 0.0;
-  int loss_count_ = 0;
+  AsyncEngine engine_;
 };
 
 }  // namespace helios::fl

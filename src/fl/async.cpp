@@ -1,8 +1,6 @@
 #include "fl/async.h"
 
 #include <algorithm>
-#include <cmath>
-#include <functional>
 #include <stdexcept>
 
 #include "fl/checkpoint.h"
@@ -12,7 +10,8 @@
 namespace helios::fl {
 
 AsyncFL::AsyncFL(int straggler_period, double mix_beta)
-    : straggler_period_(straggler_period), mix_beta_(mix_beta) {
+    : straggler_period_(straggler_period),
+      engine_("async.completion", mix_beta, 0.0) {
   if (straggler_period < 0) {
     throw std::invalid_argument("AsyncFL: negative period");
   }
@@ -27,147 +26,15 @@ std::string AsyncFL::name() const {
 }
 
 void AsyncFL::run_range(Fleet& fleet, RunResult& result, int begin, int end) {
+  // Period mode aggregates the capable devices every cycle; the engine
+  // records rounds on one. Unlike AFO, Asyn. FL has no fallback to client 0.
+  if ((straggler_period_ > 0 || begin == 0) && fleet.capable().empty()) {
+    throw std::logic_error("AsyncFL: no capable devices");
+  }
   if (straggler_period_ == 0) {
-    run_fully_async(fleet, result, begin, end);
+    engine_.run_range(fleet, result, begin, end);
   } else {
     run_period(fleet, result, begin, end);
-  }
-}
-
-// Stays sequential by design: every completion event trains against the
-// global model as mutated by all earlier completions, so there is no batch
-// of independent cycles to fan out. Intra-op kernel parallelism still
-// applies inside each run_cycle.
-void AsyncFL::run_fully_async(Fleet& fleet, RunResult& result, int begin,
-                              int end) {
-  if (fleet.size() == 0) throw std::logic_error("AsyncFL: empty fleet");
-
-  // Population sampling in the event-driven mode: the recorded-round index
-  // plays the cohort round. An unselected client parks (hibernated) instead
-  // of rescheduling and is re-examined whenever a round completes. The
-  // reference device always participates so recording progresses.
-  const RosterSampler* sampler = fleet.sampler();
-  auto start_client = [&](std::size_t i, double now) {
-    Client& c = fleet.client(i);
-    if (!c.active()) return;  // dead device: never rescheduled
-    if (sampler && c.id() != reference_id_ &&
-        !sampler->selected(c.id(), recorded_)) {
-      parked_[i] = 1;
-      c.hibernate();
-      return;
-    }
-    parked_[i] = 0;
-    inflight_[i].base.assign(fleet.server().global().begin(),
-                             fleet.server().global().end());
-    inflight_[i].base_buffers.assign(fleet.server().global_buffers().begin(),
-                                     fleet.server().global_buffers().end());
-    events_.push_back({now + c.estimate_cycle_seconds({}),
-                       static_cast<int>(i)});
-    std::push_heap(events_.begin(), events_.end(), std::greater<Event>{});
-  };
-  auto sweep_parked = [&] {
-    if (!sampler) return;
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-      if (parked_[i]) start_client(i, fleet.clock().now());
-    }
-  };
-
-  if (begin == 0) {
-    auto capable = fleet.capable();
-    if (capable.empty()) throw std::logic_error("AsyncFL: no capable devices");
-    reference_id_ = capable.front()->id();
-    events_.clear();
-    inflight_.assign(fleet.size(), InFlight{});
-    parked_.assign(fleet.size(), 0);
-    recorded_ = 0;
-    loss_acc_ = 0.0;
-    upload_acc_ = 0.0;
-    loss_count_ = 0;
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-      start_client(i, fleet.clock().now());
-    }
-  } else if (begin != recorded_) {
-    // The engine's carried state encodes progress through `recorded_`
-    // rounds; a mismatched begin means the caller and the engine disagree
-    // about where the run stands.
-    throw std::logic_error("AsyncFL: run_range begin != engine progress");
-  }
-
-  NetworkSession* session = fleet.network();
-  obs::TelemetrySink* tel = fleet.telemetry();
-  while (recorded_ < end && !events_.empty()) {
-    HELIOS_TRACE_SPAN("async.completion", {{"cycle", recorded_}});
-    std::pop_heap(events_.begin(), events_.end(), std::greater<Event>{});
-    const Event ev = events_.back();
-    events_.pop_back();
-    if (ev.time > fleet.clock().now()) fleet.clock().advance_to(ev.time);
-    Client& client = fleet.client(static_cast<std::size_t>(ev.client_index));
-    auto& fl = inflight_[static_cast<std::size_t>(ev.client_index)];
-    // The device finished *at* ev.time; backdate the sink so the Gantt slab
-    // covers the cycle it just spent training.
-    if (tel) {
-      tel->set_virtual_time(
-          std::max(0.0, ev.time - client.estimate_cycle_seconds({})));
-    }
-
-    // Fixed-weight mixing, no staleness discount — the stale update of a
-    // straggler overwrites recent progress proportionally to beta.
-    ClientUpdate update = client.run_cycle(fl.base, fl.base_buffers, {});
-    const bool is_reference = client.id() == reference_id_;
-    bool mixed = true;
-    if (session != nullptr) {
-      // ev.time already contains the analytic upload; the frame leaves the
-      // device when training ends.
-      NetworkSession::SingleDelivery sd = session->deliver_update(
-          update, fl.base, ev.time - update.upload_seconds);
-      if (sd.delivered) {
-        if (sd.settle_s > fleet.clock().now()) {
-          fleet.clock().advance_to(sd.settle_s);
-        }
-        update = std::move(sd.update);
-      } else {
-        mixed = false;  // lost after retries or the device died mid-upload
-      }
-      if (sd.died && is_reference) {
-        // Re-anchor recording on a surviving device so the run completes.
-        auto active = fleet.active_clients();
-        auto cap = fleet.capable();
-        if (!cap.empty()) {
-          reference_id_ = cap.front()->id();
-        } else if (!active.empty()) {
-          reference_id_ = active.front()->id();
-        } else {
-          break;  // everyone is dead; nothing left to record
-        }
-        sweep_parked();  // the new reference may be parked — wake it
-      }
-    }
-    if (mixed) {
-      fleet.server().mix(update, mix_beta_);
-      loss_acc_ += update.mean_loss;
-      upload_acc_ += update.upload_mb;
-      ++loss_count_;
-    }
-
-    if (is_reference && client.active()) {
-      result.rounds.push_back({recorded_, fleet.clock().now(),
-                               fleet.evaluate(),
-                               loss_count_ ? loss_acc_ / loss_count_ : 0.0,
-                               upload_acc_});
-      if (tel) {
-        const RoundRecord& r = result.rounds.back();
-        tel->record_cycle_result(result.method, recorded_, r.virtual_time,
-                                 r.test_accuracy, r.mean_train_loss,
-                                 r.upload_mb);
-      }
-      ++recorded_;
-      loss_acc_ = 0.0;
-      upload_acc_ = 0.0;
-      loss_count_ = 0;
-      sweep_parked();  // round advanced: re-draw the parked clients
-    }
-    start_client(static_cast<std::size_t>(ev.client_index),
-                 fleet.clock().now());
   }
 }
 
@@ -175,9 +42,6 @@ void AsyncFL::run_period(Fleet& fleet, RunResult& result, int begin,
                          int end) {
   AggOptions opts;
 
-  if (fleet.capable().empty()) {
-    throw std::logic_error("AsyncFL: no capable devices");
-  }
   if (begin == 0) period_state_.clear();
 
   NetworkSession* session = fleet.network();
@@ -283,79 +147,34 @@ void AsyncFL::run_period(Fleet& fleet, RunResult& result, int begin,
 void AsyncFL::save_state(const Fleet& fleet, CheckpointWriter& w) const {
   (void)fleet;
   if (straggler_period_ == 0) {
-    w.i32(reference_id_);
-    w.i32(recorded_);
-    w.f64(loss_acc_);
-    w.f64(upload_acc_);
-    w.i32(loss_count_);
-    w.vec_u8(parked_);
-    // The heap array verbatim: restoring the same vector reproduces the
-    // identical pop order.
-    w.u32(static_cast<std::uint32_t>(events_.size()));
-    for (const Event& ev : events_) {
-      w.f64(ev.time);
-      w.i32(ev.client_index);
-    }
-    w.u32(static_cast<std::uint32_t>(inflight_.size()));
-    for (const InFlight& fl : inflight_) {
-      w.vec_f32(fl.base);
-      w.vec_f32(fl.base_buffers);
-    }
-  } else {
-    w.u32(static_cast<std::uint32_t>(period_state_.size()));
-    for (const auto& [id, st] : period_state_) {
-      w.i32(id);
-      w.vec_f32(st.base);
-      w.vec_f32(st.base_buffers);
-      w.boolean(st.busy);
-      w.i32(st.started_cycle);
-    }
+    engine_.save_state(w);
+    return;
+  }
+  w.u32(static_cast<std::uint32_t>(period_state_.size()));
+  for (const auto& [id, st] : period_state_) {
+    w.i32(id);
+    w.vec_f32(st.base);
+    w.vec_f32(st.base_buffers);
+    w.boolean(st.busy);
+    w.i32(st.started_cycle);
   }
 }
 
 void AsyncFL::load_state(Fleet& fleet, CheckpointReader& r) {
   if (straggler_period_ == 0) {
-    reference_id_ = r.i32();
-    recorded_ = r.i32();
-    loss_acc_ = r.f64();
-    upload_acc_ = r.f64();
-    loss_count_ = r.i32();
-    parked_ = r.vec_u8();
-    events_.clear();
-    const std::uint32_t n_events = r.u32();
-    events_.reserve(n_events);
-    for (std::uint32_t i = 0; i < n_events; ++i) {
-      Event ev;
-      ev.time = r.f64();
-      ev.client_index = r.i32();
-      events_.push_back(ev);
-    }
-    inflight_.clear();
-    const std::uint32_t n_inflight = r.u32();
-    if (n_inflight != fleet.size()) {
-      throw CheckpointError(
-          "AsyncFL: in-flight table does not match fleet size");
-    }
-    inflight_.resize(n_inflight);
-    for (std::uint32_t i = 0; i < n_inflight; ++i) {
-      inflight_[i].base = r.vec_f32();
-      inflight_[i].base_buffers = r.vec_f32();
-    }
-    if (parked_.size() != fleet.size()) {
-      throw CheckpointError("AsyncFL: parked table does not match fleet size");
-    }
-  } else {
-    period_state_.clear();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const int id = r.i32();
-      PeriodState st;
-      st.base = r.vec_f32();
-      st.base_buffers = r.vec_f32();
-      st.busy = r.boolean();
-      st.started_cycle = r.i32();
-      period_state_.emplace(id, std::move(st));
-    }
+    engine_.load_state(fleet, r);
+    return;
+  }
+  period_state_.clear();
+  const std::uint32_t n = r.u32();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const int id = r.i32();
+    PeriodState st;
+    st.base = r.vec_f32();
+    st.base_buffers = r.vec_f32();
+    st.busy = r.boolean();
+    st.started_cycle = r.i32();
+    period_state_.emplace(id, std::move(st));
   }
 }
 

@@ -7,23 +7,25 @@
 //     global <- (1 - beta) * global + beta * local.
 // A straggler's update was computed from a many-cycles-old snapshot, so each
 // merge drags the global model back toward stale parameters — the
-// information-degradation / stale-update failure mode of Sec. II-B (AFO is
-// this engine plus a polynomial staleness discount).
+// information-degradation / stale-update failure mode of Sec. II-B. This is
+// the shared AsyncEngine with a zero staleness exponent (AFO is the same
+// engine with a polynomial staleness discount).
 //
 // Period mode (straggler_period == k > 0): capable devices aggregate among
 // themselves every cycle; each straggler's update is merged every k cycles
 // from the snapshot it started on — the "aggregation cycle = 2 / 3 epochs"
-// settings of Fig. 2.
+// settings of Fig. 2. It is a synchronous round whose stragglers deliver
+// k cycles late from stale snapshots, so it keeps its own loop here.
 //
-// All engine state (event heap, in-flight snapshots, straggler background
-// state) lives in members so a run can be checkpointed at any round boundary
-// and resumed bit-identically via save_state/load_state.
+// All state (the engine's, or the straggler background map) lives in
+// members so a run can be checkpointed at any round boundary and resumed
+// bit-identically via save_state/load_state.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <vector>
 
+#include "fl/async_engine.h"
 #include "fl/strategy.h"
 
 namespace helios::fl {
@@ -36,27 +38,12 @@ class AsyncFL final : public Strategy {
   void run_range(Fleet& fleet, RunResult& result, int begin,
                  int end) override;
 
-  /// Engine state for the active mode: the event heap + in-flight base
-  /// snapshots (fully async) or the straggler background map (period mode).
+  /// State for the active mode: the event engine's (fully async) or the
+  /// straggler background map (period mode).
   void save_state(const Fleet& fleet, CheckpointWriter& w) const override;
   void load_state(Fleet& fleet, CheckpointReader& r) override;
 
  private:
-  /// A device-finishes-training event. The heap is kept as a plain vector
-  /// (std::push_heap/std::pop_heap) so it serializes verbatim: the same
-  /// array produces the identical pop order after a resume.
-  struct Event {
-    double time = 0.0;
-    int client_index = 0;
-    bool operator>(const Event& other) const { return time > other.time; }
-  };
-  /// The global snapshot a device trains against while its event is queued.
-  /// Clients are addressed by fleet index, not pointer, so the state
-  /// survives serialization.
-  struct InFlight {
-    std::vector<float> base;
-    std::vector<float> base_buffers;
-  };
   /// Period mode: the snapshot a straggler started from and when. Ordered
   /// map — checkpoint bytes must not depend on hash iteration order.
   struct PeriodState {
@@ -66,24 +53,11 @@ class AsyncFL final : public Strategy {
     int started_cycle = 0;
   };
 
-  void run_fully_async(Fleet& fleet, RunResult& result, int begin, int end);
   void run_period(Fleet& fleet, RunResult& result, int begin, int end);
 
   int straggler_period_;
-  double mix_beta_;
-
-  // --- fully-async engine state (straggler_period_ == 0) ---
-  std::vector<Event> events_;  // min-heap via std::greater<Event>
-  std::vector<InFlight> inflight_;
-  std::vector<std::uint8_t> parked_;
-  int reference_id_ = -1;
-  int recorded_ = 0;
-  double loss_acc_ = 0.0;
-  double upload_acc_ = 0.0;
-  int loss_count_ = 0;
-
-  // --- period-mode state (straggler_period_ > 0) ---
-  std::map<int, PeriodState> period_state_;
+  AsyncEngine engine_;                         // straggler_period_ == 0
+  std::map<int, PeriodState> period_state_;  // straggler_period_ > 0
 };
 
 }  // namespace helios::fl

@@ -1,0 +1,103 @@
+// The asynchronous event engine shared by Asyn. FL and AFO.
+//
+// The paper's two asynchronous baselines are one event-driven algorithm:
+// every device trains from the global snapshot it started on; when it
+// finishes, its update is mixed into the global model with weight
+//     alpha * (1 + staleness)^(-a),
+// staleness = the mixes applied since the device started, and the device
+// restarts from the fresh global model. AFO (FedAsync, Fig. 5) discounts
+// stale updates polynomially (a > 0). Fully asynchronous Asyn. FL (Sec.
+// II-B, Fig. 2) is the a = 0 case: a fixed weight beta with no staleness
+// control — exact, because pow(x, -0.0) is 1.
+//
+// AsyncEngine owns that loop, once. Per completion event:
+//
+//   pop the earliest completion -> advance the clock -> run_cycle on the
+//   in-flight base -> deliver_update (when a network is attached) -> mix
+//   -> record a round if the reference device completed -> restart it
+//
+// A round is recorded each time the reference device (the first capable
+// device, else client 0) completes, aligning the cycle axis with the
+// synchronous strategies; if the reference dies, recording re-anchors on a
+// surviving device. With a cohort sampler the recorded-round index plays
+// the cohort round: an unselected device parks (hibernated) and is
+// re-examined each time a round is recorded; the reference always runs.
+//
+// Joiners: every run_range call sizes the tables to the fleet and starts
+// each device it has never scheduled — the whole fleet at begin == 0,
+// devices added since the last call otherwise — on the live global model,
+// through the same sampler gate as everyone else.
+//
+// Stays sequential by design: each completion trains against the global
+// model as mutated by all earlier ones, so there is never a batch of
+// independent cycles to fan out. Intra-op kernel parallelism still applies
+// inside each run_cycle.
+#pragma once
+
+#include <cstdint>
+#include <vector>
+
+#include "fl/checkpoint.h"
+#include "fl/fleet.h"
+#include "fl/metrics.h"
+
+namespace helios::fl {
+
+class AsyncEngine {
+ public:
+  /// `completion_span` names the per-completion trace span; it must be a
+  /// string literal. The owning strategy validates alpha and the exponent.
+  AsyncEngine(const char* completion_span, double alpha,
+              double staleness_exponent)
+      : completion_span_(completion_span),
+        alpha_(alpha),
+        staleness_exponent_(staleness_exponent) {}
+
+  /// Strategy::run_range: begin == 0 resets the engine; otherwise begin
+  /// must equal the number of rounds recorded so far.
+  void run_range(Fleet& fleet, RunResult& result, int begin, int end);
+
+  /// Event heap (its plain array, so a restored run pops in the identical
+  /// order), in-flight base snapshots with their start versions, sampler
+  /// parking and the open round's accumulators.
+  void save_state(CheckpointWriter& w) const;
+  /// Accepts tables shorter than the fleet — devices that joined after the
+  /// last run_range start at the next one — and throws CheckpointError
+  /// when they are longer.
+  void load_state(Fleet& fleet, CheckpointReader& r);
+
+ private:
+  struct Event {
+    double time = 0.0;
+    int client_index = 0;
+    bool operator>(const Event& other) const { return time > other.time; }
+  };
+  /// The global snapshot and model version a device started training from.
+  /// Addressed by fleet index so the state survives serialization.
+  struct InFlight {
+    std::vector<float> base;
+    std::vector<float> base_buffers;
+    long started_version = 0;
+  };
+
+  /// Snapshots the live global model for device `i` and schedules its
+  /// completion, or parks it when the sampler leaves it out of the round.
+  void start_client(Fleet& fleet, std::size_t i);
+  void wake_parked(Fleet& fleet);
+
+  const char* completion_span_;
+  double alpha_;
+  double staleness_exponent_;
+
+  std::vector<Event> events_;  // min-heap on completion time
+  std::vector<InFlight> inflight_;
+  std::vector<std::uint8_t> parked_;
+  long version_ = 0;  ///< mixes applied so far
+  int reference_id_ = -1;
+  int recorded_ = 0;
+  double loss_acc_ = 0.0;
+  double upload_acc_ = 0.0;
+  int loss_count_ = 0;
+};
+
+}  // namespace helios::fl

@@ -55,7 +55,9 @@ class CheckpointError : public std::runtime_error {
 
 // v2: per-client loader state gained a validity gate (lazy-data clients can
 // be snapshotted while data-hibernated, with no loader built yet).
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+// v3: fully-asynchronous Asyn. FL took AFO's event-engine layout (model
+// version counter + per-device start versions).
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Little-endian binary encoder for checkpoint payloads. All multi-byte
 /// values are explicitly little-endian, so a snapshot is portable across

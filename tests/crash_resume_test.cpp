@@ -77,6 +77,7 @@ std::unique_ptr<fl::Strategy> make_strategy(const std::string& kind) {
   }
   if (kind == "sync") return std::make_unique<fl::SyncFL>();
   if (kind == "async") return std::make_unique<fl::AsyncFL>();
+  if (kind == "async_period") return std::make_unique<fl::AsyncFL>(2);
   if (kind == "afo") return std::make_unique<fl::Afo>();
   if (kind == "random") return std::make_unique<fl::RandomSubmodel>();
   if (kind == "static") return std::make_unique<fl::StaticPrune>();
@@ -199,6 +200,10 @@ TEST(CrashResumeTest, AsyncFLBitIdenticalAtEveryKillPoint) {
 
 TEST(CrashResumeTest, AfoBitIdenticalAtEveryKillPoint) {
   check_resume_contract("afo");
+}
+
+TEST(CrashResumeTest, AsyncFLPeriodBitIdenticalAtEveryKillPoint) {
+  check_resume_contract("async_period");
 }
 
 TEST(CrashResumeTest, RandomSubmodelBitIdenticalAtEveryKillPoint) {
@@ -501,6 +506,117 @@ TEST(CrashResumeTest, ChurnAndLossyNetworkResumeBitIdentical) {
         kill_at, tmp.file("ckpt_" + std::to_string(kill_at)));
     expect_identical(golden, resumed,
                      "churn+net kill_at=" + std::to_string(kill_at));
+  }
+}
+
+// ---- Asynchronous event engine: joiners across a resume ---------------------
+
+/// AFO over a churning population on a lossy simulated network. The churn
+/// process is registered as "churn" and stepped after every round, between
+/// run_range calls, so joiners arrive while no engine loop runs and start at
+/// the next call. Rounds last ~0.03 virtual seconds, hence the high rates:
+/// four devices join and several depart (the reference among them, so
+/// recording re-anchors). A kill right after a step that admitted a joiner
+/// checkpoints an in-flight table shorter than the fleet. `arrivals`, when
+/// given, receives the number of devices each step admitted.
+Snapshot churn_afo_run(int kill_at, const std::string& ckpt,
+                       std::vector<std::size_t>* arrivals = nullptr) {
+  const int cycles = 6;
+  sim::ChurnOptions copts;
+  copts.arrival_rate_per_s = 40.0;
+  copts.mean_lifetime_s = 0.3;
+  copts.seed = 13;
+  copts.max_devices = 10;
+  copts.admit_arrivals = false;
+  net::NetworkOptions nopts;
+  nopts.mode = net::NetMode::kSimulated;
+  nopts.channel.loss_prob = 0.05;
+  nopts.channel.latency_s = 0.01;
+  nopts.channel.jitter_s = 0.02;
+  const sim::PopulationGenerator pop(sim::mobile_longtail(6));
+  auto run_rounds = [&](fl::Fleet& fleet, sim::ChurnProcess& churn,
+                        fl::Afo& strategy, fl::RunResult& result, int end) {
+    for (int r = static_cast<int>(result.rounds.size()); r < end; ++r) {
+      strategy.run_range(fleet, result, r, r + 1);
+      const sim::RoundChurn rc = churn.step(fleet, r);
+      if (arrivals != nullptr) arrivals->push_back(rc.arrived.size());
+    }
+  };
+
+  if (kill_at > 0) {
+    fl::Fleet fleet = sim::build_fleet(pop);
+    sim::ChurnProcess churn(pop, copts);
+    fleet.register_checkpointable("churn", &churn);
+    fl::NetworkSession session(fleet, nopts);
+    fl::Afo strategy;
+    fl::RunResult partial;
+    partial.method = strategy.name();
+    run_rounds(fleet, churn, strategy, partial, kill_at);
+    fleet.save_checkpoint(ckpt, &strategy, partial);
+  }
+
+  fl::Fleet fleet = sim::build_fleet(pop);
+  sim::ChurnProcess churn(pop, copts);
+  fleet.register_checkpointable("churn", &churn);
+  fl::NetworkSession session(fleet, nopts);
+  fl::Afo strategy;
+  fl::RunResult result;
+  if (kill_at > 0) {
+    result = fleet.resume(ckpt, &strategy);
+  } else {
+    result.method = strategy.name();
+  }
+  run_rounds(fleet, churn, strategy, result, cycles);
+  return snapshot_of(fleet, std::move(result));
+}
+
+TEST(CrashResumeTest, AfoChurnJoinerResumeBitIdentical) {
+  TempDir tmp;
+  std::vector<std::size_t> arrivals;
+  const Snapshot golden = churn_afo_run(0, "", &arrivals);
+  std::vector<int> kill_points;
+  for (std::size_t step = 0; step + 1 < arrivals.size(); ++step) {
+    if (arrivals[step] > 0) kill_points.push_back(static_cast<int>(step) + 1);
+  }
+  ASSERT_FALSE(kill_points.empty()) << "no step admitted a joiner";
+  for (int kill_at : kill_points) {
+    const Snapshot resumed = churn_afo_run(
+        kill_at, tmp.file("ckpt_" + std::to_string(kill_at)));
+    expect_identical(golden, resumed,
+                     "afo churn kill_at=" + std::to_string(kill_at));
+  }
+}
+
+// The engine's tables may be shorter than the fleet (devices joined after
+// the last run_range) but never longer.
+TEST(CrashResumeTest, AsyncEngineTablesMayTrailButNotExceedTheFleet) {
+  testing::FleetOptions six;
+  six.clients = 6;
+  for (const std::string kind : {"async", "afo"}) {
+    SCOPED_TRACE(kind);
+    fl::Fleet fleet4 = testing::make_fleet();
+    auto saved4 = make_strategy(kind);
+    fl::RunResult partial;
+    partial.method = saved4->name();
+    saved4->run_range(fleet4, partial, 0, 2);
+    fl::CheckpointWriter w4;
+    saved4->save_state(fleet4, w4);
+
+    fl::Fleet fleet6 = testing::make_fleet(six);
+    auto grown = make_strategy(kind);
+    fl::CheckpointReader r4(w4.buffer());
+    EXPECT_NO_THROW(grown->load_state(fleet6, r4));
+    EXPECT_TRUE(r4.done());
+
+    auto saved6 = make_strategy(kind);
+    partial.rounds.clear();
+    saved6->run_range(fleet6, partial, 0, 2);
+    fl::CheckpointWriter w6;
+    saved6->save_state(fleet6, w6);
+    fl::Fleet shrunk = testing::make_fleet();
+    auto restored = make_strategy(kind);
+    fl::CheckpointReader r6(w6.buffer());
+    EXPECT_THROW(restored->load_state(shrunk, r6), fl::CheckpointError);
   }
 }
 

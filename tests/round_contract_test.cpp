@@ -14,6 +14,12 @@
 // events with the cycle), emitted no round event or cycle span, and divided
 // its loss by the roster size unguarded (NaN on an empty roster). Syn. FL
 // with C < 1 threw on an empty roster.
+//
+// The asynchronous event engine (Asyn. FL, AFO) has its own roster rules,
+// checked at the end of this file: a device added between two run_range
+// calls is scheduled on the live global model at the next call, through the
+// same sampler gate as every other device, and a departed reference device
+// hands recording to a survivor.
 #include <algorithm>
 #include <cmath>
 #include <map>
@@ -30,6 +36,8 @@
 #include "core/helios_strategy.h"
 #include "core/straggler_id.h"
 #include "core/target.h"
+#include "fl/afo.h"
+#include "fl/async.h"
 #include "fl/baselines.h"
 #include "fl/compression.h"
 #include "fl/fedprox.h"
@@ -212,6 +220,101 @@ TEST(FedProxChurnTest, MidRunJoinerTrainsWithTheProximalTerm) {
     EXPECT_EQ(client->config().proximal_mu, mu) << client->id();
   }
 }
+
+// ---- Asynchronous event engine: joiners and departures ----------------------
+
+struct ChurnCase {
+  const char* kind;  ///< "async" or "afo"
+  bool sampled;      ///< CohortSampler at fraction 1.0 attached
+};
+
+std::string case_name(const ChurnCase& c) {
+  return std::string(c.kind) + (c.sampled ? "_sampled" : "_unsampled");
+}
+
+void PrintTo(const ChurnCase& c, std::ostream* os) { *os << case_name(c); }
+
+/// Lazy mobile_longtail(8), optionally with a fraction-1.0 sampler: every
+/// device is selected, so the checks do not depend on cohort draws while
+/// the sampler gate is still exercised.
+class AsyncChurnTest : public ::testing::TestWithParam<ChurnCase> {
+ protected:
+  AsyncChurnTest()
+      : pop_(population()),
+        sampler_(sampler_options()),
+        fleet_(sim::build_fleet(pop_)) {
+    if (GetParam().sampled) fleet_.set_sampler(&sampler_);
+    if (std::string(GetParam().kind) == "afo") {
+      strategy_ = std::make_unique<fl::Afo>();
+    } else {
+      strategy_ = std::make_unique<fl::AsyncFL>();
+    }
+    result_.method = strategy_->name();
+  }
+  ~AsyncChurnTest() override { fleet_.set_sampler(nullptr); }
+
+  static sim::PopulationGenerator population() {
+    sim::PopulationConfig cfg = sim::mobile_longtail(8);
+    cfg.lazy_data = true;
+    return sim::PopulationGenerator(cfg);
+  }
+  static sim::CohortSampler::Options sampler_options() {
+    sim::CohortSampler::Options o;
+    o.fraction = 1.0;
+    o.seed = 23;
+    return o;
+  }
+
+  const sim::PopulationGenerator pop_;
+  sim::CohortSampler sampler_;
+  fl::Fleet fleet_;
+  std::unique_ptr<fl::Strategy> strategy_;
+  fl::RunResult result_;
+};
+
+// Three devices join between two run_range calls. Each must be scheduled on
+// the live global model and complete a cycle within the next 6 recorded
+// rounds.
+TEST_P(AsyncChurnTest, JoinersCompleteACycleWithinSixRounds) {
+  strategy_->run_range(fleet_, result_, 0, 2);
+  std::vector<fl::Client*> joiners;
+  for (int j = 0; j < 3; ++j) {
+    joiners.push_back(
+        &sim::add_device(fleet_, pop_, static_cast<int>(fleet_.size())));
+  }
+  strategy_->run_range(fleet_, result_, 2, 8);
+
+  ASSERT_EQ(result_.rounds.size(), 8u);
+  for (const fl::Client* joiner : joiners) {
+    EXPECT_GE(joiner->cycles_completed(), 1) << "joiner " << joiner->id();
+  }
+}
+
+// The reference device (the first capable one) departs between two
+// run_range calls with no network session attached, the way
+// sim::ChurnProcess deactivates a device. Recording must re-anchor on a
+// survivor rather than run on with no device left to record a round.
+TEST_P(AsyncChurnTest, DepartedReferenceReanchorsRecording) {
+  fl::Client* reference = fleet_.capable().front();
+  strategy_->run_range(fleet_, result_, 0, 2);
+  reference->set_active(false);
+  reference->hibernate();
+  strategy_->run_range(fleet_, result_, 2, 6);
+
+  ASSERT_EQ(result_.rounds.size(), 6u);
+  for (std::size_t r = 1; r < result_.rounds.size(); ++r) {
+    EXPECT_GE(result_.rounds[r].virtual_time,
+              result_.rounds[r - 1].virtual_time);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AsyncStrategies, AsyncChurnTest,
+    ::testing::Values(ChurnCase{"async", false}, ChurnCase{"async", true},
+                      ChurnCase{"afo", false}, ChurnCase{"afo", true}),
+    [](const ::testing::TestParamInfo<ChurnCase>& info) {
+      return case_name(info.param);
+    });
 
 }  // namespace
 }  // namespace helios

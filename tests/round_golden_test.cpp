@@ -1,14 +1,19 @@
-// Cross-commit golden pin for the synchronous strategies.
+// Cross-commit golden pin for the synchronous and asynchronous strategies.
 //
 // Every other identity oracle compares two runs of the same build (1 vs 4
 // threads, flat vs tree, killed-and-resumed vs uninterrupted), so a change
 // that shifts the bits the same way in both runs passes all of them. This
 // suite instead pins each strategy's RunResult and final model to constants:
 // an FNV-1a digest over every RoundRecord's bit patterns plus the final
-// global parameters and buffers. The constants were recorded once, before
-// the five synchronous loops were folded into one round driver, and must
+// global parameters and buffers. Each constant was recorded once and must
 // never be re-recorded to make a refactor pass — a mismatch means the
-// strategy's arithmetic changed.
+// strategy's arithmetic changed:
+//
+//   * the 29 synchronous cases at commit 7f087db, before the five
+//     synchronous loops were folded into one round driver;
+//   * the 12 asynchronous cases (Asyn. FL, Asyn. FL period 2, AFO) at
+//     commit ca40dcf, before the two event loops were folded into one
+//     asynchronous event engine.
 //
 // Settings: 4 cycles, the scalar kernel backend forced through the
 // override API, 1 thread. Environments: the 4-device test fleet with no
@@ -32,6 +37,8 @@
 #include "core/helios_strategy.h"
 #include "core/straggler_id.h"
 #include "core/target.h"
+#include "fl/afo.h"
+#include "fl/async.h"
 #include "fl/baselines.h"
 #include "fl/compression.h"
 #include "fl/fedprox.h"
@@ -96,6 +103,9 @@ std::unique_ptr<fl::Strategy> make_strategy(const std::string& kind) {
   if (kind == "random") return std::make_unique<fl::RandomSubmodel>();
   if (kind == "static") return std::make_unique<fl::StaticPrune>();
   if (kind == "topk25") return std::make_unique<fl::CompressedSyncFL>(0.25);
+  if (kind == "async") return std::make_unique<fl::AsyncFL>();
+  if (kind == "async_p2") return std::make_unique<fl::AsyncFL>(2);
+  if (kind == "afo") return std::make_unique<fl::Afo>();
   throw std::invalid_argument("unknown strategy kind " + kind);
 }
 
@@ -189,7 +199,8 @@ TEST_P(RoundGoldenTest, MatchesRecordedDigest) {
   EXPECT_EQ(got, c.digest) << case_name(c) << ": digest is now " << hex;
 }
 
-// Recorded before the round-driver refactor. Never re-record.
+// Synchronous cases recorded at 7f087db, asynchronous ones at ca40dcf.
+// Never re-record.
 const GoldenCase kCases[] = {
     {"helios", Env::kPlain, 0xaef3b975bb486242ULL},
     {"st_only", Env::kPlain, 0x3927ce0e03ba8c9eULL},
@@ -220,6 +231,18 @@ const GoldenCase kCases[] = {
     {"fedprox", Env::kSampledLongtail, 0xb9e35ec5722e6fb3ULL},
     {"random", Env::kSampledLongtail, 0xa7b406df717d32dbULL},
     {"static", Env::kSampledLongtail, 0x48ded9b8a020dea3ULL},
+    {"async", Env::kPlain, 0x6d022991f9a05a1fULL},
+    {"async_p2", Env::kPlain, 0x06330171f74e27a9ULL},
+    {"afo", Env::kPlain, 0xe6e061a68e9911c2ULL},
+    {"async", Env::kLossyInt8, 0xd735b3a5ee0c7401ULL},
+    {"async_p2", Env::kLossyInt8, 0xdc8f65018275a6b5ULL},
+    {"afo", Env::kLossyInt8, 0x8ef25d884e1378d0ULL},
+    {"async", Env::kTree, 0x6d022991f9a05a1fULL},
+    {"async_p2", Env::kTree, 0x06330171f74e27a9ULL},
+    {"afo", Env::kTree, 0xe6e061a68e9911c2ULL},
+    {"async", Env::kSampledLongtail, 0xe2b04462bd60a0c5ULL},
+    {"async_p2", Env::kSampledLongtail, 0xd9508d8e24ad25e0ULL},
+    {"afo", Env::kSampledLongtail, 0x68d29f185d198cd6ULL},
 };
 
 INSTANTIATE_TEST_SUITE_P(
