@@ -12,16 +12,23 @@ namespace helios::fl {
 
 void AsyncEngine::start_client(Fleet& fleet, std::size_t i) {
   Client& c = fleet.client(i);
-  if (!c.active()) return;  // dead device: never rescheduled
+  InFlight& fl = inflight_[i];
   const RosterSampler* sampler = fleet.sampler();
-  if (sampler && c.id() != reference_id_ &&
-      !sampler->selected(c.id(), recorded_)) {
-    parked_[i] = 1;
-    c.hibernate();
+  const bool dead = !c.active();  // a dead device is never rescheduled
+  const bool parks = !dead && sampler && c.id() != reference_id_ &&
+                     !sampler->selected(c.id(), recorded_);
+  if (dead || parks) {
+    // Out of flight: release the snapshot, capacity included, until a
+    // restart takes a fresh one.
+    std::vector<float>().swap(fl.base);
+    std::vector<float>().swap(fl.base_buffers);
+    if (parks) {
+      parked_[i] = 1;
+      c.hibernate();
+    }
     return;
   }
   parked_[i] = 0;
-  InFlight& fl = inflight_[i];
   fl.base.assign(fleet.server().global().begin(),
                  fleet.server().global().end());
   fl.base_buffers.assign(fleet.server().global_buffers().begin(),
@@ -36,6 +43,39 @@ void AsyncEngine::wake_parked(Fleet& fleet) {
   if (fleet.sampler() == nullptr) return;
   for (std::size_t i = 0; i < parked_.size(); ++i) {
     if (parked_[i]) start_client(fleet, i);
+  }
+}
+
+void AsyncEngine::train_wave(Fleet& fleet, std::size_t popped) {
+  std::vector<std::size_t> wave{popped};
+  const auto ref = std::find_if(
+      events_.begin(), events_.end(),
+      [&](const Event& ev) { return ev.client_index == reference_id_; });
+  if (ref != events_.end()) {
+    for (const Event& ev : events_) {
+      const auto i = static_cast<std::size_t>(ev.client_index);
+      if ((&ev == &*ref || ev.time < ref->time) && !inflight_[i].update) {
+        wave.push_back(i);
+      }
+    }
+  }
+  obs::TelemetrySink* tel = fleet.telemetry();
+  std::vector<Client*> roster;
+  roster.reserve(wave.size());
+  for (std::size_t i : wave) {
+    Client& c = fleet.client(i);
+    // On the driving thread: the estimate may use the shared architecture
+    // twin.
+    if (tel) inflight_[i].cycle_seconds = c.estimate_cycle_seconds({});
+    roster.push_back(&c);
+  }
+  std::vector<ClientUpdate> updates = Fleet::parallel_train(
+      roster, [&](Client& c, std::size_t k) {
+        const InFlight& fl = inflight_[wave[k]];
+        return c.train_cycle(fl.base, fl.base_buffers, {});
+      });
+  for (std::size_t k = 0; k < wave.size(); ++k) {
+    inflight_[wave[k]].update = std::move(updates[k]);
   }
 }
 
@@ -76,15 +116,15 @@ void AsyncEngine::run_range(Fleet& fleet, RunResult& result, int begin,
     if (ev.time > fleet.clock().now()) fleet.clock().advance_to(ev.time);
     const auto index = static_cast<std::size_t>(ev.client_index);
     Client& client = fleet.client(index);
-    const InFlight& fl = inflight_[index];
+    InFlight& fl = inflight_[index];
+    if (!fl.update) train_wave(fleet, index);
+    ClientUpdate update = std::move(*fl.update);
+    fl.update.reset();
     // The device finished *at* ev.time; backdate the sink so the Gantt slab
     // covers the cycle it just spent training.
-    if (tel) {
-      tel->set_virtual_time(
-          std::max(0.0, ev.time - client.estimate_cycle_seconds({})));
-    }
+    if (tel) tel->set_virtual_time(std::max(0.0, ev.time - fl.cycle_seconds));
+    client.record_cycle(update);
 
-    ClientUpdate update = client.run_cycle(fl.base, fl.base_buffers, {});
     bool accepted = true;
     if (session != nullptr) {
       // ev.time already contains the analytic upload; the frame leaves the
@@ -148,6 +188,10 @@ void AsyncEngine::run_range(Fleet& fleet, RunResult& result, int begin,
 }
 
 void AsyncEngine::save_state(CheckpointWriter& w) const {
+  if (std::any_of(inflight_.begin(), inflight_.end(),
+                  [](const InFlight& fl) { return fl.update.has_value(); })) {
+    throw std::logic_error("AsyncEngine: save_state mid-wave");
+  }
   w.i64(static_cast<std::int64_t>(version_));
   w.i32(reference_id_);
   w.i32(recorded_);
@@ -194,6 +238,40 @@ void AsyncEngine::load_state(Fleet& fleet, CheckpointReader& r) {
   }
   if (parked_.size() != n_inflight) {
     throw CheckpointError("AsyncEngine: parked table does not match");
+  }
+  // A wave trains every scheduled device at once, so each must be scheduled
+  // once, and the heap must pop in time order for the wave to end with the
+  // round.
+  std::vector<std::uint8_t> scheduled(n_inflight, 0);
+  for (const Event& ev : events_) {
+    if (!std::isfinite(ev.time)) {
+      throw CheckpointError("AsyncEngine: event time is not finite");
+    }
+    if (ev.client_index < 0 ||
+        static_cast<std::uint32_t>(ev.client_index) >= n_inflight) {
+      throw CheckpointError("AsyncEngine: event outside the tables");
+    }
+    const auto i = static_cast<std::size_t>(ev.client_index);
+    if (scheduled[i] || parked_[i]) {
+      throw CheckpointError("AsyncEngine: device scheduled twice");
+    }
+    scheduled[i] = 1;
+  }
+  if (!std::is_heap(events_.begin(), events_.end(), std::greater<Event>{})) {
+    throw CheckpointError("AsyncEngine: events out of heap order");
+  }
+  // Only the reference's pop records a round; an active reference that
+  // never pops would run the loop forever. An engine saved before its first
+  // run_range has no tables and no reference yet.
+  if (n_inflight == 0 && recorded_ == 0) return;
+  if (reference_id_ < 0 ||
+      static_cast<std::uint32_t>(reference_id_) >= n_inflight) {
+    throw CheckpointError("AsyncEngine: reference outside the tables");
+  }
+  const auto ref = static_cast<std::size_t>(reference_id_);
+  if (!scheduled[ref] && fleet.client(ref).active()) {
+    throw CheckpointError(
+        "AsyncEngine: active reference has no pending event");
   }
 }
 

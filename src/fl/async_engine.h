@@ -12,9 +12,10 @@
 //
 // AsyncEngine owns that loop, once. Per completion event:
 //
-//   pop the earliest completion -> advance the clock -> run_cycle on the
-//   in-flight base -> deliver_update (when a network is attached) -> mix
-//   -> record a round if the reference device completed -> restart it
+//   pop the earliest completion -> advance the clock -> take the update its
+//   wave trained on the in-flight base -> record the cycle -> deliver_update
+//   (when a network is attached) -> mix -> record a round if the reference
+//   device completed -> restart it
 //
 // A round is recorded each time the reference device (the first capable
 // device, else client 0) completes, aligning the cycle axis with the
@@ -28,13 +29,24 @@
 // devices added since the last call otherwise — on the live global model,
 // through the same sampler gate as everyone else.
 //
-// Stays sequential by design: each completion trains against the global
-// model as mutated by all earlier ones, so there is never a batch of
-// independent cycles to fan out. Intra-op kernel parallelism still applies
-// inside each run_cycle.
+// Waves: a device trains on the snapshot it started from, and nothing
+// touches it between its start and its pop, so its training can run before
+// its pop. When a popped device has no trained update yet, the engine
+// trains a wave through Fleet::parallel_train: that device, the reference's
+// pending completion, and every in-flight completion strictly earlier than
+// the reference's. All of them pop before (or at) the reference's pop, the
+// only place a round — and so run_range — can end; ties with the reference
+// stay out, since heap order among equal times is not fixed. Delivery, mix,
+// telemetry and restarts stay in event order on the driving thread, so the
+// run is bit-identical at any thread count. Intra-op kernels run inline
+// inside a wave of more than one device.
+//
+// Snapshots: a device holds its global snapshot only while it is in flight;
+// parking it or finding it dead releases the snapshot, capacity included.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "fl/checkpoint.h"
@@ -58,12 +70,17 @@ class AsyncEngine {
   void run_range(Fleet& fleet, RunResult& result, int begin, int end);
 
   /// Event heap (its plain array, so a restored run pops in the identical
-  /// order), in-flight base snapshots with their start versions, sampler
-  /// parking and the open round's accumulators.
+  /// order), in-flight base snapshots with their start versions (empty for
+  /// a device not in flight), sampler parking and the open round's
+  /// accumulators. Throws std::logic_error mid-wave, while a trained update
+  /// waits for its pop; run_range never returns in that state.
   void save_state(CheckpointWriter& w) const;
   /// Accepts tables shorter than the fleet — devices that joined after the
-  /// last run_range start at the next one — and throws CheckpointError
-  /// when they are longer.
+  /// last run_range start at the next one. Throws CheckpointError when they
+  /// are longer, when an event time is not finite, an event or the
+  /// reference lies outside the tables, a device is scheduled twice
+  /// (two events, or an event while parked), the events are out of heap
+  /// order, or an active reference has no pending event.
   void load_state(Fleet& fleet, CheckpointReader& r);
 
  private:
@@ -78,12 +95,21 @@ class AsyncEngine {
     std::vector<float> base;
     std::vector<float> base_buffers;
     long started_version = 0;
+    /// Trained by the device's wave, taken at its pop; never serialized.
+    std::optional<ClientUpdate> update;
+    /// Cycle estimate taken before the wave trained, for the Gantt
+    /// backdating at pop (only while telemetry is attached).
+    double cycle_seconds = 0.0;
   };
 
   /// Snapshots the live global model for device `i` and schedules its
   /// completion, or parks it when the sampler leaves it out of the round.
+  /// A parked or dead device releases its snapshot.
   void start_client(Fleet& fleet, std::size_t i);
   void wake_parked(Fleet& fleet);
+  /// Trains the wave that `popped` (just taken off the heap, untrained)
+  /// opens; see the file comment.
+  void train_wave(Fleet& fleet, std::size_t popped);
 
   const char* completion_span_;
   double alpha_;
@@ -93,7 +119,7 @@ class AsyncEngine {
   std::vector<InFlight> inflight_;
   std::vector<std::uint8_t> parked_;
   long version_ = 0;  ///< mixes applied so far
-  int reference_id_ = -1;
+  int reference_id_ = -1;  ///< a client id, which is also its fleet index
   int recorded_ = 0;
   double loss_acc_ = 0.0;
   double upload_acc_ = 0.0;

@@ -147,6 +147,16 @@ ClientUpdate Client::run_cycle(std::span<const float> global_params,
                                std::span<const float> global_buffers,
                                std::span<const std::uint8_t> neuron_mask,
                                double work_scale) {
+  ClientUpdate update =
+      train_cycle(global_params, global_buffers, neuron_mask, work_scale);
+  record_cycle(update);
+  return update;
+}
+
+ClientUpdate Client::train_cycle(std::span<const float> global_params,
+                                 std::span<const float> global_buffers,
+                                 std::span<const std::uint8_t> neuron_mask,
+                                 double work_scale) {
   if (work_scale <= 0.0 || work_scale > 1.0) {
     throw std::invalid_argument("run_cycle: work_scale out of (0, 1]");
   }
@@ -201,20 +211,22 @@ ClientUpdate Client::run_cycle(std::span<const float> global_params,
 
   model.clear_neuron_mask();
   ++cycles_completed_;
-
-  if (telemetry_) {
-    int trained = model.neuron_total();
-    if (!neuron_mask.empty()) {
-      trained = 0;
-      for (auto b : neuron_mask) trained += (b != 0);
-    }
-    telemetry_->record_client_cycle(
-        id_, profile_.name, straggler_, volume_, trained,
-        model.neuron_total(), update.train_seconds, update.upload_seconds,
-        update.upload_mb, update.mean_loss);
-    telemetry_->set_device(-1);
-  }
   return update;
+}
+
+void Client::record_cycle(const ClientUpdate& update) {
+  if (!telemetry_) return;
+  const int total = estimation_model().neuron_total();
+  int trained = total;
+  if (!update.trained_mask.empty()) {
+    trained = 0;
+    for (auto b : update.trained_mask) trained += (b != 0);
+  }
+  telemetry_->record_client_cycle(
+      id_, profile_.name, straggler_, volume_, trained, total,
+      update.train_seconds, update.upload_seconds, update.upload_mb,
+      update.mean_loss);
+  telemetry_->set_device(-1);
 }
 
 float Client::current_lr() const {
@@ -226,7 +238,7 @@ float Client::current_lr() const {
 
 nn::StepResult Client::local_step(const data::Batch& batch,
                                   std::span<const float> global_params) {
-  nn::Model& model = *model_;  // materialized by run_cycle
+  nn::Model& model = *model_;  // materialized by train_cycle
   if (config_.proximal_mu <= 0.0F) {
     return nn::train_step(model, opt_, batch.images, batch.labels);
   }

@@ -94,6 +94,16 @@ class Client {
                          std::span<const float> global_buffers,
                          std::span<const std::uint8_t> neuron_mask,
                          double work_scale = 1.0);
+  /// run_cycle's two halves. train_cycle is everything but telemetry, so
+  /// a caller may train on a pool worker and report later, in its own
+  /// order; record_cycle reports the finished cycle (time split, trained
+  /// neurons, Gantt slab at the sink's current virtual time) to the
+  /// attached sink.
+  ClientUpdate train_cycle(std::span<const float> global_params,
+                           std::span<const float> global_buffers,
+                           std::span<const std::uint8_t> neuron_mask,
+                           double work_scale = 1.0);
+  void record_cycle(const ClientUpdate& update);
 
   /// Cost-model estimate of a cycle under `neuron_mask` without training.
   double estimate_cycle_seconds(std::span<const std::uint8_t> neuron_mask);

@@ -41,7 +41,7 @@ struct DeviceStats {
   bool straggler = false;
   double volume = 1.0;       // last expected model volume P
 
-  // Client-side, accumulated by run_cycle.
+  // Client-side, accumulated by Client::record_cycle.
   int cycles = 0;
   int trained_neurons = 0;   // last cycle
   int neuron_total = 0;

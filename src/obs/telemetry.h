@@ -104,9 +104,9 @@ class TelemetrySink {
 
   // ---- Recorders called from the instrumented layers ----
 
-  /// Client::run_cycle completion: updates the dashboard's client-side
-  /// columns, the per-device metrics, and draws the cycle on the
-  /// virtual-time Gantt track.
+  /// Client::record_cycle (a finished cycle): updates the dashboard's
+  /// client-side columns, the per-device metrics, and draws the cycle on
+  /// the virtual-time Gantt track.
   void record_client_cycle(int device, std::string_view profile_name,
                            bool straggler, double volume, int trained_neurons,
                            int neuron_total, double train_seconds,

@@ -140,9 +140,7 @@ TEST(StreamingAccumulatorTest, MergeFrameRoundTripIsBitExact) {
   EXPECT_EQ(std::memcmp(back.den().data(), acc.den().data(),
                         acc.den().size() * sizeof(double)),
             0);
-  EXPECT_EQ(std::memcmp(back.buffer_acc().data(), acc.buffer_acc().data(),
-                        acc.buffer_acc().size() * sizeof(double)),
-            0);
+  EXPECT_TRUE(testing::bitwise_equal(back.buffer_acc(), acc.buffer_acc()));
   EXPECT_EQ(back.buffer_den(), acc.buffer_den());
 }
 
@@ -190,7 +188,7 @@ TEST(StreamingAccumulatorTest, MergeIntoEmptyParentIsBitIdenticalToFold) {
   direct.finalize(g1, b1);
   root.finalize(g2, b2);
   EXPECT_EQ(std::memcmp(g1.data(), g2.data(), g1.size() * sizeof(float)), 0);
-  EXPECT_EQ(std::memcmp(b1.data(), b2.data(), b1.size() * sizeof(float)), 0);
+  EXPECT_TRUE(testing::bitwise_equal(b1, b2));
   EXPECT_EQ(root.folded(), 2U);
 }
 
@@ -253,8 +251,7 @@ TEST(StreamingAccumulatorTest, DroppedChildRenormalizesExactly) {
   survivor.finalize(want, wbuf);
   EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
             0);
-  EXPECT_EQ(
-      std::memcmp(gbuf.data(), wbuf.data(), gbuf.size() * sizeof(float)), 0);
+  EXPECT_TRUE(testing::bitwise_equal(gbuf, wbuf));
 }
 
 // Indices nothing was allowed to write keep their previous values.
@@ -303,9 +300,7 @@ void expect_identical(const Snapshot& a, const Snapshot& b,
             0)
       << context << ": final global parameters differ";
   ASSERT_EQ(a.buffers.size(), b.buffers.size()) << context;
-  EXPECT_EQ(std::memcmp(a.buffers.data(), b.buffers.data(),
-                        a.buffers.size() * sizeof(float)),
-            0)
+  EXPECT_TRUE(testing::bitwise_equal(a.buffers, b.buffers))
       << context << ": final global buffers differ";
 }
 
@@ -479,10 +474,8 @@ TEST(HierarchyRelayTest, AllEdgesLateClosesRoundAsNoOp) {
                         before.size() * sizeof(float)),
             0)
       << "no merge frame arrived, yet the global model moved";
-  EXPECT_EQ(std::memcmp(before_buffers.data(),
-                        fleet.server().global_buffers().data(),
-                        before_buffers.size() * sizeof(float)),
-            0);
+  EXPECT_TRUE(testing::bitwise_equal(before_buffers,
+                                     fleet.server().global_buffers()));
   // The round waited out the tier deadline.
   EXPECT_GE(r.rounds[0].virtual_time, topo.edge_deadline_s);
 }

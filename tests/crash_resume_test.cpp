@@ -7,13 +7,16 @@
 // failure half of the contract: torn, truncated, bit-flipped,
 // wrong-version and wrong-architecture checkpoints are refused with clear
 // errors, and CheckpointManager falls back to the previous generation.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,6 +35,7 @@
 #include "obs/telemetry.h"
 #include "sim/churn.h"
 #include "sim/population.h"
+#include "sim/sampler.h"
 #include "tensor/backend/dispatch.h"
 #include "test_support.h"
 #include "util/rng.h"
@@ -124,9 +128,7 @@ void expect_identical(const Snapshot& a, const Snapshot& b,
             0)
       << context << ": final global parameters differ";
   ASSERT_EQ(a.buffers.size(), b.buffers.size()) << context;
-  EXPECT_EQ(std::memcmp(a.buffers.data(), b.buffers.data(),
-                        a.buffers.size() * sizeof(float)),
-            0)
+  EXPECT_TRUE(testing::bitwise_equal(a.buffers, b.buffers))
       << context << ": final global buffers differ";
 }
 
@@ -617,6 +619,237 @@ TEST(CrashResumeTest, AsyncEngineTablesMayTrailButNotExceedTheFleet) {
     auto restored = make_strategy(kind);
     fl::CheckpointReader r6(w6.buffer());
     EXPECT_THROW(restored->load_state(shrunk, r6), fl::CheckpointError);
+  }
+}
+
+// The engine's section, decoded field by field (the layout of
+// AsyncEngine::save_state) so a test can forge one rule violation at a time.
+struct EngineSection {
+  struct Entry {
+    std::vector<float> base;
+    std::vector<float> base_buffers;
+    std::int64_t started_version = 0;
+  };
+  std::int64_t version = 0;
+  std::int32_t reference = 0;
+  std::int32_t recorded = 0;
+  double loss_acc = 0.0;
+  double upload_acc = 0.0;
+  std::int32_t loss_count = 0;
+  std::vector<std::uint8_t> parked;
+  std::vector<std::pair<double, std::int32_t>> events;  // (time, index)
+  std::vector<Entry> inflight;
+
+  static EngineSection decode(const std::string& bytes) {
+    fl::CheckpointReader r(bytes);
+    EngineSection s;
+    s.version = r.i64();
+    s.reference = r.i32();
+    s.recorded = r.i32();
+    s.loss_acc = r.f64();
+    s.upload_acc = r.f64();
+    s.loss_count = r.i32();
+    s.parked = r.vec_u8();
+    for (std::uint32_t n = r.u32(), i = 0; i < n; ++i) {
+      const double time = r.f64();
+      s.events.emplace_back(time, r.i32());
+    }
+    for (std::uint32_t n = r.u32(), i = 0; i < n; ++i) {
+      Entry e;
+      e.base = r.vec_f32();
+      e.base_buffers = r.vec_f32();
+      e.started_version = r.i64();
+      s.inflight.push_back(std::move(e));
+    }
+    r.expect_done("engine section");
+    return s;
+  }
+
+  std::string encode() const {
+    fl::CheckpointWriter w;
+    w.i64(version);
+    w.i32(reference);
+    w.i32(recorded);
+    w.f64(loss_acc);
+    w.f64(upload_acc);
+    w.i32(loss_count);
+    w.vec_u8(parked);
+    w.u32(static_cast<std::uint32_t>(events.size()));
+    for (const auto& [time, index] : events) {
+      w.f64(time);
+      w.i32(index);
+    }
+    w.u32(static_cast<std::uint32_t>(inflight.size()));
+    for (const Entry& e : inflight) {
+      w.vec_f32(e.base);
+      w.vec_f32(e.base_buffers);
+      w.i64(e.started_version);
+    }
+    return w.take();
+  }
+
+  /// Restores the min-heap on time after a forged edit.
+  void reheap() {
+    std::make_heap(events.begin(), events.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first > b.first;
+                   });
+  }
+};
+
+/// AFO's section after two rounds on the 4-device test fleet: every device
+/// in flight, client 0 the reference.
+EngineSection valid_afo_section() {
+  fl::Fleet fleet = testing::make_fleet();
+  fl::Afo strategy;
+  fl::RunResult partial;
+  partial.method = strategy.name();
+  strategy.run_range(fleet, partial, 0, 2);
+  fl::CheckpointWriter w;
+  strategy.save_state(fleet, w);
+  EngineSection s = EngineSection::decode(w.buffer());
+  EXPECT_EQ(s.encode(), w.buffer()) << "the decoder misreads the layout";
+  EXPECT_EQ(s.reference, 0);
+  EXPECT_EQ(s.events.size(), 4U);
+  return s;
+}
+
+/// Loading `s` into a fresh 4-device fleet must throw CheckpointError whose
+/// message names `rule`.
+void expect_section_refused(const EngineSection& s, const std::string& rule) {
+  fl::Fleet fleet = testing::make_fleet();
+  fl::Afo strategy;
+  const std::string bytes = s.encode();
+  fl::CheckpointReader r(bytes);
+  try {
+    strategy.load_state(fleet, r);
+    ADD_FAILURE() << "forged section accepted: " << rule;
+  } catch (const fl::CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find(rule), std::string::npos)
+        << "refused for another reason: " << e.what();
+  }
+}
+
+TEST(CrashResumeTest, AsyncEngineRefusesActiveReferenceWithoutEvent) {
+  EngineSection s = valid_afo_section();
+  std::erase_if(s.events,
+                [&](const auto& ev) { return ev.second == s.reference; });
+  s.reheap();
+  expect_section_refused(s, "active reference has no pending event");
+}
+
+TEST(CrashResumeTest, AsyncEngineRefusesReferenceOutsideTheTables) {
+  EngineSection s = valid_afo_section();
+  s.reference = static_cast<std::int32_t>(s.inflight.size());
+  expect_section_refused(s, "reference outside the tables");
+  s.reference = -1;
+  expect_section_refused(s, "reference outside the tables");
+}
+
+TEST(CrashResumeTest, AsyncEngineRefusesDeviceScheduledTwice) {
+  EngineSection s = valid_afo_section();
+  s.events.emplace_back(s.events.front().first + 1.0, s.events.front().second);
+  s.reheap();
+  expect_section_refused(s, "device scheduled twice");
+  // Parked and pending at once: the next recorded round would start it
+  // again.
+  EngineSection p = valid_afo_section();
+  p.parked[static_cast<std::size_t>(p.events.back().second)] = 1;
+  expect_section_refused(p, "device scheduled twice");
+}
+
+TEST(CrashResumeTest, AsyncEngineRefusesEventOutsideTheTables) {
+  EngineSection s = valid_afo_section();
+  s.events.back().second = static_cast<std::int32_t>(s.inflight.size());
+  expect_section_refused(s, "event outside the tables");
+  s.events.back().second = -1;
+  expect_section_refused(s, "event outside the tables");
+}
+
+TEST(CrashResumeTest, AsyncEngineRefusesNonFiniteEventTime) {
+  EngineSection s = valid_afo_section();
+  s.events.back().first = std::numeric_limits<double>::quiet_NaN();
+  expect_section_refused(s, "event time is not finite");
+}
+
+TEST(CrashResumeTest, AsyncEngineRefusesEventsOutOfHeapOrder) {
+  EngineSection s = valid_afo_section();
+  // The root must be the earliest completion.
+  s.events.front().first = s.events.back().first + 1.0;
+  expect_section_refused(s, "events out of heap order");
+}
+
+// Once every device is dead the engine stops at the reference's pop, which
+// leaves a dead reference with no pending event: that section still loads.
+TEST(CrashResumeTest, AsyncEngineLoadsAfterEveryDeviceDied) {
+  TempDir tmp;
+  {
+    fl::Fleet fleet = testing::make_fleet();
+    fl::Afo strategy;
+    fl::RunResult partial;
+    partial.method = strategy.name();
+    strategy.run_range(fleet, partial, 0, 2);
+    for (auto& c : fleet.clients()) c->set_active(false);
+    strategy.run_range(fleet, partial, 2, 4);
+    ASSERT_EQ(partial.rounds.size(), 2U);
+    fleet.save_checkpoint(tmp.file("ckpt"), &strategy, partial);
+  }
+  fl::Fleet fleet = testing::make_fleet();
+  fl::Afo strategy;
+  fl::RunResult result;
+  ASSERT_NO_THROW(result = fleet.resume(tmp.file("ckpt"), &strategy));
+  EXPECT_EQ(result.rounds.size(), 2U);
+  // The remaining dead devices drain from the heap; nothing more records.
+  strategy.run_range(fleet, result, 2, 4);
+  EXPECT_EQ(result.rounds.size(), 2U);
+}
+
+// ---- Sampled AFO resume -----------------------------------------------------
+
+/// AFO on lazy mobile_longtail(64) with a 1/8 cohort sampler. At every kill
+/// point most devices are parked, the state whose engine entries hold no
+/// global snapshot.
+Snapshot sampled_afo_run(int kill_at, const std::string& ckpt) {
+  const int cycles = 6;
+  sim::CohortSampler::Options sopts;
+  sopts.fraction = 0.125;
+  sopts.seed = 17;
+  const sim::CohortSampler sampler(sopts);
+  if (kill_at > 0) {
+    fl::Fleet fleet = testing::make_sampled_longtail(sampler);
+    fl::Afo strategy;
+    fl::RunResult partial;
+    partial.method = strategy.name();
+    strategy.run_range(fleet, partial, 0, kill_at);
+    fleet.save_checkpoint(ckpt, &strategy, partial);
+  }
+  fl::Fleet fleet = testing::make_sampled_longtail(sampler);
+  fl::Afo strategy;
+  fl::RunResult result;
+  if (kill_at > 0) {
+    result = fleet.resume(ckpt, &strategy);
+  } else {
+    result.method = strategy.name();
+  }
+  strategy.run_range(fleet, result, static_cast<int>(result.rounds.size()),
+                     cycles);
+  return snapshot_of(fleet, std::move(result));
+}
+
+TEST(CrashResumeTest, AfoSampledBitIdenticalAtEveryKillPoint) {
+  ThreadGuard guard;
+  TempDir tmp;
+  util::set_global_threads(1);
+  const Snapshot golden = sampled_afo_run(0, "");
+  for (int threads : {1, 4}) {
+    util::set_global_threads(threads);
+    for (int kill_at = 1; kill_at <= 5; ++kill_at) {
+      const Snapshot resumed = sampled_afo_run(
+          kill_at, tmp.file("ckpt_" + std::to_string(kill_at)));
+      expect_identical(golden, resumed,
+                       "afo sampled threads=" + std::to_string(threads) +
+                           " kill_at=" + std::to_string(kill_at));
+    }
   }
 }
 

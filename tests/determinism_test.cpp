@@ -3,15 +3,22 @@
 // — identical accuracy traces and identical final global parameters.
 #include <cstring>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/helios_strategy.h"
+#include "fl/afo.h"
+#include "fl/async.h"
 #include "fl/compression.h"
 #include "fl/fedprox.h"
 #include "fl/sync.h"
 #include "fl/transport.h"
+#include "obs/journal_reader.h"
+#include "obs/telemetry.h"
+#include "sim/sampler.h"
 #include "test_support.h"
 #include "util/thread_pool.h"
 
@@ -64,9 +71,7 @@ void expect_identical(const Snapshot& a, const Snapshot& b) {
             0)
       << "final global parameters differ between thread counts";
   ASSERT_EQ(a.buffers.size(), b.buffers.size());
-  EXPECT_EQ(std::memcmp(a.buffers.data(), b.buffers.data(),
-                        a.buffers.size() * sizeof(float)),
-            0)
+  EXPECT_TRUE(testing::bitwise_equal(a.buffers, b.buffers))
       << "final global buffers differ between thread counts";
 }
 
@@ -123,6 +128,121 @@ TEST(DeterminismTest, SyncFLIdealNetworkBitIdenticalToNoNetwork) {
   expect_identical(plain1, net1);
   const Snapshot net4 = run_with_threads(4, make, 4, /*ideal_network=*/true);
   expect_identical(plain1, net4);
+}
+
+// ---- Asynchronous event engine ---------------------------------------------
+// The engine trains each wave of in-flight devices concurrently, while
+// delivery, mixing and recording keep event order on the driving thread.
+
+net::NetworkOptions lossy_network() {
+  net::NetworkOptions opts;
+  opts.mode = net::NetMode::kSimulated;
+  opts.channel.loss_prob = 0.05;
+  return opts;
+}
+
+/// Lazy mobile_longtail(64) with a 1/8 cohort sampler over a simulated
+/// 5%-loss session: most devices park between rounds and frames get lost.
+template <typename MakeStrategy>
+Snapshot run_sampled_with_threads(int threads, MakeStrategy make,
+                                  int cycles) {
+  util::set_global_threads(threads);
+  sim::CohortSampler::Options sopts;
+  sopts.fraction = 0.125;
+  sopts.seed = 17;
+  const sim::CohortSampler sampler(sopts);
+  fl::Fleet fleet = testing::make_sampled_longtail(sampler);
+  fl::NetworkSession session(fleet, lossy_network());
+  auto strategy = make();
+  Snapshot snap;
+  snap.result = strategy.run(fleet, cycles);
+  snap.global.assign(fleet.server().global().begin(),
+                     fleet.server().global().end());
+  snap.buffers.assign(fleet.server().global_buffers().begin(),
+                      fleet.server().global_buffers().end());
+  return snap;
+}
+
+TEST(DeterminismTest, AfoBitIdenticalAcrossThreadCounts) {
+  ThreadGuard guard;
+  auto make = [] { return fl::Afo(); };
+  expect_identical(run_with_threads(1, make, 6), run_with_threads(4, make, 6));
+  expect_identical(run_sampled_with_threads(1, make, 4),
+                   run_sampled_with_threads(4, make, 4));
+}
+
+TEST(DeterminismTest, AsyncFLBitIdenticalAcrossThreadCounts) {
+  ThreadGuard guard;
+  auto make = [] { return fl::AsyncFL(); };
+  expect_identical(run_with_threads(1, make, 6), run_with_threads(4, make, 6));
+  expect_identical(run_sampled_with_threads(1, make, 4),
+                   run_sampled_with_threads(4, make, 4));
+}
+
+struct JournalRun {
+  std::vector<obs::JournalEvent> events;
+  std::string dashboard;
+};
+
+/// AFO on the test fleet over a simulated 5%-loss session, with a tracing
+/// sink that journals in memory.
+JournalRun afo_journal_with_threads(int threads) {
+  util::set_global_threads(threads);
+  obs::TelemetryConfig cfg;
+  cfg.journal = true;
+  obs::TelemetrySink sink(cfg);
+  fl::Fleet fleet = testing::make_fleet();
+  fl::NetworkSession session(fleet, lossy_network());
+  fleet.set_telemetry(&sink);
+  fl::Afo strategy;
+  strategy.run(fleet, 6);
+  fleet.set_telemetry(nullptr);
+  sink.flush();  // closes the journal (run_end)
+  JournalRun run;
+  std::istringstream is(sink.journal_text());
+  run.events = obs::read_journal(is);
+  std::ostringstream dash;
+  sink.render_dashboard(dash);
+  run.dashboard = dash.str();
+  return run;
+}
+
+/// Journal lines are flat objects of scalars.
+bool same_scalar(const util::JsonValue& a, const util::JsonValue& b) {
+  if (a.kind() != b.kind()) return false;
+  switch (a.kind()) {
+    case util::JsonValue::Kind::kNull: return true;
+    case util::JsonValue::Kind::kBool: return a.as_bool() == b.as_bool();
+    case util::JsonValue::Kind::kNumber:
+      return a.as_number() == b.as_number();
+    case util::JsonValue::Kind::kString:
+      return a.as_string() == b.as_string();
+    default: return false;
+  }
+}
+
+// Telemetry is recorded at each completion's pop, in event order and at the
+// backdated virtual time, never on the pool workers that trained the wave:
+// the journal matches line for line, every field but the wall clock "w".
+TEST(DeterminismTest, AsyncJournalIdenticalAcrossThreadCounts) {
+  ThreadGuard guard;
+  const JournalRun one = afo_journal_with_threads(1);
+  const JournalRun four = afo_journal_with_threads(4);
+  ASSERT_FALSE(one.events.empty());
+  ASSERT_EQ(one.events.size(), four.events.size());
+  for (std::size_t i = 0; i < one.events.size(); ++i) {
+    const auto& a = one.events[i].fields.members();
+    const auto& b = four.events[i].fields.members();
+    ASSERT_EQ(a.size(), b.size()) << "event " << i;
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      ASSERT_EQ(a[k].first, b[k].first) << "event " << i;
+      if (a[k].first == "w") continue;
+      EXPECT_TRUE(same_scalar(a[k].second, b[k].second))
+          << "event " << i << " (" << one.events[i].type << ") field "
+          << a[k].first;
+    }
+  }
+  EXPECT_EQ(one.dashboard, four.dashboard);
 }
 
 }  // namespace

@@ -16,7 +16,8 @@
 //     asynchronous event engine.
 //
 // Settings: 4 cycles, the scalar kernel backend forced through the
-// override API, 1 thread. Environments: the 4-device test fleet with no
+// override API, 1 thread; the asynchronous cases run again at 4 threads
+// against the same constants. Environments: the 4-device test fleet with no
 // session, with a simulated 5%-loss int8-per-neuron + error-feedback
 // session, and with a depth-2 (2-edge) aggregator tree; plus lazy
 // mobile_longtail(64) with a CohortSampler. CompressedSyncFL is left out of
@@ -247,6 +248,37 @@ const GoldenCase kCases[] = {
 
 INSTANTIATE_TEST_SUITE_P(
     Parent, RoundGoldenTest, ::testing::ValuesIn(kCases),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return case_name(info.param);
+    });
+
+// The 12 asynchronous cases again at 4 threads, against the same constants.
+// The event engine trains each wave of in-flight devices concurrently, so
+// these are the cases that run the waves against the recorded bits.
+class RoundGoldenFourThreadTest : public RoundGoldenTest {
+ protected:
+  void SetUp() override {
+    RoundGoldenTest::SetUp();
+    util::set_global_threads(4);
+  }
+};
+
+TEST_P(RoundGoldenFourThreadTest, MatchesRecordedDigest) {
+  const GoldenCase& c = GetParam();
+  EXPECT_EQ(run_case(c), c.digest) << case_name(c) << " at 4 threads";
+}
+
+std::vector<GoldenCase> async_cases() {
+  std::vector<GoldenCase> out;
+  for (const GoldenCase& c : kCases) {
+    const std::string kind = c.kind;
+    if (kind.starts_with("async") || kind == "afo") out.push_back(c);
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Parent, RoundGoldenFourThreadTest, ::testing::ValuesIn(async_cases()),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return case_name(info.param);
     });

@@ -2,8 +2,10 @@
 #pragma once
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -33,6 +35,21 @@ struct ProjectionLoss {
 
   tensor::Tensor grad() const { return c; }
 };
+
+/// Bitwise equality of two contiguous ranges of the same element type.
+/// Empty ranges compare equal without reaching memcmp, whose pointers must
+/// be non-null even for a zero length — and an empty vector's data() may be
+/// null.
+template <typename A, typename B>
+bool bitwise_equal(const A& a, const B& b) {
+  const std::span sa(a);
+  const std::span sb(b);
+  static_assert(std::is_same_v<typename decltype(sa)::value_type,
+                               typename decltype(sb)::value_type>);
+  return sa.size() == sb.size() &&
+         (sa.empty() ||
+          std::memcmp(sa.data(), sb.data(), sa.size_bytes()) == 0);
+}
 
 /// Central-difference derivative of `f` with respect to `*w`.
 inline double numerical_derivative(float* w, const std::function<double()>& f,
@@ -177,6 +194,31 @@ inline fl::Fleet make_fleet(const FleetOptions& o = {}) {
       c.set_volume(o.volume);
     }
   }
+  return fleet;
+}
+
+}  // namespace helios::testing
+
+#include "core/straggler_id.h"
+#include "core/target.h"
+#include "sim/population.h"
+#include "sim/sampler.h"
+
+namespace helios::testing {
+
+/// Lazy mobile_longtail(64) with the benchmark's set-up recipe: time-based
+/// identification of the slowest quarter, profiled targets, and `sampler`
+/// attached (it must outlive the fleet's runs). Test binaries that call it
+/// link helios_sim.
+inline fl::Fleet make_sampled_longtail(const sim::CohortSampler& sampler) {
+  sim::PopulationConfig cfg = sim::mobile_longtail(64);
+  cfg.lazy_data = true;
+  fl::Fleet fleet = sim::build_fleet(sim::PopulationGenerator(cfg));
+  const core::StragglerReport report =
+      core::StragglerIdentifier::time_based(fleet, 16);
+  core::StragglerIdentifier::apply(fleet, report);
+  core::TargetDeterminer::assign_profiled(fleet, report);
+  fleet.set_sampler(&sampler);
   return fleet;
 }
 
