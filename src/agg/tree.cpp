@@ -115,53 +115,72 @@ void AggregatorTree::fold(std::span<const UpdateView> updates,
 void AggregatorTree::collapse() {
   const auto t0 = std::chrono::steady_clock::now();
   const bool depth3 = !regionals_.empty();
-  TierStats& root_stats = stats_.back();
   // Merging child frames is the parent tier's folding work: edge frames
   // land on the regionals (the root at depth 2), regional frames on the
-  // root.
-  for (std::size_t e = 0; e < edges_.size(); ++e) {
-    if (edges_[e].empty()) continue;
-    // The tier crossing: the edge serializes its accumulator, the parent
-    // decodes and merges, and the edge-side copy is conceptually discarded.
-    const std::vector<std::uint8_t> frame = edges_[e].encode_frame(codec_);
+  // root. The edge tier's parents are independent, so each merges its own
+  // edges, in ascending edge order, as one pool task.
+  std::vector<StreamingAccumulator*> parents;
+  if (depth3) {
+    for (auto& r : regionals_) parents.push_back(&r);
+  } else {
+    parents.push_back(&root_);
+  }
+  std::vector<std::vector<std::uint8_t>> regional_frames(regionals_.size());
+  std::vector<std::uint64_t> edge_frames(parents.size(), 0);
+  std::vector<std::uint64_t> edge_bytes(parents.size(), 0);
+  util::parallel_for(
+      0, static_cast<std::int64_t>(parents.size()), 1,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (auto p = static_cast<std::size_t>(lo);
+             p < static_cast<std::size_t>(hi); ++p) {
+          for (std::size_t e = 0; e < edges_.size(); ++e) {
+            if (edges_[e].empty() ||
+                static_cast<std::size_t>(
+                    topo_.regional_of(static_cast<int>(e))) != p) {
+              continue;
+            }
+            // The tier crossing: the edge serializes its accumulator, the
+            // parent decodes and merges, and the edge-side copy is
+            // conceptually discarded. One frame is live at a time.
+            const std::vector<std::uint8_t> frame =
+                edges_[e].encode_frame(codec_);
+            edge_bytes[p] += frame.size();
+            edge_frames[p] += 1;
+            parents[p]->merge(StreamingAccumulator::decode_frame(frame, geo_));
+          }
+          if (depth3 && !parents[p]->empty()) {
+            regional_frames[p] = parents[p]->encode_frame(codec_);
+          }
+        }
+      });
+  TierStats& root_stats = stats_.back();
+  TierStats& parent_stats = depth3 ? stats_[1] : root_stats;
+  const std::uint64_t raw_frame =
+      StreamingAccumulator::frame_bytes(*geo_, MergeCodec::kF64);
+  for (std::size_t p = 0; p < parents.size(); ++p) {
+    parent_stats.frames_folded += edge_frames[p];
     // In simulated mode relay() already accounted the wire bytes (rider and
     // retransmits included); count payload bytes here only on the ideal /
     // pass-through path.
     if (!relay_ran_) {
-      stats_.front().bytes_forwarded += frame.size();
-      stats_.front().raw_bytes +=
-          StreamingAccumulator::frame_bytes(*geo_, MergeCodec::kF64);
-    }
-    StreamingAccumulator decoded =
-        StreamingAccumulator::decode_frame(frame, geo_);
-    if (depth3) {
-      regionals_[static_cast<std::size_t>(
-                     topo_.regional_of(static_cast<int>(e)))]
-          .merge(decoded);
-      stats_[1].frames_folded += 1;
-    } else {
-      root_.merge(decoded);
-      root_stats.frames_folded += 1;
+      stats_.front().bytes_forwarded += edge_bytes[p];
+      stats_.front().raw_bytes += edge_frames[p] * raw_frame;
     }
   }
-  if (depth3) {
-    stats_[1].fold_seconds += seconds_since(t0);
-    const auto t1 = std::chrono::steady_clock::now();
-    for (auto& r : regionals_) {
-      if (r.empty()) continue;
-      const std::vector<std::uint8_t> frame = r.encode_frame(codec_);
-      if (!relay_ran_) {
-        stats_[1].bytes_forwarded += frame.size();
-        stats_[1].raw_bytes +=
-            StreamingAccumulator::frame_bytes(*geo_, MergeCodec::kF64);
-      }
-      root_.merge(StreamingAccumulator::decode_frame(frame, geo_));
-      root_stats.frames_folded += 1;
+  parent_stats.fold_seconds += seconds_since(t0);
+  if (!depth3) return;
+
+  const auto t1 = std::chrono::steady_clock::now();
+  for (const std::vector<std::uint8_t>& frame : regional_frames) {
+    if (frame.empty()) continue;
+    if (!relay_ran_) {
+      stats_[1].bytes_forwarded += frame.size();
+      stats_[1].raw_bytes += raw_frame;
     }
-    root_stats.fold_seconds += seconds_since(t1);
-  } else {
-    root_stats.fold_seconds += seconds_since(t0);
+    root_.merge(StreamingAccumulator::decode_frame(frame, geo_));
+    root_stats.frames_folded += 1;
   }
+  root_stats.fold_seconds += seconds_since(t1);
 }
 
 void AggregatorTree::finalize(std::span<float> global,

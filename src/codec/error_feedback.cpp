@@ -25,9 +25,12 @@ const std::vector<float>* ErrorFeedback::find(int client_id) const {
 
 double ErrorFeedback::l2_norm(int client_id) const {
   const std::vector<float>* r = find(client_id);
-  if (r == nullptr) return 0.0;
+  return r == nullptr ? 0.0 : l2_norm(*r);
+}
+
+double ErrorFeedback::l2_norm(std::span<const float> residual) {
   double sq = 0.0;
-  for (float v : *r) sq += static_cast<double>(v) * v;
+  for (float v : residual) sq += static_cast<double>(v) * v;
   return std::sqrt(sq);
 }
 

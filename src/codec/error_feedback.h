@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <map>
+#include <span>
 #include <vector>
 
 namespace helios::codec {
@@ -42,6 +43,8 @@ class ErrorFeedback {
   /// L2 norm of the client's carried residual (0 when absent) — the
   /// telemetry gauge's value.
   double l2_norm(int client_id) const;
+  /// The same norm of a residual already in hand.
+  static double l2_norm(std::span<const float> residual);
 
   /// Ordered view for serialization.
   const std::map<int, std::vector<float>>& all() const { return residuals_; }

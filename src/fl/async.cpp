@@ -38,6 +38,18 @@ void AsyncFL::run_range(Fleet& fleet, RunResult& result, int begin, int end) {
   }
 }
 
+namespace {
+
+/// Telemetry for a fanned-out batch, in roster order on the calling thread.
+void record_cycles(std::span<Client* const> roster,
+                   std::span<const ClientUpdate> updates) {
+  for (std::size_t i = 0; i < roster.size(); ++i) {
+    roster[i]->record_cycle(updates[i]);
+  }
+}
+
+}  // namespace
+
 void AsyncFL::run_period(Fleet& fleet, RunResult& result, int begin,
                          int end) {
   AggOptions opts;
@@ -77,9 +89,10 @@ void AsyncFL::run_period(Fleet& fleet, RunResult& result, int begin,
     // are independent and fan out across the pool.
     std::vector<ClientUpdate> updates = Fleet::parallel_train(
         capable, [&](Client& c, std::size_t) {
-          return c.run_cycle(fleet.server().global(),
-                             fleet.server().global_buffers(), {});
+          return c.train_cycle(fleet.server().global(),
+                               fleet.server().global_buffers(), {});
         });
+    record_cycles(capable, updates);
     double loss = 0.0;
     for (const ClientUpdate& u : updates) loss += u.mean_loss;
     std::size_t trained_count = updates.size();
@@ -107,8 +120,9 @@ void AsyncFL::run_period(Fleet& fleet, RunResult& result, int begin,
         due, [&](Client& s, std::size_t) {
           // at(): no concurrent map mutation
           auto& st = period_state_.at(s.id());
-          return s.run_cycle(st.base, st.base_buffers, {});
+          return s.train_cycle(st.base, st.base_buffers, {});
         });
+    record_cycles(due, straggler_updates);
     trained_count += due.size();
     for (std::size_t i = 0; i < due.size(); ++i) {
       PeriodState& st = period_state_[due[i]->id()];

@@ -46,6 +46,20 @@ void AsyncEngine::wake_parked(Fleet& fleet) {
   }
 }
 
+bool AsyncEngine::reanchor(Fleet& fleet) {
+  const auto capable = fleet.capable();
+  const auto active = fleet.active_clients();
+  if (!capable.empty()) {
+    reference_id_ = capable.front()->id();
+  } else if (!active.empty()) {
+    reference_id_ = active.front()->id();
+  } else {
+    return false;
+  }
+  wake_parked(fleet);
+  return true;
+}
+
 void AsyncEngine::train_wave(Fleet& fleet, std::size_t popped) {
   std::vector<std::size_t> wave{popped};
   const auto ref = std::find_if(
@@ -105,6 +119,15 @@ void AsyncEngine::run_range(Fleet& fleet, RunResult& result, int begin,
   inflight_.resize(fleet.size());
   parked_.resize(fleet.size(), 0);
   for (std::size_t i = known; i < fleet.size(); ++i) start_client(fleet, i);
+  // A reference that died with no completion pending (the all-dead stop, or
+  // a departure between calls while parked) would never record again.
+  const auto ref = static_cast<std::size_t>(reference_id_);
+  if (!fleet.client(ref).active() &&
+      std::none_of(events_.begin(), events_.end(), [&](const Event& ev) {
+        return ev.client_index == reference_id_;
+      })) {
+    if (!reanchor(fleet)) return;  // no device left to record a round
+  }
 
   NetworkSession* session = fleet.network();
   obs::TelemetrySink* tel = fleet.telemetry();
@@ -141,19 +164,10 @@ void AsyncEngine::run_range(Fleet& fleet, RunResult& result, int begin,
       }
     }
     const bool is_reference = client.id() == reference_id_;
-    if (is_reference && !client.active()) {
-      // The reference died: re-anchor recording on a survivor so the run
-      // completes, and wake it in case it is parked.
-      const auto capable = fleet.capable();
-      const auto active = fleet.active_clients();
-      if (!capable.empty()) {
-        reference_id_ = capable.front()->id();
-      } else if (!active.empty()) {
-        reference_id_ = active.front()->id();
-      } else {
-        break;  // everyone is dead; nothing left to record
-      }
-      wake_parked(fleet);
+    // The reference died: re-anchor recording on a survivor so the run
+    // completes.
+    if (is_reference && !client.active() && !reanchor(fleet)) {
+      break;  // everyone is dead; nothing left to record
     }
     if (accepted) {
       const double staleness =

@@ -107,6 +107,10 @@ class AsyncEngine {
   /// A parked or dead device releases its snapshot.
   void start_client(Fleet& fleet, std::size_t i);
   void wake_parked(Fleet& fleet);
+  /// Moves recording to the first capable device, else the first active
+  /// one, and wakes the parked devices (the new reference may be among
+  /// them). False when no device is active.
+  bool reanchor(Fleet& fleet);
   /// Trains the wave that `popped` (just taken off the heap, untrained)
   /// opens; see the file comment.
   void train_wave(Fleet& fleet, std::size_t popped);

@@ -35,7 +35,8 @@ Fleet::Fleet(Fleet&& other) noexcept
       network_(other.network_),
       hierarchy_(other.hierarchy_),
       sampler_(other.sampler_),
-      checkpointables_(std::move(other.checkpointables_)) {
+      checkpointables_(std::move(other.checkpointables_)),
+      eval_replicas_(std::move(other.eval_replicas_)) {
   for (auto& c : clients_) c->set_estimation_model(&server_.reference_model());
 }
 
@@ -51,6 +52,7 @@ Fleet& Fleet::operator=(Fleet&& other) noexcept {
   hierarchy_ = other.hierarchy_;
   sampler_ = other.sampler_;
   checkpointables_ = std::move(other.checkpointables_);
+  eval_replicas_ = std::move(other.eval_replicas_);
   for (auto& c : clients_) c->set_estimation_model(&server_.reference_model());
   return *this;
 }
@@ -146,6 +148,21 @@ std::vector<Client*> Fleet::round_roster(int round, bool hibernate_unsampled) {
                               cohort.size());
   }
   return cohort;
+}
+
+double Fleet::evaluate() {
+  const auto threads =
+      static_cast<std::size_t>(util::global_thread_count());
+  while (eval_replicas_.size() + 1 < threads) {
+    eval_replicas_.push_back(spec_.build(0));
+  }
+  std::vector<nn::Model*> replicas{&server_.reference_model()};
+  for (std::size_t r = 1; r < threads; ++r) {
+    replicas.push_back(&eval_replicas_[r - 1]);
+  }
+  return server_.evaluate_accuracy(
+      test_set_, replicas,
+      std::max(1, kEvalBatch / static_cast<int>(threads)));
 }
 
 std::size_t Fleet::live_replica_bytes() const {

@@ -104,7 +104,11 @@ class Fleet {
   /// Clients not flagged as stragglers.
   std::vector<Client*> capable();
 
-  double evaluate() { return server_.evaluate_accuracy(test_set_); }
+  /// Top-1 accuracy of the global model on the test set, on one model
+  /// replica per pool thread (the server's reference model is replica 0;
+  /// the others are built from spec() on first use) in slices of
+  /// kEvalBatch / threads samples. Identical at any thread count.
+  double evaluate();
 
   /// Round-level fan-out: runs `fn(client, i)` for every client in `roster`
   /// concurrently on the global thread pool and returns the updates indexed
@@ -184,6 +188,8 @@ class Fleet {
   HierarchySession* hierarchy_ = nullptr;
   const RosterSampler* sampler_ = nullptr;
   std::vector<std::pair<std::string, Checkpointable*>> checkpointables_;
+  /// Evaluation replicas beyond the server's reference model.
+  std::vector<nn::Model> eval_replicas_;
 };
 
 }  // namespace helios::fl

@@ -5,6 +5,7 @@
 
 #include "fl/hierarchy.h"
 #include "obs/telemetry.h"
+#include "util/thread_pool.h"
 
 namespace helios::fl {
 
@@ -135,26 +136,48 @@ void Server::mix(const ClientUpdate& update, double alpha) {
 }
 
 double Server::evaluate_accuracy(const data::Dataset& test, int batch) {
-  if (batch <= 0) throw std::invalid_argument("evaluate_accuracy: batch <= 0");
+  nn::Model* reference = &model_;
+  return evaluate_accuracy(test, std::span(&reference, 1), batch);
+}
+
+double Server::evaluate_accuracy(const data::Dataset& test,
+                                 std::span<nn::Model* const> replicas,
+                                 int slice) {
+  if (slice <= 0) throw std::invalid_argument("evaluate_accuracy: batch <= 0");
+  if (replicas.empty()) {
+    throw std::invalid_argument("evaluate_accuracy: no replicas");
+  }
   if (test.size() == 0) return 0.0;
   HELIOS_TRACE_SPAN("server.evaluate", {{"samples", test.size()}});
-  model_.clear_neuron_mask();
-  model_.load_params(global_);
-  model_.load_buffers(buffers_);
   const int n = test.size();
   const std::size_t sample = static_cast<std::size_t>(test.channels()) *
                              test.height() * test.width();
-  int correct = 0;
-  for (int start = 0; start < n; start += batch) {
-    const int take = std::min(batch, n - start);
-    tensor::Tensor x({take, test.channels(), test.height(), test.width()});
-    std::copy_n(test.images.data() + static_cast<std::size_t>(start) * sample,
-                static_cast<std::size_t>(take) * sample, x.data());
-    std::span<const int> labels(test.labels.data() + start,
-                                static_cast<std::size_t>(take));
-    correct += nn::evaluate_batch(model_, x, labels);
-  }
-  return static_cast<double>(correct) / n;
+  const int slices = (n + slice - 1) / slice;
+  const int used = std::min(static_cast<int>(replicas.size()), slices);
+  std::vector<int> correct(static_cast<std::size_t>(used), 0);
+  util::parallel_for(0, used, 1, [&](std::int64_t lo, std::int64_t hi) {
+    for (auto r = static_cast<int>(lo); r < static_cast<int>(hi); ++r) {
+      nn::Model& model = *replicas[static_cast<std::size_t>(r)];
+      model.clear_neuron_mask();
+      model.load_params(global_);
+      model.load_buffers(buffers_);
+      for (int s = slices * r / used; s < slices * (r + 1) / used; ++s) {
+        const int start = s * slice;
+        const int take = std::min(slice, n - start);
+        tensor::Tensor x({take, test.channels(), test.height(), test.width()});
+        std::copy_n(
+            test.images.data() + static_cast<std::size_t>(start) * sample,
+            static_cast<std::size_t>(take) * sample, x.data());
+        std::span<const int> labels(test.labels.data() + start,
+                                    static_cast<std::size_t>(take));
+        correct[static_cast<std::size_t>(r)] +=
+            nn::evaluate_batch(model, x, labels);
+      }
+    }
+  });
+  int total = 0;
+  for (int c : correct) total += c;
+  return static_cast<double>(total) / n;
 }
 
 }  // namespace helios::fl

@@ -18,6 +18,10 @@ namespace helios::fl {
 
 class HierarchySession;
 
+/// Evaluation batch: the reference model evaluates this many test samples
+/// at a time; Fleet::evaluate cuts it into one slice per pool thread.
+inline constexpr int kEvalBatch = 128;
+
 struct AggOptions {
   /// Weight updates by local sample counts (FedAvg).
   bool sample_weighting = true;
@@ -78,8 +82,19 @@ class Server {
   /// Asynchronous mixing (AFO): global <- (1-alpha) * global + alpha * local.
   void mix(const ClientUpdate& update, double alpha);
 
-  /// Top-1 accuracy of the global model on `test`.
-  double evaluate_accuracy(const data::Dataset& test, int batch = 128);
+  /// Top-1 accuracy of the global model on `test`, `batch` samples at a
+  /// time on the reference model.
+  double evaluate_accuracy(const data::Dataset& test,
+                           int batch = kEvalBatch);
+  /// The same accuracy on `replicas` (models of the reference's
+  /// architecture; more than one run on the pool). The test set is cut into
+  /// contiguous slices of `slice` samples, and replica r loads the global
+  /// parameters and buffers and evaluates the r-th contiguous run of
+  /// slices. The result does not depend on `slice` or the replica count:
+  /// inference logits are bit-identical whatever the batch (BatchNorm uses
+  /// its running statistics), and the correct counts are integers.
+  double evaluate_accuracy(const data::Dataset& test,
+                           std::span<nn::Model* const> replicas, int slice);
 
   /// Observability sink (set by Fleet::set_telemetry; may be null).
   /// aggregate() reports each update's trained fraction r_n and its

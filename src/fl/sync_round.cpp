@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/telemetry.h"
+#include "util/thread_pool.h"
 
 namespace helios::fl {
 
@@ -37,12 +38,23 @@ void SyncRoundStrategy::run_range(Fleet& fleet, RunResult& result, int begin,
     for (const PlannedClient& p : round.plan) roster.push_back(p.client);
     round.updates = Fleet::parallel_train(
         roster, [&](Client& client, std::size_t i) {
-          ClientUpdate u =
-              client.run_cycle(round.global_before, buffers_before,
-                               round.plan[i].mask, round.plan[i].work_scale);
-          post_train(fleet, u, round.global_before);
-          return u;
+          return client.train_cycle(round.global_before, buffers_before,
+                                    round.plan[i].mask,
+                                    round.plan[i].work_scale);
         });
+    // Telemetry in roster order, whichever worker trained the cycle; it
+    // reports each update as trained, before post_train rewrites it.
+    for (std::size_t i = 0; i < roster.size(); ++i) {
+      roster[i]->record_cycle(round.updates[i]);
+    }
+    util::parallel_for(0, static_cast<std::int64_t>(roster.size()), 1,
+                       [&](std::int64_t lo, std::int64_t hi) {
+                         for (auto i = static_cast<std::size_t>(lo);
+                              i < static_cast<std::size_t>(hi); ++i) {
+                           post_train(fleet, round.updates[i],
+                                      round.global_before);
+                         }
+                       });
     // The network (if any) decides what arrived and how long the round
     // took; without a session this is the analytic max(train + upload).
     round.net = deliver_round(fleet, round.updates, round.global_before);

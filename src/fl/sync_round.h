@@ -5,7 +5,8 @@
 // that round, once:
 //
 //   cycle span -> set_cycle -> plan() -> pre-round global/buffer snapshot
-//   -> Fleet::parallel_train (run_cycle + post_train per client)
+//   -> Fleet::parallel_train (train_cycle per client)
+//   -> record_cycle per client, in plan order -> post_train (on the pool)
 //   -> deliver_round -> clock advance -> before_aggregate()
 //   -> Server::aggregate -> after_aggregate() -> evaluate
 //   -> RoundRecord (loss averaged over max(1, trained)) -> record_cycle_result

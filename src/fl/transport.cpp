@@ -1,10 +1,14 @@
 #include "fl/transport.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <unordered_set>
 #include <utility>
 
 #include "fl/hierarchy.h"
 #include "obs/telemetry.h"
+#include "util/thread_pool.h"
 
 namespace helios::fl {
 
@@ -61,22 +65,44 @@ std::vector<std::uint8_t> NetworkSession::encode(
   return net::encode_frame(msg, layout_, options().payload_codec, nullptr);
 }
 
-std::vector<std::uint8_t> NetworkSession::encode_for_send(
-    const ClientUpdate& update, std::span<const float> base_params) {
+std::vector<std::vector<float>*> NetworkSession::residuals_for(
+    std::span<const ClientUpdate> updates, std::span<const float> base_params) {
+  std::vector<std::vector<float>*> residuals(updates.size(), nullptr);
+  if (options().payload_codec == codec::CodecId::kFp32 ||
+      !options().error_feedback ||
+      base_params.size() != layout_.param_count) {
+    return residuals;
+  }
+  std::unordered_set<int> seen;
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const int id = updates[i].client_id;
+    if (!seen.insert(id).second) {
+      throw std::logic_error(
+          "NetworkSession: two updates from client " + std::to_string(id) +
+          " share one error-feedback residual");
+    }
+    residuals[i] = &feedback_.residual(id, layout_.param_count);
+  }
+  return residuals;
+}
+
+NetworkSession::SentFrame NetworkSession::encode_for_send(
+    const ClientUpdate& update, std::span<const float> base_params,
+    std::vector<float>* residual) const {
+  HELIOS_TRACE_SPAN("net.encode", {{"device", update.client_id}});
+  SentFrame sent;
   const codec::CodecId id = options().payload_codec;
-  if (id == codec::CodecId::kFp32) return encode(update, base_params);
+  if (id == codec::CodecId::kFp32) {
+    sent.bytes = encode(update, base_params);
+    return sent;
+  }
 
   net::WireMessage msg = wire_message(update);
-  const bool have_base = base_params.size() == layout_.param_count;
-  const bool use_ef = options().error_feedback && have_base;
-
   std::vector<float> compensated;
-  std::vector<float>* residual = nullptr;
-  if (use_ef) {
+  if (residual != nullptr) {
     // Error feedback: add the residual the previous rounds' quantization
     // left behind before quantizing this upload. Only shipped entries read
     // it (unshipped entries never cross the wire and keep their residual).
-    residual = &feedback_.residual(update.client_id, layout_.param_count);
     compensated.assign(update.params.begin(), update.params.end());
     for (std::size_t f = 0; f < compensated.size(); ++f) {
       compensated[f] += (*residual)[f];
@@ -85,11 +111,12 @@ std::vector<std::uint8_t> NetworkSession::encode_for_send(
   }
 
   net::CodecResult result;
-  std::vector<std::uint8_t> frame =
-      have_base ? net::encode_frame_auto(msg, base_params, layout_, id, &result)
-                : net::encode_frame(msg, layout_, id, &result);
+  sent.bytes =
+      base_params.size() == layout_.param_count
+          ? net::encode_frame_auto(msg, base_params, layout_, id, &result)
+          : net::encode_frame(msg, layout_, id, &result);
 
-  if (use_ef) {
+  if (residual != nullptr) {
     // residual' = compensated - what the receiver reconstructs; a lossless
     // (fp32) frame delivers everything, clearing the shipped residual.
     const bool lossless = result.codec == codec::CodecId::kFp32;
@@ -99,14 +126,23 @@ std::vector<std::uint8_t> NetworkSession::encode_for_send(
           lossless ? 0.0f : compensated[f] - result.dequantized[f];
     }
   }
-
-  if (obs::TelemetrySink* sink = fleet_.telemetry()) {
-    sink->record_codec(update.client_id,
-                       net::dense_frame_bytes(layout_, msg.neuron_mask),
-                       frame.size(),
-                       use_ef ? feedback_.l2_norm(update.client_id) : 0.0);
+  if (fleet_.telemetry() != nullptr) {
+    sent.dense_bytes = net::dense_frame_bytes(layout_, msg.neuron_mask);
+    if (residual != nullptr) {
+      sent.residual_norm = codec::ErrorFeedback::l2_norm(*residual);
+    }
   }
-  return frame;
+  return sent;
+}
+
+void NetworkSession::record_codec(const ClientUpdate& update,
+                                  const SentFrame& sent) const {
+  obs::TelemetrySink* sink = fleet_.telemetry();
+  if (sink == nullptr || options().payload_codec == codec::CodecId::kFp32) {
+    return;
+  }
+  sink->record_codec(update.client_id, sent.dense_bytes, sent.bytes.size(),
+                     sent.residual_norm);
 }
 
 void NetworkSession::save_state(const Fleet& fleet,
@@ -133,6 +169,7 @@ void NetworkSession::load_state(Fleet& fleet, CheckpointReader& r) {
 ClientUpdate NetworkSession::decode(std::span<const std::uint8_t> frame,
                                     std::span<const float> base_params,
                                     const ClientUpdate& local) const {
+  HELIOS_TRACE_SPAN("net.decode", {{"device", local.client_id}});
   net::DecodedMessage msg = net::decode_frame(frame, layout_, base_params);
   ClientUpdate u;
   u.client_id = msg.client_id;
@@ -169,6 +206,23 @@ void NetworkSession::record_round(const NetDelivery& d,
                              static_cast<int>(d.died.size()));
 }
 
+std::vector<ClientUpdate> NetworkSession::decode_accepted(
+    std::span<const SentFrame> frames, std::span<const std::uint8_t> accepted,
+    std::span<const float> base_params,
+    std::span<const ClientUpdate> updates) const {
+  std::vector<ClientUpdate> decoded(updates.size());
+  util::parallel_for(0, static_cast<std::int64_t>(updates.size()), 1,
+                     [&](std::int64_t lo, std::int64_t hi) {
+                       for (auto i = static_cast<std::size_t>(lo);
+                            i < static_cast<std::size_t>(hi); ++i) {
+                         if (accepted[i] == 0) continue;
+                         decoded[i] =
+                             decode(frames[i].bytes, base_params, updates[i]);
+                       }
+                     });
+  return decoded;
+}
+
 NetDelivery NetworkSession::deliver_round(std::span<const ClientUpdate> updates,
                                           std::span<const float> base_params) {
   track_clients();
@@ -189,24 +243,36 @@ NetDelivery NetworkSession::deliver_round(std::span<const ClientUpdate> updates,
     analytic_mb += u.upload_mb;
   }
 
-  std::vector<std::vector<std::uint8_t>> frames;
-  frames.reserve(updates.size());
-  for (const ClientUpdate& u : updates) {
-    frames.push_back(encode_for_send(u, base_params));
+  // Each send touches only its own update, frame and residual, so the
+  // encodes run on the pool; the residuals are created and the codec
+  // telemetry recorded on this thread, in roster order.
+  const std::vector<std::vector<float>*> residuals =
+      residuals_for(updates, base_params);
+  std::vector<SentFrame> frames(updates.size());
+  util::parallel_for(0, static_cast<std::int64_t>(updates.size()), 1,
+                     [&](std::int64_t lo, std::int64_t hi) {
+                       for (auto i = static_cast<std::size_t>(lo);
+                            i < static_cast<std::size_t>(hi); ++i) {
+                         frames[i] = encode_for_send(updates[i], base_params,
+                                                     residuals[i]);
+                       }
+                     });
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    record_codec(updates[i], frames[i]);
   }
 
   if (!simulated()) {
     // Ideal channel: every frame round-trips through the wire format (an
     // integrity check — encode/decode is bit-exact) and is counted, but
     // timing and delivery stay on the analytic path.
-    d.arrived.reserve(updates.size());
+    d.arrived = decode_accepted(frames, d.delivered, base_params, updates);
     for (std::size_t i = 0; i < updates.size(); ++i) {
       d.comm_seconds[i] = updates[i].upload_seconds;
-      d.bytes_on_wire += frames[i].size();
-      d.arrived.push_back(decode(frames[i], base_params, updates[i]));
+      d.bytes_on_wire += frames[i].bytes.size();
       if (sink != nullptr) {
-        sink->record_device_transfer(updates[i].client_id, frames[i].size(), 1,
-                                     0, /*delivered=*/true,
+        sink->record_device_transfer(updates[i].client_id,
+                                     frames[i].bytes.size(), 1, 0,
+                                     /*delivered=*/true,
                                      /*deadline_missed=*/false, /*died=*/false,
                                      updates[i].upload_seconds);
       }
@@ -221,7 +287,7 @@ NetDelivery NetworkSession::deliver_round(std::span<const ClientUpdate> updates,
   std::vector<net::RoundProtocol::Send> sends;
   sends.reserve(updates.size());
   for (std::size_t i = 0; i < updates.size(); ++i) {
-    sends.push_back({updates[i].client_id, frames[i].size(),
+    sends.push_back({updates[i].client_id, frames[i].bytes.size(),
                      round_start + updates[i].train_seconds});
   }
   const net::RoundProtocol::RoundOutcome out =
@@ -254,7 +320,6 @@ NetDelivery NetworkSession::deliver_round(std::span<const ClientUpdate> updates,
     relay = hier->relay_round(edge_ready, edge_extra, round_start);
   }
 
-  d.arrived.reserve(static_cast<std::size_t>(out.delivered));
   for (std::size_t i = 0; i < updates.size(); ++i) {
     const net::RoundProtocol::Delivery& del = out.deliveries[i];
     d.comm_seconds[i] = del.comm_seconds;
@@ -265,12 +330,18 @@ NetDelivery NetworkSession::deliver_round(std::span<const ClientUpdate> updates,
       accepted = relay.edge_on_time[e] != 0;
     }
     d.delivered[i] = accepted ? 1 : 0;
+  }
+  std::vector<ClientUpdate> decoded =
+      decode_accepted(frames, d.delivered, base_params, updates);
+  d.arrived.reserve(static_cast<std::size_t>(out.delivered));
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const net::RoundProtocol::Delivery& del = out.deliveries[i];
     if (del.died) {
       d.died.push_back(del.device_id);
       mark_death(del.device_id);
     }
-    if (accepted) {
-      ClientUpdate u = decode(frames[i], base_params, updates[i]);
+    if (d.delivered[i] != 0) {
+      ClientUpdate& u = decoded[i];
       u.upload_seconds = del.comm_seconds;
       u.upload_mb = static_cast<double>(del.bytes_on_wire) / 1e6;
       d.arrived.push_back(std::move(u));
@@ -278,8 +349,8 @@ NetDelivery NetworkSession::deliver_round(std::span<const ClientUpdate> updates,
     if (sink != nullptr) {
       sink->record_device_transfer(del.device_id, del.bytes_on_wire,
                                    del.transmissions, del.lost_frames,
-                                   accepted, del.deadline_missed, del.died,
-                                   del.comm_seconds);
+                                   d.delivered[i] != 0, del.deadline_missed,
+                                   del.died, del.comm_seconds);
     }
   }
   double close_s = out.round_close_s;
@@ -308,7 +379,11 @@ NetworkSession::SingleDelivery NetworkSession::deliver_update(
     double start_s) {
   track_clients();
   obs::TelemetrySink* sink = fleet_.telemetry();
-  const std::vector<std::uint8_t> frame = encode_for_send(update, base_params);
+  const SentFrame sent = encode_for_send(
+      update, base_params,
+      residuals_for(std::span(&update, 1), base_params).front());
+  record_codec(update, sent);
+  const std::vector<std::uint8_t>& frame = sent.bytes;
 
   SingleDelivery s;
   if (!simulated()) {

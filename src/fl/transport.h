@@ -25,6 +25,14 @@
 //
 // Strategies call deliver_round / deliver_update through the fleet's
 // attached session; with none attached they keep the exact legacy path.
+//
+// Threading: deliver_round encodes every update on the global pool, then
+// decodes every accepted frame there (net.encode / net.decode spans, on
+// whichever thread runs them). The order-sensitive steps stay on the
+// calling thread in roster order: creating error-feedback residuals, the
+// channel and tree-relay simulation, deaths, and all telemetry. Results and
+// journals are therefore identical at any thread count. deliver_update
+// encodes and decodes its single update on the calling thread.
 #pragma once
 
 #include <cstddef>
@@ -100,7 +108,8 @@ class NetworkSession : public Checkpointable {
   /// Delivers one synchronous round of updates. `base_params` is the global
   /// snapshot the clients trained from (fills unshipped entries at decode).
   /// Registers channels for any clients added since the last call, and
-  /// deactivates clients whose devices died.
+  /// deactivates clients whose devices died. Under error feedback, throws
+  /// std::logic_error if two updates carry the same client id.
   NetDelivery deliver_round(std::span<const ClientUpdate> updates,
                             std::span<const float> base_params);
 
@@ -133,17 +142,46 @@ class NetworkSession : public Checkpointable {
   void load_state(Fleet& fleet, CheckpointReader& r) override;
 
  private:
+  /// One update encoded for sending, with what its codec telemetry reports
+  /// (filled only while a sink is attached).
+  struct SentFrame {
+    std::vector<std::uint8_t> bytes;
+    /// The same message as a dense fp32 frame (quantized codecs only).
+    std::size_t dense_bytes = 0;
+    /// L2 norm of the carried residual after the send (error feedback only).
+    double residual_norm = 0.0;
+  };
+
   void track_clients();
   std::vector<std::uint8_t> encode(const ClientUpdate& update,
                                    std::span<const float> base_params) const;
-  /// The sending path: applies error feedback (mutating the residual bank)
-  /// and records codec telemetry for quantized codecs; kFp32 falls through
-  /// to the const encoder.
-  std::vector<std::uint8_t> encode_for_send(
-      const ClientUpdate& update, std::span<const float> base_params);
+  /// The residual each update's send compensates with, created in roster
+  /// order (the bank is an ordered map, unsafe to insert into
+  /// concurrently); all null unless error feedback applies. Throws
+  /// std::logic_error when two updates share a client id, since both sends
+  /// would write one residual.
+  std::vector<std::vector<float>*> residuals_for(
+      std::span<const ClientUpdate> updates,
+      std::span<const float> base_params);
+  /// The sending path: adds `residual` (when non-null) before quantizing
+  /// and replaces it with the new quantization error; kFp32 falls through
+  /// to the const encoder. Writes nothing but `*residual`, so sends of
+  /// distinct clients may run concurrently.
+  SentFrame encode_for_send(const ClientUpdate& update,
+                            std::span<const float> base_params,
+                            std::vector<float>* residual) const;
+  /// Codec telemetry of one send (quantized codecs only).
+  void record_codec(const ClientUpdate& update, const SentFrame& sent) const;
   ClientUpdate decode(std::span<const std::uint8_t> frame,
                       std::span<const float> base_params,
                       const ClientUpdate& local) const;
+  /// Decodes frames[i] for every i with accepted[i] set, on the pool; the
+  /// other entries stay empty.
+  std::vector<ClientUpdate> decode_accepted(
+      std::span<const SentFrame> frames,
+      std::span<const std::uint8_t> accepted,
+      std::span<const float> base_params,
+      std::span<const ClientUpdate> updates) const;
   void mark_death(int client_id);
   void record_round(const NetDelivery& d, std::size_t frames_delivered);
 

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -701,6 +702,28 @@ TEST(CodecFleetTest, ErrorFeedbackCarriesResidualsAcrossRounds) {
   EXPECT_GT(bytes_in, 0.0);
   EXPECT_GT(bytes_in, bytes_out);
   fleet.set_telemetry(nullptr);
+}
+
+// deliver_round encodes a round's updates concurrently, each writing its
+// client's residual, so one round may not carry a client twice under error
+// feedback. Without a residual bank, a repeated update is just sent twice.
+TEST(CodecFleetTest, RepeatedClientInOneRoundThrowsUnderErrorFeedback) {
+  fl::Fleet fleet = testing::make_fleet();
+  const fl::ClientUpdate u = fleet.client(0).run_cycle(
+      fleet.server().global(), fleet.server().global_buffers(), {});
+  const std::vector<fl::ClientUpdate> twice{u, u};
+  {
+    net::NetworkOptions opts;
+    opts.payload_codec = CodecId::kInt8PerNeuron;
+    opts.error_feedback = true;
+    fl::NetworkSession session(fleet, opts);
+    EXPECT_THROW(session.deliver_round(twice, fleet.server().global()),
+                 std::logic_error);
+  }
+  fl::NetworkSession session(fleet, net::NetworkOptions{});
+  EXPECT_EQ(session.deliver_round(twice, fleet.server().global())
+                .arrived.size(),
+            2u);
 }
 
 TEST(CodecFleetTest, JournalSummarizesAndReplaysCodecEvents) {

@@ -308,6 +308,29 @@ TEST_P(AsyncChurnTest, DepartedReferenceReanchorsRecording) {
   }
 }
 
+// Every device departs, so the next run_range stops with nothing recorded
+// and the dead reference holds no pending completion. A device then joins.
+// Recording must re-anchor on the joiner rather than spin on its
+// completions forever with a reference that can never record.
+TEST_P(AsyncChurnTest, JoinerAfterAllDeadStopRecords) {
+  strategy_->run_range(fleet_, result_, 0, 2);
+  for (auto& c : fleet_.clients()) {
+    c->set_active(false);
+    c->hibernate();
+  }
+  strategy_->run_range(fleet_, result_, 2, 4);
+  ASSERT_EQ(result_.rounds.size(), 2u);
+
+  fl::Client& joiner =
+      sim::add_device(fleet_, pop_, static_cast<int>(fleet_.size()));
+  strategy_->run_range(fleet_, result_, 2, 4);
+
+  ASSERT_EQ(result_.rounds.size(), 4u);
+  // The joiner is the only live device, so it recorded both rounds.
+  EXPECT_EQ(joiner.cycles_completed(), 2);
+  EXPECT_GE(result_.rounds[2].virtual_time, result_.rounds[1].virtual_time);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AsyncStrategies, AsyncChurnTest,
     ::testing::Values(ChurnCase{"async", false}, ChurnCase{"async", true},

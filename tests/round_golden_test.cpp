@@ -16,8 +16,8 @@
 //     asynchronous event engine.
 //
 // Settings: 4 cycles, the scalar kernel backend forced through the
-// override API, 1 thread; the asynchronous cases run again at 4 threads
-// against the same constants. Environments: the 4-device test fleet with no
+// override API, 1 thread; every case runs again at 4 threads against the
+// same constants. Environments: the 4-device test fleet with no
 // session, with a simulated 5%-loss int8-per-neuron + error-feedback
 // session, and with a depth-2 (2-edge) aggregator tree; plus lazy
 // mobile_longtail(64) with a CohortSampler. CompressedSyncFL is left out of
@@ -252,9 +252,11 @@ INSTANTIATE_TEST_SUITE_P(
       return case_name(info.param);
     });
 
-// The 12 asynchronous cases again at 4 threads, against the same constants.
-// The event engine trains each wave of in-flight devices concurrently, so
-// these are the cases that run the waves against the recorded bits.
+// Every case again at 4 threads, against the same constants. The event
+// engine trains each wave of in-flight devices concurrently; the
+// synchronous rounds train, encode, decode and evaluate on the pool. The
+// 12 asynchronous cases were added first, the 29 synchronous ones when the
+// wire path, the tier collapse and evaluation moved onto the pool.
 class RoundGoldenFourThreadTest : public RoundGoldenTest {
  protected:
   void SetUp() override {
@@ -268,17 +270,8 @@ TEST_P(RoundGoldenFourThreadTest, MatchesRecordedDigest) {
   EXPECT_EQ(run_case(c), c.digest) << case_name(c) << " at 4 threads";
 }
 
-std::vector<GoldenCase> async_cases() {
-  std::vector<GoldenCase> out;
-  for (const GoldenCase& c : kCases) {
-    const std::string kind = c.kind;
-    if (kind.starts_with("async") || kind == "afo") out.push_back(c);
-  }
-  return out;
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    Parent, RoundGoldenFourThreadTest, ::testing::ValuesIn(async_cases()),
+    Parent, RoundGoldenFourThreadTest, ::testing::ValuesIn(kCases),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return case_name(info.param);
     });
