@@ -5,7 +5,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "codec/codec.h"
 #include "net/wire.h"
 
 namespace helios::agg {
@@ -14,15 +13,12 @@ namespace {
 
 // Merge-frame layout (little-endian):
 //   0   4  magic "HMF1"
-//   4   4  MergeCodec id (pre-codec frames wrote 0 here = kF64)
+//   4   4  reserved, 0
 //   8   8  param_count  (validated against the geometry)
 //  16   8  buffer_count
 //  24   8  folded update count
-//  32   -  kF16 only: four f32 stream scales (acc, den, bacc, bden)
-//   -   -  acc  values (param_count), den values (param_count),
-//          bacc values (buffer_count), bden value — 8 B raw f64 bits
-//          (kF64), 4 B f32 downcasts (kF32), or 2 B fp16 against the
-//          stream scale (kF16)
+//  32   -  acc values (param_count), den values (param_count),
+//          bacc values (buffer_count), bden value — 8 B raw f64 bits each
 //   -   4  CRC32 over every preceding byte
 constexpr std::uint32_t kMergeMagic = 0x31464D48U;  // "HMF1"
 constexpr std::size_t kMergeHeaderBytes = 32;
@@ -195,124 +191,25 @@ void StreamingAccumulator::finalize(std::span<float> global,
   }
 }
 
-bool merge_codec_known(std::uint32_t raw) {
-  return raw <= static_cast<std::uint32_t>(MergeCodec::kF16);
-}
-
-namespace {
-
-/// Total doubles a frame's payload carries: acc + den + bacc + bden.
-std::size_t merge_value_count(const ModelGeometry& geometry) {
-  return 2 * geometry.param_count + geometry.buffer_count + 1;
-}
-
-/// Per-value wire width for a codec's payload.
-std::size_t merge_value_bytes(MergeCodec codec) {
-  switch (codec) {
-    case MergeCodec::kF64: return 8;
-    case MergeCodec::kF32: return 4;
-    case MergeCodec::kF16: return 2;
-  }
-  throw net::WireError("merge frame: unknown codec");
-}
-
-/// kF16 scale count: one f32 per stream (acc, den, bacc, bden).
-constexpr std::size_t kF16ScaleCount = 4;
-
-void put_f32(std::vector<std::uint8_t>& out, float v) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u32(out, bits);
-}
-
-float get_f32(std::span<const std::uint8_t> in, std::size_t at) {
-  const std::uint32_t bits = get_u32(in, at);
-  float v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-float stream_scale(std::span<const double> values) {
-  double max_abs = 0.0;
-  for (double v : values) {
-    const double a = std::fabs(v);
-    if (a > max_abs) max_abs = a;
-  }
-  return static_cast<float>(max_abs);
-}
-
-void put_f16_stream(std::vector<std::uint8_t>& out,
-                    std::span<const double> values, float scale) {
-  for (double v : values) {
-    const float q = scale > 0.0f
-                        ? static_cast<float>(v / static_cast<double>(scale))
-                        : 0.0f;
-    const std::uint16_t bits = codec::fp16_from_float(q);
-    out.push_back(static_cast<std::uint8_t>(bits));
-    out.push_back(static_cast<std::uint8_t>(bits >> 8));
-  }
-}
-
-void get_f16_stream(std::span<const std::uint8_t> in, std::size_t& at,
-                    float scale, std::span<double> values) {
-  for (double& v : values) {
-    const auto bits = static_cast<std::uint16_t>(
-        in[at] | (static_cast<std::uint16_t>(in[at + 1]) << 8));
-    at += 2;
-    v = static_cast<double>(codec::fp16_to_float(bits)) *
-        static_cast<double>(scale);
-  }
-}
-
-}  // namespace
-
-std::size_t StreamingAccumulator::frame_bytes(const ModelGeometry& geometry,
-                                              MergeCodec codec) {
+std::size_t StreamingAccumulator::frame_bytes(const ModelGeometry& geometry) {
+  // acc + den + bacc + bden, 8 B each.
   return kMergeHeaderBytes +
-         (codec == MergeCodec::kF16 ? kF16ScaleCount * sizeof(float) : 0) +
-         merge_value_bytes(codec) * merge_value_count(geometry) +
+         8 * (2 * geometry.param_count + geometry.buffer_count + 1) +
          kMergeTrailerBytes;
 }
 
-std::vector<std::uint8_t> StreamingAccumulator::encode_frame(
-    MergeCodec codec) const {
+std::vector<std::uint8_t> StreamingAccumulator::encode_frame() const {
   std::vector<std::uint8_t> out;
-  out.reserve(frame_bytes(*geo_, codec));
+  out.reserve(frame_bytes(*geo_));
   put_u32(out, kMergeMagic);
-  put_u32(out, static_cast<std::uint32_t>(codec));
+  put_u32(out, 0);  // reserved
   put_u64(out, static_cast<std::uint64_t>(geo_->param_count));
   put_u64(out, static_cast<std::uint64_t>(geo_->buffer_count));
   put_u64(out, folded_);
-  switch (codec) {
-    case MergeCodec::kF64:
-      for (double v : acc_) put_f64(out, v);
-      for (double v : den_) put_f64(out, v);
-      for (double v : bacc_) put_f64(out, v);
-      put_f64(out, bden_);
-      break;
-    case MergeCodec::kF32:
-      for (double v : acc_) put_f32(out, static_cast<float>(v));
-      for (double v : den_) put_f32(out, static_cast<float>(v));
-      for (double v : bacc_) put_f32(out, static_cast<float>(v));
-      put_f32(out, static_cast<float>(bden_));
-      break;
-    case MergeCodec::kF16: {
-      const double bden_arr[1] = {bden_};
-      const float s_acc = stream_scale(acc_);
-      const float s_den = stream_scale(den_);
-      const float s_bacc = stream_scale(bacc_);
-      const float s_bden = stream_scale(bden_arr);
-      put_f32(out, s_acc);
-      put_f32(out, s_den);
-      put_f32(out, s_bacc);
-      put_f32(out, s_bden);
-      put_f16_stream(out, acc_, s_acc);
-      put_f16_stream(out, den_, s_den);
-      put_f16_stream(out, bacc_, s_bacc);
-      put_f16_stream(out, bden_arr, s_bden);
-      break;
-    }
-  }
+  for (double v : acc_) put_f64(out, v);
+  for (double v : den_) put_f64(out, v);
+  for (double v : bacc_) put_f64(out, v);
+  put_f64(out, bden_);
   put_u32(out, net::crc32({out.data(), out.size()}));
   return out;
 }
@@ -322,23 +219,18 @@ StreamingAccumulator StreamingAccumulator::decode_frame(
   if (geometry == nullptr) {
     throw std::invalid_argument("decode_frame: null geometry");
   }
-  if (frame.size() < kMergeHeaderBytes + kMergeTrailerBytes) {
+  if (frame.size() != frame_bytes(*geometry)) {
     throw net::WireError("merge frame: bad length");
   }
   if (get_u32(frame, 0) != kMergeMagic) {
     throw net::WireError("merge frame: bad magic");
   }
-  const std::uint32_t codec_raw = get_u32(frame, 4);
-  if (!merge_codec_known(codec_raw)) {
-    throw net::WireError("merge frame: unknown codec");
-  }
-  const auto codec = static_cast<MergeCodec>(codec_raw);
-  if (frame.size() != frame_bytes(*geometry, codec)) {
-    throw net::WireError("merge frame: bad length");
-  }
   const std::size_t body = frame.size() - kMergeTrailerBytes;
   if (net::crc32(frame.subspan(0, body)) != get_u32(frame, body)) {
     throw net::WireError("merge frame: CRC mismatch");
+  }
+  if (get_u32(frame, 4) != 0) {
+    throw net::WireError("merge frame: non-zero reserved word");
   }
   if (get_u64(frame, 8) != geometry->param_count ||
       get_u64(frame, 16) != geometry->buffer_count) {
@@ -347,34 +239,10 @@ StreamingAccumulator StreamingAccumulator::decode_frame(
   StreamingAccumulator a(geometry);
   a.folded_ = get_u64(frame, 24);
   std::size_t at = kMergeHeaderBytes;
-  switch (codec) {
-    case MergeCodec::kF64:
-      for (double& v : a.acc_) { v = get_f64(frame, at); at += 8; }
-      for (double& v : a.den_) { v = get_f64(frame, at); at += 8; }
-      for (double& v : a.bacc_) { v = get_f64(frame, at); at += 8; }
-      a.bden_ = get_f64(frame, at);
-      break;
-    case MergeCodec::kF32:
-      for (double& v : a.acc_) { v = get_f32(frame, at); at += 4; }
-      for (double& v : a.den_) { v = get_f32(frame, at); at += 4; }
-      for (double& v : a.bacc_) { v = get_f32(frame, at); at += 4; }
-      a.bden_ = get_f32(frame, at);
-      break;
-    case MergeCodec::kF16: {
-      const float s_acc = get_f32(frame, at);
-      const float s_den = get_f32(frame, at + 4);
-      const float s_bacc = get_f32(frame, at + 8);
-      const float s_bden = get_f32(frame, at + 12);
-      at += 16;
-      get_f16_stream(frame, at, s_acc, a.acc_);
-      get_f16_stream(frame, at, s_den, a.den_);
-      get_f16_stream(frame, at, s_bacc, a.bacc_);
-      double bden_arr[1];
-      get_f16_stream(frame, at, s_bden, bden_arr);
-      a.bden_ = bden_arr[0];
-      break;
-    }
-  }
+  for (double& v : a.acc_) { v = get_f64(frame, at); at += 8; }
+  for (double& v : a.den_) { v = get_f64(frame, at); at += 8; }
+  for (double& v : a.bacc_) { v = get_f64(frame, at); at += 8; }
+  a.bden_ = get_f64(frame, at);
   return a;
 }
 

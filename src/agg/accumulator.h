@@ -48,23 +48,6 @@ struct ModelGeometry {
 
 ModelGeometry make_geometry(nn::Model& model);
 
-/// Payload codec for tier-to-tier merge frames. The codec id rides in the
-/// frame header (the formerly-reserved word), so a decoder accepts any
-/// codec and pre-codec frames read as kF64.
-enum class MergeCodec : std::uint32_t {
-  /// Raw f64 bits — decode is bit-exact (the default, and the only codec
-  /// that preserves the fold ≡ server-loop identity).
-  kF64 = 0,
-  /// f64 sums downcast to f32 on the wire (round-to-nearest).
-  kF32 = 1,
-  /// fp16 values against four per-stream f32 scales (acc / den / bacc /
-  /// bden), scale = max |v| of the stream.
-  kF16 = 2,
-};
-
-/// True when `raw` names a known MergeCodec.
-bool merge_codec_known(std::uint32_t raw);
-
 /// A borrowed view of one client update — the agg layer's decoupling from
 /// fl::ClientUpdate (agg sits below fl).
 struct UpdateView {
@@ -118,18 +101,14 @@ class StreamingAccumulator {
 
   // -- Merge frames ---------------------------------------------------------
 
-  /// Frame size in bytes for an accumulator of this geometry (fixed per
-  /// codec: the weight-carrying payload is dense regardless of how many
-  /// devices fed it).
-  static std::size_t frame_bytes(const ModelGeometry& geometry,
-                                 MergeCodec codec = MergeCodec::kF64);
-  /// Serializes the sums into a weight-carrying merge frame. kF64 decodes
-  /// bit-exactly; kF32/kF16 trade precision for tier-uplink bytes.
-  std::vector<std::uint8_t> encode_frame(
-      MergeCodec codec = MergeCodec::kF64) const;
-  /// Decodes a merge frame of any known codec (geometry must match; CRC
-  /// checked). A kF64 frame decodes bit-identically to the encoded
-  /// accumulator.
+  /// Frame size in bytes for an accumulator of this geometry (fixed: the
+  /// weight-carrying payload is dense regardless of how many devices fed
+  /// it).
+  static std::size_t frame_bytes(const ModelGeometry& geometry);
+  /// Serializes the sums into a weight-carrying merge frame.
+  std::vector<std::uint8_t> encode_frame() const;
+  /// Decodes a merge frame (geometry must match; CRC checked) bit-identically
+  /// to the encoded accumulator.
   static StreamingAccumulator decode_frame(std::span<const std::uint8_t> frame,
                                            const ModelGeometry* geometry);
 

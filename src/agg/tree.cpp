@@ -18,9 +18,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 AggregatorTree::AggregatorTree(const TreeTopology& topology,
-                               const ModelGeometry* geometry,
-                               MergeCodec codec)
-    : topo_(topology), geo_(geometry), codec_(codec) {
+                               const ModelGeometry* geometry)
+    : topo_(topology), geo_(geometry) {
   if (!topo_.active()) {
     throw std::invalid_argument("AggregatorTree: inactive topology");
   }
@@ -143,20 +142,18 @@ void AggregatorTree::collapse() {
             // parent decodes and merges, and the edge-side copy is
             // conceptually discarded. One frame is live at a time.
             const std::vector<std::uint8_t> frame =
-                edges_[e].encode_frame(codec_);
+                edges_[e].encode_frame();
             edge_bytes[p] += frame.size();
             edge_frames[p] += 1;
             parents[p]->merge(StreamingAccumulator::decode_frame(frame, geo_));
           }
           if (depth3 && !parents[p]->empty()) {
-            regional_frames[p] = parents[p]->encode_frame(codec_);
+            regional_frames[p] = parents[p]->encode_frame();
           }
         }
       });
   TierStats& root_stats = stats_.back();
   TierStats& parent_stats = depth3 ? stats_[1] : root_stats;
-  const std::uint64_t raw_frame =
-      StreamingAccumulator::frame_bytes(*geo_, MergeCodec::kF64);
   for (std::size_t p = 0; p < parents.size(); ++p) {
     parent_stats.frames_folded += edge_frames[p];
     // In simulated mode relay() already accounted the wire bytes (rider and
@@ -164,7 +161,7 @@ void AggregatorTree::collapse() {
     // pass-through path.
     if (!relay_ran_) {
       stats_.front().bytes_forwarded += edge_bytes[p];
-      stats_.front().raw_bytes += edge_frames[p] * raw_frame;
+      stats_.front().raw_bytes += edge_bytes[p];
     }
   }
   parent_stats.fold_seconds += seconds_since(t0);
@@ -175,7 +172,7 @@ void AggregatorTree::collapse() {
     if (frame.empty()) continue;
     if (!relay_ran_) {
       stats_[1].bytes_forwarded += frame.size();
-      stats_[1].raw_bytes += raw_frame;
+      stats_[1].raw_bytes += frame.size();
     }
     root_.merge(StreamingAccumulator::decode_frame(frame, geo_));
     root_stats.frames_folded += 1;
@@ -231,8 +228,6 @@ RelayOutcome AggregatorTree::relay(std::span<const double> edge_ready,
   }
   relay_ran_ = true;
   const std::size_t frame = merge_frame_bytes();
-  const std::size_t raw_frame =
-      StreamingAccumulator::frame_bytes(*geo_, MergeCodec::kF64);
   const double edge_deadline =
       topo_.edge_deadline_s > 0.0 ? round_start_s + topo_.edge_deadline_s : 0.0;
   const double root_deadline =
@@ -283,7 +278,7 @@ RelayOutcome AggregatorTree::relay(std::span<const double> edge_ready,
     const LinkDelivery d =
         send_link(edge_channels_[e], frame + edge_extra_bytes[e],
                   edge_ready[e], edge_deadline);
-    stats_.front().raw_bytes += raw_frame + edge_extra_bytes[e];
+    stats_.front().raw_bytes += frame + edge_extra_bytes[e];
     if (account(d, edge_deadline, stats_.front())) {
       edge_sent[e] = {true, d.settle_s, edge_extra_bytes[e]};
       if (!depth3) out.edge_on_time[e] = 1;
@@ -311,7 +306,7 @@ RelayOutcome AggregatorTree::relay(std::span<const double> edge_ready,
     if (ready < 0.0) continue;
     const LinkDelivery d =
         send_link(regional_channels_[r], frame + extra, ready, root_deadline);
-    stats_[1].raw_bytes += raw_frame + extra;
+    stats_[1].raw_bytes += frame + extra;
     if (account(d, root_deadline, stats_[1])) {
       for (std::size_t e : children) out.edge_on_time[e] = 1;
     }

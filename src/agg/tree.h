@@ -43,8 +43,7 @@ struct TierStats {
   const char* tier = "";             // "edge" | "regional" | "root"
   std::uint64_t frames_folded = 0;   // frames folded by this tier's nodes
   std::uint64_t bytes_forwarded = 0; // uplink bytes this tier transmitted
-  /// What the forwarded payloads would have cost at kF64 (one per frame
-  /// crossing, retransmits excluded) — the quantized-savings baseline.
+  /// Uplink payload bytes, one per frame crossing (retransmits excluded).
   std::uint64_t raw_bytes = 0;
   int deadline_misses = 0;           // merge frames arriving past the tier deadline
   int retransmits = 0;
@@ -71,18 +70,15 @@ struct RelayOutcome {
 class AggregatorTree {
  public:
   /// `geometry` is shared and must outlive the tree. Requires
-  /// `topology.active()`. `codec` sets the tier-uplink merge-frame payload
-  /// encoding (kF64 keeps the bit-exact collapse).
-  AggregatorTree(const TreeTopology& topology, const ModelGeometry* geometry,
-                 MergeCodec codec = MergeCodec::kF64);
+  /// `topology.active()`.
+  AggregatorTree(const TreeTopology& topology, const ModelGeometry* geometry);
 
   const TreeTopology& topology() const { return topo_; }
   const ModelGeometry& geometry() const { return *geo_; }
-  MergeCodec merge_codec() const { return codec_; }
-  /// Fixed uplink frame size for this geometry at the tree's codec
-  /// (excluding bookkeeping riders).
+  /// Fixed uplink frame size for this geometry (excluding bookkeeping
+  /// riders).
   std::size_t merge_frame_bytes() const {
-    return StreamingAccumulator::frame_bytes(*geo_, codec_);
+    return StreamingAccumulator::frame_bytes(*geo_);
   }
 
   // -- Aggregation path (server side) ---------------------------------------
@@ -171,7 +167,6 @@ class AggregatorTree {
 
   TreeTopology topo_;
   const ModelGeometry* geo_;
-  MergeCodec codec_ = MergeCodec::kF64;
   std::vector<StreamingAccumulator> edges_;
   std::vector<StreamingAccumulator> regionals_;
   StreamingAccumulator root_;

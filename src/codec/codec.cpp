@@ -12,10 +12,46 @@ constexpr int kZeroRunMin = 3;              // shortest run worth escaping
 constexpr int kZeroRunMax = 255;            // u8 run length
 
 const CodecInfo kCodecs[] = {
-    {CodecId::kFp32, "fp32", 32, false, false, false},
-    {CodecId::kFp16, "fp16", 16, false, false, false},
-    {CodecId::kInt8PerTensor, "int8", 8, true, false, true},
-    {CodecId::kInt8PerNeuron, "int8pn", 8, true, true, true},
+    {CodecId::kFp32, "fp32", 32, false},
+    {CodecId::kFp16, "fp16", 16, false},
+    {CodecId::kInt8PerNeuron, "int8pn", 8, true},
+};
+
+/// `Width` little-endian bytes at `p`.
+template <std::size_t Width>
+std::uint32_t load_le(const std::uint8_t* p) {
+  std::uint32_t v = 0;
+  for (std::size_t b = 0; b < Width; ++b) {
+    v |= static_cast<std::uint32_t>(p[b]) << (8 * b);
+  }
+  return v;
+}
+
+template <std::size_t Width>
+void store_le(std::uint8_t* p, std::uint32_t v) {
+  for (std::size_t b = 0; b < Width; ++b) {
+    p[b] = static_cast<std::uint8_t>(v >> (8 * b));
+  }
+}
+
+/// Reads an int8 stream byte by byte. Throws CodecError on overrun and
+/// never reads past its span.
+class ByteReader {
+ public:
+  explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+
+  std::uint8_t next() {
+    if (at_ >= bytes_.size()) {
+      throw CodecError("codec: packed stream truncated");
+    }
+    return bytes_[at_++];
+  }
+
+  std::size_t consumed() const { return at_; }
+
+ private:
+  std::span<const std::uint8_t> bytes_;
+  std::size_t at_ = 0;
 };
 
 std::uint32_t group_of(std::span<const std::uint32_t> groups, std::size_t i) {
@@ -51,6 +87,29 @@ void check_plan(const QuantPlan& plan, std::span<const float> values,
   }
 }
 
+void reject_non_finite(std::span<const float> values) {
+  for (float v : values) {
+    if (!std::isfinite(v)) {
+      throw CodecError("codec: non-finite value in payload");
+    }
+  }
+}
+
+/// One dequantized value (the decoder's exact arithmetic): fp16 round trip
+/// for kFp16, scale-grid snap for int8pn, identity for kFp32.
+float dequantize_one(const QuantPlan& plan, float value, std::uint32_t group) {
+  const CodecInfo& info = codec_info(plan.id);
+  if (info.scaled) {
+    if (group >= plan.scale_bits.size()) {
+      throw CodecError("codec: value tagged with an unknown group");
+    }
+    const float s = plan.scale(group);
+    return int8_dequantize(int8_quantize(value, s), s);
+  }
+  if (plan.id == CodecId::kFp16) return fp16_to_float(fp16_from_float(value));
+  return value;  // kFp32
+}
+
 }  // namespace
 
 const CodecInfo& codec_info(CodecId id) {
@@ -68,18 +127,7 @@ bool codec_known(std::uint32_t raw) {
   return false;
 }
 
-CodecId codec_from_name(std::string_view name) {
-  if (name == "auto") return CodecId::kAuto;
-  for (const CodecInfo& c : kCodecs) {
-    if (name == c.name) return c.id;
-  }
-  throw CodecError("codec: unknown codec name \"" + std::string(name) + "\"");
-}
-
-const char* codec_name(CodecId id) {
-  if (id == CodecId::kAuto) return "auto";
-  return codec_info(id).name;
-}
+const char* codec_name(CodecId id) { return codec_info(id).name; }
 
 std::uint16_t fp16_from_float(float v) {
   const std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
@@ -145,14 +193,6 @@ float fp16_to_float(std::uint16_t h) {
   return std::bit_cast<float>(f);
 }
 
-void reject_non_finite(std::span<const float> values, const char* what) {
-  for (float v : values) {
-    if (!std::isfinite(v)) {
-      throw CodecError(std::string("codec: non-finite value in ") + what);
-    }
-  }
-}
-
 QuantPlan plan_quantization(CodecId id, std::span<const float> values,
                             std::span<const std::uint32_t> groups,
                             std::size_t group_count) {
@@ -160,9 +200,10 @@ QuantPlan plan_quantization(CodecId id, std::span<const float> values,
   if (!groups.empty() && groups.size() != values.size()) {
     throw CodecError("codec: group tags do not match the value stream");
   }
-  reject_non_finite(values, "payload");
   QuantPlan plan;
   plan.id = id;
+  if (id == CodecId::kFp32) return plan;  // lossless: any bit pattern ships
+  reject_non_finite(values);
   if (!info.scaled) return plan;
   if (group_count == 0 && !values.empty()) {
     throw CodecError("codec: scaled codec needs at least one group");
@@ -192,17 +233,17 @@ std::size_t encode_values(const QuantPlan& plan, std::span<const float> values,
   check_plan(plan, values, groups);
   const CodecInfo& info = codec_info(plan.id);
   const std::size_t start = out.size();
-  BitWriter w(out);
-  if (info.zero_rle) {
+  if (info.scaled) {
     int run = 0;
     auto flush = [&] {
       while (run >= kZeroRunMin) {
         const int chunk = run < kZeroRunMax ? run : kZeroRunMax;
-        w.put(kZeroEscape, 8);
-        w.put(static_cast<std::uint64_t>(chunk), 8);
+        out.push_back(kZeroEscape);
+        out.push_back(static_cast<std::uint8_t>(chunk));
         run -= chunk;
       }
-      for (; run > 0; --run) w.put(0, 8);
+      out.insert(out.end(), static_cast<std::size_t>(run), std::uint8_t{0});
+      run = 0;
     };
     for (std::size_t i = 0; i < values.size(); ++i) {
       const int q =
@@ -212,15 +253,24 @@ std::size_t encode_values(const QuantPlan& plan, std::span<const float> values,
         continue;
       }
       flush();
-      w.put(static_cast<std::uint8_t>(q), 8);
+      out.push_back(static_cast<std::uint8_t>(q));
     }
     flush();
-  } else if (plan.id == CodecId::kFp16) {
-    for (float v : values) w.put(fp16_from_float(v), 16);
-  } else {  // kFp32
-    for (float v : values) w.put(std::bit_cast<std::uint32_t>(v), 32);
+  } else {
+    out.resize(start + values.size() * (info.value_bits / 8));
+    std::uint8_t* at = out.data() + start;
+    if (plan.id == CodecId::kFp16) {
+      for (float v : values) {
+        store_le<2>(at, fp16_from_float(v));
+        at += 2;
+      }
+    } else {
+      for (float v : values) {
+        store_le<4>(at, std::bit_cast<std::uint32_t>(v));
+        at += 4;
+      }
+    }
   }
-  w.align();
   return out.size() - start;
 }
 
@@ -234,12 +284,12 @@ std::vector<float> decode_values(const QuantPlan& plan,
   const CodecInfo& info = codec_info(plan.id);
   std::vector<float> values;
   values.reserve(count);
-  BitReader r(payload);
-  if (info.zero_rle) {
+  ByteReader r(payload);
+  if (info.scaled) {
     while (values.size() < count) {
-      const auto b = static_cast<std::uint8_t>(r.get(8));
+      const std::uint8_t b = r.next();
       if (b == kZeroEscape) {
-        const auto run = static_cast<std::size_t>(r.get(8));
+        const std::size_t run = r.next();
         if (run < static_cast<std::size_t>(kZeroRunMin) ||
             values.size() + run > count) {
           throw CodecError("codec: corrupt zero run");
@@ -254,35 +304,33 @@ std::vector<float> decode_values(const QuantPlan& plan,
       }
       values.push_back(int8_dequantize(q, plan.scale(g)));
     }
-  } else if (plan.id == CodecId::kFp16) {
-    for (std::size_t i = 0; i < count; ++i) {
-      values.push_back(
-          fp16_to_float(static_cast<std::uint16_t>(r.get(16))));
+    if (r.consumed() != payload.size()) {
+      throw CodecError("codec: packed stream has trailing bytes");
     }
-  } else {
-    for (std::size_t i = 0; i < count; ++i) {
-      values.push_back(
-          std::bit_cast<float>(static_cast<std::uint32_t>(r.get(32))));
-    }
+    return values;
   }
-  r.align();
-  if (r.consumed() != payload.size()) {
+  // Fixed width: the stream length alone says whether it is whole.
+  const std::size_t width = info.value_bits / 8;
+  if (payload.size() / width < count) {
+    throw CodecError("codec: packed stream truncated");
+  }
+  if (payload.size() != count * width) {
     throw CodecError("codec: packed stream has trailing bytes");
   }
-  return values;
-}
-
-float dequantize_one(const QuantPlan& plan, float value, std::uint32_t group) {
-  const CodecInfo& info = codec_info(plan.id);
-  if (info.scaled) {
-    if (group >= plan.scale_bits.size()) {
-      throw CodecError("codec: value tagged with an unknown group");
+  values.resize(count);
+  const std::uint8_t* at = payload.data();
+  if (plan.id == CodecId::kFp16) {
+    for (float& v : values) {
+      v = fp16_to_float(static_cast<std::uint16_t>(load_le<2>(at)));
+      at += 2;
     }
-    const float s = plan.scale(group);
-    return int8_dequantize(int8_quantize(value, s), s);
+  } else {
+    for (float& v : values) {
+      v = std::bit_cast<float>(load_le<4>(at));
+      at += 4;
+    }
   }
-  if (plan.id == CodecId::kFp16) return fp16_to_float(fp16_from_float(value));
-  return value;  // kFp32
+  return values;
 }
 
 std::vector<float> dequantized_values(const QuantPlan& plan,
@@ -301,9 +349,7 @@ std::size_t payload_bytes(const QuantPlan& plan, std::span<const float> values,
                           std::span<const std::uint32_t> groups) {
   check_plan(plan, values, groups);
   const CodecInfo& info = codec_info(plan.id);
-  if (!info.zero_rle) {
-    return (values.size() * info.value_bits + 7) / 8;
-  }
+  if (!info.scaled) return values.size() * info.value_bits / 8;
   std::size_t bytes = 0;
   int run = 0;
   auto flush = [&] {

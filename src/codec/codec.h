@@ -1,12 +1,11 @@
-// Payload codecs for the wire formats: per-tensor and per-neuron scaled
-// int8 and fp16 encodings of a float value stream.
+// Payload codecs for the wire format: fp32, fp16 and per-neuron scaled int8
+// encodings of a float value stream.
 //
 // The layer sits between tensor and net: it knows nothing about frames,
 // models or masks — callers hand it a flat value stream where each value is
 // tagged with a dense *group* id (the wire layer derives groups from the
-// model layout: one group per owning neuron plus a common group, or a
-// single group for per-tensor codecs), and the codec quantizes each group
-// against its own scale.
+// model layout: one group per owning neuron plus a common group), and the
+// int8 codec quantizes each group against its own scale.
 //
 // Determinism contract (the reason every rounding rule is spelled out):
 // encode -> decode is an exact function of the inputs on every platform the
@@ -14,43 +13,48 @@
 // values bit-for-bit — which is what the error-feedback accumulators and
 // the crash/resume bit-identity tests rely on.
 //
+//   * fp32 — raw IEEE754 bits, lossless (NaN/Inf included).
 //   * fp16 — software IEEE754 binary16 conversion, round-to-nearest-even,
 //     saturating at +-65504 (no F16C / hardware dependence).
-//   * int8 — per-group scale s = fp16(max|v| / 127) (the scale itself is
+//   * int8pn — per-group scale s = fp16(max|v| / 127) (the scale itself is
 //     stored and applied as the fp16-rounded value, so both sides use the
 //     identical grid); q = clamp(lround(v / s), -127, +127) evaluated in
 //     double (half-away-from-zero, the C standard's lround); dequantized
 //     value = float(q * s) in double arithmetic. q = 0 whenever s == 0
 //     (an all-zero group).
 //
-// int8 payloads ride a zero-run escape: the byte 0x80 (never a valid q —
-// the clamp is symmetric) followed by a u8 run length encodes a run of
-// >= 3 zero values, so the frequent exact-zero deltas of a training update
-// compress without any expansion in the worst case.
+// The packed stream is whole little-endian bytes: 4 per fp32 value, 2 per
+// fp16 value, 1 per int8 value. int8 payloads ride a zero-run escape: the
+// byte 0x80 (never a valid q — the clamp is symmetric) followed by a u8 run
+// length encodes a run of >= 3 zero values, so the frequent exact-zero
+// deltas of a training update compress without any expansion in the worst
+// case.
 //
-// NaN/Inf inputs are rejected with CodecError — a quantized frame must
-// never launder a non-finite value into the aggregation path.
+// The lossy codecs reject NaN/Inf inputs with CodecError — a quantized
+// frame must never launder a non-finite value into the aggregation path.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string_view>
+#include <stdexcept>
 #include <vector>
-
-#include "codec/bitstream.h"
 
 namespace helios::codec {
 
-/// Registry of payload codecs. Fixed ids — they appear in wire frames.
+/// Malformed codec input: NaN/Inf payloads, unknown codec ids, truncated or
+/// oversized packed streams.
+class CodecError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Registry of payload codecs. Fixed ids — they appear in wire frames. Id 2
+/// (a retired per-tensor int8 codec) stays unassigned.
 enum class CodecId : std::uint32_t {
-  kFp32 = 0,           // raw IEEE754 bits; the v1 wire format's encoding
+  kFp32 = 0,           // raw IEEE754 bits, lossless
   kFp16 = 1,           // binary16, round-to-nearest-even
-  kInt8PerTensor = 2,  // one scale for the whole payload
   kInt8PerNeuron = 3,  // one scale per owning neuron (+ the common group)
-  /// Dispatch-time only: pick whichever concrete codec yields the smallest
-  /// frame. Never appears on the wire.
-  kAuto = 0xFFFFFFFFU,
 };
 
 struct CodecInfo {
@@ -58,21 +62,15 @@ struct CodecInfo {
   const char* name = "";
   /// Packed payload bits per value (before zero-run coding).
   unsigned value_bits = 32;
-  /// Carries per-group fp16 scales.
+  /// int8 against per-group fp16 scales, with zero-run escape coding.
   bool scaled = false;
-  /// Scale groups follow neuron ownership (else a single group).
-  bool per_neuron_groups = false;
-  /// Payload uses the zero-run escape coding.
-  bool zero_rle = false;
 };
 
-/// Codec metadata; throws CodecError for kAuto or an unknown id.
+/// Codec metadata; throws CodecError for an unknown id.
 const CodecInfo& codec_info(CodecId id);
-/// True when `raw` names a concrete (wire-encodable) codec.
+/// True when `raw` names a codec.
 bool codec_known(std::uint32_t raw);
-/// Parses "fp32" / "fp16" / "int8" / "int8pn" / "auto" (bench/CLI surface).
-CodecId codec_from_name(std::string_view name);
-/// Short name for reports ("fp32", "fp16", "int8", "int8pn", "auto").
+/// Short name for reports ("fp32", "fp16", "int8pn").
 const char* codec_name(CodecId id);
 
 // ---- fp16 ------------------------------------------------------------------
@@ -81,9 +79,6 @@ const char* codec_name(CodecId id);
 std::uint16_t fp16_from_float(float v);
 /// binary16 bits -> float (exact).
 float fp16_to_float(std::uint16_t h);
-
-/// Throws CodecError when any value is NaN or +-Inf.
-void reject_non_finite(std::span<const float> values, const char* what);
 
 // ---- Group-scaled quantization ---------------------------------------------
 
@@ -102,14 +97,14 @@ struct QuantPlan {
 
 /// Computes the quantization plan for a tagged value stream: values[i]
 /// belongs to dense group groups[i] (an empty `groups` span means all
-/// values are group 0). Rejects NaN/Inf values. `group_count` sizes the
-/// scale list for scaled codecs.
+/// values are group 0). The lossy codecs reject NaN/Inf values.
+/// `group_count` sizes the scale list for the scaled codec.
 QuantPlan plan_quantization(CodecId id, std::span<const float> values,
                             std::span<const std::uint32_t> groups,
                             std::size_t group_count);
 
 /// Appends the packed payload of `values` under `plan` to `out`; returns
-/// the number of bytes appended. The packing is byte-aligned at the end.
+/// the number of bytes appended.
 std::size_t encode_values(const QuantPlan& plan, std::span<const float> values,
                           std::span<const std::uint32_t> groups,
                           std::vector<std::uint8_t>& out);
@@ -129,12 +124,8 @@ std::vector<float> dequantized_values(const QuantPlan& plan,
                                       std::span<const std::uint32_t> groups);
 
 /// Exact encoded payload size of `values` under `plan` (zero-run coding
-/// makes this value-dependent for the int8 codecs).
+/// makes this value-dependent for int8pn).
 std::size_t payload_bytes(const QuantPlan& plan, std::span<const float> values,
                           std::span<const std::uint32_t> groups);
-
-/// One dequantized value (the decoder's exact arithmetic): fp16 round trip
-/// for kFp16, scale-grid snap for the int8 codecs, identity for kFp32.
-float dequantize_one(const QuantPlan& plan, float value, std::uint32_t group);
 
 }  // namespace helios::codec

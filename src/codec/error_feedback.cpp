@@ -3,7 +3,7 @@
 #include <cmath>
 #include <utility>
 
-#include "codec/bitstream.h"  // CodecError
+#include "codec/codec.h"
 
 namespace helios::codec {
 

@@ -2,57 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
-#include "fl/transport.h"
-
 namespace helios::fl {
-
-namespace {
-
-/// Exact sparse-delta frame size for the kept changed entries at `codec`'s
-/// encoded payload width (see net/wire.h). kAuto is sized as fp32 — the
-/// upper bound the auto encoder never exceeds.
-std::size_t sparse_wire_bytes(const ClientUpdate& update,
-                              const net::WireLayout& layout,
-                              std::span<const std::size_t> kept,
-                              codec::CodecId codec) {
-  const int masked_total =
-      update.trained_mask.empty() ? 0 : layout.neuron_total;
-  if (codec == codec::CodecId::kFp32 || codec == codec::CodecId::kAuto) {
-    return net::sparse_frame_bytes(kept.size(), layout.buffer_count,
-                                   masked_total);
-  }
-  const codec::CodecInfo& info = codec::codec_info(codec);
-  std::size_t scale_count = 0;
-  if (info.scaled) {
-    if (info.per_neuron_groups) {
-      // One fp16 scale per distinct owning neuron among the kept entries
-      // (the common group counts once) — exactly the group list the wire
-      // encoder derives.
-      std::vector<std::uint32_t> keys;
-      keys.reserve(kept.size());
-      for (std::size_t f : kept) keys.push_back(layout.neuron_of[f]);
-      std::sort(keys.begin(), keys.end());
-      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-      scale_count = keys.size();
-    } else {
-      scale_count = kept.empty() ? 0 : 1;
-    }
-  }
-  return net::sparse_frame_bytes(kept.size(), layout.buffer_count,
-                                 masked_total, codec, scale_count);
-}
-
-}  // namespace
 
 CompressionStats compress_update_topk(ClientUpdate& update,
                                       std::span<const float> base,
-                                      double keep_fraction,
-                                      const net::WireLayout* layout,
-                                      codec::CodecId codec) {
+                                      double keep_fraction) {
   if (keep_fraction <= 0.0 || keep_fraction > 1.0) {
     throw std::invalid_argument("compress_update_topk: bad keep_fraction");
   }
@@ -69,9 +26,6 @@ CompressionStats compress_update_topk(ClientUpdate& update,
   stats.total_entries = changed.size();
   if (keep_fraction >= 1.0 || changed.empty()) {
     stats.kept_entries = changed.size();
-    if (layout != nullptr) {
-      stats.wire_bytes = sparse_wire_bytes(update, *layout, changed, codec);
-    }
     return stats;
   }
   const std::size_t keep = std::max<std::size_t>(
@@ -96,11 +50,6 @@ CompressionStats compress_update_topk(ClientUpdate& update,
   stats.kept_entries = keep;
   stats.relative_error =
       total_sq > 0.0 ? std::sqrt(dropped_sq / total_sq) : 0.0;
-  if (layout != nullptr) {
-    stats.wire_bytes = sparse_wire_bytes(
-        update, *layout, std::span<const std::size_t>(changed).first(keep),
-        codec);
-  }
   const double ratio = static_cast<double>(keep) /
                        static_cast<double>(stats.total_entries);
   update.upload_mb *= ratio;
@@ -120,13 +69,10 @@ std::string CompressedSyncFL::name() const {
              keep_fraction_ * 100.0)) + "%";
 }
 
-void CompressedSyncFL::post_train(const Fleet& fleet, ClientUpdate& update,
+void CompressedSyncFL::post_train(const Fleet& /*fleet*/,
+                                  ClientUpdate& update,
                                   std::span<const float> base) const {
-  const NetworkSession* net = fleet.network();
-  compress_update_topk(update, base, keep_fraction_,
-                       net != nullptr ? &net->layout() : nullptr,
-                       net != nullptr ? net->options().payload_codec
-                                      : codec::CodecId::kFp32);
+  compress_update_topk(update, base, keep_fraction_);
 }
 
 }  // namespace helios::fl

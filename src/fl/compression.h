@@ -14,7 +14,6 @@
 #include <span>
 
 #include "fl/sync_round.h"
-#include "net/wire.h"
 
 namespace helios::fl {
 
@@ -23,29 +22,18 @@ struct CompressionStats {
   std::size_t kept_entries = 0;   // entries actually shipped
   /// L2 norm of the dropped delta relative to the full delta (0 = lossless).
   double relative_error = 0.0;
-  /// Exact frame size of the compressed update on the wire (sparse-delta
-  /// encoding of the kept entries at the session's payload codec's actual
-  /// encoded width; see net/wire.h). 0 when no layout was supplied.
-  std::size_t wire_bytes = 0;
 };
 
 /// Sparsifies `update` in place: keeps the `keep_fraction` largest |delta|
 /// entries relative to `base` (the global parameters the client trained
 /// from), reverts the rest to `base`, and rescales upload_mb /
 /// upload_seconds by the kept fraction. keep_fraction in (0, 1]; 1 is a
-/// no-op. Buffers are never compressed. When `layout` is given, the stats
-/// report the exact sparse-frame byte count the kept entries would cost on
-/// the wire — compression composes with the wire format: reverted entries
-/// equal the base, so the sparse encoder skips them. `codec` sizes the
-/// payload at the wire codec's real encoded width (per-neuron scale count
-/// derived from the kept entries); kAuto is sized as fp32, the bound the
-/// auto encoder never exceeds.
+/// no-op. Buffers are never compressed. Reverted entries equal the base,
+/// so the wire encoder's sparse frame skips them and the frame shrinks with
+/// the kept fraction.
 CompressionStats compress_update_topk(ClientUpdate& update,
                                       std::span<const float> base,
-                                      double keep_fraction,
-                                      const net::WireLayout* layout = nullptr,
-                                      codec::CodecId codec =
-                                          codec::CodecId::kFp32);
+                                      double keep_fraction);
 
 /// Synchronous FedAvg with per-client top-k compression — the comparison
 /// harness for accuracy-vs-communication sweeps. No cross-cycle strategy
@@ -56,8 +44,7 @@ class CompressedSyncFL final : public SyncRoundStrategy {
   std::string name() const override;
 
  private:
-  /// Sparsifies each update against the round's global snapshot, sized at
-  /// the attached session's payload codec.
+  /// Sparsifies each update against the round's global snapshot.
   void post_train(const Fleet& fleet, ClientUpdate& update,
                   std::span<const float> base) const override;
 

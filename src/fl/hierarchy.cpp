@@ -7,14 +7,12 @@
 
 namespace helios::fl {
 
-HierarchySession::HierarchySession(Fleet& fleet, agg::TreeTopology topology,
-                                   agg::MergeCodec merge_codec)
+HierarchySession::HierarchySession(Fleet& fleet, agg::TreeTopology topology)
     : fleet_(fleet),
       topology_(topology),
       geometry_(agg::make_geometry(fleet.server().reference_model())) {
   if (topology_.active()) {
-    tree_ =
-        std::make_unique<agg::AggregatorTree>(topology_, &geometry_, merge_codec);
+    tree_ = std::make_unique<agg::AggregatorTree>(topology_, &geometry_);
   }
   fleet_.set_hierarchy(this);
 }

@@ -50,11 +50,8 @@ class HierarchySession : public Checkpointable {
   /// Builds the aggregation geometry from the fleet's server reference
   /// model and attaches via Fleet::set_hierarchy. An inactive topology
   /// (edge_nodes == 0) constructs no tree and leaves the flat path in
-  /// place. `merge_codec` sets the tier-uplink merge-frame encoding (kF64
-  /// keeps the bit-exact collapse; kF32/kF16 trade precision for uplink
-  /// bytes). The session must outlive the fleet's use of it.
-  HierarchySession(Fleet& fleet, agg::TreeTopology topology,
-                   agg::MergeCodec merge_codec = agg::MergeCodec::kF64);
+  /// place. The session must outlive the fleet's use of it.
+  HierarchySession(Fleet& fleet, agg::TreeTopology topology);
   ~HierarchySession() override;
 
   HierarchySession(const HierarchySession&) = delete;

@@ -45,25 +45,7 @@ net::WireMessage wire_message(const ClientUpdate& update) {
   return msg;
 }
 
-/// Mirrors the wire encoder's shipped-entry rule: an entry crosses the wire
-/// unless a mask is present and its owning neuron is inactive.
-bool entry_shipped(const net::WireLayout& layout,
-                   std::span<const std::uint8_t> mask, std::size_t f) {
-  const std::uint32_t n = layout.neuron_of[f];
-  return mask.empty() || n == net::WireLayout::kCommonParam || mask[n] != 0;
-}
-
 }  // namespace
-
-std::vector<std::uint8_t> NetworkSession::encode(
-    const ClientUpdate& update, std::span<const float> base_params) const {
-  const net::WireMessage msg = wire_message(update);
-  if (base_params.size() == layout_.param_count) {
-    return net::encode_frame_auto(msg, base_params, layout_,
-                                  options().payload_codec, nullptr);
-  }
-  return net::encode_frame(msg, layout_, options().payload_codec, nullptr);
-}
 
 std::vector<std::vector<float>*> NetworkSession::residuals_for(
     std::span<const ClientUpdate> updates, std::span<const float> base_params) {
@@ -90,13 +72,6 @@ NetworkSession::SentFrame NetworkSession::encode_for_send(
     const ClientUpdate& update, std::span<const float> base_params,
     std::vector<float>* residual) const {
   HELIOS_TRACE_SPAN("net.encode", {{"device", update.client_id}});
-  SentFrame sent;
-  const codec::CodecId id = options().payload_codec;
-  if (id == codec::CodecId::kFp32) {
-    sent.bytes = encode(update, base_params);
-    return sent;
-  }
-
   net::WireMessage msg = wire_message(update);
   std::vector<float> compensated;
   if (residual != nullptr) {
@@ -110,20 +85,15 @@ NetworkSession::SentFrame NetworkSession::encode_for_send(
     msg.params = compensated;
   }
 
+  SentFrame sent;
   net::CodecResult result;
-  sent.bytes =
-      base_params.size() == layout_.param_count
-          ? net::encode_frame_auto(msg, base_params, layout_, id, &result)
-          : net::encode_frame(msg, layout_, id, &result);
-
+  sent.bytes = net::encode_frame_auto(msg, base_params, layout_,
+                                      options().payload_codec, &result);
   if (residual != nullptr) {
-    // residual' = compensated - what the receiver reconstructs; a lossless
-    // (fp32) frame delivers everything, clearing the shipped residual.
-    const bool lossless = result.codec == codec::CodecId::kFp32;
+    // residual' = compensated - what the receiver reconstructs.
     for (std::size_t f = 0; f < layout_.param_count; ++f) {
-      if (!entry_shipped(layout_, msg.neuron_mask, f)) continue;
-      (*residual)[f] =
-          lossless ? 0.0f : compensated[f] - result.dequantized[f];
+      if (!net::entry_shipped(layout_, msg.neuron_mask, f)) continue;
+      (*residual)[f] = compensated[f] - result.dequantized[f];
     }
   }
   if (fleet_.telemetry() != nullptr) {
@@ -184,11 +154,6 @@ ClientUpdate NetworkSession::decode(std::span<const std::uint8_t> frame,
   u.upload_seconds = local.upload_seconds;
   u.upload_mb = local.upload_mb;
   return u;
-}
-
-std::size_t NetworkSession::frame_bytes(
-    const ClientUpdate& update, std::span<const float> base_params) const {
-  return encode(update, base_params).size();
 }
 
 void NetworkSession::mark_death(int client_id) {

@@ -80,11 +80,11 @@ struct NetDelivery {
   }
 };
 
-/// With a quantized NetworkOptions::payload_codec, uploads cross the wire
-/// as version-2 frames and (when error_feedback is on) each client's
-/// quantization residual is carried across rounds and added back into its
-/// next upload before quantizing — the error-feedback scheme that keeps
-/// the long-run aggregate unbiased. The residual bank is Checkpointable:
+/// Every upload crosses the wire as one frame under
+/// NetworkOptions::payload_codec. With a lossy codec and error_feedback on,
+/// each client's quantization residual is carried across rounds and added
+/// back into its next upload before quantizing — the error-feedback scheme
+/// that keeps the long-run aggregate unbiased. The residual bank is Checkpointable:
 /// register the session (e.g. as "codec_ef") to keep crash/resume
 /// bit-identical under quantization.
 class NetworkSession : public Checkpointable {
@@ -127,11 +127,6 @@ class NetworkSession : public Checkpointable {
                                 std::span<const float> base_params,
                                 double start_s);
 
-  /// Encodes `update` exactly as deliver would — minus error-feedback
-  /// compensation, which only a real send applies — and returns the size.
-  std::size_t frame_bytes(const ClientUpdate& update,
-                          std::span<const float> base_params) const;
-
   /// The error-feedback residual bank (empty while payload_codec is kFp32
   /// or error_feedback is off).
   const codec::ErrorFeedback& feedback() const { return feedback_; }
@@ -146,15 +141,13 @@ class NetworkSession : public Checkpointable {
   /// (filled only while a sink is attached).
   struct SentFrame {
     std::vector<std::uint8_t> bytes;
-    /// The same message as a dense fp32 frame (quantized codecs only).
+    /// The same message as a dense fp32 frame.
     std::size_t dense_bytes = 0;
     /// L2 norm of the carried residual after the send (error feedback only).
     double residual_norm = 0.0;
   };
 
   void track_clients();
-  std::vector<std::uint8_t> encode(const ClientUpdate& update,
-                                   std::span<const float> base_params) const;
   /// The residual each update's send compensates with, created in roster
   /// order (the bank is an ordered map, unsafe to insert into
   /// concurrently); all null unless error feedback applies. Throws
@@ -163,10 +156,10 @@ class NetworkSession : public Checkpointable {
   std::vector<std::vector<float>*> residuals_for(
       std::span<const ClientUpdate> updates,
       std::span<const float> base_params);
-  /// The sending path: adds `residual` (when non-null) before quantizing
-  /// and replaces it with the new quantization error; kFp32 falls through
-  /// to the const encoder. Writes nothing but `*residual`, so sends of
-  /// distinct clients may run concurrently.
+  /// The sending path, one for every codec: adds `residual` (when non-null)
+  /// before quantizing and replaces it with the new quantization error.
+  /// Writes nothing but `*residual`, so sends of distinct clients may run
+  /// concurrently.
   SentFrame encode_for_send(const ClientUpdate& update,
                             std::span<const float> base_params,
                             std::vector<float>* residual) const;

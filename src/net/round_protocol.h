@@ -48,11 +48,11 @@ struct NetworkOptions {
   double deadline_factor = 0.0;
   /// Seeds the per-device channel Rngs (forked by device id).
   std::uint64_t seed = 0x5EEDU;
-  /// Wire codec for upload payload values. kFp32 (default) keeps every
-  /// frame byte-identical to version-1; a quantized codec (or kAuto)
-  /// ships version-2 frames. See src/codec.
+  /// Wire codec for upload payload values: kFp32 (default, lossless),
+  /// kFp16 or kInt8PerNeuron. Every codec ships the same frame layout; see
+  /// src/net/wire.h and src/codec.
   codec::CodecId payload_codec = codec::CodecId::kFp32;
-  /// With a quantized payload_codec: carry each client's quantization
+  /// With a lossy payload_codec: carry each client's quantization
   /// residual across rounds and add it back into the next upload (error
   /// feedback). No effect under kFp32.
   bool error_feedback = true;

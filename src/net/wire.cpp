@@ -3,24 +3,31 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstring>
-#include <limits>
 
 namespace helios::net {
 namespace {
 
 // ---- CRC32 (IEEE 802.3, reflected) ----------------------------------------
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-4 tables: tables[0] is the byte-wise table, and tables[k]
+/// advances a tables[k - 1] entry by one more zero byte.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 4>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1U) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFU];
+    }
+  }
+  return t;
 }
 
 // ---- Little-endian byte IO -------------------------------------------------
@@ -99,30 +106,6 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-/// True when flat index `f` ships in a dense frame under `mask`.
-inline bool shipped(const WireLayout& layout,
-                    std::span<const std::uint8_t> mask, std::size_t f) {
-  const std::uint32_t n = layout.neuron_of[f];
-  return mask.empty() || n == WireLayout::kCommonParam || mask[n] != 0;
-}
-
-void write_header(Writer& w, std::uint16_t version, std::uint16_t flags,
-                  std::int32_t client_id, std::uint32_t neuron_total,
-                  std::uint64_t param_count, std::uint64_t buffer_count,
-                  std::uint64_t payload_count, std::uint64_t sample_count,
-                  double mean_loss) {
-  w.u32(kWireMagic);
-  w.u16(version);
-  w.u16(flags);
-  w.u32(std::bit_cast<std::uint32_t>(client_id));
-  w.u32(neuron_total);
-  w.u64(param_count);
-  w.u64(buffer_count);
-  w.u64(payload_count);
-  w.u64(sample_count);
-  w.f64(mean_loss);
-}
-
 void append_packed_mask(std::vector<std::uint8_t>& out,
                         std::span<const std::uint8_t> mask) {
   const std::size_t bytes = mask_wire_bytes(static_cast<int>(mask.size()));
@@ -151,7 +134,7 @@ void check_message(const WireMessage& msg, const WireLayout& layout) {
   }
 }
 
-// ---- v2 quantized payloads -------------------------------------------------
+// ---- Scale groups ----------------------------------------------------------
 
 /// Sorted unique scale-group keys; a key's dense group id is its index
 /// here. Keys are owning-neuron ids with WireLayout::kCommonParam (the max
@@ -163,8 +146,8 @@ std::vector<std::uint32_t> unique_keys(std::vector<std::uint32_t> keys) {
   return keys;
 }
 
-/// Group tagging of a shipped-index list for `info`'s scale layout: one
-/// group per distinct key (per-neuron codecs) or a single group 0.
+/// Group tagging of a shipped-index list: one group per distinct owning
+/// neuron for the scaled codec, none otherwise.
 struct GroupTags {
   std::vector<std::uint32_t> keys;    // per dense group id
   std::vector<std::uint32_t> groups;  // per value
@@ -175,11 +158,6 @@ GroupTags derive_groups(const WireLayout& layout,
                         const codec::CodecInfo& info) {
   GroupTags t;
   if (!info.scaled) return t;
-  if (!info.per_neuron_groups) {
-    if (!ship.empty()) t.keys.assign(1, 0U);
-    t.groups.assign(ship.size(), 0U);
-    return t;
-  }
   std::vector<std::uint32_t> raw;
   raw.reserve(ship.size());
   for (std::uint32_t f : ship) raw.push_back(layout.neuron_of[f]);
@@ -192,147 +170,39 @@ GroupTags derive_groups(const WireLayout& layout,
   return t;
 }
 
-/// The value stream a quantized frame carries: every shipped flat index in
-/// ascending order with its delta (or absolute value, without a base).
-struct QuantStream {
+/// The values one frame carries: the shipped flat indices in ascending
+/// order, their values, and the values' scale groups.
+struct ValueStream {
   std::vector<std::uint32_t> ship;
   std::vector<float> values;
-  GroupTags tags;
-  bool delta = false;
+  std::vector<std::uint32_t> groups;
+  codec::QuantPlan plan;
 };
 
-QuantStream build_quant_stream(const WireMessage& msg,
-                               std::span<const float> base,
-                               const WireLayout& layout,
-                               const codec::CodecInfo& info) {
-  QuantStream s;
-  s.delta = base.size() == layout.param_count;
-  for (std::size_t f = 0; f < layout.param_count; ++f) {
-    if (!shipped(layout, msg.neuron_mask, f)) continue;
-    s.ship.push_back(static_cast<std::uint32_t>(f));
-    s.values.push_back(s.delta ? msg.params[f] - base[f] : msg.params[f]);
-  }
-  s.tags = derive_groups(layout, s.ship, info);
-  return s;
-}
-
-std::size_t quant_frame_overhead(const WireLayout& layout, bool has_mask,
-                                 std::size_t scale_count) {
-  return kHeaderBytesV2 + mask_wire_bytes(has_mask ? layout.neuron_total : 0) +
+std::size_t frame_overhead(const WireLayout& layout, bool has_mask,
+                           std::size_t scale_count) {
+  return kHeaderBytes + mask_wire_bytes(has_mask ? layout.neuron_total : 0) +
          2 * scale_count + layout.buffer_count * sizeof(float) + kTrailerBytes;
-}
-
-std::vector<std::uint8_t> encode_frame_quant(const WireMessage& msg,
-                                             std::span<const float> base,
-                                             const WireLayout& layout,
-                                             codec::CodecId id,
-                                             CodecResult* result) {
-  const codec::CodecInfo& info = codec::codec_info(id);
-  const QuantStream s = build_quant_stream(msg, base, layout, info);
-  const codec::QuantPlan plan = codec::plan_quantization(
-      id, s.values, s.tags.groups, s.tags.keys.size());
-  const std::vector<float> dq =
-      codec::dequantized_values(plan, s.values, s.tags.groups);
-
-  const bool has_mask = !msg.neuron_mask.empty();
-  const std::size_t dense_payload =
-      codec::payload_bytes(plan, s.values, s.tags.groups);
-  const std::size_t dense_total =
-      quant_frame_overhead(layout, has_mask, plan.scale_bits.size()) +
-      dense_payload;
-
-  // Sparse candidate (needs the base): only entries whose quantized value
-  // is non-zero ship; dropped entries decode to the base exactly like the
-  // dense frame's zero deltas, so both encodings reconstruct identically.
-  // The scales stay the full stream's — they are what quantized the values.
-  std::vector<std::uint32_t> kept_ship;
-  std::vector<float> kept_values;
-  codec::QuantPlan kept_plan;
-  GroupTags kept_tags;
-  std::size_t sparse_total = std::numeric_limits<std::size_t>::max();
-  if (s.delta) {
-    std::vector<std::size_t> kept;
-    for (std::size_t i = 0; i < dq.size(); ++i) {
-      if (dq[i] != 0.0f) kept.push_back(i);
-    }
-    kept_ship.reserve(kept.size());
-    kept_values.reserve(kept.size());
-    for (std::size_t i : kept) {
-      kept_ship.push_back(s.ship[i]);
-      kept_values.push_back(s.values[i]);
-    }
-    kept_tags = derive_groups(layout, kept_ship, info);
-    kept_plan.id = id;
-    if (info.scaled) {
-      kept_plan.scale_bits.reserve(kept_tags.keys.size());
-      for (std::uint32_t k : kept_tags.keys) {
-        const auto at = static_cast<std::size_t>(
-            std::lower_bound(s.tags.keys.begin(), s.tags.keys.end(), k) -
-            s.tags.keys.begin());
-        kept_plan.scale_bits.push_back(plan.scale_bits[at]);
-      }
-    }
-    const std::size_t sparse_payload =
-        codec::payload_bytes(kept_plan, kept_values, kept_tags.groups);
-    sparse_total =
-        quant_frame_overhead(layout, has_mask, kept_plan.scale_bits.size()) +
-        kept_ship.size() * sizeof(std::uint32_t) + sparse_payload;
-  }
-
-  const bool use_sparse = sparse_total < dense_total;
-  std::vector<std::uint8_t> out;
-  out.reserve(use_sparse ? sparse_total : dense_total);
-  Writer w(out);
-  std::uint16_t flags = has_mask ? kFlagHasMask : 0;
-  if (s.delta) flags |= kFlagDelta;
-  if (use_sparse) flags |= kFlagSparse;
-  const std::span<const float> values =
-      use_sparse ? std::span<const float>(kept_values)
-                 : std::span<const float>(s.values);
-  const GroupTags& tags = use_sparse ? kept_tags : s.tags;
-  const codec::QuantPlan& wire_plan = use_sparse ? kept_plan : plan;
-  write_header(w, kWireVersionQuant, flags, msg.client_id,
-               has_mask ? static_cast<std::uint32_t>(layout.neuron_total) : 0,
-               layout.param_count, layout.buffer_count, values.size(),
-               msg.sample_count, msg.mean_loss);
-  w.u32(static_cast<std::uint32_t>(id));
-  w.u32(static_cast<std::uint32_t>(
-      codec::payload_bytes(wire_plan, values, tags.groups)));
-  if (has_mask) append_packed_mask(out, msg.neuron_mask);
-  if (use_sparse) {
-    for (std::uint32_t f : kept_ship) w.u32(f);
-  }
-  for (std::uint16_t bits : wire_plan.scale_bits) w.u16(bits);
-  codec::encode_values(wire_plan, values, tags.groups, out);
-  for (float v : msg.buffers) w.f32(v);
-  w.u32(crc32(out));
-
-  if (result != nullptr) {
-    result->codec = id;
-    result->sparse = use_sparse;
-    if (s.delta) {
-      result->dequantized.assign(base.begin(), base.end());
-    } else {
-      // Without a base the encoder cannot know what the decoder fills
-      // unshipped entries with; shipped entries are still exact.
-      result->dequantized.assign(layout.param_count, 0.0f);
-    }
-    for (std::size_t i = 0; i < s.ship.size(); ++i) {
-      const std::uint32_t f = s.ship[i];
-      result->dequantized[f] =
-          s.delta ? base[f] + dq[i] : dq[i];
-    }
-  }
-  return out;
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   std::uint32_t c = 0xFFFFFFFFU;
-  for (std::uint8_t b : bytes) {
-    c = table[(c ^ b) & 0xFFU] ^ (c >> 8);
+  std::size_t i = 0;
+  // Four bytes per step: every frame is CRC-checked on both sides, and the
+  // byte-at-a-time loop was most of an fp32 encode or decode.
+  for (; i + 4 <= bytes.size(); i += 4) {
+    c ^= static_cast<std::uint32_t>(bytes[i]) |
+         static_cast<std::uint32_t>(bytes[i + 1]) << 8 |
+         static_cast<std::uint32_t>(bytes[i + 2]) << 16 |
+         static_cast<std::uint32_t>(bytes[i + 3]) << 24;
+    c = t[3][c & 0xFFU] ^ t[2][(c >> 8) & 0xFFU] ^ t[1][(c >> 16) & 0xFFU] ^
+        t[0][c >> 24];
+  }
+  for (; i < bytes.size(); ++i) {
+    c = t[0][(c ^ bytes[i]) & 0xFFU] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFU;
 }
@@ -365,160 +235,15 @@ std::size_t dense_payload_count(const WireLayout& layout,
   if (mask.empty()) return layout.param_count;
   std::size_t count = 0;
   for (std::size_t f = 0; f < layout.param_count; ++f) {
-    count += shipped(layout, mask, f);
+    count += entry_shipped(layout, mask, f);
   }
   return count;
 }
 
 std::size_t dense_frame_bytes(const WireLayout& layout,
                               std::span<const std::uint8_t> mask) {
-  return kHeaderBytes +
-         mask_wire_bytes(static_cast<int>(mask.size())) +
-         dense_payload_count(layout, mask) * sizeof(float) +
-         layout.buffer_count * sizeof(float) + kTrailerBytes;
-}
-
-std::size_t sparse_frame_bytes(std::size_t entries, std::size_t buffer_count,
-                               int masked_neuron_total) {
-  return kHeaderBytes + mask_wire_bytes(masked_neuron_total) +
-         entries * (sizeof(std::uint32_t) + sizeof(float)) +
-         buffer_count * sizeof(float) + kTrailerBytes;
-}
-
-std::size_t sparse_frame_bytes(std::size_t entries, std::size_t buffer_count,
-                               int masked_neuron_total, codec::CodecId codec,
-                               std::size_t scale_count) {
-  if (codec == codec::CodecId::kFp32) {
-    return sparse_frame_bytes(entries, buffer_count, masked_neuron_total);
-  }
-  const codec::CodecInfo& info = codec::codec_info(codec);
-  // Zero-run coding never expands, so the unpacked width is the sparse
-  // payload's exact size (sparse entries are non-zero by construction).
-  const std::size_t payload = (entries * info.value_bits + 7) / 8;
-  return kHeaderBytesV2 + mask_wire_bytes(masked_neuron_total) +
-         entries * sizeof(std::uint32_t) +
-         (info.scaled ? 2 * scale_count : 0) + payload +
-         buffer_count * sizeof(float) + kTrailerBytes;
-}
-
-std::vector<std::uint8_t> encode_frame(const WireMessage& msg,
-                                       const WireLayout& layout) {
-  check_message(msg, layout);
-  std::vector<std::uint8_t> out;
-  out.reserve(dense_frame_bytes(layout, msg.neuron_mask));
-  Writer w(out);
-  const bool has_mask = !msg.neuron_mask.empty();
-  const std::size_t payload = dense_payload_count(layout, msg.neuron_mask);
-  write_header(w, kWireVersion, has_mask ? kFlagHasMask : 0, msg.client_id,
-               has_mask ? static_cast<std::uint32_t>(layout.neuron_total) : 0,
-               layout.param_count, layout.buffer_count, payload,
-               msg.sample_count, msg.mean_loss);
-  if (has_mask) append_packed_mask(out, msg.neuron_mask);
-  for (std::size_t f = 0; f < layout.param_count; ++f) {
-    if (shipped(layout, msg.neuron_mask, f)) w.f32(msg.params[f]);
-  }
-  for (float v : msg.buffers) w.f32(v);
-  w.u32(crc32(out));
-  return out;
-}
-
-std::vector<std::uint8_t> encode_frame_sparse(const WireMessage& msg,
-                                              std::span<const float> base,
-                                              const WireLayout& layout) {
-  check_message(msg, layout);
-  if (base.size() != layout.param_count) {
-    throw WireError("wire: sparse base does not match layout");
-  }
-  std::vector<std::uint32_t> changed;
-  for (std::size_t f = 0; f < layout.param_count; ++f) {
-    if (msg.params[f] != base[f]) {
-      changed.push_back(static_cast<std::uint32_t>(f));
-    }
-  }
-  std::vector<std::uint8_t> out;
-  const bool has_mask = !msg.neuron_mask.empty();
-  out.reserve(sparse_frame_bytes(changed.size(), layout.buffer_count,
-                                 has_mask ? layout.neuron_total : 0));
-  Writer w(out);
-  write_header(w, kWireVersion,
-               static_cast<std::uint16_t>(
-                   kFlagSparse | (has_mask ? kFlagHasMask : 0)),
-               msg.client_id,
-               has_mask ? static_cast<std::uint32_t>(layout.neuron_total) : 0,
-               layout.param_count, layout.buffer_count, changed.size(),
-               msg.sample_count, msg.mean_loss);
-  if (has_mask) append_packed_mask(out, msg.neuron_mask);
-  for (std::uint32_t f : changed) {
-    w.u32(f);
-    w.f32(msg.params[f]);
-  }
-  for (float v : msg.buffers) w.f32(v);
-  w.u32(crc32(out));
-  return out;
-}
-
-std::vector<std::uint8_t> encode_frame_auto(const WireMessage& msg,
-                                            std::span<const float> base,
-                                            const WireLayout& layout) {
-  check_message(msg, layout);
-  if (base.size() != layout.param_count) return encode_frame(msg, layout);
-  std::size_t changed = 0;
-  for (std::size_t f = 0; f < layout.param_count; ++f) {
-    changed += (msg.params[f] != base[f]);
-  }
-  const std::size_t sparse = sparse_frame_bytes(
-      changed, layout.buffer_count,
-      msg.neuron_mask.empty() ? 0 : layout.neuron_total);
-  const std::size_t dense = dense_frame_bytes(layout, msg.neuron_mask);
-  return sparse < dense ? encode_frame_sparse(msg, base, layout)
-                        : encode_frame(msg, layout);
-}
-
-namespace {
-
-void fill_fp32_result(CodecResult* result,
-                      std::span<const std::uint8_t> frame) {
-  if (result == nullptr) return;
-  result->codec = codec::CodecId::kFp32;
-  result->sparse = frame.size() > 6 && (frame[6] & kFlagSparse) != 0;
-  result->dequantized.clear();
-}
-
-constexpr codec::CodecId kQuantCandidates[] = {
-    codec::CodecId::kFp16,
-    codec::CodecId::kInt8PerTensor,
-    codec::CodecId::kInt8PerNeuron,
-};
-
-}  // namespace
-
-std::vector<std::uint8_t> encode_frame(const WireMessage& msg,
-                                       const WireLayout& layout,
-                                       codec::CodecId codec,
-                                       CodecResult* result) {
-  check_message(msg, layout);
-  if (codec == codec::CodecId::kFp32) {
-    std::vector<std::uint8_t> out = encode_frame(msg, layout);
-    fill_fp32_result(result, out);
-    return out;
-  }
-  if (codec == codec::CodecId::kAuto) {
-    std::vector<std::uint8_t> best = encode_frame(msg, layout);
-    CodecResult best_result;
-    fill_fp32_result(&best_result, best);
-    for (codec::CodecId id : kQuantCandidates) {
-      CodecResult cand_result;
-      std::vector<std::uint8_t> cand =
-          encode_frame_quant(msg, {}, layout, id, &cand_result);
-      if (cand.size() < best.size()) {
-        best = std::move(cand);
-        best_result = std::move(cand_result);
-      }
-    }
-    if (result != nullptr) *result = std::move(best_result);
-    return best;
-  }
-  return encode_frame_quant(msg, {}, layout, codec, result);
+  return frame_overhead(layout, !mask.empty(), 0) +
+         dense_payload_count(layout, mask) * sizeof(float);
 }
 
 std::vector<std::uint8_t> encode_frame_auto(const WireMessage& msg,
@@ -527,31 +252,130 @@ std::vector<std::uint8_t> encode_frame_auto(const WireMessage& msg,
                                             codec::CodecId codec,
                                             CodecResult* result) {
   check_message(msg, layout);
-  if (codec == codec::CodecId::kFp32) {
-    std::vector<std::uint8_t> out = encode_frame_auto(msg, base, layout);
-    fill_fp32_result(result, out);
-    return out;
+  const codec::CodecInfo& info = codec::codec_info(codec);
+  const bool lossless = codec == codec::CodecId::kFp32;
+  const bool has_base = base.size() == layout.param_count;
+  const bool has_mask = !msg.neuron_mask.empty();
+  const bool delta = has_base && !lossless;
+
+  ValueStream dense;
+  dense.ship.reserve(layout.param_count);
+  dense.values.reserve(layout.param_count);
+  for (std::size_t f = 0; f < layout.param_count; ++f) {
+    if (!entry_shipped(layout, msg.neuron_mask, f)) continue;
+    dense.ship.push_back(static_cast<std::uint32_t>(f));
+    dense.values.push_back(delta ? msg.params[f] - base[f] : msg.params[f]);
   }
-  if (base.size() != layout.param_count) {
-    return encode_frame(msg, layout, codec, result);
-  }
-  if (codec == codec::CodecId::kAuto) {
-    std::vector<std::uint8_t> best = encode_frame_auto(msg, base, layout);
-    CodecResult best_result;
-    fill_fp32_result(&best_result, best);
-    for (codec::CodecId id : kQuantCandidates) {
-      CodecResult cand_result;
-      std::vector<std::uint8_t> cand =
-          encode_frame_quant(msg, base, layout, id, &cand_result);
-      if (cand.size() < best.size()) {
-        best = std::move(cand);
-        best_result = std::move(cand_result);
+  GroupTags tags = derive_groups(layout, dense.ship, info);
+  dense.groups = std::move(tags.groups);
+  dense.plan = codec::plan_quantization(codec, dense.values, dense.groups,
+                                        tags.keys.size());
+  // What the decoder reconstructs per shipped value, before adding a base.
+  const std::vector<float> dq =
+      lossless ? std::vector<float>()
+               : codec::dequantized_values(dense.plan, dense.values,
+                                           dense.groups);
+  const std::span<const float> received =
+      lossless ? std::span<const float>(dense.values) : std::span(dq);
+  std::size_t packed =
+      codec::payload_bytes(dense.plan, dense.values, dense.groups);
+  const std::size_t dense_total =
+      frame_overhead(layout, has_mask, dense.plan.scale_bits.size()) + packed;
+
+  // Sparse candidate (needs the base): only values the decoder cannot take
+  // from the base ship — zero dequantized deltas, or fp32 values equal to
+  // the base, reconstruct identically when dropped. The scales stay the
+  // dense stream's, which are what quantized the values, renumbered over
+  // the groups that still ship (in ascending key order, exactly as
+  // derive_groups numbers them); every shipped value is non-zero, so none
+  // rides the zero-run coding.
+  bool use_sparse = false;
+  ValueStream sparse;
+  if (has_base) {
+    const auto kept = [&](std::size_t i) {
+      return received[i] != (delta ? 0.0f : base[dense.ship[i]]);
+    };
+    // Per dense scale group: whether a kept value uses it.
+    std::vector<std::uint8_t> used(dense.plan.scale_bits.size(), 0);
+    std::size_t kept_count = 0;
+    for (std::size_t i = 0; i < received.size(); ++i) {
+      if (!kept(i)) continue;
+      ++kept_count;
+      if (!dense.groups.empty()) used[dense.groups[i]] = 1;
+    }
+    const auto kept_scales =
+        static_cast<std::size_t>(std::count(used.begin(), used.end(), 1));
+    const std::size_t sparse_packed = kept_count * info.value_bits / 8;
+    use_sparse = frame_overhead(layout, has_mask, kept_scales) +
+                     kept_count * sizeof(std::uint32_t) + sparse_packed <
+                 dense_total;
+    if (use_sparse) {
+      packed = sparse_packed;
+      sparse.plan.id = codec;
+      std::vector<std::uint32_t> sparse_group(used.size(), 0);
+      for (std::size_t g = 0; g < used.size(); ++g) {
+        if (used[g] == 0) continue;
+        sparse_group[g] =
+            static_cast<std::uint32_t>(sparse.plan.scale_bits.size());
+        sparse.plan.scale_bits.push_back(dense.plan.scale_bits[g]);
+      }
+      for (std::size_t i = 0; i < received.size(); ++i) {
+        if (!kept(i)) continue;
+        sparse.ship.push_back(dense.ship[i]);
+        sparse.values.push_back(dense.values[i]);
+        if (!dense.groups.empty()) {
+          sparse.groups.push_back(sparse_group[dense.groups[i]]);
+        }
       }
     }
-    if (result != nullptr) *result = std::move(best_result);
-    return best;
   }
-  return encode_frame_quant(msg, base, layout, codec, result);
+  const ValueStream& s = use_sparse ? sparse : dense;
+
+  std::vector<std::uint8_t> out;
+  out.reserve(dense_total);  // the sparse frame is smaller
+  Writer w(out);
+  std::uint16_t flags = has_mask ? kFlagHasMask : 0;
+  if (delta) flags |= kFlagDelta;
+  if (use_sparse) flags |= kFlagSparse;
+  w.u32(kWireMagic);
+  w.u16(kWireVersion);
+  w.u16(flags);
+  w.u32(std::bit_cast<std::uint32_t>(msg.client_id));
+  w.u32(has_mask ? static_cast<std::uint32_t>(layout.neuron_total) : 0);
+  w.u64(layout.param_count);
+  w.u64(layout.buffer_count);
+  w.u64(s.values.size());
+  w.u64(msg.sample_count);
+  w.f64(msg.mean_loss);
+  w.u32(static_cast<std::uint32_t>(codec));
+  w.u32(static_cast<std::uint32_t>(packed));
+  if (has_mask) append_packed_mask(out, msg.neuron_mask);
+  if (use_sparse) {
+    for (std::uint32_t f : s.ship) w.u32(f);
+  }
+  for (std::uint16_t bits : s.plan.scale_bits) w.u16(bits);
+  codec::encode_values(s.plan, s.values, s.groups, out);
+  for (float v : msg.buffers) w.f32(v);
+  w.u32(crc32(out));
+
+  if (result != nullptr) {
+    result->sparse = use_sparse;
+    result->dequantized.clear();
+    if (!lossless) {
+      // Unshipped entries decode to the base; without one the encoder
+      // cannot know them, but shipped entries are still exact.
+      if (delta) {
+        result->dequantized.assign(base.begin(), base.end());
+      } else {
+        result->dequantized.assign(layout.param_count, 0.0f);
+      }
+      for (std::size_t i = 0; i < dense.ship.size(); ++i) {
+        const std::uint32_t f = dense.ship[i];
+        result->dequantized[f] = delta ? base[f] + dq[i] : dq[i];
+      }
+    }
+  }
+  return out;
 }
 
 DecodedMessage decode_frame(std::span<const std::uint8_t> frame,
@@ -571,7 +395,7 @@ DecodedMessage decode_frame(std::span<const std::uint8_t> frame,
   Reader r(frame);
   if (r.u32() != kWireMagic) throw WireError("wire: bad magic");
   const std::uint16_t version = r.u16();
-  if (version != kWireVersion && version != kWireVersionQuant) {
+  if (version != kWireVersion) {
     throw WireError("wire: unsupported version " + std::to_string(version));
   }
   const std::uint16_t flags = r.u16();
@@ -583,28 +407,25 @@ DecodedMessage decode_frame(std::span<const std::uint8_t> frame,
   const std::uint64_t payload_count = r.u64();
   msg.sample_count = r.u64();
   msg.mean_loss = r.f64();
-  msg.sparse = (flags & kFlagSparse) != 0;
+  const std::uint32_t codec_raw = r.u32();
+  const std::uint32_t packed_bytes = r.u32();
+  const bool sparse = (flags & kFlagSparse) != 0;
   const bool has_mask = (flags & kFlagHasMask) != 0;
   const bool delta = (flags & kFlagDelta) != 0;
 
-  codec::CodecId payload_codec = codec::CodecId::kFp32;
-  std::size_t packed_bytes = 0;
-  if (version == kWireVersionQuant) {
-    const std::uint32_t codec_raw = r.u32();
-    packed_bytes = r.u32();
-    if (!codec::codec_known(codec_raw)) {
-      throw WireError("wire: unknown payload codec " +
-                      std::to_string(codec_raw));
-    }
-    payload_codec = static_cast<codec::CodecId>(codec_raw);
-    if (payload_codec == codec::CodecId::kFp32) {
-      // fp32 payloads canonically ship as version-1 frames.
-      throw WireError("wire: v2 frame with fp32 codec");
-    }
-  } else if (delta) {
-    throw WireError("wire: v1 frame with delta flag");
+  if (!codec::codec_known(codec_raw)) {
+    throw WireError("wire: unknown payload codec " + std::to_string(codec_raw));
   }
-
+  const auto codec = static_cast<codec::CodecId>(codec_raw);
+  // The encoder's canonical forms: fp32 ships absolute values, a lossy
+  // sparse frame ships deltas.
+  const bool lossless = codec == codec::CodecId::kFp32;
+  if (lossless && delta) {
+    throw WireError("wire: fp32 frame with delta flag");
+  }
+  if (!lossless && sparse && !delta) {
+    throw WireError("wire: sparse quantized frame without delta flag");
+  }
   if (param_count != layout.param_count ||
       buffer_count != layout.buffer_count) {
     throw WireError("wire: frame built for a different architecture");
@@ -625,96 +446,65 @@ DecodedMessage decode_frame(std::span<const std::uint8_t> frame,
       msg.neuron_mask[i] = (packed[i / 8] >> (i % 8)) & 1U;
     }
   }
-
+  const std::size_t dense_count = dense_payload_count(layout, msg.neuron_mask);
+  if (sparse ? payload_count > dense_count : payload_count != dense_count) {
+    throw WireError("wire: payload count does not match the mask");
+  }
   const bool needs_base =
-      msg.sparse || delta ||
-      (has_mask && dense_payload_count(layout, msg.neuron_mask) <
-                       layout.param_count);
+      sparse || delta || dense_count < layout.param_count;
   if (needs_base && base_params.size() != layout.param_count) {
     throw WireError("wire: partial frame requires the base snapshot");
   }
 
-  if (version == kWireVersionQuant) {
-    // Quantized payload: gather the shipped flat indices, re-derive the
-    // scale groups exactly as the encoder did, then unpack.
-    std::vector<std::uint32_t> ship;
-    if (msg.sparse) {
-      if (!delta) {
-        throw WireError("wire: sparse quantized frame without delta flag");
-      }
-      ship.reserve(payload_count);
-      for (std::uint64_t i = 0; i < payload_count; ++i) {
-        const std::uint32_t f = r.u32();
-        if (f >= layout.param_count) {
-          throw WireError("wire: sparse index out of range");
-        }
-        if (!ship.empty() && f <= ship.back()) {
-          throw WireError("wire: sparse indices not strictly ascending");
-        }
-        if (!shipped(layout, msg.neuron_mask, f)) {
-          throw WireError("wire: sparse index outside the shipped mask");
-        }
-        ship.push_back(f);
-      }
-    } else {
-      if (payload_count != dense_payload_count(layout, msg.neuron_mask)) {
-        throw WireError("wire: dense payload count does not match mask");
-      }
-      ship.reserve(payload_count);
-      for (std::size_t f = 0; f < layout.param_count; ++f) {
-        if (shipped(layout, msg.neuron_mask, f)) {
-          ship.push_back(static_cast<std::uint32_t>(f));
-        }
-      }
-    }
-
-    const codec::CodecInfo& info = codec::codec_info(payload_codec);
-    const GroupTags tags = derive_groups(layout, ship, info);
-    codec::QuantPlan plan;
-    plan.id = payload_codec;
-    plan.scale_bits.reserve(tags.keys.size());
-    for (std::size_t g = 0; g < tags.keys.size(); ++g) {
-      plan.scale_bits.push_back(r.u16());
-    }
-    const std::span<const std::uint8_t> payload = r.raw(packed_bytes);
-    std::vector<float> values;
-    try {
-      values = codec::decode_values(plan, payload, tags.groups, ship.size());
-    } catch (const codec::CodecError& e) {
-      throw WireError(std::string("wire: ") + e.what());
-    }
-
-    if (delta || has_mask || msg.sparse) {
-      msg.params.assign(base_params.begin(), base_params.end());
-    } else {
-      msg.params.assign(layout.param_count, 0.0f);
-    }
-    for (std::size_t i = 0; i < ship.size(); ++i) {
-      const std::uint32_t f = ship[i];
-      msg.params[f] = delta ? base_params[f] + values[i] : values[i];
-    }
-  } else if (msg.sparse) {
-    msg.params.assign(base_params.begin(), base_params.end());
+  // Gather the shipped flat indices, re-derive the scale groups exactly as
+  // the encoder did, then unpack.
+  std::vector<std::uint32_t> ship;
+  ship.reserve(payload_count);
+  if (sparse) {
     for (std::uint64_t i = 0; i < payload_count; ++i) {
       const std::uint32_t f = r.u32();
-      const float v = r.f32();
       if (f >= layout.param_count) {
         throw WireError("wire: sparse index out of range");
       }
-      msg.params[f] = v;
+      if (!ship.empty() && f <= ship.back()) {
+        throw WireError("wire: sparse indices not strictly ascending");
+      }
+      if (!entry_shipped(layout, msg.neuron_mask, f)) {
+        throw WireError("wire: sparse index outside the shipped mask");
+      }
+      ship.push_back(f);
     }
   } else {
-    if (payload_count != dense_payload_count(layout, msg.neuron_mask)) {
-      throw WireError("wire: dense payload count does not match mask");
-    }
-    if (has_mask) {
-      msg.params.assign(base_params.begin(), base_params.end());
-    } else {
-      msg.params.resize(layout.param_count);
-    }
     for (std::size_t f = 0; f < layout.param_count; ++f) {
-      if (shipped(layout, msg.neuron_mask, f)) msg.params[f] = r.f32();
+      if (entry_shipped(layout, msg.neuron_mask, f)) {
+        ship.push_back(static_cast<std::uint32_t>(f));
+      }
     }
+  }
+
+  const GroupTags tags = derive_groups(layout, ship, codec::codec_info(codec));
+  codec::QuantPlan plan;
+  plan.id = codec;
+  plan.scale_bits.reserve(tags.keys.size());
+  for (std::size_t g = 0; g < tags.keys.size(); ++g) {
+    plan.scale_bits.push_back(r.u16());
+  }
+  const std::span<const std::uint8_t> payload = r.raw(packed_bytes);
+  std::vector<float> values;
+  try {
+    values = codec::decode_values(plan, payload, tags.groups, ship.size());
+  } catch (const codec::CodecError& e) {
+    throw WireError(std::string("wire: ") + e.what());
+  }
+
+  if (needs_base) {
+    msg.params.assign(base_params.begin(), base_params.end());
+  } else {
+    msg.params.resize(layout.param_count);
+  }
+  for (std::size_t i = 0; i < ship.size(); ++i) {
+    const std::uint32_t f = ship[i];
+    msg.params[f] = delta ? base_params[f] + values[i] : values[i];
   }
 
   msg.buffers.resize(layout.buffer_count);

@@ -1,67 +1,60 @@
 // Wire format for federated submodel updates.
 //
-// A ClientUpdate crosses the simulated network as one versioned binary
-// frame: a fixed header, an optional packed per-neuron bitmask, a payload
-// carrying only the parameters the client actually trained, the full
-// non-learnable buffer vector, and a CRC32 trailer. A P_i-shrunk straggler
-// upload is therefore proportionally smaller *on the wire*, and the exact
-// frame byte count — not the analytic M/B_n estimate — can drive
-// upload_seconds and the virtual clock.
+// A ClientUpdate crosses the simulated network as one binary frame: a fixed
+// header, an optional packed per-neuron bitmask, a payload carrying only the
+// parameters the client actually trained, the full non-learnable buffer
+// vector, and a CRC32 trailer. A P_i-shrunk straggler upload is therefore
+// proportionally smaller *on the wire*, and the exact frame byte count — not
+// the analytic M/B_n estimate — can drive upload_seconds and the virtual
+// clock.
+//
+// The payload values ship under a codec (src/codec): fp32 (raw bits,
+// lossless), fp16, or int8 against per-neuron fp16 scales. The lossy codecs
+// are *delta-coded* whenever the encoder holds the base snapshot (flag bit
+// 2): the shipped value is params - base and the decoder adds it back,
+// which keeps the quantization grid centered on the update. fp32 always
+// ships absolute values.
 //
 // Two payload encodings exist; the encoder picks whichever is smaller:
-//   * dense  — the flat parameters of every shipped index (active-neuron
-//     slices plus the common, non-neuron-owned parameters), in flat order;
-//   * sparse — (u32 index, f32 value) pairs of the entries that differ from
-//     the base snapshot the client trained from. Top-k-compressed updates
-//     revert dropped entries to the base, so this encoding makes the frame
-//     size track the kept fraction.
+//   * dense  — the values of every shipped index (active-neuron slices plus
+//     the common, non-neuron-owned parameters), in flat order;
+//   * sparse — only the shipped entries the decoder cannot take from the
+//     base snapshot: the flat index list, then those values. Top-k-compressed
+//     updates revert dropped entries to the base, so this encoding makes the
+//     frame size track the kept fraction. It needs the base.
 //
 // Frame layout (all integers little-endian, floats as little-endian IEEE754
 // bit patterns):
 //
 //   offset  size  field
 //        0     4  magic "HWF1"
-//        4     2  version (= 1)
-//        6     2  flags (bit 0: neuron mask present; bit 1: sparse payload)
+//        4     2  version (= 2)
+//        6     2  flags (bit 0: neuron mask present; bit 1: sparse payload;
+//                 bit 2: delta-coded values)
 //        8     4  client_id (i32)
 //       12     4  neuron_total (mask bit count; 0 when no mask)
 //       16     8  param_count  (full flat parameter count, validated)
 //       24     8  buffer_count
-//       32     8  payload_count (dense: shipped floats; sparse: pairs)
+//       32     8  payload_count (shipped values)
 //       40     8  sample_count
 //       48     8  mean_loss (f64)
-//       56     -  mask bytes, ceil(neuron_total / 8), LSB-first (if bit 0)
-//        -     -  payload (dense: 4 B/entry; sparse: 8 B/entry)
-//        -     -  buffers (4 B each)
+//       56     4  codec id (codec::CodecId)
+//       60     4  payload_bytes (packed payload size)
+//       64     -  mask bytes, ceil(neuron_total / 8), LSB-first (if bit 0)
+//        -     -  sparse only: payload_count u32 flat indices, ascending
+//        -     -  scale_count fp16 scale bit patterns (int8pn; 2 B each)
+//        -     -  packed payload values (payload_bytes; see codec/codec.h)
+//        -     -  buffers (4 B each, never quantized)
 //        -     4  CRC32 (IEEE 802.3) over every preceding byte
 //
-// Version 2 frames add a payload codec (src/codec): the same header fields
-// with version = 2, followed by a u32 codec id and a u32 packed-payload
-// byte count, and the payload values ship quantized (fp16, or int8 against
-// per-tensor / per-neuron fp16 scales) instead of as raw fp32 bits. v2
-// payloads are *delta-coded* whenever the encoder holds the base snapshot
-// (flag bit 2): the shipped value is params - base and the decoder adds it
-// back, which is what keeps the quantization grid centered on the update.
-// The fp32 codec always emits byte-identical version-1 frames, so enabling
-// the codec layer with kFp32 changes nothing on the wire; the decoder
-// accepts both versions.
-//
-//   v2 layout: 56-byte v1 header (version = 2)
-//              + u32 codec_id + u32 payload_bytes        (header = 64 B)
-//              + mask bytes (flag bit 0)
-//              + sparse only: payload_count u32 flat indices, ascending
-//              + scale_count fp16 scale bit patterns (int8 codecs; 2 B each)
-//              + packed payload values (payload_bytes; see codec/codec.h)
-//              + buffers (4 B each, never quantized) + CRC32
-//
 // scale_count is not stored: both sides derive the group list — one group
-// per owning neuron plus the common group, or a single group — from the
-// layout and mask (dense) or the index list (sparse), so a frame cannot
-// smuggle mismatched scales past validation.
+// per owning neuron plus the common group — from the layout and mask
+// (dense) or the index list (sparse), so a frame cannot smuggle mismatched
+// scales past validation.
 //
-// Decoding validates magic, version, CRC, counts and exact frame length,
-// and throws WireError on any mismatch (corruption, truncation, or a frame
-// built for a different architecture).
+// Decoding validates magic, version, CRC, codec, counts and exact frame
+// length, and throws WireError on any mismatch (corruption, truncation, or
+// a frame built for a different architecture).
 #pragma once
 
 #include <cstddef>
@@ -83,18 +76,14 @@ class WireError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x31465748U;  // "HWF1"
-inline constexpr std::uint16_t kWireVersion = 1;
-/// Quantized-payload frames (codec id in the header extension).
-inline constexpr std::uint16_t kWireVersionQuant = 2;
-inline constexpr std::size_t kHeaderBytes = 56;
-/// v2 header: v1 fields + u32 codec id + u32 packed-payload byte count.
-inline constexpr std::size_t kHeaderBytesV2 = kHeaderBytes + 8;
+inline constexpr std::uint16_t kWireVersion = 2;
+inline constexpr std::size_t kHeaderBytes = 64;
 inline constexpr std::size_t kTrailerBytes = 4;  // CRC32
 
 enum WireFlags : std::uint16_t {
   kFlagHasMask = 1U << 0,
   kFlagSparse = 1U << 1,
-  /// v2: payload values are deltas against the base snapshot.
+  /// Payload values are deltas against the base snapshot (lossy codecs).
   kFlagDelta = 1U << 2,
 };
 
@@ -115,6 +104,14 @@ struct WireLayout {
 /// Builds the layout from a finalized model (the server's reference model).
 WireLayout make_wire_layout(nn::Model& model);
 
+/// True when flat index `f` ships under `mask` (empty = full model): common
+/// parameters always do, neuron-owned ones when their neuron is active.
+inline bool entry_shipped(const WireLayout& layout,
+                          std::span<const std::uint8_t> mask, std::size_t f) {
+  const std::uint32_t n = layout.neuron_of[f];
+  return mask.empty() || n == WireLayout::kCommonParam || mask[n] != 0;
+}
+
 /// Encoder input: what one upload carries. Spans alias caller storage.
 struct WireMessage {
   std::int32_t client_id = -1;
@@ -131,7 +128,6 @@ struct DecodedMessage {
   std::int32_t client_id = -1;
   std::uint64_t sample_count = 0;
   double mean_loss = 0.0;
-  bool sparse = false;
   std::vector<float> params;
   std::vector<float> buffers;
   std::vector<std::uint8_t> neuron_mask;  // unpacked to 0/1; empty = full
@@ -144,72 +140,37 @@ std::size_t mask_wire_bytes(int neuron_total);
 std::size_t dense_payload_count(const WireLayout& layout,
                                 std::span<const std::uint8_t> mask);
 
-/// Exact dense frame size in bytes for an update under `mask`.
+/// Exact size of the dense fp32 frame of an update under `mask` — the
+/// codec telemetry's uncompressed reference.
 std::size_t dense_frame_bytes(const WireLayout& layout,
                               std::span<const std::uint8_t> mask);
 
-/// Exact sparse frame size for `entries` changed values. `neuron_total`
-/// sizes the carried mask (0 when the update has no mask).
-std::size_t sparse_frame_bytes(std::size_t entries, std::size_t buffer_count,
-                               int masked_neuron_total);
-
-/// Codec-aware sparse frame size: the actual encoded payload width of
-/// `codec` (v2 framing with `scale_count` fp16 scales) instead of the v1
-/// 8-bytes-per-entry fp32 assumption. kFp32 reduces to the v1 size.
-std::size_t sparse_frame_bytes(std::size_t entries, std::size_t buffer_count,
-                               int masked_neuron_total, codec::CodecId codec,
-                               std::size_t scale_count);
-
-/// What a quantized encode actually shipped — the sender-side mirror the
+/// What an encode actually shipped — the sender-side mirror the
 /// error-feedback accumulators and the codec telemetry need.
 struct CodecResult {
-  /// Concrete codec the frame was encoded with (kAuto resolved).
-  codec::CodecId codec = codec::CodecId::kFp32;
   bool sparse = false;
   /// The full flat parameter vector exactly as decode_frame will
   /// reconstruct it (base + dequantized delta; unshipped entries = base).
-  /// Empty for kFp32 — the v1 path is lossless.
+  /// Empty for kFp32, which is lossless.
   std::vector<float> dequantized;
 };
 
-/// Encodes `msg` as a dense frame.
-std::vector<std::uint8_t> encode_frame(const WireMessage& msg,
-                                       const WireLayout& layout);
-
-/// Encodes `msg` as a sparse-delta frame against `base` (the global
-/// parameters the client trained from).
-std::vector<std::uint8_t> encode_frame_sparse(const WireMessage& msg,
-                                              std::span<const float> base,
-                                              const WireLayout& layout);
-
-/// Picks whichever encoding is smaller for this message.
-std::vector<std::uint8_t> encode_frame_auto(const WireMessage& msg,
-                                            std::span<const float> base,
-                                            const WireLayout& layout);
-
-/// Codec-aware encoder: kFp32 is byte-identical to the 3-argument overload
-/// (a v1 frame); a quantized codec emits the smaller of the v2 dense /
-/// sparse encodings; kAuto additionally picks the cheapest codec (smallest
-/// frame, lowest codec id on ties). `result`, when non-null, receives the
-/// chosen codec and the receiver's exact dequantized view. Throws
-/// codec::CodecError on NaN/Inf payload values.
+/// Encodes `msg` under `codec` as whichever of the dense and sparse frames
+/// is smaller. `base` is the global snapshot the client trained from; an
+/// empty `base` means a dense frame of absolute values. `result`, when
+/// non-null, receives the chosen encoding and the receiver's exact
+/// dequantized view. Throws codec::CodecError on NaN/Inf values under a
+/// lossy codec.
 std::vector<std::uint8_t> encode_frame_auto(const WireMessage& msg,
                                             std::span<const float> base,
                                             const WireLayout& layout,
                                             codec::CodecId codec,
                                             CodecResult* result = nullptr);
 
-/// Codec-aware dense encoder for messages with no usable base snapshot
-/// (quantized values ship absolute, not delta-coded). kFp32 matches
-/// encode_frame exactly.
-std::vector<std::uint8_t> encode_frame(const WireMessage& msg,
-                                       const WireLayout& layout,
-                                       codec::CodecId codec,
-                                       CodecResult* result);
-
 /// Decodes and validates a frame. `base_params` supplies the values of
-/// unshipped entries; it must have layout.param_count entries whenever the
-/// frame is masked or sparse (it may be empty for a full dense frame).
+/// unshipped entries and the base of delta-coded ones; it must have
+/// layout.param_count entries whenever the frame is masked, sparse or
+/// delta-coded (it may be empty for a full dense frame of absolute values).
 DecodedMessage decode_frame(std::span<const std::uint8_t> frame,
                             const WireLayout& layout,
                             std::span<const float> base_params);

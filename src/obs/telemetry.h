@@ -143,7 +143,7 @@ class TelemetrySink {
                             int delivered, int lost_frames, int retransmits,
                             int deadline_misses, int deaths);
 
-  /// One quantized upload encode (src/codec): the bytes a v1 fp32-dense
+  /// One quantized upload encode (src/codec): the bytes a dense fp32
   /// frame would have cost, the actual wire bytes, and the client's carried
   /// error-feedback residual L2 norm. Exported as the helios.codec.*
   /// metrics, the dashboard's bytes-saved column, and the journal's

@@ -130,6 +130,10 @@ TEST(StreamingAccumulatorTest, MergeFrameRoundTripIsBitExact) {
 
   const std::vector<std::uint8_t> frame = acc.encode_frame();
   EXPECT_EQ(frame.size(), agg::StreamingAccumulator::frame_bytes(fx.geo));
+  // The f64 merge frame's bytes, pinned when merge frames still carried a
+  // codec word; it is a reserved zero now, so the bytes must not move.
+  EXPECT_EQ(testing::fnv1a(frame), 0x67d6dc3f66da71e2ULL)
+      << "0x" << std::hex << testing::fnv1a(frame);
   const agg::StreamingAccumulator back =
       agg::StreamingAccumulator::decode_frame(frame, &fx.geo);
   EXPECT_EQ(back.folded(), 2U);

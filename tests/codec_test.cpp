@@ -1,16 +1,17 @@
-// Quantized wire codec subsystem: codec-layer round trips (property-style
-// fuzz over shapes, scales and degenerate masks), NaN/Inf rejection, the
-// zero-run escape coding's edges, v2 frame truncation/corruption refusal,
-// v1 <-> v2 cross-version decoding, the fp32-codec == v1 byte identity the
-// default path relies on, quantized merge frames (agg::MergeCodec), and
-// fleet-level integration: error-feedback compensation, wire-byte savings
-// and thread-count determinism with a quantized payload codec.
+// Wire codec subsystem: codec-layer round trips (property-style fuzz over
+// shapes, scales and degenerate masks), NaN/Inf rejection, the zero-run
+// escape coding's edges, frame truncation/corruption refusal, the one
+// frame format's version and codec rules, pinned frame bytes, merge-frame
+// refusal of a non-zero codec word, and fleet-level integration:
+// error-feedback compensation, wire-byte savings and thread-count
+// determinism with a quantized payload codec.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -119,11 +120,16 @@ std::vector<std::uint32_t> random_groups(std::size_t count,
 
 TEST(CodecTest, FuzzRoundTripsAcrossShapesAndScales) {
   util::Rng rng(41);
-  const CodecId ids[] = {CodecId::kFp32, CodecId::kFp16,
-                         CodecId::kInt8PerTensor, CodecId::kInt8PerNeuron};
+  // int8pn runs with one group (a whole-tensor scale) and with many.
+  const std::pair<CodecId, bool> configs[] = {
+      {CodecId::kFp32, false},
+      {CodecId::kFp16, false},
+      {CodecId::kInt8PerNeuron, false},
+      {CodecId::kInt8PerNeuron, true},
+  };
   const std::size_t sizes[] = {1, 2, 7, 64, 257, 1000};
   const double scales[] = {1e-6, 0.01, 1.0, 100.0, 30000.0};
-  for (CodecId id : ids) {
+  for (const auto& [id, grouped] : configs) {
     for (std::size_t n : sizes) {
       for (double sc : scales) {
         std::vector<float> values(n);
@@ -132,12 +138,10 @@ TEST(CodecTest, FuzzRoundTripsAcrossShapesAndScales) {
         for (auto& v : values) {
           if (rng.uniform() < 0.3) v = 0.0F;
         }
-        const std::size_t group_count =
-            id == CodecId::kInt8PerNeuron ? 1 + n / 7 : 1;
+        const std::size_t group_count = grouped ? 1 + n / 7 : 1;
         const std::vector<std::uint32_t> groups =
-            id == CodecId::kInt8PerNeuron
-                ? random_groups(n, group_count, rng)
-                : std::vector<std::uint32_t>{};
+            grouped ? random_groups(n, group_count, rng)
+                    : std::vector<std::uint32_t>{};
         expect_codec_roundtrip(id, values, groups, group_count);
       }
     }
@@ -147,7 +151,7 @@ TEST(CodecTest, FuzzRoundTripsAcrossShapesAndScales) {
 TEST(CodecTest, AllZeroStreamCompressesAndRoundTrips) {
   const std::vector<float> zeros(500, 0.0F);
   const codec::QuantPlan plan =
-      codec::plan_quantization(CodecId::kInt8PerTensor, zeros, {}, 1);
+      codec::plan_quantization(CodecId::kInt8PerNeuron, zeros, {}, 1);
   std::vector<std::uint8_t> payload;
   codec::encode_values(plan, zeros, {}, payload);
   // 500 zeros -> two escape+length pairs (runs cap at 255).
@@ -161,7 +165,7 @@ TEST(CodecTest, ShortZeroRunsAreNotEscaped) {
   // Runs of 1-2 zeros stay literal bytes; the payload never expands.
   const std::vector<float> values = {1.0F, 0.0F, 0.0F, 1.0F, 0.0F, 1.0F};
   const codec::QuantPlan plan =
-      codec::plan_quantization(CodecId::kInt8PerTensor, values, {}, 1);
+      codec::plan_quantization(CodecId::kInt8PerNeuron, values, {}, 1);
   std::vector<std::uint8_t> payload;
   codec::encode_values(plan, values, {}, payload);
   EXPECT_EQ(payload.size(), values.size());
@@ -179,7 +183,7 @@ TEST(CodecTest, NeverExpandsBeyondOneBytePerValue) {
       v = rng.uniform() < 0.5 ? 0.0F : static_cast<float>(rng.normal());
     }
     const codec::QuantPlan plan =
-        codec::plan_quantization(CodecId::kInt8PerTensor, values, {}, 1);
+        codec::plan_quantization(CodecId::kInt8PerNeuron, values, {}, 1);
     std::vector<std::uint8_t> payload;
     codec::encode_values(plan, values, {}, payload);
     EXPECT_LE(payload.size(), values.size());
@@ -192,7 +196,7 @@ TEST(CodecTest, RejectsNaNAndInf) {
                     -std::numeric_limits<float>::infinity()}) {
     std::vector<float> values = {1.0F, bad, 2.0F};
     EXPECT_THROW(
-        codec::plan_quantization(CodecId::kInt8PerTensor, values, {}, 1),
+        codec::plan_quantization(CodecId::kInt8PerNeuron, values, {}, 1),
         codec::CodecError);
     EXPECT_THROW(codec::plan_quantization(CodecId::kFp16, values, {}, 1),
                  codec::CodecError);
@@ -204,7 +208,7 @@ TEST(CodecTest, DecodeRejectsTruncatedAndOversizedPayloads) {
   std::vector<float> values(64);
   for (auto& v : values) v = static_cast<float>(rng.normal());
   const codec::QuantPlan plan =
-      codec::plan_quantization(CodecId::kInt8PerTensor, values, {}, 1);
+      codec::plan_quantization(CodecId::kInt8PerNeuron, values, {}, 1);
   std::vector<std::uint8_t> payload;
   codec::encode_values(plan, values, {}, payload);
 
@@ -220,7 +224,7 @@ TEST(CodecTest, DecodeRejectsTruncatedAndOversizedPayloads) {
 TEST(CodecTest, DecodeRejectsCorruptZeroRun) {
   // An escape byte announcing a run that overruns the value count.
   const codec::QuantPlan plan =
-      codec::plan_quantization(CodecId::kInt8PerTensor,
+      codec::plan_quantization(CodecId::kInt8PerNeuron,
                                std::vector<float>{1.0F}, {}, 1);
   const std::vector<std::uint8_t> bogus = {0x80, 0xFF};
   EXPECT_THROW(codec::decode_values(plan, bogus, {}, 4), codec::CodecError);
@@ -231,17 +235,17 @@ TEST(CodecTest, DecodeRejectsCorruptZeroRun) {
 }
 
 TEST(CodecTest, RegistryNamesAndIds) {
-  EXPECT_EQ(codec::codec_from_name("fp32"), CodecId::kFp32);
-  EXPECT_EQ(codec::codec_from_name("fp16"), CodecId::kFp16);
-  EXPECT_EQ(codec::codec_from_name("int8"), CodecId::kInt8PerTensor);
-  EXPECT_EQ(codec::codec_from_name("int8pn"), CodecId::kInt8PerNeuron);
-  EXPECT_EQ(codec::codec_from_name("auto"), CodecId::kAuto);
-  EXPECT_THROW(codec::codec_from_name("lz4"), codec::CodecError);
+  EXPECT_STREQ(codec::codec_name(CodecId::kFp32), "fp32");
+  EXPECT_STREQ(codec::codec_name(CodecId::kFp16), "fp16");
+  EXPECT_STREQ(codec::codec_name(CodecId::kInt8PerNeuron), "int8pn");
   EXPECT_TRUE(codec::codec_known(0));
+  EXPECT_TRUE(codec::codec_known(1));
   EXPECT_TRUE(codec::codec_known(3));
+  // Id 2 (the retired per-tensor int8) and the retired dispatch-only id.
+  EXPECT_FALSE(codec::codec_known(2));
   EXPECT_FALSE(codec::codec_known(4));
   EXPECT_FALSE(codec::codec_known(0xFFFFFFFFU));
-  EXPECT_THROW(codec::codec_info(CodecId::kAuto), codec::CodecError);
+  EXPECT_THROW(codec::codec_info(static_cast<CodecId>(2)), codec::CodecError);
 }
 
 // ---- Error-feedback accumulators ------------------------------------------
@@ -267,7 +271,7 @@ TEST(ErrorFeedbackTest, NormAndClearAndAssign) {
   EXPECT_TRUE(ef.empty());
 }
 
-// ---- v2 wire frames --------------------------------------------------------
+// ---- Wire frames -----------------------------------------------------------
 
 struct QuantWireFixture {
   nn::Model model;
@@ -315,8 +319,9 @@ struct QuantWireFixture {
 };
 
 /// Decodes `frame` and checks it reconstructs exactly the encoder-predicted
-/// view (CodecResult.dequantized), with unshipped entries at the base.
-void expect_quant_roundtrip(const QuantWireFixture& fx,
+/// view (CodecResult.dequantized; the update itself under fp32), with
+/// unshipped entries at the base.
+void expect_quant_roundtrip(const QuantWireFixture& fx, CodecId id,
                             std::span<const std::uint8_t> mask,
                             const std::vector<std::uint8_t>& frame,
                             const net::CodecResult& result) {
@@ -324,64 +329,28 @@ void expect_quant_roundtrip(const QuantWireFixture& fx,
   EXPECT_EQ(d.client_id, 42);
   EXPECT_EQ(d.sample_count, 1234U);
   ASSERT_EQ(d.params.size(), fx.layout.param_count);
-  if (result.codec == CodecId::kFp32) {
-    EXPECT_EQ(std::memcmp(d.params.data(), fx.params.data(),
-                          fx.params.size() * sizeof(float)),
-              0);
+  if (id == CodecId::kFp32) {
+    EXPECT_TRUE(result.dequantized.empty());
+    EXPECT_TRUE(testing::bitwise_equal(d.params, fx.params));
   } else {
-    ASSERT_EQ(result.dequantized.size(), fx.layout.param_count);
-    EXPECT_EQ(std::memcmp(d.params.data(), result.dequantized.data(),
-                          d.params.size() * sizeof(float)),
-              0)
+    EXPECT_TRUE(testing::bitwise_equal(d.params, result.dequantized))
         << "decoder disagrees with the encoder's dequantized mirror";
-    // Shipped entries land within the quantization error of the true value;
-    // unshipped entries are exactly the base.
+    // Unshipped entries are exactly the base.
     for (std::size_t f = 0; f < fx.layout.param_count; ++f) {
-      const std::uint32_t n = fx.layout.neuron_of[f];
-      const bool shipped = mask.empty() ||
-                           n == net::WireLayout::kCommonParam || mask[n] != 0;
-      if (!shipped) {
+      if (!net::entry_shipped(fx.layout, mask, f)) {
         EXPECT_EQ(d.params[f], fx.base[f]) << "index " << f;
       }
     }
   }
   // Buffers are never quantized.
-  if (!fx.buffers.empty()) {
-    EXPECT_EQ(std::memcmp(d.buffers.data(), fx.buffers.data(),
-                          fx.buffers.size() * sizeof(float)),
-              0);
-  }
-}
-
-TEST(QuantWireTest, Fp32CodecIsByteIdenticalToV1) {
-  QuantWireFixture fx;
-  util::Rng rng(5);
-  for (int trial = 0; trial < 4; ++trial) {
-    std::vector<std::uint8_t> mask(
-        static_cast<std::size_t>(fx.layout.neuron_total));
-    for (auto& b : mask) b = rng.uniform() < 0.5 ? 1 : 0;
-    fx.freeze_unmasked(mask);
-    const auto v1 = net::encode_frame_auto(fx.message(mask), fx.base,
-                                           fx.layout);
-    net::CodecResult result;
-    const auto v2 = net::encode_frame_auto(fx.message(mask), fx.base,
-                                           fx.layout, CodecId::kFp32,
-                                           &result);
-    EXPECT_EQ(v1, v2);
-    EXPECT_EQ(result.codec, CodecId::kFp32);
-    // Dense overload too.
-    const auto d1 = net::encode_frame(fx.message(mask), fx.layout);
-    const auto d2 = net::encode_frame(fx.message(mask), fx.layout,
-                                      CodecId::kFp32, nullptr);
-    EXPECT_EQ(d1, d2);
-  }
+  EXPECT_TRUE(testing::bitwise_equal(d.buffers, fx.buffers));
 }
 
 TEST(QuantWireTest, QuantizedRoundTripsAcrossCodecsAndMasks) {
   QuantWireFixture fx;
   util::Rng rng(11);
-  const CodecId ids[] = {CodecId::kFp16, CodecId::kInt8PerTensor,
-                         CodecId::kInt8PerNeuron, CodecId::kAuto};
+  const CodecId ids[] = {CodecId::kFp32, CodecId::kFp16,
+                         CodecId::kInt8PerNeuron};
   for (CodecId id : ids) {
     for (int trial = 0; trial < 4; ++trial) {
       std::vector<std::uint8_t> mask(
@@ -391,12 +360,13 @@ TEST(QuantWireTest, QuantizedRoundTripsAcrossCodecsAndMasks) {
       net::CodecResult result;
       const auto frame = net::encode_frame_auto(fx.message(mask), fx.base,
                                                 fx.layout, id, &result);
-      expect_quant_roundtrip(fx, mask, frame, result);
+      expect_quant_roundtrip(fx, id, mask, frame, result);
     }
   }
 }
 
 TEST(QuantWireTest, DegenerateMasksRoundTrip) {
+  const CodecId id = CodecId::kInt8PerNeuron;
   QuantWireFixture fx;
   const auto m = static_cast<std::size_t>(fx.layout.neuron_total);
   // All-zero mask: only common parameters ship.
@@ -404,63 +374,74 @@ TEST(QuantWireTest, DegenerateMasksRoundTrip) {
   fx.freeze_unmasked(none);
   net::CodecResult result;
   auto frame = net::encode_frame_auto(fx.message(none), fx.base, fx.layout,
-                                      CodecId::kInt8PerNeuron, &result);
-  expect_quant_roundtrip(fx, none, frame, result);
+                                      id, &result);
+  expect_quant_roundtrip(fx, id, none, frame, result);
 
   // Single-neuron mask.
   QuantWireFixture fx2(9);
   std::vector<std::uint8_t> one(m, 0);
   one[m / 2] = 1;
   fx2.freeze_unmasked(one);
-  frame = net::encode_frame_auto(fx2.message(one), fx2.base, fx2.layout,
-                                 CodecId::kInt8PerNeuron, &result);
-  expect_quant_roundtrip(fx2, one, frame, result);
+  frame = net::encode_frame_auto(fx2.message(one), fx2.base, fx2.layout, id,
+                                 &result);
+  expect_quant_roundtrip(fx2, id, one, frame, result);
 
   // Full mask (all ones) == effectively dense.
   QuantWireFixture fx3(13);
   std::vector<std::uint8_t> all(m, 1);
-  frame = net::encode_frame_auto(fx3.message(all), fx3.base, fx3.layout,
-                                 CodecId::kInt8PerTensor, &result);
-  expect_quant_roundtrip(fx3, all, frame, result);
+  frame = net::encode_frame_auto(fx3.message(all), fx3.base, fx3.layout, id,
+                                 &result);
+  expect_quant_roundtrip(fx3, id, all, frame, result);
 }
 
 TEST(QuantWireTest, NoBaseDenseEncodingRoundTrips) {
-  // encode_frame (no base snapshot): values ship absolute, not delta-coded.
+  // Without a base snapshot values ship absolute, not delta-coded.
   QuantWireFixture fx;
   net::CodecResult result;
-  const auto frame = net::encode_frame(fx.message({}), fx.layout,
-                                       CodecId::kInt8PerTensor, &result);
+  const auto frame = net::encode_frame_auto(
+      fx.message({}), {}, fx.layout, CodecId::kInt8PerNeuron, &result);
+  EXPECT_EQ(frame[6] & net::kFlagDelta, 0);
   const net::DecodedMessage d = net::decode_frame(frame, fx.layout, {});
-  ASSERT_EQ(result.dequantized.size(), fx.layout.param_count);
-  EXPECT_EQ(std::memcmp(d.params.data(), result.dequantized.data(),
-                        d.params.size() * sizeof(float)),
-            0);
+  EXPECT_TRUE(testing::bitwise_equal(d.params, result.dequantized));
 }
 
 TEST(QuantWireTest, QuantizedFramesAreSmaller) {
   QuantWireFixture fx;
-  const auto v1 = net::encode_frame_auto(fx.message({}), fx.base, fx.layout);
-  net::CodecResult result;
+  const auto fp32 = net::encode_frame_auto(fx.message({}), fx.base,
+                                           fx.layout, CodecId::kFp32);
   const auto int8 = net::encode_frame_auto(fx.message({}), fx.base,
-                                           fx.layout, CodecId::kInt8PerNeuron,
-                                           &result);
+                                           fx.layout, CodecId::kInt8PerNeuron);
   const auto fp16 = net::encode_frame_auto(fx.message({}), fx.base,
-                                           fx.layout, CodecId::kFp16,
-                                           nullptr);
-  EXPECT_LT(fp16.size(), v1.size());
+                                           fx.layout, CodecId::kFp16);
+  EXPECT_LT(fp16.size(), fp32.size());
   EXPECT_LT(int8.size(), fp16.size());
-  const auto autof = net::encode_frame_auto(fx.message({}), fx.base,
-                                            fx.layout, CodecId::kAuto,
-                                            nullptr);
-  EXPECT_LE(autof.size(), int8.size());
 }
 
 TEST(QuantWireTest, RejectsNonFinitePayloads) {
   QuantWireFixture fx;
   fx.params[3] = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_THROW(net::encode_frame_auto(fx.message({}), fx.base, fx.layout,
-                                      CodecId::kInt8PerTensor, nullptr),
-               codec::CodecError);
+  for (CodecId id : {CodecId::kFp16, CodecId::kInt8PerNeuron}) {
+    EXPECT_THROW(
+        net::encode_frame_auto(fx.message({}), fx.base, fx.layout, id),
+        codec::CodecError);
+  }
+  // fp32 is lossless: the NaN bits ship like any other value.
+  const auto frame = net::encode_frame_auto(fx.message({}), fx.base,
+                                            fx.layout, CodecId::kFp32);
+  EXPECT_TRUE(testing::bitwise_equal(
+      net::decode_frame(frame, fx.layout, fx.base).params, fx.params));
+}
+
+/// `frame` with the little-endian `value` written at `at` and its CRC
+/// recomputed, so only the field itself is wrong.
+template <typename T>
+std::vector<std::uint8_t> with_field(std::vector<std::uint8_t> frame,
+                                     std::size_t at, T value) {
+  std::memcpy(frame.data() + at, &value, sizeof value);
+  const std::uint32_t crc = net::crc32(
+      std::span<const std::uint8_t>(frame.data(), frame.size() - 4));
+  std::memcpy(frame.data() + frame.size() - 4, &crc, 4);
+  return frame;
 }
 
 TEST(QuantWireTest, TruncationAndCorruptionAreRejected) {
@@ -492,102 +473,175 @@ TEST(QuantWireTest, TruncationAndCorruptionAreRejected) {
   longer.push_back(0);
   EXPECT_THROW(net::decode_frame(longer, fx.layout, fx.base),
                net::WireError);
+  // A sparse frame claiming more entries than the layout ships is refused
+  // before anything is sized by that count.
+  fx.params = fx.base;
+  fx.params[7] += 1.0F;
+  const auto sparse = net::encode_frame_auto(
+      fx.message({}), fx.base, fx.layout, CodecId::kInt8PerNeuron, &result);
+  ASSERT_TRUE(result.sparse);
+  EXPECT_THROW(net::decode_frame(with_field(sparse, 32, ~std::uint64_t{0}),
+                                 fx.layout, fx.base),
+               net::WireError);
 }
 
-TEST(QuantWireTest, CrossVersionRules) {
+TEST(QuantWireTest, SingleVersionRules) {
   QuantWireFixture fx;
-  // A v1 frame decodes through the same decoder (cross-version read).
-  const auto v1 = net::encode_frame_auto(fx.message({}), fx.base, fx.layout);
-  EXPECT_EQ(v1[4], 1);  // version byte
-  EXPECT_NO_THROW(net::decode_frame(v1, fx.layout, fx.base));
-
-  // A v2 frame announces version 2 and decodes too.
+  for (CodecId id :
+       {CodecId::kFp32, CodecId::kFp16, CodecId::kInt8PerNeuron}) {
+    const auto frame =
+        net::encode_frame_auto(fx.message({}), fx.base, fx.layout, id);
+    // Every codec ships version 2 with its id at offset 56.
+    EXPECT_EQ(frame[4], 2);
+    std::uint32_t codec_id = 0;
+    std::memcpy(&codec_id, frame.data() + 56, 4);
+    EXPECT_EQ(codec_id, static_cast<std::uint32_t>(id));
+    EXPECT_NO_THROW(net::decode_frame(frame, fx.layout, fx.base));
+    // Versions 1 and 3 are refused even with a valid CRC.
+    for (std::uint16_t version : {1, 3}) {
+      EXPECT_THROW(net::decode_frame(with_field(frame, 4, version), fx.layout,
+                                     fx.base),
+                   net::WireError)
+          << "version " << version;
+    }
+    // So are the retired codec ids: the per-tensor int8 (2) and the
+    // dispatch-only "pick the smallest" id.
+    for (std::uint32_t retired : {2U, 0xFFFFFFFFU}) {
+      EXPECT_THROW(net::decode_frame(with_field(frame, 56, retired),
+                                     fx.layout, fx.base),
+                   net::WireError)
+          << "codec id " << retired;
+    }
+  }
+  // fp32 never ships deltas, and a sparse lossy frame always does.
+  const auto fp32 = net::encode_frame_auto(fx.message({}), fx.base,
+                                           fx.layout, CodecId::kFp32);
+  const auto delta_fp32 = with_field(
+      fp32, 6, static_cast<std::uint16_t>(fp32[6] | net::kFlagDelta));
+  EXPECT_THROW(net::decode_frame(delta_fp32, fx.layout, fx.base),
+               net::WireError);
+  fx.params = fx.base;
+  fx.params[7] += 1.0F;
   net::CodecResult result;
-  auto v2 = net::encode_frame_auto(fx.message({}), fx.base, fx.layout,
-                                   CodecId::kInt8PerTensor, &result);
-  EXPECT_EQ(v2[4], 2);
-  EXPECT_NO_THROW(net::decode_frame(v2, fx.layout, fx.base));
-
-  // An unknown version is refused even with a valid CRC.
-  auto unk = v1;
-  unk[4] = 3;
-  const std::uint32_t crc = net::crc32(
-      std::span<const std::uint8_t>(unk.data(), unk.size() - 4));
-  std::memcpy(unk.data() + unk.size() - 4, &crc, 4);
-  EXPECT_THROW(net::decode_frame(unk, fx.layout, fx.base), net::WireError);
-
-  // A v2 frame claiming the fp32 codec is malformed (fp32 must ship as v1).
-  auto bad = v2;
-  const std::uint32_t fp32_id = 0;
-  std::memcpy(bad.data() + 56, &fp32_id, 4);
-  const std::uint32_t crc2 = net::crc32(
-      std::span<const std::uint8_t>(bad.data(), bad.size() - 4));
-  std::memcpy(bad.data() + bad.size() - 4, &crc2, 4);
-  EXPECT_THROW(net::decode_frame(bad, fx.layout, fx.base), net::WireError);
-
-  // An unknown codec id is refused.
-  auto badc = v2;
-  const std::uint32_t codec_id = 9;
-  std::memcpy(badc.data() + 56, &codec_id, 4);
-  const std::uint32_t crc3 = net::crc32(
-      std::span<const std::uint8_t>(badc.data(), badc.size() - 4));
-  std::memcpy(badc.data() + badc.size() - 4, &crc3, 4);
-  EXPECT_THROW(net::decode_frame(badc, fx.layout, fx.base), net::WireError);
-
-  // A v1 frame carrying the v2-only delta flag is refused.
-  auto badf = v1;
-  badf[6] |= 0x04;  // kFlagDelta
-  const std::uint32_t crc4 = net::crc32(
-      std::span<const std::uint8_t>(badf.data(), badf.size() - 4));
-  std::memcpy(badf.data() + badf.size() - 4, &crc4, 4);
-  EXPECT_THROW(net::decode_frame(badf, fx.layout, fx.base), net::WireError);
+  const auto sparse = net::encode_frame_auto(
+      fx.message({}), fx.base, fx.layout, CodecId::kFp16, &result);
+  ASSERT_TRUE(result.sparse);
+  const auto absolute = with_field(
+      sparse, 6, static_cast<std::uint16_t>(sparse[6] & ~net::kFlagDelta));
+  EXPECT_THROW(net::decode_frame(absolute, fx.layout, fx.base),
+               net::WireError);
 }
 
-// ---- Quantized merge frames (agg tier uplinks) ------------------------------
+// ---- Pinned frame bytes ----------------------------------------------------
 
-TEST(MergeCodecTest, QuantizedMergeFramesRoundTrip) {
-  nn::Model model = models::mlp_spec({1, 8, 8, 4}, 24).build(3);
-  const agg::ModelGeometry geo = agg::make_geometry(model);
-  util::Rng rng(19);
-  agg::StreamingAccumulator acc(&geo);
-  std::vector<float> params(geo.param_count);
-  std::vector<float> buffers(geo.buffer_count);
-  for (auto& v : params) v = static_cast<float>(rng.normal());
-  for (auto& v : buffers) v = static_cast<float>(rng.normal());
-  acc.fold({0, params, buffers, {}}, {1.0, 0.7}, true);
+/// One pinned encode of QuantWireFixture's update: optionally masked (every
+/// third neuron off, frozen at the base), optionally top-k sparsified (all
+/// but every 401st entry reverted to the base), encoded with or without the
+/// base snapshot.
+struct PinnedCase {
+  const char* name;
+  CodecId codec;
+  bool masked;
+  bool topk;
+  bool with_base;
+  bool sparse;  // the encoding the encoder picks
+};
 
-  // kF64 is bit-exact; kF32/kF16 are close and strictly smaller.
-  const auto f64 = acc.encode_frame(agg::MergeCodec::kF64);
-  const auto f32 = acc.encode_frame(agg::MergeCodec::kF32);
-  const auto f16 = acc.encode_frame(agg::MergeCodec::kF16);
-  EXPECT_EQ(f64.size(),
-            agg::StreamingAccumulator::frame_bytes(geo, agg::MergeCodec::kF64));
-  EXPECT_EQ(f32.size(),
-            agg::StreamingAccumulator::frame_bytes(geo, agg::MergeCodec::kF32));
-  EXPECT_EQ(f16.size(),
-            agg::StreamingAccumulator::frame_bytes(geo, agg::MergeCodec::kF16));
-  EXPECT_LT(f32.size(), f64.size());
-  EXPECT_LT(f16.size(), f32.size());
+struct PinnedEncode {
+  QuantWireFixture fx;
+  std::vector<std::uint8_t> mask;
+  net::CodecResult result;
+  std::vector<std::uint8_t> frame;
 
-  const auto d64 = agg::StreamingAccumulator::decode_frame(f64, &geo);
-  EXPECT_EQ(d64.acc(), acc.acc());
-  EXPECT_EQ(d64.den(), acc.den());
-  EXPECT_EQ(d64.buffer_den(), acc.buffer_den());
-
-  for (const auto* frame : {&f32, &f16}) {
-    const auto d = agg::StreamingAccumulator::decode_frame(*frame, &geo);
-    ASSERT_EQ(d.acc().size(), acc.acc().size());
-    EXPECT_EQ(d.folded(), acc.folded());
-    double max_rel = 0.0;
-    for (std::size_t i = 0; i < acc.acc().size(); ++i) {
-      const double denom = std::max(1e-3, std::abs(acc.acc()[i]));
-      max_rel = std::max(max_rel, std::abs(d.acc()[i] - acc.acc()[i]) / denom);
+  explicit PinnedEncode(const PinnedCase& c) {
+    if (c.masked) {
+      mask.resize(static_cast<std::size_t>(fx.layout.neuron_total));
+      for (std::size_t j = 0; j < mask.size(); ++j) mask[j] = j % 3 != 0;
+      fx.freeze_unmasked(mask);
     }
-    EXPECT_LT(max_rel, frame == &f32 ? 1e-6 : 2e-3);
-    EXPECT_NEAR(d.buffer_den(), acc.buffer_den(),
-                std::abs(acc.buffer_den()) * 2e-3);
+    if (c.topk) {
+      for (std::size_t f = 0; f < fx.params.size(); ++f) {
+        if (f % 401 != 0) fx.params[f] = fx.base[f];
+      }
+    }
+    const std::span<const float> base =
+        c.with_base ? std::span<const float>(fx.base)
+                    : std::span<const float>();
+    frame = net::encode_frame_auto(fx.message(mask), base, fx.layout, c.codec,
+                                   &result);
+  }
+};
+
+// The fp16 and int8pn frames, byte for byte. Recorded before fp32 joined
+// their layout; a mismatch means the lossy frames changed on the wire. Never
+// re-record these to make a change pass.
+TEST(FrameDigestTest, LossyFramesAreByteStable) {
+  struct Pinned {
+    PinnedCase c;
+    std::size_t bytes;
+    std::uint64_t digest;
+  };
+  constexpr CodecId kF16 = CodecId::kFp16;
+  constexpr CodecId kI8 = CodecId::kInt8PerNeuron;
+  // name, codec, masked, top-k, with base, sparse | bytes, digest
+  const Pinned pinned[] = {
+      {{"fp16_dense", kF16, false, false, false, false},
+       3388, 0x71224a701a50fe7cULL},
+      {{"fp16_masked", kF16, true, false, false, false},
+       2351, 0x78c6997b9c2d7402ULL},
+      {{"fp16_dense_base", kF16, false, false, true, false},
+       3388, 0xe9db761f1210cf13ULL},
+      {{"fp16_masked_base", kF16, true, false, true, false},
+       2351, 0x05ab4c82a0ed630cULL},
+      {{"fp16_sparse", kF16, false, true, true, true},
+       98, 0x64e19e26da58a31aULL},
+      {{"fp16_sparse_masked", kF16, true, true, true, true},
+       77, 0xcc9d7bfd04bfb5ebULL},
+      {{"int8pn_dense", kI8, false, false, false, false},
+       1778, 0x1cc015218bf762d1ULL},
+      {{"int8pn_masked", kI8, true, false, false, false},
+       1245, 0x719c1747cee394abULL},
+      {{"int8pn_dense_base", kI8, false, false, true, false},
+       1778, 0x4ab3048bc48864e7ULL},
+      {{"int8pn_masked_base", kI8, true, false, true, false},
+       1245, 0x2b96ecbf1c42edebULL},
+      {{"int8pn_sparse", kI8, false, true, true, true},
+       103, 0xc3c0dfe384f8a658ULL},
+      {{"int8pn_sparse_masked", kI8, true, true, true, true},
+       78, 0xe95bf06b4e47ff1dULL},
+  };
+  for (const Pinned& p : pinned) {
+    const PinnedEncode e(p.c);
+    EXPECT_EQ(e.result.sparse, p.c.sparse) << p.c.name;
+    EXPECT_EQ(e.frame.size(), p.bytes) << p.c.name;
+    EXPECT_EQ(testing::fnv1a(e.frame), p.digest)
+        << p.c.name << " 0x" << std::hex << testing::fnv1a(e.frame);
   }
 }
+
+// fp32 frames: the retired version-1 frame of each case (sizes recorded
+// from that encoder) plus the 8-byte codec word, bit-exact dense and sparse,
+// with no dequantized mirror.
+TEST(QuantWireTest, Fp32FramesGrowByTheHeaderOnly) {
+  struct Pinned {
+    PinnedCase c;
+    std::size_t v1_bytes;
+  };
+  const Pinned pinned[] = {
+      {{"fp32_dense", CodecId::kFp32, false, false, false, false}, 6700},
+      {{"fp32_masked", CodecId::kFp32, true, false, true, false}, 4623},
+      {{"fp32_sparse", CodecId::kFp32, false, true, true, true}, 100},
+      {{"fp32_sparse_masked", CodecId::kFp32, true, true, true, true}, 71},
+  };
+  for (const Pinned& p : pinned) {
+    const PinnedEncode e(p.c);
+    EXPECT_EQ(e.result.sparse, p.c.sparse) << p.c.name;
+    EXPECT_EQ(e.frame.size(), p.v1_bytes + 8) << p.c.name;
+    expect_quant_roundtrip(e.fx, CodecId::kFp32, e.mask, e.frame, e.result);
+  }
+}
+
+// ---- Merge frames (agg tier uplinks) ---------------------------------------
 
 TEST(MergeCodecTest, RejectsUnknownCodecAndCorruption) {
   nn::Model model = models::mlp_spec({1, 8, 8, 4}, 24).build(3);
@@ -597,22 +651,30 @@ TEST(MergeCodecTest, RejectsUnknownCodecAndCorruption) {
   std::vector<float> buffers(geo.buffer_count, 0.25F);
   acc.fold({0, params, buffers, {}}, {1.0, 1.0}, false);
 
-  EXPECT_TRUE(agg::merge_codec_known(0));
-  EXPECT_TRUE(agg::merge_codec_known(2));
-  EXPECT_FALSE(agg::merge_codec_known(3));
+  const auto frame = acc.encode_frame();
+  EXPECT_NO_THROW(agg::StreamingAccumulator::decode_frame(frame, &geo));
 
-  auto frame = acc.encode_frame(agg::MergeCodec::kF16);
-  auto bad = frame;
-  bad[4] = 7;  // unknown codec id
-  EXPECT_THROW(agg::StreamingAccumulator::decode_frame(bad, &geo),
-               std::runtime_error);
+  // Merge frames are f64 only: the word after the magic, once the codec id,
+  // is a reserved zero. The retired f32/f16 ids and an unknown one are
+  // refused even under a valid CRC.
+  for (const std::uint8_t id : {std::uint8_t{1}, std::uint8_t{2},
+                                std::uint8_t{7}}) {
+    auto bad = frame;
+    bad[4] = id;
+    const std::uint32_t crc = net::crc32(
+        std::span<const std::uint8_t>(bad.data(), bad.size() - 4));
+    std::memcpy(bad.data() + bad.size() - 4, &crc, 4);
+    EXPECT_THROW(agg::StreamingAccumulator::decode_frame(bad, &geo),
+                 net::WireError)
+        << "codec word " << static_cast<int>(id);
+  }
   auto flipped = frame;
   flipped[frame.size() / 2] ^= 0x40;
   EXPECT_THROW(agg::StreamingAccumulator::decode_frame(flipped, &geo),
-               std::runtime_error);
+               net::WireError);
   std::vector<std::uint8_t> shorter(frame.begin(), frame.end() - 8);
   EXPECT_THROW(agg::StreamingAccumulator::decode_frame(shorter, &geo),
-               std::runtime_error);
+               net::WireError);
 }
 
 // ---- Fleet-level integration -----------------------------------------------

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,6 +62,14 @@ struct WireFixture {
     return m;
   }
 
+  /// The fp32 frame of the update: dense without `base`, the smaller of
+  /// the dense and sparse frames with it.
+  std::vector<std::uint8_t> encode(std::span<const std::uint8_t> mask,
+                                   std::span<const float> base = {}) const {
+    return net::encode_frame_auto(message(mask), base, layout,
+                                  codec::CodecId::kFp32);
+  }
+
   /// Applies the soft-training contract: parameters of masked-off neurons
   /// stay bit-identical to the base snapshot the client received.
   void freeze_unmasked(std::span<const std::uint8_t> mask) {
@@ -100,7 +109,7 @@ void expect_roundtrip(const WireFixture& fx,
 
 TEST(WireTest, DenseRoundTripUnmasked) {
   WireFixture fx(models::mlp_spec({1, 8, 8, 4}, 24));
-  const auto frame = net::encode_frame(fx.message({}), fx.layout);
+  const auto frame = fx.encode({});
   EXPECT_EQ(frame.size(), net::dense_frame_bytes(fx.layout, {}));
   expect_roundtrip(fx, {}, frame);
 }
@@ -113,7 +122,7 @@ TEST(WireTest, DenseRoundTripRandomMasks) {
     std::vector<std::uint8_t> mask(static_cast<std::size_t>(m));
     for (auto& b : mask) b = rng.uniform() < 0.5 ? 1 : 0;
     fx.freeze_unmasked(mask);
-    const auto frame = net::encode_frame(fx.message(mask), fx.layout);
+    const auto frame = fx.encode(mask);
     EXPECT_EQ(frame.size(), net::dense_frame_bytes(fx.layout, mask));
     expect_roundtrip(fx, mask, frame);
   }
@@ -123,14 +132,17 @@ TEST(WireTest, EmptyAndFullMasksShipEverything) {
   WireFixture fx(models::mlp_spec({1, 8, 8, 4}, 16));
   const std::vector<std::uint8_t> all(
       static_cast<std::size_t>(fx.layout.neuron_total), 1);
-  const auto frame_all = net::encode_frame(fx.message(all), fx.layout);
-  const auto frame_none = net::encode_frame(fx.message({}), fx.layout);
+  const auto frame_all = fx.encode(all);
+  const auto frame_none = fx.encode({});
   // A mask selecting every neuron ships the same payload as no mask, plus
   // the mask bytes themselves.
   EXPECT_EQ(frame_all.size(),
             frame_none.size() +
                 net::mask_wire_bytes(fx.layout.neuron_total));
   expect_roundtrip(fx, all, frame_all);
+  // Nothing is left for a base to fill, so none is needed.
+  EXPECT_TRUE(testing::bitwise_equal(
+      net::decode_frame(frame_all, fx.layout, {}).params, fx.params));
 }
 
 TEST(WireTest, AllZeroMaskShipsOnlyCommonParams) {
@@ -138,7 +150,7 @@ TEST(WireTest, AllZeroMaskShipsOnlyCommonParams) {
   const std::vector<std::uint8_t> none(
       static_cast<std::size_t>(fx.layout.neuron_total), 0);
   fx.freeze_unmasked(none);
-  const auto frame = net::encode_frame(fx.message(none), fx.layout);
+  const auto frame = fx.encode(none);
   const std::size_t common =
       static_cast<std::size_t>(std::count(fx.layout.neuron_of.begin(),
                                           fx.layout.neuron_of.end(),
@@ -165,7 +177,7 @@ TEST(WireTest, BatchNormBuffersSurviveRoundTrip) {
   WireFixture fx(models::resnet18_lite_spec({3, 16, 16, 10}));
   ASSERT_GT(fx.layout.buffer_count, 0U)
       << "fixture model must carry BatchNorm running statistics";
-  const auto frame = net::encode_frame(fx.message({}), fx.layout);
+  const auto frame = fx.encode({});
   expect_roundtrip(fx, {}, frame);
 }
 
@@ -178,30 +190,36 @@ TEST(WireTest, SparseRoundTripTracksChangedEntries) {
     fx.params[static_cast<std::size_t>(
         rng.uniform_int(fx.layout.param_count))] += 1.0F;
   }
-  const auto sparse =
-      net::encode_frame_sparse(fx.message({}), fx.base, fx.layout);
-  const auto dense = net::encode_frame(fx.message({}), fx.layout);
-  EXPECT_LT(sparse.size(), dense.size());
+  std::size_t changed = 0;
+  for (std::size_t f = 0; f < fx.params.size(); ++f) {
+    changed += fx.params[f] != fx.base[f];
+  }
+  net::CodecResult result;
+  const auto sparse = net::encode_frame_auto(
+      fx.message({}), fx.base, fx.layout, codec::CodecId::kFp32, &result);
+  const auto dense = fx.encode({});
+  EXPECT_TRUE(result.sparse);
+  EXPECT_TRUE(result.dequantized.empty());
+  // The changed indices, then their values: 8 B per entry.
+  EXPECT_EQ(sparse.size(), dense.size() -
+                               fx.layout.param_count * sizeof(float) +
+                               changed * 8);
   expect_roundtrip(fx, {}, sparse);
-  // encode_frame_auto picks the sparse one here...
-  EXPECT_EQ(net::encode_frame_auto(fx.message({}), fx.base, fx.layout).size(),
-            sparse.size());
-  // ...and the dense one when every entry changed.
+  // When every entry changed the dense frame wins, base or not.
   for (float& v : fx.params) v += 0.5F;
-  EXPECT_EQ(net::encode_frame_auto(fx.message({}), fx.base, fx.layout).size(),
-            net::encode_frame(fx.message({}), fx.layout).size());
+  EXPECT_EQ(fx.encode({}, fx.base), fx.encode({}));
 }
 
 TEST(WireTest, CorruptedCrcIsRejected) {
   WireFixture fx(models::mlp_spec({1, 8, 8, 4}, 16));
-  auto frame = net::encode_frame(fx.message({}), fx.layout);
+  auto frame = fx.encode({});
   frame[frame.size() / 2] ^= 0x40;
   EXPECT_THROW(net::decode_frame(frame, fx.layout, fx.base), net::WireError);
 }
 
 TEST(WireTest, TruncatedFrameIsRejected) {
   WireFixture fx(models::mlp_spec({1, 8, 8, 4}, 16));
-  auto frame = net::encode_frame(fx.message({}), fx.layout);
+  auto frame = fx.encode({});
   for (std::size_t cut :
        {frame.size() - 1, frame.size() / 2, net::kHeaderBytes - 1,
         std::size_t{3}, std::size_t{0}}) {
@@ -215,7 +233,7 @@ TEST(WireTest, TruncatedFrameIsRejected) {
 TEST(WireTest, ForeignArchitectureIsRejected) {
   WireFixture fx(models::mlp_spec({1, 8, 8, 4}, 16));
   WireFixture other(models::mlp_spec({1, 8, 8, 4}, 32));
-  const auto frame = net::encode_frame(fx.message({}), fx.layout);
+  const auto frame = fx.encode({});
   EXPECT_THROW(net::decode_frame(frame, other.layout, other.base),
                net::WireError);
 }
@@ -233,8 +251,7 @@ TEST(WireTest, Crc32MatchesKnownVector) {
 // bytes does not change the simulated regime.
 TEST(WireTest, FrameBytesMatchAnalyticUploadWithinOnePercent) {
   WireFixture fx(models::lenet_spec({1, 28, 28, 10}));
-  const auto frame =
-      net::encode_frame_auto(fx.message({}), fx.base, fx.layout);
+  const auto frame = fx.encode({}, fx.base);
   const double analytic_bytes =
       static_cast<double>(fx.layout.param_count) * 4.0;
   const double wire_bytes = static_cast<double>(frame.size());
@@ -615,33 +632,47 @@ TEST(NetworkSessionTest, SyncFLWholeCohortLostLeavesGlobalUnchanged) {
 
 TEST(CompressionTest, WireBytesTrackKeptFraction) {
   fl::Fleet fleet = testing::make_fleet();
-  net::WireLayout layout =
+  const net::WireLayout layout =
       net::make_wire_layout(fleet.server().reference_model());
   const std::vector<float> base(fleet.server().global());
-  fl::ClientUpdate update = fleet.client(0).run_cycle(
+  const fl::ClientUpdate update = fleet.client(0).run_cycle(
       base, fleet.server().global_buffers(), {});
 
-  fl::ClientUpdate full = update;
-  const fl::CompressionStats all =
-      fl::compress_update_topk(full, base, 1.0, &layout);
-  EXPECT_EQ(all.wire_bytes,
-            net::sparse_frame_bytes(all.kept_entries, layout.buffer_count, 0));
-
-  fl::ClientUpdate quarter = update;
-  const fl::CompressionStats kept =
-      fl::compress_update_topk(quarter, base, 0.25, &layout);
-  EXPECT_LT(kept.wire_bytes, all.wire_bytes);
-  // The sparse frame for the compressed update is exactly what the encoder
-  // produces against the same base.
-  net::WireMessage msg;
-  msg.client_id = quarter.client_id;
-  msg.sample_count = quarter.sample_count;
-  msg.mean_loss = quarter.mean_loss;
-  msg.params = quarter.params;
-  msg.buffers = quarter.buffers;
-  msg.neuron_mask = quarter.trained_mask;
-  EXPECT_EQ(net::encode_frame_sparse(msg, base, layout).size(),
-            kept.wire_bytes);
+  // Reverted entries equal the base, so the encoder's frame of a top-k
+  // compressed update shrinks with the kept fraction under every codec.
+  for (const codec::CodecId id :
+       {codec::CodecId::kFp32, codec::CodecId::kInt8PerNeuron}) {
+    std::size_t previous = std::numeric_limits<std::size_t>::max();
+    for (const double keep : {1.0, 0.25, 0.05}) {
+      fl::ClientUpdate u = update;
+      const fl::CompressionStats stats =
+          fl::compress_update_topk(u, base, keep);
+      net::WireMessage msg;
+      msg.client_id = u.client_id;
+      msg.sample_count = u.sample_count;
+      msg.mean_loss = u.mean_loss;
+      msg.params = u.params;
+      msg.buffers = u.buffers;
+      msg.neuron_mask = u.trained_mask;
+      net::CodecResult result;
+      const auto frame =
+          net::encode_frame_auto(msg, base, layout, id, &result);
+      EXPECT_LT(frame.size(), previous)
+          << codec::codec_name(id) << " keep " << keep;
+      previous = frame.size();
+      if (id != codec::CodecId::kFp32) continue;
+      // fp32 reproduces the compressed update exactly; below keep 1 it
+      // ships the kept indices and their values, 8 B per entry.
+      EXPECT_TRUE(testing::bitwise_equal(
+          net::decode_frame(frame, layout, base).params, u.params));
+      if (keep < 1.0) {
+        EXPECT_TRUE(result.sparse);
+        EXPECT_EQ(frame.size(), net::kHeaderBytes + 8 * stats.kept_entries +
+                                    4 * layout.buffer_count +
+                                    net::kTrailerBytes);
+      }
+    }
+  }
 }
 
 }  // namespace

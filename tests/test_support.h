@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <span>
@@ -49,6 +50,16 @@ bool bitwise_equal(const A& a, const B& b) {
   return sa.size() == sb.size() &&
          (sa.empty() ||
           std::memcmp(sa.data(), sb.data(), sa.size_bytes()) == 0);
+}
+
+/// 64-bit FNV-1a of a byte range; the tests pin encoded frames with it.
+inline std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 /// Central-difference derivative of `f` with respect to `*w`.
