@@ -65,12 +65,10 @@ Tensor Conv2d::forward(const Tensor& x, bool training) {
   // bit-identical at any thread count.
   auto run_samples = [&](std::int64_t lo, std::int64_t hi) {
     Tensor cols({geometry_.patch_size(), plane});
-    Tensor sample({geometry_.in_channels, geometry_.in_h, geometry_.in_w});
     Tensor ys({out_channels_, plane});
     for (std::int64_t i = lo; i < hi; ++i) {
-      std::copy_n(x.data() + static_cast<std::size_t>(i) * in_sample,
-                  in_sample, sample.data());
-      tensor::im2col(sample, geometry_, cols);
+      tensor::im2col(x.data() + static_cast<std::size_t>(i) * in_sample,
+                     geometry_, cols.data());
       tensor::matmul_masked_rows_into(weight_, cols, mask_, ys);
       float* yp =
           y.data() + static_cast<std::size_t>(i) * out_channels_ * plane;
@@ -97,6 +95,14 @@ Tensor Conv2d::forward(const Tensor& x, bool training) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
+  return backprop(grad_out, /*input_grad=*/true);
+}
+
+void Conv2d::backward_params(const Tensor& grad_out) {
+  backprop(grad_out, /*input_grad=*/false);
+}
+
+Tensor Conv2d::backprop(const Tensor& grad_out, bool input_grad) {
   if (cached_input_.empty()) {
     throw std::logic_error(name() + ": backward before training forward");
   }
@@ -112,16 +118,20 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::size_t in_sample =
       static_cast<std::size_t>(geometry_.in_channels) * geometry_.in_h *
       geometry_.in_w;
-  Tensor dx({n, geometry_.in_channels, geometry_.in_h, geometry_.in_w});
+  Tensor dx;
+  if (input_grad) {
+    dx = Tensor({n, geometry_.in_channels, geometry_.in_h, geometry_.in_w});
+  }
 
-  // Per-sample body: accumulates this sample's dW/db into `dw`/`db` and
-  // writes its dx slice (disjoint across samples).
-  auto backward_sample = [&](int i, Tensor& cols, Tensor& dcols,
-                             Tensor& sample, Tensor& dsample, Tensor& gy,
+  auto dcols_scratch = [&] {
+    return input_grad ? Tensor({geometry_.patch_size(), plane}) : Tensor();
+  };
+  // Per-sample body: accumulates this sample's dW/db into `dw`/`db` and,
+  // when asked, folds its input gradient into its (disjoint) dx slice.
+  auto backward_sample = [&](int i, Tensor& cols, Tensor& dcols, Tensor& gy,
                              Tensor& dw, Tensor& db) {
-    std::copy_n(cached_input_.data() + static_cast<std::size_t>(i) * in_sample,
-                in_sample, sample.data());
-    tensor::im2col(sample, geometry_, cols);
+    const std::size_t at = static_cast<std::size_t>(i) * in_sample;
+    tensor::im2col(cached_input_.data() + at, geometry_, cols.data());
     const float* gp = grad_out.data() +
                       static_cast<std::size_t>(i) * out_channels_ * plane;
     std::copy_n(gp, static_cast<std::size_t>(out_channels_) * plane, gy.data());
@@ -135,15 +145,15 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       for (int p = 0; p < plane; ++p) acc += row[p];
       dbp[oc] += acc;
     }
+    if (!input_grad) return;
     // dcols = W^T dY restricted to active filters, folded back to dx.
     dcols.fill(0.0F);
     tensor::matmul_tn_masked_accumulate(weight_, gy, mask_, dcols);
-    dsample.fill(0.0F);
-    tensor::col2im_accumulate(dcols, geometry_, dsample);
-    std::copy_n(dsample.data(), in_sample,
-                dx.data() + static_cast<std::size_t>(i) * in_sample);
+    tensor::col2im_accumulate(dcols.data(), geometry_, dx.data() + at);
   };
 
+  // The chunked-or-not choice fixes dW's summation order, so it counts the
+  // input-gradient work even when that work is skipped.
   const std::int64_t per_sample = 2 * static_cast<std::int64_t>(out_channels_) *
                                   geometry_.patch_size() * plane;
   if (n > 1 && per_sample * n >= tensor::kIntraOpMinWork) {
@@ -162,16 +172,13 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     }
     util::parallel_for(0, nchunks, 1, [&](std::int64_t clo, std::int64_t chi) {
       Tensor cols({geometry_.patch_size(), plane});
-      Tensor dcols({geometry_.patch_size(), plane});
-      Tensor sample({geometry_.in_channels, geometry_.in_h, geometry_.in_w});
-      Tensor dsample({geometry_.in_channels, geometry_.in_h, geometry_.in_w});
+      Tensor dcols = dcols_scratch();
       Tensor gy({out_channels_, plane});
       for (std::int64_t c = clo; c < chi; ++c) {
         const int lo = static_cast<int>(n * c / nchunks);
         const int hi = static_cast<int>(n * (c + 1) / nchunks);
         for (int i = lo; i < hi; ++i) {
-          backward_sample(i, cols, dcols, sample, dsample, gy,
-                          dws[static_cast<std::size_t>(c)],
+          backward_sample(i, cols, dcols, gy, dws[static_cast<std::size_t>(c)],
                           dbs[static_cast<std::size_t>(c)]);
         }
       }
@@ -182,12 +189,10 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     }
   } else {
     Tensor cols({geometry_.patch_size(), plane});
-    Tensor dcols({geometry_.patch_size(), plane});
-    Tensor sample({geometry_.in_channels, geometry_.in_h, geometry_.in_w});
-    Tensor dsample({geometry_.in_channels, geometry_.in_h, geometry_.in_w});
+    Tensor dcols = dcols_scratch();
     Tensor gy({out_channels_, plane});
     for (int i = 0; i < n; ++i) {
-      backward_sample(i, cols, dcols, sample, dsample, gy, dweight_, dbias_);
+      backward_sample(i, cols, dcols, gy, dweight_, dbias_);
     }
   }
   return dx;

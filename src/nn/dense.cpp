@@ -53,6 +53,14 @@ Tensor Dense::forward(const Tensor& x, bool training) {
 }
 
 Tensor Dense::backward(const Tensor& grad_out) {
+  return backprop(grad_out, /*input_grad=*/true);
+}
+
+void Dense::backward_params(const Tensor& grad_out) {
+  backprop(grad_out, /*input_grad=*/false);
+}
+
+Tensor Dense::backprop(const Tensor& grad_out, bool input_grad) {
   if (cached_input_.empty()) {
     throw std::logic_error(name() + ": backward before training forward");
   }
@@ -76,6 +84,7 @@ Tensor Dense::backward(const Tensor& grad_out) {
       if (mask_.empty() || mask_[static_cast<std::size_t>(j)]) dbp[j] += row[j];
     }
   }
+  if (!input_grad) return {};
   // dx = dY W restricted to active inner units.
   Tensor dx({n, in_features_});
   tensor::matmul_nn_masked_inner_accumulate(grad_out, weight_, mask_, dx);

@@ -18,6 +18,7 @@ class Dense final : public Layer {
   std::string name() const override;
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
 
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> grads() override { return {&dweight_, &dbias_}; }
@@ -36,6 +37,10 @@ class Dense final : public Layer {
   const Tensor& bias() const { return bias_; }
 
  private:
+  /// Accumulates dW/db; returns dL/dx when `input_grad`, else an empty
+  /// tensor without forming it.
+  Tensor backprop(const Tensor& grad_out, bool input_grad);
+
   int in_features_;
   int out_features_;
   bool maskable_;

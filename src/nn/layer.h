@@ -49,6 +49,11 @@ class Layer {
   /// gradients along the way. Must be called after a training-mode forward.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
+  /// backward() for a layer whose dL/dinput nobody reads (a model's first
+  /// layer with parameters): accumulates the same parameter gradients.
+  /// Layers that can skip forming the input gradient override it.
+  virtual void backward_params(const Tensor& grad_out) { backward(grad_out); }
+
   /// Learnable parameter tensors (paired index-wise with grads()).
   virtual std::vector<Tensor*> params() { return {}; }
   virtual std::vector<Tensor*> grads() { return {}; }

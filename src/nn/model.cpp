@@ -51,7 +51,15 @@ void Model::finalize() {
   if (layers_.empty()) throw std::logic_error("Model::finalize: empty model");
 
   leaves_.clear();
-  for (auto& l : layers_) l->append_leaves(leaves_);
+  first_param_layer_ = layers_.size();
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    layers_[i]->append_leaves(leaves_);
+    if (first_param_layer_ == layers_.size() &&
+        std::any_of(leaves_.begin(), leaves_.end(),
+                    [](Layer* leaf) { return !leaf->params().empty(); })) {
+      first_param_layer_ = i;
+    }
+  }
 
   // Flat parameter layout, leaf by leaf, tensor by tensor.
   param_refs_.clear();
@@ -131,13 +139,14 @@ Tensor Model::forward(const Tensor& x, bool training) {
   return h;
 }
 
-Tensor Model::backward(const Tensor& grad_out) {
+void Model::backward(const Tensor& grad_out) {
   require_finalized();
+  if (first_param_layer_ == layers_.size()) return;
   Tensor g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+  for (std::size_t i = layers_.size() - 1; i > first_param_layer_; --i) {
+    g = layers_[i]->backward(g);
   }
-  return g;
+  layers_[first_param_layer_]->backward_params(g);
 }
 
 void Model::zero_grad() {

@@ -65,8 +65,9 @@ class Model {
   // -- Execution ------------------------------------------------------------
 
   Tensor forward(const Tensor& x, bool training);
-  /// Backpropagates through the whole stack; returns dL/dinput.
-  Tensor backward(const Tensor& grad_out);
+  /// Backpropagates down to the first layer with parameters, accumulating
+  /// every parameter gradient; dL/dinput is never formed.
+  void backward(const Tensor& grad_out);
   void zero_grad();
 
   // -- Parameters -----------------------------------------------------------
@@ -119,6 +120,7 @@ class Model {
 
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<Layer*> leaves_;
+  std::size_t first_param_layer_ = 0;  // index into layers_
   std::vector<std::pair<Layer*, Layer*>> links_;  // (follower, leader)
   std::vector<ParamRef> param_refs_;
   std::size_t param_count_ = 0;

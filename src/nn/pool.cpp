@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 namespace helios::nn {
 
@@ -23,6 +24,46 @@ std::string MaxPool2d::name() const {
   return "MaxPool2d(k=" + std::to_string(kernel_) + ")";
 }
 
+namespace {
+
+/// Max over every window of `planes` contiguous [in_h, in_w] planes: the
+/// first strictly greater tap wins, starting from -inf at plane index 0,
+/// so ties keep the earliest tap and an all-NaN or all--inf window routes
+/// to index 0. The taps fold as selects and the outputs are written by
+/// index, so with `Kernel`/`Stride` a std::integral_constant the window
+/// unrolls and the ox loop vectorizes. `argmax` is an int* (training) or
+/// nullptr (eval, nothing recorded).
+template <typename Kernel, typename Stride, typename Argmax>
+void max_pool(const float* x, int planes, int in_h, int in_w, int oh, int ow,
+              Kernel kernel, Stride stride, float* y, Argmax argmax) {
+  const std::size_t in_plane = static_cast<std::size_t>(in_h) * in_w;
+  for (int p = 0; p < planes; ++p) {
+    const float* plane = x + static_cast<std::size_t>(p) * in_plane;
+    for (int oy = 0; oy < oh; ++oy) {
+      const std::size_t row = (static_cast<std::size_t>(p) * oh + oy) * ow;
+      for (int ox = 0; ox < ow; ++ox) {
+        float best = -std::numeric_limits<float>::infinity();
+        int best_idx = 0;
+        for (int ky = 0; ky < kernel; ++ky) {
+          const int iy = oy * stride + ky;
+          for (int kx = 0; kx < kernel; ++kx) {
+            const int idx = iy * in_w + ox * stride + kx;
+            const bool greater = plane[idx] > best;
+            best = greater ? plane[idx] : best;
+            best_idx = greater ? idx : best_idx;
+          }
+        }
+        y[row + ox] = best;
+        if constexpr (!std::is_null_pointer_v<Argmax>) {
+          argmax[row + ox] = best_idx;
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
 Tensor MaxPool2d::forward(const Tensor& x, bool training) {
   if (x.shape() != Shape{x.dim(0), channels_, in_h_, in_w_}) {
     throw std::invalid_argument(name() + ": bad input shape " +
@@ -31,37 +72,23 @@ Tensor MaxPool2d::forward(const Tensor& x, bool training) {
   const int n = x.dim(0), oh = out_h(), ow = out_w();
   Tensor y({n, channels_, oh, ow});
   if (training) {
-    argmax_.assign(static_cast<std::size_t>(n) * channels_ * oh * ow, 0);
+    argmax_.resize(static_cast<std::size_t>(n) * channels_ * oh * ow);
     cached_batch_ = n;
   }
-  const float* xp = x.data();
-  float* yp = y.data();
-  const std::size_t in_plane = static_cast<std::size_t>(in_h_) * in_w_;
-  std::size_t out_idx = 0;
-  for (int i = 0; i < n; ++i) {
-    for (int c = 0; c < channels_; ++c) {
-      const float* plane =
-          xp + (static_cast<std::size_t>(i) * channels_ + c) * in_plane;
-      for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox, ++out_idx) {
-          float best = -std::numeric_limits<float>::infinity();
-          int best_idx = 0;
-          for (int ky = 0; ky < kernel_; ++ky) {
-            const int iy = oy * stride_ + ky;
-            for (int kx = 0; kx < kernel_; ++kx) {
-              const int ix = ox * stride_ + kx;
-              const int idx = iy * in_w_ + ix;
-              if (plane[idx] > best) {
-                best = plane[idx];
-                best_idx = idx;
-              }
-            }
-          }
-          yp[out_idx] = best;
-          if (training) argmax_[out_idx] = best_idx;
-        }
-      }
+  auto run = [&](auto kernel, auto stride) {
+    if (training) {
+      max_pool(x.data(), n * channels_, in_h_, in_w_, oh, ow, kernel, stride,
+               y.data(), argmax_.data());
+    } else {
+      max_pool(x.data(), n * channels_, in_h_, in_w_, oh, ow, kernel, stride,
+               y.data(), nullptr);
     }
+  };
+  // Every pool in the model zoo is 2x2/stride 2.
+  if (kernel_ == 2 && stride_ == 2) {
+    run(std::integral_constant<int, 2>{}, std::integral_constant<int, 2>{});
+  } else {
+    run(kernel_, stride_);
   }
   return y;
 }

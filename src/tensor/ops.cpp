@@ -285,66 +285,88 @@ void matmul_nt_masked_rows_accumulate(const Tensor& a, const Tensor& b,
               });
 }
 
-void im2col(const Tensor& x, const Conv2dGeometry& g, Tensor& cols) {
-  if (x.shape() != Shape{g.in_channels, g.in_h, g.in_w}) {
-    throw std::invalid_argument("im2col: input shape mismatch " +
-                                shape_to_string(x.shape()));
-  }
-  const int oh = g.out_h(), ow = g.out_w();
-  const Shape want{g.patch_size(), oh * ow};
-  if (cols.shape() != want) cols = Tensor(want);
-  float* cp = cols.data();
-  const float* xp = x.data();
-  const int hw = g.in_h * g.in_w;
+namespace {
+
+/// Half-open range [lo, hi) of output positions o in [0, out) whose input
+/// tap o * stride + offset lands inside [0, extent).
+struct TapRange {
+  int lo;
+  int hi;
+};
+
+TapRange valid_taps(int offset, int stride, int extent, int out) {
+  // o * stride + offset >= 0       <=>  o >= ceil(-offset / stride)
+  // o * stride + offset < extent   <=>  o < ceil((extent - offset) / stride)
+  const int lo =
+      std::min(out, offset >= 0 ? 0 : (stride - 1 - offset) / stride);
+  const int hi =
+      extent - offset <= 0 ? 0 : (extent - offset + stride - 1) / stride;
+  return {lo, std::clamp(hi, lo, out)};
+}
+
+}  // namespace
+
+// im2col and col2im share one loop nest, (c, ky, kx) rows, then oy, then
+// ox; each (ky, kx) row's valid output window is computed once, so the
+// inner loop is a plain copy or add with no bounds tests. col2im keeps the
+// reference nest order, so every dx element accumulates its terms in the
+// same order as the per-element bounds-checked loop it replaced.
+
+void im2col(const float* x, const Conv2dGeometry& g, float* cols) {
+  const int oh = g.out_h(), ow = g.out_w(), s = g.stride;
+  const std::size_t hw = static_cast<std::size_t>(g.in_h) * g.in_w;
+  float* crow = cols;
   for (int c = 0; c < g.in_channels; ++c) {
+    const float* plane = x + static_cast<std::size_t>(c) * hw;
     for (int ky = 0; ky < g.kernel; ++ky) {
+      const TapRange ys = valid_taps(ky - g.pad, s, g.in_h, oh);
       for (int kx = 0; kx < g.kernel; ++kx) {
-        const int row = (c * g.kernel + ky) * g.kernel + kx;
-        float* crow = cp + static_cast<std::size_t>(row) * oh * ow;
-        for (int oy = 0; oy < oh; ++oy) {
-          const int iy = oy * g.stride + ky - g.pad;
-          const bool y_ok = iy >= 0 && iy < g.in_h;
-          for (int ox = 0; ox < ow; ++ox) {
-            const int ix = ox * g.stride + kx - g.pad;
-            const std::size_t out_idx =
-                static_cast<std::size_t>(oy) * ow + static_cast<std::size_t>(ox);
-            crow[out_idx] = (y_ok && ix >= 0 && ix < g.in_w)
-                                ? xp[c * hw + iy * g.in_w + ix]
-                                : 0.0F;
+        const TapRange xs = valid_taps(kx - g.pad, s, g.in_w, ow);
+        std::fill(crow, crow + static_cast<std::size_t>(ys.lo) * ow, 0.0F);
+        const int off = kx - g.pad;
+        for (int oy = ys.lo; oy < ys.hi; ++oy) {
+          float* dst = crow + static_cast<std::size_t>(oy) * ow;
+          const float* row =
+              plane + static_cast<std::size_t>(oy * s + ky - g.pad) * g.in_w;
+          std::fill(dst, dst + xs.lo, 0.0F);
+          if (s == 1) {
+            for (int ox = xs.lo; ox < xs.hi; ++ox) dst[ox] = row[ox + off];
+          } else {
+            for (int ox = xs.lo; ox < xs.hi; ++ox) dst[ox] = row[ox * s + off];
           }
+          std::fill(dst + xs.hi, dst + ow, 0.0F);
         }
+        float* end = crow + static_cast<std::size_t>(oh) * ow;
+        std::fill(crow + static_cast<std::size_t>(ys.hi) * ow, end, 0.0F);
+        crow = end;
       }
     }
   }
 }
 
-void col2im_accumulate(const Tensor& cols, const Conv2dGeometry& g,
-                       Tensor& dx) {
-  const int oh = g.out_h(), ow = g.out_w();
-  if (cols.shape() != Shape{g.patch_size(), oh * ow}) {
-    throw std::invalid_argument("col2im: cols shape mismatch");
-  }
-  if (dx.shape() != Shape{g.in_channels, g.in_h, g.in_w}) {
-    throw std::invalid_argument("col2im: output shape mismatch");
-  }
-  const float* cp = cols.data();
-  float* xp = dx.data();
-  const int hw = g.in_h * g.in_w;
+void col2im_accumulate(const float* cols, const Conv2dGeometry& g,
+                       float* dx) {
+  const int oh = g.out_h(), ow = g.out_w(), s = g.stride;
+  const std::size_t hw = static_cast<std::size_t>(g.in_h) * g.in_w;
+  const float* crow = cols;
   for (int c = 0; c < g.in_channels; ++c) {
+    float* plane = dx + static_cast<std::size_t>(c) * hw;
     for (int ky = 0; ky < g.kernel; ++ky) {
+      const TapRange ys = valid_taps(ky - g.pad, s, g.in_h, oh);
       for (int kx = 0; kx < g.kernel; ++kx) {
-        const int row = (c * g.kernel + ky) * g.kernel + kx;
-        const float* crow = cp + static_cast<std::size_t>(row) * oh * ow;
-        for (int oy = 0; oy < oh; ++oy) {
-          const int iy = oy * g.stride + ky - g.pad;
-          if (iy < 0 || iy >= g.in_h) continue;
-          for (int ox = 0; ox < ow; ++ox) {
-            const int ix = ox * g.stride + kx - g.pad;
-            if (ix < 0 || ix >= g.in_w) continue;
-            xp[c * hw + iy * g.in_w + ix] +=
-                crow[static_cast<std::size_t>(oy) * ow + ox];
+        const TapRange xs = valid_taps(kx - g.pad, s, g.in_w, ow);
+        const int off = kx - g.pad;
+        for (int oy = ys.lo; oy < ys.hi; ++oy) {
+          const float* src = crow + static_cast<std::size_t>(oy) * ow;
+          float* row =
+              plane + static_cast<std::size_t>(oy * s + ky - g.pad) * g.in_w;
+          if (s == 1) {
+            for (int ox = xs.lo; ox < xs.hi; ++ox) row[ox + off] += src[ox];
+          } else {
+            for (int ox = xs.lo; ox < xs.hi; ++ox) row[ox * s + off] += src[ox];
           }
         }
+        crow += static_cast<std::size_t>(oh) * ow;
       }
     }
   }

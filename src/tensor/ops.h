@@ -136,12 +136,13 @@ struct Conv2dGeometry {
   int patch_size() const { return in_channels * kernel * kernel; }
 };
 
-/// Unfolds one sample `x[C,H,W]` into `cols[patch_size, out_h*out_w]`.
-/// `cols` must be pre-shaped; zero-padding handled implicitly.
-void im2col(const Tensor& x, const Conv2dGeometry& g, Tensor& cols);
+/// Unfolds one contiguous sample `x[C,H,W]` into the contiguous
+/// `cols[patch_size, out_h*out_w]`; zero padding is written explicitly.
+void im2col(const float* x, const Conv2dGeometry& g, float* cols);
 
-/// Folds `cols[patch_size, out_h*out_w]` back into `dx[C,H,W]` (accumulates).
-void col2im_accumulate(const Tensor& cols, const Conv2dGeometry& g, Tensor& dx);
+/// Folds `cols[patch_size, out_h*out_w]` back into the contiguous sample
+/// `dx[C,H,W]`, adding onto what `dx` holds.
+void col2im_accumulate(const float* cols, const Conv2dGeometry& g, float* dx);
 
 // ---------------------------------------------------------------------------
 // Classification head

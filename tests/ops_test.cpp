@@ -132,7 +132,7 @@ TEST(Im2col, IdentityKernelRoundTrip) {
   util::Rng rng(9);
   Tensor x = Tensor::randn({2, 3, 3}, rng);
   Tensor cols({g.patch_size(), g.out_h() * g.out_w()});
-  im2col(x, g, cols);
+  im2col(x.data(), g, cols.data());
   EXPECT_TRUE(cols.reshaped({2, 3, 3}).allclose(x));
 }
 
@@ -140,7 +140,7 @@ TEST(Im2col, PaddingProducesZeros) {
   Conv2dGeometry g{1, 2, 2, 3, 1, 1};
   Tensor x = Tensor::full({1, 2, 2}, 1.0F);
   Tensor cols({g.patch_size(), g.out_h() * g.out_w()});
-  im2col(x, g, cols);
+  im2col(x.data(), g, cols.data());
   // Top-left output position, top-left kernel tap reads padded zero.
   EXPECT_EQ(cols.at(0, 0), 0.0F);
   // Center taps read real pixels.
@@ -153,14 +153,14 @@ TEST(Im2col, Col2imIsAdjoint) {
   util::Rng rng(10);
   Tensor x = Tensor::randn({2, 5, 5}, rng);
   Tensor cols({g.patch_size(), g.out_h() * g.out_w()});
-  im2col(x, g, cols);
+  im2col(x.data(), g, cols.data());
   Tensor c = Tensor::randn(cols.shape(), rng);
   double lhs = 0.0;
   for (std::size_t i = 0; i < cols.numel(); ++i) {
     lhs += static_cast<double>(cols.flat()[i]) * c.flat()[i];
   }
   Tensor folded({2, 5, 5});
-  col2im_accumulate(c, g, folded);
+  col2im_accumulate(c.data(), g, folded.data());
   double rhs = 0.0;
   for (std::size_t i = 0; i < x.numel(); ++i) {
     rhs += static_cast<double>(x.flat()[i]) * folded.flat()[i];
@@ -186,13 +186,13 @@ TEST(Im2col, FoldUnfoldMatchesCoverageCounts) {
     util::Rng rng(21);
     Tensor x = Tensor::randn({g.in_channels, g.in_h, g.in_w}, rng);
     Tensor cols({g.patch_size(), g.out_h() * g.out_w()});
-    im2col(x, g, cols);
+    im2col(x.data(), g, cols.data());
     Tensor folded({g.in_channels, g.in_h, g.in_w});
-    col2im_accumulate(cols, g, folded);
+    col2im_accumulate(cols.data(), g, folded.data());
 
     Tensor ones = Tensor::full(cols.shape(), 1.0F);
     Tensor counts({g.in_channels, g.in_h, g.in_w});
-    col2im_accumulate(ones, g, counts);
+    col2im_accumulate(ones.data(), g, counts.data());
 
     for (std::size_t i = 0; i < x.numel(); ++i) {
       EXPECT_NEAR(folded.flat()[i], x.flat()[i] * counts.flat()[i], 1e-4F)
@@ -209,14 +209,14 @@ TEST(Im2col, AdjointHoldsOnOddGeometries) {
     util::Rng rng(22);
     Tensor x = Tensor::randn({g.in_channels, g.in_h, g.in_w}, rng);
     Tensor cols({g.patch_size(), g.out_h() * g.out_w()});
-    im2col(x, g, cols);
+    im2col(x.data(), g, cols.data());
     Tensor c = Tensor::randn(cols.shape(), rng);
     double lhs = 0.0;
     for (std::size_t i = 0; i < cols.numel(); ++i) {
       lhs += static_cast<double>(cols.flat()[i]) * c.flat()[i];
     }
     Tensor folded({g.in_channels, g.in_h, g.in_w});
-    col2im_accumulate(c, g, folded);
+    col2im_accumulate(c.data(), g, folded.data());
     double rhs = 0.0;
     for (std::size_t i = 0; i < x.numel(); ++i) {
       rhs += static_cast<double>(x.flat()[i]) * folded.flat()[i];
