@@ -62,8 +62,9 @@ int main() {
       std::string classes;
       const auto hist = data::class_histogram(c->dataset());
       for (std::size_t y = 0; y < hist.size(); ++y) {
-        if (hist[y] > 0) classes += (classes.empty() ? "" : " ") +
-                                    std::to_string(y);
+        if (hist[y] == 0) continue;
+        if (!classes.empty()) classes += ' ';
+        classes += std::to_string(y);
       }
       table.add_row({std::to_string(c->id()), c->profile().name,
                      c->is_straggler() ? "straggler" : "capable", classes});

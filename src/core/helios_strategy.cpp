@@ -44,15 +44,22 @@ HeliosStrategy::StragglerState& HeliosStrategy::state_for(fl::Client& client) {
     cfg.seed = config_.seed + static_cast<std::uint64_t>(client.id()) * 7919;
     // Architecture-only queries: the estimation model avoids materializing
     // a hibernated client's replica just to read the neuron index.
-    st.trainer = std::make_unique<SoftTrainer>(client.estimation_model(), cfg);
+    if (!geometry_) {
+      geometry_ =
+          std::make_shared<const NeuronGeometry>(client.estimation_model());
+    }
+    st.trainer = std::make_unique<SoftTrainer>(geometry_, cfg);
     st.regulator = std::make_unique<RotationRegulator>(
-        client.estimation_model().neuron_total(), st.trainer->budget_total());
+        st.trainer->neuron_total(), st.trainer->budget_total());
     it = state_.emplace(client.id(), std::move(st)).first;
   }
   return it->second;
 }
 
-void HeliosStrategy::begin_run(fl::Fleet& /*fleet*/) { state_.clear(); }
+void HeliosStrategy::begin_run(fl::Fleet& /*fleet*/) {
+  state_.clear();
+  geometry_.reset();
+}
 
 std::vector<fl::PlannedClient> HeliosStrategy::plan(fl::Fleet& fleet,
                                                     int cycle) {
@@ -174,6 +181,7 @@ void HeliosStrategy::save_state(const fl::Fleet& fleet,
 
 void HeliosStrategy::load_state(fl::Fleet& fleet, fl::CheckpointReader& r) {
   state_.clear();
+  geometry_.reset();
   const std::uint32_t n = r.u32();
   for (std::uint32_t i = 0; i < n; ++i) {
     const int id = r.i32();
@@ -186,8 +194,8 @@ void HeliosStrategy::load_state(fl::Fleet& fleet, fl::CheckpointReader& r) {
       throw fl::CheckpointError(
           "HeliosStrategy: checkpointed straggler id not in fleet");
     }
-    // state_for rebuilds geometry from the estimation model; overlay the
-    // carried state on top.
+    // state_for starts from the shared geometry; overlay the carried state
+    // on top.
     StragglerState& st = state_for(*client);
     st.trainer->set_keep_ratio(keep_ratio);
     st.trainer->set_contributions(std::move(contributions));

@@ -77,6 +77,10 @@ class HeliosStrategy final : public fl::SyncRoundStrategy {
   void after_aggregate(fl::Fleet& fleet, const fl::SyncRound& round) override;
 
   HeliosConfig config_;
+  /// One neuron geometry for every straggler's trainer, built on the first
+  /// state_for of a run (the fleet has one architecture). Trainers co-own
+  /// it, so it outlives them whatever happens to the fleet.
+  std::shared_ptr<const NeuronGeometry> geometry_;
   std::unordered_map<int, StragglerState> state_;
   std::function<void(fl::Fleet&, int)> cycle_hook_;
   /// Rotation-forced neuron count per plan entry of the current round.

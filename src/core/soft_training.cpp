@@ -10,11 +10,17 @@
 
 namespace helios::core {
 
+NeuronGeometry::NeuronGeometry(nn::Model& model)
+    : ranges(fl::layer_ranges(model)), neurons(model.neurons()) {}
+
 SoftTrainer::SoftTrainer(nn::Model& model, SoftTrainerConfig config)
+    : SoftTrainer(std::make_shared<const NeuronGeometry>(model), config) {}
+
+SoftTrainer::SoftTrainer(std::shared_ptr<const NeuronGeometry> geometry,
+                         SoftTrainerConfig config)
     : config_(config),
-      ranges_(fl::layer_ranges(model)),
-      neurons_(model.neurons()),
-      u_(static_cast<std::size_t>(model.neuron_total()), 0.0),
+      geometry_(std::move(geometry)),
+      u_(geometry_->neurons.size(), 0.0),
       rng_(config.seed) {
   if (config_.keep_ratio <= 0.0 || config_.keep_ratio > 1.0) {
     throw std::invalid_argument("SoftTrainer: keep_ratio out of (0, 1]");
@@ -32,7 +38,7 @@ void SoftTrainer::set_keep_ratio(double p) {
 }
 
 int SoftTrainer::budget_total() const {
-  const auto budgets = fl::layer_budgets(ranges_, config_.keep_ratio);
+  const auto budgets = fl::layer_budgets(geometry_->ranges, config_.keep_ratio);
   return std::accumulate(budgets.begin(), budgets.end(), 0);
 }
 
@@ -41,7 +47,8 @@ std::vector<std::uint8_t> SoftTrainer::select_mask(
   HELIOS_TRACE_SPAN("soft_training.select_mask",
                     {{"neurons", u_.size()}, {"forced", forced.size()}});
   std::vector<std::uint8_t> mask(u_.size(), 0);
-  const auto budgets = fl::layer_budgets(ranges_, config_.keep_ratio);
+  const std::vector<fl::LayerNeuronRange>& ranges = geometry_->ranges;
+  const auto budgets = fl::layer_budgets(ranges, config_.keep_ratio);
 
   // Mark forced neurons first (rotation regulation, Sec. VI-A).
   std::vector<std::uint8_t> is_forced(u_.size(), 0);
@@ -53,9 +60,9 @@ std::vector<std::uint8_t> SoftTrainer::select_mask(
     mask[static_cast<std::size_t>(id)] = 1;
   }
 
-  for (std::size_t r = 0; r < ranges_.size(); ++r) {
-    const int begin = ranges_[r].begin;
-    const int count = ranges_[r].count;
+  for (std::size_t r = 0; r < ranges.size(); ++r) {
+    const int begin = ranges[r].begin;
+    const int count = ranges[r].count;
     const int budget = budgets[r];
     int chosen = 0;
     for (int j = 0; j < count; ++j) chosen += mask[static_cast<std::size_t>(begin + j)];
@@ -106,7 +113,7 @@ void SoftTrainer::update_contributions(
     std::span<const float> before, std::span<const float> after,
     std::span<const std::uint8_t> trained_mask) {
   HELIOS_TRACE_SPAN("soft_training.update_contributions",
-                    {{"neurons", neurons_.size()}});
+                    {{"neurons", u_.size()}});
   if (before.size() != after.size()) {
     throw std::invalid_argument("update_contributions: size mismatch");
   }
@@ -116,9 +123,9 @@ void SoftTrainer::update_contributions(
   // The shared agg-layer statistic: the same slice order and double sums the
   // inline loop used, so the refactor is bit-identical — and edge aggregators
   // computing shards remotely match this trainer exactly.
-  const std::vector<double> means =
-      agg::neuron_change_means(neurons_, before, after, trained_mask);
-  for (std::size_t j = 0; j < neurons_.size(); ++j) {
+  const std::vector<double> means = agg::neuron_change_means(
+      geometry_->neurons, before, after, trained_mask);
+  for (std::size_t j = 0; j < u_.size(); ++j) {
     if (!trained_mask.empty() && !trained_mask[j]) continue;
     u_[j] = means[j];
   }

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -32,10 +33,24 @@ struct SoftTrainerConfig {
   std::uint64_t seed = 1;
 };
 
+/// The neuron geometry soft training reads: per-layer neuron ranges and
+/// each neuron's flat parameter slices. It depends on the architecture
+/// alone, so one copy serves every trainer of a fleet (HeliosStrategy
+/// shares one across its stragglers).
+struct NeuronGeometry {
+  explicit NeuronGeometry(nn::Model& model);
+
+  std::vector<fl::LayerNeuronRange> ranges;
+  std::vector<nn::NeuronInfo> neurons;
+};
+
 class SoftTrainer {
  public:
-  /// `model` provides the neuron geometry (layer ranges, slices); the
-  /// trainer keeps per-neuron contribution state across cycles.
+  /// The trainer keeps per-neuron contribution state across cycles over a
+  /// shared, immutable `geometry`.
+  SoftTrainer(std::shared_ptr<const NeuronGeometry> geometry,
+              SoftTrainerConfig config);
+  /// A trainer with its own copy of `model`'s geometry.
   SoftTrainer(nn::Model& model, SoftTrainerConfig config);
 
   /// Chooses the next cycle's submodel mask. `forced` lists global neuron
@@ -68,8 +83,8 @@ class SoftTrainer {
   int budget_total() const;
 
   // Checkpoint hooks: cross-cycle state is (contributions, rng position,
-  // keep ratio — already settable above). Geometry (ranges/neurons) is
-  // derived from the model and rebuilt at construction.
+  // keep ratio — already settable above). The geometry depends on the
+  // architecture alone and is rebuilt, not checkpointed.
   void set_contributions(std::vector<double> u) {
     if (u.size() != u_.size()) {
       throw std::invalid_argument("SoftTrainer: contribution size mismatch");
@@ -81,9 +96,8 @@ class SoftTrainer {
 
  private:
   SoftTrainerConfig config_;
-  std::vector<fl::LayerNeuronRange> ranges_;
-  std::vector<nn::NeuronInfo> neurons_;  // copies of slice info
-  std::vector<double> u_;                // U^ij per global neuron
+  std::shared_ptr<const NeuronGeometry> geometry_;
+  std::vector<double> u_;  // U^ij per global neuron
   util::Rng rng_;
 };
 

@@ -1,5 +1,6 @@
 #include "data/synthetic.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -43,58 +44,124 @@ void smooth_field(util::Rng& rng, int grid, float scale, float* out,
   upsample_bilinear(coarse, grid, grid, out, out_h, out_w);
 }
 
-}  // namespace
-
-Dataset make_synthetic(const SyntheticSpec& spec, util::Rng& rng) {
-  if (spec.samples <= 0 || spec.channels <= 0 || spec.height <= 0 ||
-      spec.width <= 0 || spec.classes <= 0 || spec.prototype_grid < 2) {
-    throw std::invalid_argument("make_synthetic: bad spec");
-  }
-  const std::size_t plane =
-      static_cast<std::size_t>(spec.height) * spec.width;
-  const std::size_t sample_numel =
-      static_cast<std::size_t>(spec.channels) * plane;
-
-  // One smooth prototype per (class, channel).
-  std::vector<float> prototypes(static_cast<std::size_t>(spec.classes) *
-                                sample_numel);
-  util::Rng proto_rng(spec.prototype_seed);
-  for (int c = 0; c < spec.classes; ++c) {
-    for (int ch = 0; ch < spec.channels; ++ch) {
-      smooth_field(proto_rng, spec.prototype_grid, 1.0F,
-                   prototypes.data() +
-                       static_cast<std::size_t>(c) * sample_numel + ch * plane,
-                   spec.height, spec.width);
+/// One task's sample generator: the class prototypes (a pure function of
+/// spec.prototype_seed) and the per-sample draws every synthesis path
+/// shares.
+class SampleSynth {
+ public:
+  explicit SampleSynth(const SyntheticSpec& spec)
+      : spec_(spec),
+        plane_(static_cast<std::size_t>(spec.height) * spec.width),
+        numel_(static_cast<std::size_t>(spec.channels) * plane_),
+        deform_(plane_) {
+    if (spec.samples <= 0 || spec.channels <= 0 || spec.height <= 0 ||
+        spec.width <= 0 || spec.classes <= 0 || spec.prototype_grid < 2) {
+      throw std::invalid_argument("make_synthetic: bad spec");
     }
-  }
-
-  Dataset out;
-  out.num_classes = spec.classes;
-  out.images = Tensor({spec.samples, spec.channels, spec.height, spec.width});
-  out.labels.resize(static_cast<std::size_t>(spec.samples));
-  float* img = out.images.data();
-  std::vector<float> deform(plane);
-  for (int i = 0; i < spec.samples; ++i) {
-    const int label = static_cast<int>(rng.uniform_int(
-        static_cast<std::uint64_t>(spec.classes)));
-    out.labels[static_cast<std::size_t>(i)] = label;
-    const float* proto =
-        prototypes.data() + static_cast<std::size_t>(label) * sample_numel;
-    const float brightness =
-        static_cast<float>(rng.normal()) * 0.1F;  // global jitter
-    float* dst = img + static_cast<std::size_t>(i) * sample_numel;
-    for (int ch = 0; ch < spec.channels; ++ch) {
-      smooth_field(rng, spec.prototype_grid, spec.deform, deform.data(),
-                   spec.height, spec.width);
-      const float* p = proto + static_cast<std::size_t>(ch) * plane;
-      float* d = dst + static_cast<std::size_t>(ch) * plane;
-      for (std::size_t px = 0; px < plane; ++px) {
-        d[px] = p[px] + deform[px] +
-                static_cast<float>(rng.normal()) * spec.noise + brightness;
+    // One smooth prototype per (class, channel).
+    prototypes_.resize(static_cast<std::size_t>(spec.classes) * numel_);
+    util::Rng proto_rng(spec.prototype_seed);
+    for (int c = 0; c < spec.classes; ++c) {
+      for (int ch = 0; ch < spec.channels; ++ch) {
+        smooth_field(proto_rng, spec.prototype_grid, 1.0F,
+                     prototypes_.data() + static_cast<std::size_t>(c) * numel_ +
+                         ch * plane_,
+                     spec.height, spec.width);
       }
     }
   }
-  return out;
+
+  /// Normals one sample draws after its label: the brightness jitter, then
+  /// per channel the deformation grid and one noise value per pixel.
+  std::uint64_t normals_per_sample() const {
+    const auto grid = static_cast<std::uint64_t>(spec_.prototype_grid);
+    return 1 + static_cast<std::uint64_t>(spec_.channels) *
+                   (grid * grid + plane_);
+  }
+
+  /// Draws up to `pool` candidates in stream order, each one's label
+  /// first, and synthesizes the first `rows` whose label `keeps` accepts,
+  /// straight into the output; a rejected candidate's normals are skipped.
+  /// Holds fewer than `rows` samples when the pool runs out of matches.
+  template <typename Keep>
+  Dataset fill(util::Rng& rng, int pool, int rows, const Keep& keeps) {
+    Dataset out = empty(rows);
+    int kept = 0;
+    for (int i = 0; i < pool && kept < rows; ++i) {
+      const int label = static_cast<int>(
+          rng.uniform_int(static_cast<std::uint64_t>(spec_.classes)));
+      if (!keeps(label)) {
+        rng.skip_normals(normals_per_sample());
+        continue;
+      }
+      out.labels[static_cast<std::size_t>(kept)] = label;
+      sample(rng, label,
+             out.images.data() + static_cast<std::size_t>(kept) * numel_);
+      ++kept;
+    }
+    if (kept == rows) return out;
+    Dataset fewer = empty(kept);
+    std::copy_n(out.images.data(), fewer.images.numel(), fewer.images.data());
+    std::copy_n(out.labels.begin(), kept, fewer.labels.begin());
+    return fewer;
+  }
+
+ private:
+  /// A zero-filled dataset with room for `n` samples.
+  Dataset empty(int n) const {
+    Dataset d;
+    d.num_classes = spec_.classes;
+    d.images = Tensor({n, spec_.channels, spec_.height, spec_.width});
+    d.labels.resize(static_cast<std::size_t>(n));
+    return d;
+  }
+
+  /// Prototype + smooth deformation + white noise + brightness jitter.
+  void sample(util::Rng& rng, int label, float* dst) {
+    const float* proto =
+        prototypes_.data() + static_cast<std::size_t>(label) * numel_;
+    const float brightness =
+        static_cast<float>(rng.normal()) * 0.1F;  // global jitter
+    for (int ch = 0; ch < spec_.channels; ++ch) {
+      smooth_field(rng, spec_.prototype_grid, spec_.deform, deform_.data(),
+                   spec_.height, spec_.width);
+      const float* p = proto + static_cast<std::size_t>(ch) * plane_;
+      float* d = dst + static_cast<std::size_t>(ch) * plane_;
+      for (std::size_t px = 0; px < plane_; ++px) {
+        d[px] = p[px] + deform_[px] +
+                static_cast<float>(rng.normal()) * spec_.noise + brightness;
+      }
+    }
+  }
+
+  const SyntheticSpec& spec_;
+  std::size_t plane_;
+  std::size_t numel_;
+  std::vector<float> prototypes_;
+  std::vector<float> deform_;
+};
+
+}  // namespace
+
+Dataset make_synthetic(const SyntheticSpec& spec, util::Rng& rng) {
+  return SampleSynth(spec).fill(rng, spec.samples, spec.samples,
+                                [](int) { return true; });
+}
+
+Dataset make_synthetic_filtered(const SyntheticSpec& spec, util::Rng rng,
+                                std::span<const int> labels, int keep) {
+  if (keep <= 0) {
+    throw std::invalid_argument("make_synthetic_filtered: keep <= 0");
+  }
+  SampleSynth synth(spec);
+  util::Rng stream = rng;  // rng stays at the start for the fallback
+  Dataset out = synth.fill(stream, spec.samples, keep, [&](int label) {
+    return std::find(labels.begin(), labels.end(), label) != labels.end();
+  });
+  if (out.size() > 0) return out;
+  // No candidate matched: the pool head stands in.
+  const int head = std::min(spec.samples, keep);
+  return synth.fill(rng, head, head, [](int) { return true; });
 }
 
 SyntheticSpec mnist_like_spec(int samples) {

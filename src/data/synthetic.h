@@ -9,6 +9,8 @@
 // deformation + white noise + brightness jitter.
 #pragma once
 
+#include <span>
+
 #include "data/dataset.h"
 #include "util/rng.h"
 
@@ -36,6 +38,18 @@ struct SyntheticSpec {
 /// Generates `spec.samples` labeled images with a balanced label marginal
 /// (labels drawn uniformly). Same seed -> identical dataset.
 Dataset make_synthetic(const SyntheticSpec& spec, util::Rng& rng);
+
+/// Label-skewed synthesis: of the `spec.samples` candidates that
+/// make_synthetic(spec, rng) would draw, the first `keep` whose label is in
+/// `labels`, in stream order (fewer when the pool holds fewer matches).
+/// When no candidate matches, the pool head stands in: make_synthetic of
+/// min(spec.samples, keep) samples from the same starting stream. Only the
+/// kept candidates are synthesized (a rejected one's draws are skipped with
+/// Rng::skip_normals) and synthesis stops at the last kept sample, so the
+/// bytes equal filtering the whole pool at a fraction of the cost. Requires
+/// keep > 0.
+Dataset make_synthetic_filtered(const SyntheticSpec& spec, util::Rng rng,
+                                std::span<const int> labels, int keep);
 
 /// Convenience presets mirroring the paper's three tasks.
 SyntheticSpec mnist_like_spec(int samples);

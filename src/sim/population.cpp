@@ -38,21 +38,22 @@ data::SyntheticSpec task_spec(const PopulationConfig& c) {
 struct ShardRecipe {
   data::SyntheticSpec spec;  // task identity; samples filled per call
   std::uint64_t seed = 0;
-  int classes = 0;
   int index = 0;
   int shard_samples = 0;
   std::vector<int> label_classes;
 };
 
 ShardRecipe shard_recipe(const PopulationConfig& c, const DeviceSpec& d) {
-  return ShardRecipe{task_spec(c), c.seed,           c.classes,
-                     d.index,      d.shard_samples,  d.label_classes};
+  return ShardRecipe{task_spec(c), c.seed, d.index, d.shard_samples,
+                     d.label_classes};
 }
 
 /// Per-device shard: independently synthesized from the device's own
 /// stream (same class prototypes as everyone else), optionally restricted
-/// to the device's label classes by oversample-and-filter. Pure function of
-/// the recipe, so eager and lazy materialization are bit-identical.
+/// to the device's label classes: the first shard_samples matches of a
+/// candidate pool, drawn label first so only kept candidates are
+/// synthesized (data::make_synthetic_filtered). Pure function of the
+/// recipe, so eager and lazy materialization are bit-identical.
 data::Dataset make_shard(const ShardRecipe& r) {
   data::SyntheticSpec s = r.spec;
   util::Rng rng = util::Rng(r.seed).fork(kShardStream).fork(
@@ -62,29 +63,11 @@ data::Dataset make_shard(const ShardRecipe& r) {
     return data::make_synthetic(s, rng);
   }
   const int k = static_cast<int>(r.label_classes.size());
-  // Labels are drawn uniformly, so oversampling by classes/k (plus slack)
-  // leaves ~shard_samples matches to keep.
-  s.samples = r.shard_samples * r.classes / k + 2 * r.classes;
-  data::Dataset pool = data::make_synthetic(s, rng);
-  std::vector<std::size_t> keep;
-  keep.reserve(static_cast<std::size_t>(r.shard_samples));
-  for (std::size_t i = 0; i < pool.labels.size(); ++i) {
-    const int label = pool.labels[i];
-    if (std::find(r.label_classes.begin(), r.label_classes.end(), label) !=
-        r.label_classes.end()) {
-      keep.push_back(i);
-    }
-    if (keep.size() >= static_cast<std::size_t>(r.shard_samples)) break;
-  }
-  if (keep.empty()) {  // pathological skew draw: fall back to the pool head
-    for (std::size_t i = 0;
-         i < std::min<std::size_t>(pool.labels.size(),
-                                   static_cast<std::size_t>(r.shard_samples));
-         ++i) {
-      keep.push_back(i);
-    }
-  }
-  return data::subset(pool, keep);
+  // Labels are drawn uniformly, so a pool of classes/k times the shard
+  // (plus slack) holds ~shard_samples matches.
+  s.samples = r.shard_samples * s.classes / k + 2 * s.classes;
+  return data::make_synthetic_filtered(s, rng, r.label_classes,
+                                       r.shard_samples);
 }
 
 data::Dataset device_shard(const PopulationConfig& c, const DeviceSpec& d) {

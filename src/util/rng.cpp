@@ -56,12 +56,8 @@ std::uint64_t Rng::uniform_int(std::uint64_t n) {
   }
 }
 
-double Rng::normal() {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
-  }
-  // Box-Muller; u1 in (0,1] to avoid log(0).
+double Rng::box_muller() {
+  // u1 in (0,1] to avoid log(0).
   const double u1 = 1.0 - uniform();
   const double u2 = uniform();
   const double radius = std::sqrt(-2.0 * std::log(u1));
@@ -69,6 +65,30 @@ double Rng::normal() {
   cached_normal_ = radius * std::sin(angle);
   has_cached_normal_ = true;
   return radius * std::cos(angle);
+}
+
+double Rng::normal() {
+  if (has_cached_normal_) {
+    has_cached_normal_ = false;
+    return cached_normal_;
+  }
+  return box_muller();
+}
+
+void Rng::skip_normals(std::uint64_t n) {
+  if (n > 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    --n;
+  }
+  if (n == 0) return;
+  // n uncached normals are ceil(n / 2) pairs of two uniforms each.
+  for (std::uint64_t pair = 1; pair < (n + 1) / 2; ++pair) {
+    next_u64();
+    next_u64();
+  }
+  box_muller();
+  // An even count also consumes the last pair's sine.
+  has_cached_normal_ = n % 2 == 1;
 }
 
 double Rng::normal(double mean, double stddev) {

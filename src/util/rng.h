@@ -57,6 +57,13 @@ class Rng {
   /// Normal with the given mean / standard deviation.
   double normal(double mean, double stddev);
 
+  /// Advances the stream exactly as `n` normal() calls would: the same
+  /// xoshiro steps and the same Box-Muller cache, bit for bit. Only the last
+  /// pair drawn is evaluated (log/sqrt/sin/cos), because normal() leaves
+  /// that pair's sine in the cache, consumed or not; every other pair costs
+  /// two raw steps.
+  void skip_normals(std::uint64_t n);
+
   /// Bernoulli trial with probability p of returning true.
   bool bernoulli(double p);
 
@@ -93,6 +100,10 @@ class Rng {
   static Rng from_state(const RngState& s);
 
  private:
+  /// One Box-Muller transform of two fresh uniforms: caches the sine and
+  /// returns the cosine.
+  double box_muller();
+
   std::uint64_t state_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "util/rng.h"
@@ -141,6 +143,40 @@ TEST(Rng, WeightedIndexRejectsBadInput) {
   EXPECT_THROW(rng.weighted_index(zero), std::invalid_argument);
   const std::vector<double> negative{1.0, -0.5};
   EXPECT_THROW(rng.weighted_index(negative), std::invalid_argument);
+}
+
+// skip_normals(n) must leave the stream exactly where n normal() calls do:
+// the xoshiro words, the cache flag, and the cached value bit for bit (a
+// consumed sine stays in the slot, and checkpoints serialize it).
+TEST(Rng, SkipNormalsLeavesTheStateOfDrawingThem) {
+  for (const bool cached : {false, true}) {
+    for (std::uint64_t n = 0; n <= 600; ++n) {
+      Rng drawn(1000 + n);
+      if (cached) drawn.normal();
+      ASSERT_EQ(drawn.state().has_cached_normal, cached);
+      Rng skipped = drawn;
+      for (std::uint64_t i = 0; i < n; ++i) drawn.normal();
+      skipped.skip_normals(n);
+
+      const RngState a = drawn.state();
+      const RngState b = skipped.state();
+      for (int w = 0; w < 4; ++w) {
+        ASSERT_EQ(a.words[w], b.words[w]) << "n=" << n << " cached=" << cached;
+      }
+      ASSERT_EQ(a.has_cached_normal, b.has_cached_normal) << "n=" << n;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.cached_normal),
+                std::bit_cast<std::uint64_t>(b.cached_normal))
+          << "n=" << n << " cached=" << cached;
+
+      for (std::uint64_t k = 0; k < 64; ++k) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(drawn.normal()),
+                  std::bit_cast<std::uint64_t>(skipped.normal()))
+            << "n=" << n << " draw " << k;
+        ASSERT_EQ(drawn.uniform_int(10 + k), skipped.uniform_int(10 + k))
+            << "n=" << n << " draw " << k;
+      }
+    }
+  }
 }
 
 }  // namespace
