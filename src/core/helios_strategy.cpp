@@ -125,7 +125,8 @@ void HeliosStrategy::after_aggregate(fl::Fleet& fleet,
         cs[static_cast<std::size_t>(
             std::min(st.regulator->skipped_cycles(j), 3))]++;
       }
-      tel->record_rotation(p.client->id(), forced_[i], cs);
+      tel->record_rotation(p.client->id(),
+                           {forced_[i], cs[0], cs[1], cs[2], cs[3]});
     }
   }
 

@@ -151,9 +151,10 @@ void AsyncFL::run_period(Fleet& fleet, RunResult& result, int begin,
          upload});
     if (tel) {
       const RoundRecord& r = result.rounds.back();
-      tel->record_cycle_result(result.method, cycle, r.virtual_time,
-                               r.test_accuracy, r.mean_train_loss,
-                               r.upload_mb);
+      tel->record_cycle_result(
+          cycle, r.virtual_time,
+          {.strategy = result.method, .accuracy = r.test_accuracy,
+           .mean_loss = r.mean_train_loss, .upload_mb = r.upload_mb});
     }
   }
 }

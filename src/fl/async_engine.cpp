@@ -187,9 +187,10 @@ void AsyncEngine::run_range(Fleet& fleet, RunResult& result, int begin,
                                upload_acc_});
       if (tel) {
         const RoundRecord& r = result.rounds.back();
-        tel->record_cycle_result(result.method, recorded_, r.virtual_time,
-                                 r.test_accuracy, r.mean_train_loss,
-                                 r.upload_mb);
+        tel->record_cycle_result(
+            recorded_, r.virtual_time,
+            {.strategy = result.method, .accuracy = r.test_accuracy,
+             .mean_loss = r.mean_train_loss, .upload_mb = r.upload_mb});
       }
       ++recorded_;
       loss_acc_ = 0.0;

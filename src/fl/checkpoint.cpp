@@ -404,7 +404,7 @@ std::string make_checkpoint_payload(Fleet& fleet, const Strategy* strategy,
   w.i32(fleet.server().neuron_total());
   w.str(partial.method);
   w.i32(static_cast<int>(partial.rounds.size()));
-  obs::TelemetrySink::JournalPosition jp;
+  obs::JournalPosition jp;
   if (fleet.telemetry() != nullptr) {
     jp = fleet.telemetry()->journal_position();
   }

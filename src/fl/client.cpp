@@ -223,9 +223,11 @@ void Client::record_cycle(const ClientUpdate& update) {
     for (auto b : update.trained_mask) trained += (b != 0);
   }
   telemetry_->record_client_cycle(
-      id_, profile_.name, straggler_, volume_, trained, total,
-      update.train_seconds, update.upload_seconds, update.upload_mb,
-      update.mean_loss);
+      id_, {.profile = profile_.name, .straggler = straggler_,
+            .volume = volume_, .trained_neurons = trained,
+            .neuron_total = total, .train_seconds = update.train_seconds,
+            .upload_seconds = update.upload_seconds,
+            .upload_mb = update.upload_mb, .mean_loss = update.mean_loss});
   telemetry_->set_device(-1);
 }
 

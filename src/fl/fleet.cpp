@@ -131,7 +131,7 @@ std::vector<Client*> Fleet::round_roster(int round, bool hibernate_unsampled) {
   for (Client* c : active) {
     if (in_cohort.find(c) == in_cohort.end()) {
       if (telemetry_) {
-        telemetry_->record_device_skipped(round, c->id(), /*dead=*/false);
+        telemetry_->record_device_skipped(round, c->id(), {"hollow"});
       }
       // Membership via the cohort itself (not selected()): a sampler's
       // empty-cohort fallback may include clients selected() rejects.
@@ -141,11 +141,11 @@ std::vector<Client*> Fleet::round_roster(int round, bool hibernate_unsampled) {
   if (telemetry_) {
     for (const auto& c : clients_) {
       if (!c->active()) {
-        telemetry_->record_device_skipped(round, c->id(), /*dead=*/true);
+        telemetry_->record_device_skipped(round, c->id(), {"dead"});
       }
     }
-    telemetry_->record_cohort(round, clients_.size(), active.size(),
-                              cohort.size());
+    telemetry_->record_cohort(
+        round, {clients_.size(), active.size(), cohort.size()});
   }
   return cohort;
 }

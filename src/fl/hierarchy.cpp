@@ -89,9 +89,11 @@ void HierarchySession::emit_tier_telemetry() {
   obs::TelemetrySink* sink = fleet_.telemetry();
   if (sink == nullptr || tree_ == nullptr) return;
   for (const agg::TierStats& t : tree_->tier_stats()) {
-    sink->record_tier_merge(t.tier, t.frames_folded, t.bytes_forwarded,
-                            t.deadline_misses, t.retransmits, t.lost_frames,
-                            t.fold_seconds, t.raw_bytes);
+    sink->record_tier_merge(
+        {.tier = t.tier, .frames_folded = t.frames_folded,
+         .bytes_forwarded = t.bytes_forwarded, .raw_bytes = t.raw_bytes,
+         .deadline_misses = t.deadline_misses, .retransmits = t.retransmits,
+         .lost_frames = t.lost_frames, .fold_seconds = t.fold_seconds});
   }
 }
 

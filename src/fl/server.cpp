@@ -81,8 +81,9 @@ void Server::aggregate(std::span<const ClientUpdate> updates,
     for (double w : neuron_w) weight_sum += w;
     for (std::size_t i = 0; i < updates.size(); ++i) {
       telemetry_->record_aggregation_weight(
-          updates[i].client_id, updates[i].trained_fraction(m),
-          weight_sum > 0.0 ? neuron_w[i] / weight_sum : 0.0);
+          updates[i].client_id,
+          {.r_n = updates[i].trained_fraction(m),
+           .alpha = weight_sum > 0.0 ? neuron_w[i] / weight_sum : 0.0});
     }
   }
 

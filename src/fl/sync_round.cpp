@@ -72,9 +72,10 @@ void SyncRoundStrategy::run_range(Fleet& fleet, RunResult& result, int begin,
          round.net.upload_mb});
     if (tel) {
       const RoundRecord& r = result.rounds.back();
-      tel->record_cycle_result(result.method, cycle, r.virtual_time,
-                               r.test_accuracy, r.mean_train_loss,
-                               r.upload_mb);
+      tel->record_cycle_result(
+          cycle, r.virtual_time,
+          {.strategy = result.method, .accuracy = r.test_accuracy,
+           .mean_loss = r.mean_train_loss, .upload_mb = r.upload_mb});
     }
   }
 }

@@ -45,6 +45,14 @@ net::WireMessage wire_message(const ClientUpdate& update) {
   return msg;
 }
 
+/// A protocol delivery as the journal's transfer event; `delivered` is
+/// whether the server accepted the frame.
+obs::TransferEvent transfer_event(const net::RoundProtocol::Delivery& del,
+                                  bool delivered) {
+  return {del.bytes_on_wire, del.transmissions, del.lost_frames, delivered,
+          del.deadline_missed, del.died, del.comm_seconds};
+}
+
 }  // namespace
 
 std::vector<std::vector<float>*> NetworkSession::residuals_for(
@@ -111,8 +119,10 @@ void NetworkSession::record_codec(const ClientUpdate& update,
   if (sink == nullptr || options().payload_codec == codec::CodecId::kFp32) {
     return;
   }
-  sink->record_codec(update.client_id, sent.dense_bytes, sent.bytes.size(),
-                     sent.residual_norm);
+  sink->record_codec(update.client_id,
+                     {.bytes_in = sent.dense_bytes,
+                      .bytes_out = sent.bytes.size(),
+                      .residual_norm = sent.residual_norm});
 }
 
 void NetworkSession::save_state(const Fleet& fleet,
@@ -164,11 +174,13 @@ void NetworkSession::record_round(const NetDelivery& d,
                                   std::size_t frames_delivered) {
   obs::TelemetrySink* sink = fleet_.telemetry();
   if (sink == nullptr) return;
-  sink->record_network_round(d.bytes_on_wire,
-                             static_cast<int>(d.delivered.size()),
-                             static_cast<int>(frames_delivered), d.lost_frames,
-                             d.retransmits, d.deadline_misses,
-                             static_cast<int>(d.died.size()));
+  sink->record_network_round(
+      {.bytes_on_wire = d.bytes_on_wire,
+       .participants = static_cast<int>(d.delivered.size()),
+       .delivered = static_cast<int>(frames_delivered),
+       .lost_frames = d.lost_frames, .retransmits = d.retransmits,
+       .deadline_misses = d.deadline_misses,
+       .deaths = static_cast<int>(d.died.size())});
 }
 
 std::vector<ClientUpdate> NetworkSession::decode_accepted(
@@ -235,11 +247,10 @@ NetDelivery NetworkSession::deliver_round(std::span<const ClientUpdate> updates,
       d.comm_seconds[i] = updates[i].upload_seconds;
       d.bytes_on_wire += frames[i].bytes.size();
       if (sink != nullptr) {
-        sink->record_device_transfer(updates[i].client_id,
-                                     frames[i].bytes.size(), 1, 0,
-                                     /*delivered=*/true,
-                                     /*deadline_missed=*/false, /*died=*/false,
-                                     updates[i].upload_seconds);
+        sink->record_device_transfer(
+            updates[i].client_id, {.bytes_on_wire = frames[i].bytes.size(),
+                                   .transmissions = 1,
+                                   .comm_seconds = updates[i].upload_seconds});
       }
     }
     d.round_seconds = analytic_round;
@@ -312,10 +323,8 @@ NetDelivery NetworkSession::deliver_round(std::span<const ClientUpdate> updates,
       d.arrived.push_back(std::move(u));
     }
     if (sink != nullptr) {
-      sink->record_device_transfer(del.device_id, del.bytes_on_wire,
-                                   del.transmissions, del.lost_frames,
-                                   d.delivered[i] != 0, del.deadline_missed,
-                                   del.died, del.comm_seconds);
+      sink->record_device_transfer(del.device_id,
+                                   transfer_event(del, d.delivered[i] != 0));
     }
   }
   double close_s = out.round_close_s;
@@ -356,10 +365,10 @@ NetworkSession::SingleDelivery NetworkSession::deliver_update(
     s.comm_seconds = update.upload_seconds;
     s.settle_s = start_s + update.upload_seconds;
     if (sink != nullptr) {
-      sink->record_device_transfer(update.client_id, frame.size(), 1, 0,
-                                   /*delivered=*/true,
-                                   /*deadline_missed=*/false, /*died=*/false,
-                                   update.upload_seconds);
+      sink->record_device_transfer(
+          update.client_id, {.bytes_on_wire = frame.size(),
+                             .transmissions = 1,
+                             .comm_seconds = update.upload_seconds});
     }
     return s;
   }
@@ -389,10 +398,8 @@ NetworkSession::SingleDelivery NetworkSession::deliver_update(
     s.update.upload_mb = static_cast<double>(del.bytes_on_wire) / 1e6;
   }
   if (sink != nullptr) {
-    sink->record_device_transfer(del.device_id, del.bytes_on_wire,
-                                 del.transmissions, del.lost_frames,
-                                 del.delivered, del.deadline_missed, del.died,
-                                 del.comm_seconds);
+    sink->record_device_transfer(del.device_id,
+                                 transfer_event(del, del.delivered));
   }
   return s;
 }

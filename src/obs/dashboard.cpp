@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -22,24 +23,73 @@ std::size_t StragglerDashboard::device_count() const {
   return devices_.size();
 }
 
-void StragglerDashboard::record_tier(std::string_view tier,
-                                     std::uint64_t frames_folded,
-                                     std::uint64_t bytes_forwarded,
-                                     int deadline_misses, int retransmits,
-                                     int lost_frames, double fold_seconds,
-                                     std::uint64_t raw_bytes) {
+void add_to(long long& total, long long v) {
+  if (v > 0 && total > std::numeric_limits<long long>::max() - v) {
+    total = std::numeric_limits<long long>::max();
+  } else if (v < 0 && total < std::numeric_limits<long long>::min() - v) {
+    total = std::numeric_limits<long long>::min();
+  } else {
+    total += v;
+  }
+}
+
+void TierTotals::add(const MergeEvent& e) {
+  ++merges;
+  add_to(frames_folded, static_cast<long long>(e.frames_folded));
+  add_to(bytes_forwarded, static_cast<long long>(e.bytes_forwarded));
+  add_to(raw_bytes, static_cast<long long>(e.raw_bytes));
+  deadline_misses += e.deadline_misses;
+  retransmits += e.retransmits;
+  lost_frames += e.lost_frames;
+  fold_seconds += e.fold_seconds;
+}
+
+void apply(DeviceStats& d, const TrainEvent& e) {
+  if (d.name.empty()) d.name = std::string(e.profile);
+  d.straggler = e.straggler;
+  d.volume = e.volume;
+  ++d.cycles;
+  d.trained_neurons = e.trained_neurons;
+  d.neuron_total = e.neuron_total;
+  d.compute_seconds += e.train_seconds;
+  d.comm_seconds += e.upload_seconds;
+  d.upload_mb += e.upload_mb;
+  d.last_loss = e.mean_loss;
+}
+
+void apply(DeviceStats& d, const AggEvent& e) {
+  d.r_n = e.r_n;
+  d.r_n_sum += e.r_n;
+  ++d.r_n_count;
+  d.alpha_n = e.alpha;
+}
+
+void apply(DeviceStats& d, const RotationEvent& e) {
+  d.forced_neurons += e.forced;
+  d.cs_hist = {e.cs0, e.cs1, e.cs2, e.cs3};
+}
+
+void apply(DeviceStats& d, const TransferEvent& e) {
+  add_to(d.wire_bytes, static_cast<long long>(e.bytes_on_wire));
+  d.frames_sent += e.transmissions;
+  d.frames_lost += e.lost_frames;
+  d.retransmits += std::max(0LL, e.transmissions - 1LL);
+  if (!e.delivered) ++d.drops;
+  if (e.died) d.dead = true;
+}
+
+void apply(DeviceStats& d, const CodecEvent& e) {
+  add_to(d.bytes_saved, static_cast<long long>(e.bytes_in) -
+                            static_cast<long long>(e.bytes_out));
+}
+
+void StragglerDashboard::record(const MergeEvent& e) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = tiers_.find(tier);
-  if (it == tiers_.end()) it = tiers_.emplace(std::string(tier), TierTotals{}).first;
-  TierTotals& t = it->second;
-  ++t.merges;
-  t.frames_folded += static_cast<long long>(frames_folded);
-  t.bytes_forwarded += static_cast<long long>(bytes_forwarded);
-  t.raw_bytes += static_cast<long long>(raw_bytes);
-  t.deadline_misses += deadline_misses;
-  t.retransmits += retransmits;
-  t.lost_frames += lost_frames;
-  t.fold_seconds += fold_seconds;
+  auto it = tiers_.find(e.tier);
+  if (it == tiers_.end()) {
+    it = tiers_.emplace(std::string(e.tier), TierTotals{}).first;
+  }
+  it->second.add(e);
 }
 
 TierTotals StragglerDashboard::tier(std::string_view tier) const {
@@ -119,7 +169,7 @@ FleetSummary collect_summary(const std::map<int, DeviceStats>& devices) {
     s.forced += d.forced_neurons;
     s.drops += d.drops;
     s.retransmits += d.retransmits;
-    s.bytes_saved += d.bytes_saved;
+    add_to(s.bytes_saved, d.bytes_saved);
   }
   return s;
 }
@@ -169,14 +219,14 @@ void StragglerDashboard::render_summary(std::ostream& os) const {
              r.precision)});
   }
   table.print(os);
-  render_tiers(os);
+  render_tiers(os, tiers_);
 }
 
-void StragglerDashboard::render_tiers(std::ostream& os) const {
-  if (tiers_.empty()) return;
+void render_tiers(std::ostream& os, const TierMap& tiers) {
+  if (tiers.empty()) return;
   util::Table table({"tier", "merges", "frames folded", "fwd (MB)",
                      "raw (MB)", "tier misses", "retx", "lost", "fold (s)"});
-  for (const auto& [name, t] : tiers_) {
+  for (const auto& [name, t] : tiers) {
     table.add_row(
         {name, std::to_string(t.merges), std::to_string(t.frames_folded),
          util::Table::num(static_cast<double>(t.bytes_forwarded) / 1e6, 2),

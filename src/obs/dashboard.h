@@ -8,7 +8,6 @@
 #pragma once
 
 #include <array>
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -16,23 +15,36 @@
 #include <string>
 #include <string_view>
 
+#include "obs/journal.h"
+
 namespace helios::obs {
 
+/// `total += v`, saturating at the long long limits: totals folded from a
+/// hostile journal cannot overflow.
+void add_to(long long& total, long long v);
+
 /// Accumulated per-tier aggregator-tree statistics (hierarchical
-/// aggregation runs only; empty otherwise). Keyed by tier name —
-/// "edge" / "regional" / "root".
+/// aggregation runs only; empty otherwise).
 struct TierTotals {
   long long merges = 0;           // rounds this tier reported
   long long frames_folded = 0;
   long long bytes_forwarded = 0;
-  /// f64-equivalent cost of the forwarded merge payloads — what the uplink
-  /// would have carried without a quantized merge codec.
-  long long raw_bytes = 0;
+  long long raw_bytes = 0;        // one uplink payload per frame crossing
   long long deadline_misses = 0;
   long long retransmits = 0;
   long long lost_frames = 0;
   double fold_seconds = 0.0;      // wall-clock folding/merging time
+
+  /// The one fold of a merge event, shared by the live dashboard, its
+  /// replay and the journal summary.
+  void add(const MergeEvent& e);
 };
+
+/// Tier totals keyed by tier name — conveniently edge < regional < root.
+using TierMap = std::map<std::string, TierTotals, std::less<>>;
+
+/// The per-tier rollup table (nothing when no tier has reported).
+void render_tiers(std::ostream& os, const TierMap& tiers);
 
 /// Accumulated per-device run statistics. All times are virtual seconds.
 struct DeviceStats {
@@ -65,16 +77,24 @@ struct DeviceStats {
   // NetworkSession is attached).
   long long wire_bytes = 0;     // bytes that actually transited the wire
   long long bytes_saved = 0;    // fp32-dense bytes the wire codec avoided
-  int frames_sent = 0;          // transmissions (retransmits included)
-  int frames_lost = 0;
-  int retransmits = 0;
-  int drops = 0;                // transfers the server never accepted
+  long long frames_sent = 0;    // transmissions (retransmits included)
+  long long frames_lost = 0;
+  long long retransmits = 0;
+  long long drops = 0;          // transfers the server never accepted
   bool dead = false;            // device's channel died permanently
 
   double mean_r_n() const {
     return r_n_count > 0 ? r_n_sum / r_n_count : r_n;
   }
 };
+
+/// The one fold of each device-level journal event into a device's stats,
+/// shared by the live TelemetrySink, replay_dashboard and summarize_journal.
+void apply(DeviceStats& d, const TrainEvent& e);
+void apply(DeviceStats& d, const AggEvent& e);
+void apply(DeviceStats& d, const RotationEvent& e);
+void apply(DeviceStats& d, const TransferEvent& e);
+void apply(DeviceStats& d, const CodecEvent& e);
 
 /// Thread-safe collection of DeviceStats keyed by device id.
 ///
@@ -97,17 +117,19 @@ class StragglerDashboard {
     fn(d);
   }
 
+  /// Folds one device-level event (train, agg, rot, xfer, codec) into
+  /// the device's stats, under one lock.
+  template <typename Event>
+  void record(int device_id, const Event& e) {
+    update(device_id, [&](DeviceStats& d) { apply(d, e); });
+  }
+  /// One aggregator-tree tier's round rollup. The fleet summary renders a
+  /// per-tier breakdown when any tier has reported.
+  void record(const MergeEvent& e);
+
   /// Copy of a device's stats (zero-valued default if never seen).
   DeviceStats device(int device_id) const;
   std::size_t device_count() const;
-
-  /// One aggregator-tree tier's round rollup (TelemetrySink forwards
-  /// helios.agg.* tier merges here). The fleet summary renders a per-tier
-  /// breakdown when any tier has reported.
-  void record_tier(std::string_view tier, std::uint64_t frames_folded,
-                   std::uint64_t bytes_forwarded, int deadline_misses,
-                   int retransmits, int lost_frames, double fold_seconds,
-                   std::uint64_t raw_bytes = 0);
   /// Copy of a tier's totals (zero-valued default if never seen).
   TierTotals tier(std::string_view tier) const;
 
@@ -128,12 +150,9 @@ class StragglerDashboard {
   void render_devices(std::ostream& os) const;  // callers hold mu_
   void render_summary(std::ostream& os) const;  // callers hold mu_
 
-  void render_tiers(std::ostream& os) const;     // callers hold mu_
-
   mutable std::mutex mu_;
   std::map<int, DeviceStats> devices_;  // ordered by device id
-  // Ordered by name — conveniently edge < regional < root.
-  std::map<std::string, TierTotals, std::less<>> tiers_;
+  TierMap tiers_;
   std::size_t summary_threshold_ = kDefaultSummaryThreshold;
 };
 

@@ -1,16 +1,84 @@
 #include "obs/journal_reader.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
+#include <limits>
 #include <span>
+#include <stdexcept>
 
-#include "obs/journal.h"
 #include "obs/metrics.h"  // json_escape
 #include "util/stats.h"
 #include "util/table.h"
 
 namespace helios::obs {
+
+namespace {
+
+[[noreturn]] void bad_value(int line, std::string_view key, const char* what) {
+  throw std::runtime_error("journal line " + std::to_string(line) +
+                           ": field \"" + std::string(key) + "\" " + what);
+}
+
+/// The value of `key` when present; throws unless it has kind `kind`.
+const util::JsonValue* typed(const util::JsonValue& obj, int line,
+                             std::string_view key, util::JsonValue::Kind kind) {
+  const util::JsonValue* v = obj.find(key);
+  if (v != nullptr && v->kind() != kind) {
+    bad_value(line, key, "has the wrong type");
+  }
+  return v;
+}
+
+/// An integral number of `key` in [lo, hi], or `def` when absent. The checks
+/// run on the double, before any cast.
+long long integer(const util::JsonValue& obj, int line, std::string_view key,
+                  double lo, double hi, long long def) {
+  const util::JsonValue* v =
+      typed(obj, line, key, util::JsonValue::Kind::kNumber);
+  if (v == nullptr) return def;
+  const double x = v->as_number();
+  if (!(x >= lo && x <= hi) || x != std::trunc(x)) {
+    bad_value(line, key, "is not an integer in range");
+  }
+  return static_cast<long long>(x);
+}
+
+constexpr double kIntMin = std::numeric_limits<int>::min();
+constexpr double kIntMax = std::numeric_limits<int>::max();
+/// Counts above 2^53 are not exact in a double, so no writer produces them.
+constexpr double kCountMax = 9007199254740992.0;
+
+}  // namespace
+
+void read_field(const JournalEvent& ev, std::string_view key, int& out) {
+  out = static_cast<int>(
+      integer(ev.fields, ev.line, key, kIntMin, kIntMax, out));
+}
+
+void read_field(const JournalEvent& ev, std::string_view key,
+                std::uint64_t& out) {
+  out = static_cast<std::uint64_t>(integer(
+      ev.fields, ev.line, key, 0.0, kCountMax, static_cast<long long>(out)));
+}
+
+void read_field(const JournalEvent& ev, std::string_view key, bool& out) {
+  out = integer(ev.fields, ev.line, key, 0.0, 1.0, out ? 1 : 0) != 0;
+}
+
+void read_field(const JournalEvent& ev, std::string_view key, double& out) {
+  const util::JsonValue* v =
+      typed(ev.fields, ev.line, key, util::JsonValue::Kind::kNumber);
+  if (v == nullptr) return;
+  if (!std::isfinite(v->as_number())) bad_value(ev.line, key, "is not finite");
+  out = v->as_number();
+}
+
+void read_field(const JournalEvent& ev, std::string_view key,
+                std::string_view& out) {
+  const util::JsonValue* v =
+      typed(ev.fields, ev.line, key, util::JsonValue::Kind::kString);
+  if (v != nullptr) out = v->as_string();
+}
 
 std::vector<JournalEvent> read_journal(std::istream& is) {
   std::vector<JournalEvent> events;
@@ -19,30 +87,35 @@ std::vector<JournalEvent> read_journal(std::istream& is) {
   while (std::getline(is, line)) {
     ++lineno;
     if (line.empty()) continue;
-    util::JsonValue v;
+    JournalEvent ev;
+    ev.line = lineno;
     try {
-      v = util::JsonValue::parse(line);
+      ev.fields = util::JsonValue::parse(line);
     } catch (const std::exception& e) {
       throw std::runtime_error("journal line " + std::to_string(lineno) +
                                ": " + e.what());
     }
-    if (!v.is_object()) {
+    if (!ev.fields.is_object()) {
       throw std::runtime_error("journal line " + std::to_string(lineno) +
                                ": not an object");
     }
-    const int schema = static_cast<int>(v.number_or("v", 0));
+    // The stamps (obs/journal.h); ids leave room for `round + 1`.
+    const long long schema =
+        integer(ev.fields, lineno, "v", kIntMin, kIntMax, 0);
     if (schema != RunJournal::kSchemaVersion) {
       throw std::runtime_error("journal line " + std::to_string(lineno) +
                                ": unsupported schema v" +
                                std::to_string(schema));
     }
-    JournalEvent ev;
-    ev.type = v.string_or("t", "");
-    ev.round = static_cast<int>(v.number_or("r", -1));
-    ev.device = static_cast<int>(v.number_or("dev", -1));
-    ev.vt = v.number_or("vt", 0.0);
-    ev.wall_ms = v.number_or("w", 0.0);
-    ev.fields = std::move(v);
+    std::string_view type;
+    read_field(ev, "t", type);
+    ev.type = type;
+    ev.round = static_cast<int>(
+        integer(ev.fields, lineno, "r", -1.0, kIntMax - 1.0, -1));
+    ev.device = static_cast<int>(
+        integer(ev.fields, lineno, "dev", -1.0, kIntMax - 1.0, -1));
+    read_field(ev, "vt", ev.vt);
+    read_field(ev, "w", ev.wall_ms);
     events.push_back(std::move(ev));
   }
   return events;
@@ -51,84 +124,59 @@ std::vector<JournalEvent> read_journal(std::istream& is) {
 JournalSummary summarize_journal(const std::vector<JournalEvent>& events) {
   JournalSummary s;
   s.events = events.size();
+  s.schema = events.empty() ? 0 : RunJournal::kSchemaVersion;
   for (const JournalEvent& ev : events) {
-    const util::JsonValue& f = ev.fields;
-    s.schema = std::max(s.schema, static_cast<int>(f.number_or("v", 0)));
     s.wall_seconds = std::max(s.wall_seconds, ev.wall_ms / 1e3);
-    if (ev.type == "train") {
+    if (ev.type == TrainEvent::kType) {
+      const auto e = decode<TrainEvent>(ev);
       DeviceJournal& d = s.devices[ev.device];
-      d.device = ev.device;
-      if (d.profile.empty()) d.profile = f.string_or("prof", "");
-      d.straggler = f.number_or("strag", 0) != 0;
-      ++d.trained_rounds;
-      const double vol = f.number_or("vol", 1.0);
-      if (d.first_volume < 0.0) d.first_volume = vol;
-      d.last_volume = vol;
-      d.compute_seconds += f.number_or("train_s", 0.0);
-      d.comm_seconds += f.number_or("up_s", 0.0);
-    } else if (ev.type == "skip") {
+      apply(d.stats, e);
+      if (d.first_volume < 0.0) d.first_volume = e.volume;
+    } else if (ev.type == SkipEvent::kType) {
       DeviceJournal& d = s.devices[ev.device];
-      d.device = ev.device;
-      if (f.string_or("why", "") == "dead") {
-        ++d.skipped_dead;
-      } else {
-        ++d.skipped_hollow;
-      }
-    } else if (ev.type == "agg") {
+      ++(decode<SkipEvent>(ev).why == "dead" ? d.skipped_dead
+                                             : d.skipped_hollow);
+    } else if (ev.type == AggEvent::kType) {
+      apply(s.devices[ev.device].stats, decode<AggEvent>(ev));
+    } else if (ev.type == TransferEvent::kType) {
+      const auto e = decode<TransferEvent>(ev);
       DeviceJournal& d = s.devices[ev.device];
-      d.device = ev.device;
-      d.r_n_sum += f.number_or("r_n", 0.0);
-      ++d.r_n_count;
-    } else if (ev.type == "xfer") {
+      apply(d.stats, e);
+      d.deadline_misses += e.deadline_missed ? 1 : 0;
+      s.deaths += e.died ? 1 : 0;
+    } else if (ev.type == CodecEvent::kType) {
+      const auto e = decode<CodecEvent>(ev);
       DeviceJournal& d = s.devices[ev.device];
-      d.device = ev.device;
-      const auto bytes = static_cast<long long>(f.number_or("bytes", 0.0));
-      const int tx = static_cast<int>(f.number_or("tx", 0.0));
-      d.wire_bytes += bytes;
-      d.frames_sent += tx;
-      d.frames_lost += static_cast<int>(f.number_or("lost", 0.0));
-      d.retransmits += std::max(0, tx - 1);
-      if (f.number_or("ok", 1.0) == 0.0) ++d.drops;
-      if (f.number_or("miss", 0.0) != 0.0) ++d.deadline_misses;
-      if (f.number_or("dead", 0.0) != 0.0) d.dead = true;
-      s.bytes_on_wire += bytes;
-      s.frames_sent += tx;
-      s.frames_lost += static_cast<int>(f.number_or("lost", 0.0));
-      s.retransmits += std::max(0, tx - 1);
-      if (f.number_or("ok", 1.0) == 0.0) ++s.drops;
-      if (f.number_or("miss", 0.0) != 0.0) ++s.deadline_misses;
-      if (f.number_or("dead", 0.0) != 0.0) ++s.deaths;
-    } else if (ev.type == "net_round") {
-      if (f.number_or("renorm", 0.0) != 0.0) ++s.renormalized_rounds;
-    } else if (ev.type == "merge") {
-      TierTotals& t = s.tiers[f.string_or("tier", "?")];
-      ++t.merges;
-      t.frames_folded += static_cast<long long>(f.number_or("frames", 0.0));
-      t.bytes_forwarded += static_cast<long long>(f.number_or("bytes", 0.0));
-      t.raw_bytes += static_cast<long long>(f.number_or("raw", 0.0));
-      t.deadline_misses += static_cast<int>(f.number_or("miss", 0.0));
-      t.retransmits += static_cast<int>(f.number_or("retx", 0.0));
-      t.lost_frames += static_cast<int>(f.number_or("lost", 0.0));
-      t.fold_seconds += f.number_or("fold_s", 0.0);
-    } else if (ev.type == "codec") {
-      DeviceJournal& d = s.devices[ev.device];
-      d.device = ev.device;
-      const auto in = static_cast<long long>(f.number_or("in", 0.0));
-      const auto out = static_cast<long long>(f.number_or("out", 0.0));
-      d.codec_raw_bytes += in;
-      d.codec_wire_bytes += out;
-      s.codec_raw_bytes += in;
-      s.codec_wire_bytes += out;
-    } else if (ev.type == "churn") {
-      s.churn_arrivals += static_cast<int>(f.number_or("in", 0.0));
-      s.churn_departures += static_cast<int>(f.number_or("out", 0.0));
-    } else if (ev.type == "round") {
+      apply(d.stats, e);
+      add_to(d.codec_raw_bytes, static_cast<long long>(e.bytes_in));
+      add_to(d.codec_wire_bytes, static_cast<long long>(e.bytes_out));
+    } else if (ev.type == NetRoundEvent::kType) {
+      s.renormalized_rounds += decode<NetRoundEvent>(ev).renormalized ? 1 : 0;
+    } else if (ev.type == MergeEvent::kType) {
+      const auto e = decode<MergeEvent>(ev);
+      s.tiers[std::string(e.tier)].add(e);
+    } else if (ev.type == ChurnEvent::kType) {
+      const auto e = decode<ChurnEvent>(ev);
+      s.churn_arrivals += e.arrivals;
+      s.churn_departures += e.departures;
+    } else if (ev.type == RoundEvent::kType) {
+      const auto e = decode<RoundEvent>(ev);
       s.rounds = std::max(s.rounds, ev.round + 1);
-      s.strategy = f.string_or("strat", s.strategy);
-      s.final_accuracy = f.number_or("acc", s.final_accuracy);
+      s.strategy = e.strategy;
+      s.final_accuracy = e.accuracy;
       s.final_virtual_time = ev.vt;
     }
     // Unknown types (newer writers) are intentionally ignored.
+  }
+  for (const auto& [id, d] : s.devices) {
+    add_to(s.bytes_on_wire, d.stats.wire_bytes);
+    add_to(s.frames_sent, d.stats.frames_sent);
+    add_to(s.frames_lost, d.stats.frames_lost);
+    add_to(s.retransmits, d.stats.retransmits);
+    add_to(s.drops, d.stats.drops);
+    add_to(s.deadline_misses, d.deadline_misses);
+    add_to(s.codec_raw_bytes, d.codec_raw_bytes);
+    add_to(s.codec_wire_bytes, d.codec_wire_bytes);
   }
   return s;
 }
@@ -186,34 +234,20 @@ void write_summary(std::ostream& os, const JournalSummary& s) {
   }
   if (!s.tiers.empty()) {
     os << "hierarchy:\n";
-    util::Table tiers({"tier", "merges", "frames folded", "fwd (MB)",
-                       "raw (MB)", "tier misses", "retx", "lost", "fold (s)"});
-    for (const auto& [name, t] : s.tiers) {
-      tiers.add_row({name, std::to_string(t.merges),
-                     std::to_string(t.frames_folded),
-                     util::Table::num(
-                         static_cast<double>(t.bytes_forwarded) / 1e6, 2),
-                     util::Table::num(
-                         static_cast<double>(t.raw_bytes) / 1e6, 2),
-                     std::to_string(t.deadline_misses),
-                     std::to_string(t.retransmits),
-                     std::to_string(t.lost_frames),
-                     util::Table::num(t.fold_seconds, 3)});
-    }
-    tiers.print(os);
+    render_tiers(os, s.tiers);
   }
 
   std::vector<double> trained, skipped, drift, r_n;
   int stragglers = 0, dead = 0;
   for (const auto& [id, d] : s.devices) {
-    trained.push_back(d.trained_rounds);
+    trained.push_back(d.stats.cycles);
     skipped.push_back(d.skipped_hollow + d.skipped_dead);
-    if (d.straggler && d.first_volume > 0.0) {
-      drift.push_back(d.last_volume - d.first_volume);
+    if (d.stats.straggler && d.first_volume > 0.0) {
+      drift.push_back(d.last_volume() - d.first_volume);
     }
-    if (d.r_n_count > 0) r_n.push_back(d.mean_r_n());
-    stragglers += d.straggler ? 1 : 0;
-    dead += d.dead ? 1 : 0;
+    if (d.stats.r_n_count > 0) r_n.push_back(d.stats.mean_r_n());
+    stragglers += d.stats.straggler ? 1 : 0;
+    dead += d.stats.dead ? 1 : 0;
   }
   os << "participation: " << stragglers << " stragglers, " << dead
      << " dead\n";
@@ -275,25 +309,26 @@ void write_summary_json(std::ostream& os, const JournalSummary& s) {
   for (const auto& [id, d] : s.devices) {
     if (!first) os << ',';
     first = false;
+    const DeviceStats& st = d.stats;
     os << "{\"device\":" << id << ",\"profile\":\"";
-    json_escape(os, d.profile);
-    os << "\",\"straggler\":" << (d.straggler ? "true" : "false")
-       << ",\"trained_rounds\":" << d.trained_rounds
+    json_escape(os, st.name);
+    os << "\",\"straggler\":" << (st.straggler ? "true" : "false")
+       << ",\"trained_rounds\":" << st.cycles
        << ",\"skipped_hollow\":" << d.skipped_hollow
        << ",\"skipped_dead\":" << d.skipped_dead
        << ",\"first_volume\":" << d.first_volume
-       << ",\"last_volume\":" << d.last_volume
-       << ",\"mean_r_n\":" << d.mean_r_n()
-       << ",\"compute_seconds\":" << d.compute_seconds
-       << ",\"comm_seconds\":" << d.comm_seconds
-       << ",\"wire_bytes\":" << d.wire_bytes
+       << ",\"last_volume\":" << d.last_volume()
+       << ",\"mean_r_n\":" << st.mean_r_n()
+       << ",\"compute_seconds\":" << st.compute_seconds
+       << ",\"comm_seconds\":" << st.comm_seconds
+       << ",\"wire_bytes\":" << st.wire_bytes
        << ",\"codec_raw_bytes\":" << d.codec_raw_bytes
        << ",\"codec_wire_bytes\":" << d.codec_wire_bytes
-       << ",\"frames_sent\":" << d.frames_sent
-       << ",\"frames_lost\":" << d.frames_lost
-       << ",\"retransmits\":" << d.retransmits << ",\"drops\":" << d.drops
+       << ",\"frames_sent\":" << st.frames_sent
+       << ",\"frames_lost\":" << st.frames_lost
+       << ",\"retransmits\":" << st.retransmits << ",\"drops\":" << st.drops
        << ",\"deadline_misses\":" << d.deadline_misses
-       << ",\"dead\":" << (d.dead ? "true" : "false") << '}';
+       << ",\"dead\":" << (st.dead ? "true" : "false") << '}';
   }
   os << "]}\n";
 }
@@ -301,68 +336,18 @@ void write_summary_json(std::ostream& os, const JournalSummary& s) {
 void replay_dashboard(const std::vector<JournalEvent>& events,
                       StragglerDashboard& dash) {
   for (const JournalEvent& ev : events) {
-    const util::JsonValue& f = ev.fields;
-    if (ev.type == "train") {
-      // Mirrors TelemetrySink::record_client_cycle's dashboard update.
-      dash.update(ev.device, [&](DeviceStats& d) {
-        if (d.name.empty()) d.name = f.string_or("prof", "");
-        d.straggler = f.number_or("strag", 0.0) != 0.0;
-        d.volume = f.number_or("vol", 1.0);
-        ++d.cycles;
-        d.trained_neurons = static_cast<int>(f.number_or("mask", 0.0));
-        d.neuron_total = static_cast<int>(f.number_or("tot", 0.0));
-        d.compute_seconds += f.number_or("train_s", 0.0);
-        d.comm_seconds += f.number_or("up_s", 0.0);
-        d.upload_mb += f.number_or("up_mb", 0.0);
-        d.last_loss = f.number_or("loss", 0.0);
-      });
-    } else if (ev.type == "agg") {
-      // Mirrors record_aggregation_weight.
-      dash.update(ev.device, [&](DeviceStats& d) {
-        d.r_n = f.number_or("r_n", 1.0);
-        d.r_n_sum += f.number_or("r_n", 1.0);
-        ++d.r_n_count;
-        d.alpha_n = f.number_or("alpha", 0.0);
-      });
-    } else if (ev.type == "rot") {
-      // Mirrors record_rotation.
-      dash.update(ev.device, [&](DeviceStats& d) {
-        d.forced_neurons += static_cast<long long>(f.number_or("forced", 0.0));
-        d.cs_hist = std::array<int, 4>{
-            static_cast<int>(f.number_or("cs0", 0.0)),
-            static_cast<int>(f.number_or("cs1", 0.0)),
-            static_cast<int>(f.number_or("cs2", 0.0)),
-            static_cast<int>(f.number_or("cs3", 0.0))};
-      });
-    } else if (ev.type == "merge") {
-      // Mirrors record_tier_merge: one dashboard tier update per merge
-      // event, so replayed tier totals match the live dashboard's.
-      dash.record_tier(
-          f.string_or("tier", "?"),
-          static_cast<std::uint64_t>(f.number_or("frames", 0.0)),
-          static_cast<std::uint64_t>(f.number_or("bytes", 0.0)),
-          static_cast<int>(f.number_or("miss", 0.0)),
-          static_cast<int>(f.number_or("retx", 0.0)),
-          static_cast<int>(f.number_or("lost", 0.0)),
-          f.number_or("fold_s", 0.0),
-          static_cast<std::uint64_t>(f.number_or("raw", 0.0)));
-    } else if (ev.type == "codec") {
-      // Mirrors record_codec's dashboard update.
-      dash.update(ev.device, [&](DeviceStats& d) {
-        d.bytes_saved += static_cast<long long>(f.number_or("in", 0.0)) -
-                         static_cast<long long>(f.number_or("out", 0.0));
-      });
-    } else if (ev.type == "xfer") {
-      // Mirrors record_device_transfer.
-      dash.update(ev.device, [&](DeviceStats& d) {
-        const int tx = static_cast<int>(f.number_or("tx", 0.0));
-        d.wire_bytes += static_cast<long long>(f.number_or("bytes", 0.0));
-        d.frames_sent += tx;
-        d.frames_lost += static_cast<int>(f.number_or("lost", 0.0));
-        d.retransmits += std::max(0, tx - 1);
-        if (f.number_or("ok", 1.0) == 0.0) ++d.drops;
-        if (f.number_or("dead", 0.0) != 0.0) d.dead = true;
-      });
+    if (ev.type == TrainEvent::kType) {
+      dash.record(ev.device, decode<TrainEvent>(ev));
+    } else if (ev.type == AggEvent::kType) {
+      dash.record(ev.device, decode<AggEvent>(ev));
+    } else if (ev.type == RotationEvent::kType) {
+      dash.record(ev.device, decode<RotationEvent>(ev));
+    } else if (ev.type == TransferEvent::kType) {
+      dash.record(ev.device, decode<TransferEvent>(ev));
+    } else if (ev.type == CodecEvent::kType) {
+      dash.record(ev.device, decode<CodecEvent>(ev));
+    } else if (ev.type == MergeEvent::kType) {
+      dash.record(decode<MergeEvent>(ev));
     }
   }
 }
@@ -448,19 +433,19 @@ int write_diff(std::ostream& os, const JournalSummary& a,
     const DeviceJournal& x = da != nullptr ? *da : kEmpty;
     const DeviceJournal& y = db != nullptr ? *db : kEmpty;
     const DiffRow device_rows[] = {
-        {"trained_rounds", static_cast<double>(x.trained_rounds),
-         static_cast<double>(y.trained_rounds)},
+        {"trained_rounds", static_cast<double>(x.stats.cycles),
+         static_cast<double>(y.stats.cycles)},
         {"skipped", static_cast<double>(x.skipped_hollow + x.skipped_dead),
          static_cast<double>(y.skipped_hollow + y.skipped_dead)},
-        {"mean_r_n", x.mean_r_n(), y.mean_r_n()},
-        {"last_volume", x.last_volume, y.last_volume},
-        {"wire_bytes", static_cast<double>(x.wire_bytes),
-         static_cast<double>(y.wire_bytes)},
-        {"retransmits", static_cast<double>(x.retransmits),
-         static_cast<double>(y.retransmits)},
-        {"drops", static_cast<double>(x.drops),
-         static_cast<double>(y.drops)},
-        {"dead", x.dead ? 1.0 : 0.0, y.dead ? 1.0 : 0.0},
+        {"mean_r_n", x.stats.mean_r_n(), y.stats.mean_r_n()},
+        {"last_volume", x.last_volume(), y.last_volume()},
+        {"wire_bytes", static_cast<double>(x.stats.wire_bytes),
+         static_cast<double>(y.stats.wire_bytes)},
+        {"retransmits", static_cast<double>(x.stats.retransmits),
+         static_cast<double>(y.stats.retransmits)},
+        {"drops", static_cast<double>(x.stats.drops),
+         static_cast<double>(y.stats.drops)},
+        {"dead", x.stats.dead ? 1.0 : 0.0, y.stats.dead ? 1.0 : 0.0},
     };
     const std::string scope = "device " + std::to_string(id);
     differing += emit_diff_rows(os, scope.c_str(), device_rows);

@@ -1,6 +1,5 @@
 #include "obs/telemetry.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -37,17 +36,17 @@ TelemetrySink::TelemetrySink(TelemetryConfig config)
     tracer_->name_process(2, "helios (virtual time)");
   }
   if (config_.journal) {
+    const std::optional<JournalPosition>& resume = config_.journal_resume;
     if (!config_.artifact_prefix.empty()) {
       const std::string path = config_.artifact_prefix + ".journal.jsonl";
-      if (config_.journal_resume) {
+      if (resume) {
         // Continue the crashed run's journal: drop any torn tail written
         // after the checkpoint, then append. The checkpointed offset is a
         // line boundary (the journal flushes before reporting its
         // position), so the file stays valid JSONL.
         std::error_code ec;
         if (std::filesystem::exists(path, ec)) {
-          std::filesystem::resize_file(path, config_.journal_resume_offset,
-                                       ec);
+          std::filesystem::resize_file(path, resume->byte_offset, ec);
         }
         // in|out|ate (not app): positions at the end immediately, so
         // tellp() — the next checkpoint's journal offset — is valid even
@@ -59,15 +58,14 @@ TelemetrySink::TelemetrySink(TelemetryConfig config)
           // start a fresh file but keep the resumed event counter.
           journal_file_ = std::make_unique<std::ofstream>(path);
         }
-        journal_ = std::make_unique<RunJournal>(
-            journal_file_.get(), config_.journal_resume_events);
+        journal_ = std::make_unique<RunJournal>(journal_file_.get(),
+                                                resume->events);
       } else {
         journal_file_ = std::make_unique<std::ofstream>(path);
         journal_ = std::make_unique<RunJournal>(journal_file_.get());
       }
-    } else if (config_.journal_resume) {
-      journal_ = std::make_unique<RunJournal>(
-          &journal_buffer_, config_.journal_resume_events);
+    } else if (resume) {
+      journal_ = std::make_unique<RunJournal>(&journal_buffer_, resume->events);
     } else {
       journal_ = std::make_unique<RunJournal>(&journal_buffer_);
     }
@@ -108,295 +106,206 @@ void TelemetrySink::set_virtual_time(double seconds) {
   metrics_.gauge("helios.run.virtual_time_seconds").set(seconds);
 }
 
-void TelemetrySink::record_client_cycle(
-    int device, std::string_view profile_name, bool straggler, double volume,
-    int trained_neurons, int neuron_total, double train_seconds,
-    double upload_seconds, double upload_mb, double mean_loss) {
+void TelemetrySink::record_client_cycle(int device, const TrainEvent& e) {
   const LabelSet labels{{"device", device_label(device)}};
   metrics_.counter("helios.client.cycles_total", labels).add(1.0);
-  metrics_.counter("helios.client.upload_mb_total", labels).add(upload_mb);
+  metrics_.counter("helios.client.upload_mb_total", labels).add(e.upload_mb);
   metrics_.histogram("helios.client.train_seconds", labels)
-      .observe(train_seconds);
+      .observe(e.train_seconds);
   metrics_.histogram("helios.client.upload_seconds", labels)
-      .observe(upload_seconds);
-  metrics_.gauge("helios.client.volume", labels).set(volume);
-  metrics_.gauge("helios.client.mean_loss", labels).set(mean_loss);
-
-  dashboard_.update(device, [&](DeviceStats& d) {
-    if (d.name.empty()) d.name = std::string(profile_name);
-    d.straggler = straggler;
-    d.volume = volume;
-    ++d.cycles;
-    d.trained_neurons = trained_neurons;
-    d.neuron_total = neuron_total;
-    d.compute_seconds += train_seconds;
-    d.comm_seconds += upload_seconds;
-    d.upload_mb += upload_mb;
-    d.last_loss = mean_loss;
-  });
-
-  if (journal_) {
-    journal_->train(journal_stamp(device), profile_name, straggler, volume,
-                    trained_neurons, neuron_total, train_seconds,
-                    upload_seconds, upload_mb, mean_loss);
-  }
+      .observe(e.upload_seconds);
+  metrics_.gauge("helios.client.volume", labels).set(e.volume);
+  metrics_.gauge("helios.client.mean_loss", labels).set(e.mean_loss);
+  dashboard_.record(device, e);
+  if (journal_) journal_->record(journal_stamp(device), e);
 
   // Virtual-time Gantt: one "train" + one "upload" slab per cycle on the
   // device's track, starting at the sink's current virtual time (set by the
   // strategy when the cycle began).
   if (tracer_) {
     const double start_us = virtual_time() * 1e6;
-    tracer_->complete("train", device, start_us, train_seconds * 1e6,
-                      {{"device", device}, {"loss", mean_loss}});
-    tracer_->complete("upload", device, start_us + train_seconds * 1e6,
-                      upload_seconds * 1e6,
-                      {{"device", device}, {"mb", upload_mb}});
-    if (!profile_name.empty()) {
-      tracer_->name_thread(device, profile_name, /*pid=*/2);
+    tracer_->complete("train", device, start_us, e.train_seconds * 1e6,
+                      {{"device", device}, {"loss", e.mean_loss}});
+    tracer_->complete("upload", device, start_us + e.train_seconds * 1e6,
+                      e.upload_seconds * 1e6,
+                      {{"device", device}, {"mb", e.upload_mb}});
+    if (!e.profile.empty()) {
+      tracer_->name_thread(device, e.profile, /*pid=*/2);
     }
   }
 }
 
-void TelemetrySink::record_aggregation_weight(int device, double r_n,
-                                              double alpha_share) {
+void TelemetrySink::record_aggregation_weight(int device, const AggEvent& e) {
   const LabelSet labels{{"device", device_label(device)}};
-  metrics_.gauge("helios.server.r_n", labels).set(r_n);
-  metrics_.gauge("helios.server.alpha_share", labels).set(alpha_share);
-  dashboard_.update(device, [&](DeviceStats& d) {
-    d.r_n = r_n;
-    d.r_n_sum += r_n;
-    ++d.r_n_count;
-    d.alpha_n = alpha_share;
-  });
-  if (journal_) {
-    journal_->aggregation(journal_stamp(device), r_n, alpha_share);
-  }
+  metrics_.gauge("helios.server.r_n", labels).set(e.r_n);
+  metrics_.gauge("helios.server.alpha_share", labels).set(e.alpha);
+  dashboard_.record(device, e);
+  if (journal_) journal_->record(journal_stamp(device), e);
 }
 
-void TelemetrySink::record_rotation(int device, int forced_count,
-                                    const std::array<int, 4>& cs_hist) {
+void TelemetrySink::record_rotation(int device, const RotationEvent& e) {
   const LabelSet labels{{"device", device_label(device)}};
   metrics_.counter("helios.rotation.forced_total", labels)
-      .add(static_cast<double>(forced_count));
+      .add(static_cast<double>(e.forced));
   // C_s is small and integer-valued; log-scale buckets starting at 1 with
   // growth 2 give exact 0/1/2-ish resolution where it matters.
   metrics_.histogram("helios.rotation.skipped_cycles", labels,
                      HistogramOptions{1.0, 2.0, 6})
-      .observe(static_cast<double>(cs_hist[1] + cs_hist[2] + cs_hist[3]));
-  dashboard_.update(device, [&](DeviceStats& d) {
-    d.forced_neurons += forced_count;
-    d.cs_hist = cs_hist;
-  });
-  if (journal_) {
-    journal_->rotation(journal_stamp(device), forced_count, cs_hist[0],
-                       cs_hist[1], cs_hist[2], cs_hist[3]);
-  }
+      .observe(static_cast<double>(e.cs1 + e.cs2 + e.cs3));
+  dashboard_.record(device, e);
+  if (journal_) journal_->record(journal_stamp(device), e);
 }
 
-void TelemetrySink::record_cycle_result(std::string_view strategy, int cycle,
-                                        double virtual_time, double accuracy,
-                                        double mean_loss, double upload_mb) {
+void TelemetrySink::record_cycle_result(int cycle, double virtual_time,
+                                        const RoundEvent& e) {
   set_cycle(cycle);
   set_virtual_time(virtual_time);
-  const LabelSet labels{{"strategy", std::string(strategy)}};
+  const LabelSet labels{{"strategy", std::string(e.strategy)}};
   metrics_.counter("helios.run.cycles_total", labels).add(1.0);
-  metrics_.gauge("helios.run.accuracy", labels).set(accuracy);
-  metrics_.gauge("helios.run.mean_loss", labels).set(mean_loss);
-  metrics_.counter("helios.run.upload_mb_total", labels).add(upload_mb);
+  metrics_.gauge("helios.run.accuracy", labels).set(e.accuracy);
+  metrics_.gauge("helios.run.mean_loss", labels).set(e.mean_loss);
+  metrics_.counter("helios.run.upload_mb_total", labels).add(e.upload_mb);
   if (tracer_) {
     tracer_->instant("cycle.complete",
                      {{"cycle", cycle},
-                      {"accuracy", accuracy},
-                      {"strategy", strategy}});
+                      {"accuracy", e.accuracy},
+                      {"strategy", e.strategy}});
   }
-  if (journal_) {
-    journal_->round_result(RunJournal::Stamp{cycle, -1, virtual_time},
-                           strategy, accuracy, mean_loss, upload_mb);
-  }
+  if (journal_) journal_->record({cycle, -1, virtual_time}, e);
 }
 
 void TelemetrySink::record_device_transfer(int device,
-                                           std::size_t bytes_on_wire,
-                                           int transmissions, int lost_frames,
-                                           bool delivered,
-                                           bool deadline_missed, bool died,
-                                           double comm_seconds) {
+                                           const TransferEvent& e) {
   const LabelSet labels{{"device", device_label(device)}};
   metrics_.counter("helios.net.bytes_on_wire_total", labels)
-      .add(static_cast<double>(bytes_on_wire));
+      .add(static_cast<double>(e.bytes_on_wire));
   metrics_.counter("helios.net.frames_sent_total", labels)
-      .add(static_cast<double>(transmissions));
-  if (lost_frames > 0) {
+      .add(static_cast<double>(e.transmissions));
+  if (e.lost_frames > 0) {
     metrics_.counter("helios.net.frames_lost_total", labels)
-        .add(static_cast<double>(lost_frames));
+        .add(static_cast<double>(e.lost_frames));
   }
-  if (!delivered) metrics_.counter("helios.net.drops_total", labels).add(1.0);
-  if (died) metrics_.counter("helios.net.device_deaths_total", labels).add(1.0);
-  metrics_.histogram("helios.net.comm_seconds", labels).observe(comm_seconds);
-
-  dashboard_.update(device, [&](DeviceStats& d) {
-    d.wire_bytes += static_cast<long long>(bytes_on_wire);
-    d.frames_sent += transmissions;
-    d.frames_lost += lost_frames;
-    d.retransmits += std::max(0, transmissions - 1);
-    if (!delivered) ++d.drops;
-    if (died) d.dead = true;
-  });
-
-  if (journal_) {
-    journal_->transfer(journal_stamp(device), bytes_on_wire, transmissions,
-                       lost_frames, delivered, deadline_missed, died,
-                       comm_seconds);
+  if (!e.delivered) {
+    metrics_.counter("helios.net.drops_total", labels).add(1.0);
   }
-
-  if (tracer_ && died) {
+  if (e.died) {
+    metrics_.counter("helios.net.device_deaths_total", labels).add(1.0);
+  }
+  metrics_.histogram("helios.net.comm_seconds", labels).observe(e.comm_seconds);
+  dashboard_.record(device, e);
+  if (journal_) journal_->record(journal_stamp(device), e);
+  if (tracer_ && e.died) {
     tracer_->instant("device.death", {{"device", device}});
   }
 }
 
-void TelemetrySink::record_network_round(std::size_t bytes_on_wire,
-                                         int participants, int delivered,
-                                         int lost_frames, int retransmits,
-                                         int deadline_misses, int deaths) {
+void TelemetrySink::record_network_round(NetRoundEvent e) {
   metrics_.counter("helios.net.round_bytes_on_wire_total")
-      .add(static_cast<double>(bytes_on_wire));
+      .add(static_cast<double>(e.bytes_on_wire));
   metrics_.counter("helios.net.round_participants_total")
-      .add(static_cast<double>(participants));
+      .add(static_cast<double>(e.participants));
   metrics_.counter("helios.net.round_delivered_total")
-      .add(static_cast<double>(delivered));
+      .add(static_cast<double>(e.delivered));
   metrics_.counter("helios.net.round_lost_total")
-      .add(static_cast<double>(lost_frames));
+      .add(static_cast<double>(e.lost_frames));
   metrics_.counter("helios.net.round_retransmits_total")
-      .add(static_cast<double>(retransmits));
+      .add(static_cast<double>(e.retransmits));
   metrics_.counter("helios.net.deadline_missed_total")
-      .add(static_cast<double>(deadline_misses));
-  metrics_.counter("helios.net.deaths_total").add(static_cast<double>(deaths));
-  if (journal_) {
-    // A partial round (fewer arrivals than participants) makes the server
-    // renormalize the aggregation weights over what actually arrived.
-    journal_->network_round(journal_stamp(-1), bytes_on_wire, participants,
-                            delivered, lost_frames, retransmits,
-                            deadline_misses, deaths,
-                            /*renormalized=*/delivered < participants);
-  }
+      .add(static_cast<double>(e.deadline_misses));
+  metrics_.counter("helios.net.deaths_total")
+      .add(static_cast<double>(e.deaths));
+  // A partial round (fewer arrivals than participants) makes the server
+  // renormalize the aggregation weights over what actually arrived.
+  e.renormalized = e.delivered < e.participants;
+  if (journal_) journal_->record(journal_stamp(-1), e);
 }
 
-void TelemetrySink::record_codec(int device, std::size_t raw_bytes,
-                                 std::size_t wire_bytes,
-                                 double residual_norm) {
+void TelemetrySink::record_codec(int device, const CodecEvent& e) {
   const LabelSet labels{{"device", device_label(device)}};
   metrics_.counter("helios.codec.bytes_in_total", labels)
-      .add(static_cast<double>(raw_bytes));
+      .add(static_cast<double>(e.bytes_in));
   metrics_.counter("helios.codec.bytes_out_total", labels)
-      .add(static_cast<double>(wire_bytes));
-  if (wire_bytes > 0) {
+      .add(static_cast<double>(e.bytes_out));
+  if (e.bytes_out > 0) {
     metrics_.histogram("helios.codec.ratio")
-        .observe(static_cast<double>(raw_bytes) /
-                 static_cast<double>(wire_bytes));
+        .observe(static_cast<double>(e.bytes_in) /
+                 static_cast<double>(e.bytes_out));
   }
-  metrics_.gauge("helios.codec.residual_norm", labels).set(residual_norm);
-
-  dashboard_.update(device, [&](DeviceStats& d) {
-    d.bytes_saved += static_cast<long long>(raw_bytes) -
-                     static_cast<long long>(wire_bytes);
-  });
-
-  if (journal_) {
-    journal_->codec(journal_stamp(device), raw_bytes, wire_bytes,
-                    residual_norm);
-  }
+  metrics_.gauge("helios.codec.residual_norm", labels).set(e.residual_norm);
+  dashboard_.record(device, e);
+  if (journal_) journal_->record(journal_stamp(device), e);
 }
 
-void TelemetrySink::record_tier_merge(std::string_view tier,
-                                      std::uint64_t frames_folded,
-                                      std::uint64_t bytes_forwarded,
-                                      int deadline_misses, int retransmits,
-                                      int lost_frames, double fold_seconds,
-                                      std::uint64_t raw_bytes) {
-  const LabelSet labels{{"tier", std::string(tier)}};
+void TelemetrySink::record_tier_merge(const MergeEvent& e) {
+  const LabelSet labels{{"tier", std::string(e.tier)}};
   metrics_.counter("helios.agg.frames_folded_total", labels)
-      .add(static_cast<double>(frames_folded));
+      .add(static_cast<double>(e.frames_folded));
   metrics_.counter("helios.agg.bytes_forwarded_total", labels)
-      .add(static_cast<double>(bytes_forwarded));
-  if (raw_bytes > 0) {
+      .add(static_cast<double>(e.bytes_forwarded));
+  if (e.raw_bytes > 0) {
     metrics_.counter("helios.agg.raw_bytes_total", labels)
-        .add(static_cast<double>(raw_bytes));
+        .add(static_cast<double>(e.raw_bytes));
   }
-  if (deadline_misses > 0) {
+  if (e.deadline_misses > 0) {
     metrics_.counter("helios.agg.deadline_missed_total", labels)
-        .add(static_cast<double>(deadline_misses));
+        .add(static_cast<double>(e.deadline_misses));
   }
-  if (retransmits > 0) {
+  if (e.retransmits > 0) {
     metrics_.counter("helios.agg.retransmits_total", labels)
-        .add(static_cast<double>(retransmits));
+        .add(static_cast<double>(e.retransmits));
   }
-  if (lost_frames > 0) {
+  if (e.lost_frames > 0) {
     metrics_.counter("helios.agg.frames_lost_total", labels)
-        .add(static_cast<double>(lost_frames));
+        .add(static_cast<double>(e.lost_frames));
   }
-  metrics_.histogram("helios.agg.fold_seconds", labels).observe(fold_seconds);
-
-  dashboard_.record_tier(tier, frames_folded, bytes_forwarded,
-                         deadline_misses, retransmits, lost_frames,
-                         fold_seconds, raw_bytes);
-
-  if (journal_) {
-    journal_->tier_merge(journal_stamp(-1), tier, frames_folded,
-                         bytes_forwarded, deadline_misses, retransmits,
-                         lost_frames, fold_seconds, raw_bytes);
-  }
+  metrics_.histogram("helios.agg.fold_seconds", labels)
+      .observe(e.fold_seconds);
+  dashboard_.record(e);
+  if (journal_) journal_->record(journal_stamp(-1), e);
 }
 
-void TelemetrySink::record_cohort(int round, std::size_t population,
-                                  std::size_t active, std::size_t sampled) {
-  metrics_.gauge("helios.sim.population").set(static_cast<double>(population));
-  metrics_.gauge("helios.sim.active").set(static_cast<double>(active));
-  metrics_.gauge("helios.sim.cohort").set(static_cast<double>(sampled));
+void TelemetrySink::record_cohort(int round, const CohortEvent& e) {
+  metrics_.gauge("helios.sim.population")
+      .set(static_cast<double>(e.population));
+  metrics_.gauge("helios.sim.active").set(static_cast<double>(e.active));
+  metrics_.gauge("helios.sim.cohort").set(static_cast<double>(e.sampled));
   metrics_.counter("helios.sim.sampled_total")
-      .add(static_cast<double>(sampled));
+      .add(static_cast<double>(e.sampled));
   metrics_.histogram("helios.sim.cohort_size")
-      .observe(static_cast<double>(sampled));
+      .observe(static_cast<double>(e.sampled));
   if (tracer_) {
     tracer_->instant("sim.cohort", {{"round", round},
-                                    {"sampled", static_cast<int>(sampled)},
-                                    {"active", static_cast<int>(active)}});
+                                    {"sampled", static_cast<int>(e.sampled)},
+                                    {"active", static_cast<int>(e.active)}});
   }
-  if (journal_) {
-    journal_->cohort(RunJournal::Stamp{round, -1, virtual_time()}, population,
-                     active, sampled);
-  }
+  if (journal_) journal_->record({round, -1, virtual_time()}, e);
 }
 
-void TelemetrySink::record_churn(int round, int arrivals, int departures,
-                                 std::size_t population) {
-  metrics_.gauge("helios.sim.population").set(static_cast<double>(population));
-  if (arrivals > 0) {
+void TelemetrySink::record_churn(int round, const ChurnEvent& e) {
+  metrics_.gauge("helios.sim.population")
+      .set(static_cast<double>(e.population));
+  if (e.arrivals > 0) {
     metrics_.counter("helios.sim.arrivals_total")
-        .add(static_cast<double>(arrivals));
+        .add(static_cast<double>(e.arrivals));
   }
-  if (departures > 0) {
+  if (e.departures > 0) {
     metrics_.counter("helios.sim.departures_total")
-        .add(static_cast<double>(departures));
+        .add(static_cast<double>(e.departures));
   }
-  if (tracer_ && (arrivals > 0 || departures > 0)) {
+  if (e.arrivals == 0 && e.departures == 0) return;
+  if (tracer_) {
     tracer_->instant("sim.churn", {{"round", round},
-                                   {"arrivals", arrivals},
-                                   {"departures", departures}});
+                                   {"arrivals", e.arrivals},
+                                   {"departures", e.departures}});
   }
-  if (journal_ && (arrivals > 0 || departures > 0)) {
-    journal_->churn(RunJournal::Stamp{round, -1, virtual_time()}, arrivals,
-                    departures, population);
-  }
+  if (journal_) journal_->record({round, -1, virtual_time()}, e);
 }
 
-void TelemetrySink::record_device_skipped(int round, int device, bool dead) {
-  metrics_.counter("helios.sim.skipped_total",
-                   {{"reason", dead ? "dead" : "hollow"}})
+void TelemetrySink::record_device_skipped(int round, int device,
+                                          const SkipEvent& e) {
+  metrics_.counter("helios.sim.skipped_total", {{"reason", std::string(e.why)}})
       .add(1.0);
-  if (journal_) {
-    journal_->skip(RunJournal::Stamp{round, device, virtual_time()},
-                   dead ? "dead" : "hollow");
-  }
+  if (journal_) journal_->record({round, device, virtual_time()}, e);
 }
 
 void TelemetrySink::record_kernel_backend(std::string_view name) {
@@ -430,7 +339,7 @@ void TelemetrySink::flush() {
   if (journal_file_) journal_file_->flush();
 }
 
-TelemetrySink::JournalPosition TelemetrySink::journal_position() {
+JournalPosition TelemetrySink::journal_position() {
   JournalPosition pos;
   if (!journal_) return pos;
   pos.events = journal_->event_count();

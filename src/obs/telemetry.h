@@ -28,8 +28,10 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -40,6 +42,13 @@
 #include "obs/trace.h"
 
 namespace helios::obs {
+
+/// A journal position for checkpointing: the durable byte offset of the
+/// journal file and the number of events committed so far.
+struct JournalPosition {
+  std::uint64_t byte_offset = 0;
+  std::uint64_t events = 0;
+};
 
 struct TelemetryConfig {
   /// Emit trace events (spans, instants, virtual-time Gantt).
@@ -55,14 +64,12 @@ struct TelemetryConfig {
   /// When empty, the trace accumulates in memory (see trace_text()).
   std::string artifact_prefix;
   /// Checkpoint/resume continuation of an existing <prefix>.journal.jsonl:
-  /// the file is truncated to `journal_resume_offset` bytes (discarding any
+  /// when set, the file is truncated to its byte offset (discarding any
   /// partial tail from the crashed process), reopened in append mode, and
-  /// the journal continues counting from `journal_resume_events` with no new
+  /// the journal continues counting from its event count with no new
   /// run_start line — so the resumed file reads as ONE uninterrupted run.
-  /// Both values come from the checkpoint (fl::peek_checkpoint).
-  bool journal_resume = false;
-  std::uint64_t journal_resume_offset = 0;
-  std::uint64_t journal_resume_events = 0;
+  /// The position comes from the checkpoint (fl::peek_checkpoint).
+  std::optional<JournalPosition> journal_resume;
 };
 
 class TelemetrySink {
@@ -103,79 +110,51 @@ class TelemetrySink {
   }
 
   // ---- Recorders called from the instrumented layers ----
+  //
+  // Each takes its journal event (obs/journal.h), updates the metrics,
+  // folds device-level events into the dashboard, and journals the event
+  // stamped with the current cycle (or the explicit round) and the virtual
+  // clock.
 
-  /// Client::record_cycle (a finished cycle): updates the dashboard's
-  /// client-side columns, the per-device metrics, and draws the cycle on
-  /// the virtual-time Gantt track.
-  void record_client_cycle(int device, std::string_view profile_name,
-                           bool straggler, double volume, int trained_neurons,
-                           int neuron_total, double train_seconds,
-                           double upload_seconds, double upload_mb,
-                           double mean_loss);
+  /// Client::record_cycle (a finished cycle): helios.client.* metrics, the
+  /// dashboard's client-side columns, and the cycle's train + upload slabs
+  /// on the virtual-time Gantt track.
+  void record_client_cycle(int device, const TrainEvent& e);
 
-  /// Server::aggregate per-update weights: r_n is the trained fraction of
-  /// Eq. 10, alpha_share the normalized weight actually applied (shares sum
-  /// to 1 across a cycle's participants).
-  void record_aggregation_weight(int device, double r_n, double alpha_share);
+  /// Server::aggregate per-update weights (Eq. 10).
+  void record_aggregation_weight(int device, const AggEvent& e);
 
-  /// Rotation regulation snapshot: how many neurons were force-included
-  /// this cycle and the current skipped-cycle distribution
-  /// (C_s = 0 / 1 / 2 / >= 3).
-  void record_rotation(int device, int forced_count,
-                       const std::array<int, 4>& cs_hist);
+  /// Rotation regulation snapshot.
+  void record_rotation(int device, const RotationEvent& e);
 
-  /// One strategy cycle completed (accuracy evaluated).
-  void record_cycle_result(std::string_view strategy, int cycle,
-                           double virtual_time, double accuracy,
-                           double mean_loss, double upload_mb);
+  /// One strategy cycle completed (accuracy evaluated) at `virtual_time`.
+  void record_cycle_result(int cycle, double virtual_time,
+                           const RoundEvent& e);
 
-  /// One device's upload transfer across the simulated network (attempts
-  /// collapsed): actual bytes on the wire, transmissions incl. retransmits,
-  /// whether the server accepted the frame, whether the round deadline was
-  /// missed, and whether the channel died.
-  void record_device_transfer(int device, std::size_t bytes_on_wire,
-                              int transmissions, int lost_frames,
-                              bool delivered, bool deadline_missed, bool died,
-                              double comm_seconds);
+  /// One device's upload transfer across the simulated network.
+  void record_device_transfer(int device, const TransferEvent& e);
 
-  /// One synchronous round's network totals.
-  void record_network_round(std::size_t bytes_on_wire, int participants,
-                            int delivered, int lost_frames, int retransmits,
-                            int deadline_misses, int deaths);
+  /// One synchronous round's network totals; the journal's `renorm` is
+  /// derived here from `delivered < participants`.
+  void record_network_round(NetRoundEvent e);
 
-  /// One quantized upload encode (src/codec): the bytes a dense fp32
-  /// frame would have cost, the actual wire bytes, and the client's carried
-  /// error-feedback residual L2 norm. Exported as the helios.codec.*
-  /// metrics, the dashboard's bytes-saved column, and the journal's
-  /// "codec" event.
-  void record_codec(int device, std::size_t raw_bytes, std::size_t wire_bytes,
-                    double residual_norm);
+  /// One quantized upload encode (src/codec): the helios.codec.* metrics,
+  /// the dashboard's bytes-saved column, and the journal's "codec" event.
+  void record_codec(int device, const CodecEvent& e);
 
-  /// One aggregator-tree tier's rollup for the round (hierarchical
-  /// aggregation runs; `tier` is "edge", "regional" or "root"). Exported as
-  /// the helios.agg.* counters labeled {tier=<name>}, the dashboard's
-  /// per-tier breakdown, and the journal's "merge" event. `raw_bytes` is
-  /// what the forwarded merge payloads would have cost at f64 — the
-  /// quantized-uplink savings baseline (equal to bytes_forwarded minus
-  /// riders/retransmits when the tree runs the kF64 codec).
-  void record_tier_merge(std::string_view tier, std::uint64_t frames_folded,
-                         std::uint64_t bytes_forwarded, int deadline_misses,
-                         int retransmits, int lost_frames, double fold_seconds,
-                         std::uint64_t raw_bytes = 0);
+  /// One aggregator-tree tier's rollup for the round: the helios.agg.*
+  /// counters labeled {tier=<name>}, the dashboard's per-tier breakdown, and
+  /// the journal's "merge" event.
+  void record_tier_merge(const MergeEvent& e);
 
-  /// One round's cohort draw (population-scale simulation): fleet size,
-  /// active roster, and how many clients were sampled to participate.
-  void record_cohort(int round, std::size_t population, std::size_t active,
-                     std::size_t sampled);
+  /// One round's cohort draw (population-scale simulation).
+  void record_cohort(int round, const CohortEvent& e);
 
-  /// Churn applied to the fleet around round `round`: devices that arrived
-  /// (admitted joiners) and departed (deactivated / killed).
-  void record_churn(int round, int arrivals, int departures,
-                    std::size_t population);
+  /// Churn applied to the fleet around round `round`.
+  void record_churn(int round, const ChurnEvent& e);
 
-  /// A device sitting round `round` out. `dead` distinguishes a
-  /// deactivated device from an active-but-unsampled (hollow) one.
-  void record_device_skipped(int round, int device, bool dead);
+  /// A device sitting round `round` out.
+  void record_device_skipped(int round, int device, const SkipEvent& e);
 
   /// Which SIMD kernel backend the tensor layer dispatched to at startup
   /// ("scalar", "avx2", ...). Exported as the gauge
@@ -204,15 +183,10 @@ class TelemetrySink {
   /// In-memory journal contents (only when no artifact prefix was given).
   std::string journal_text() const;
 
-  /// Current journal position for checkpointing: the durable byte offset of
-  /// the journal file (flushed first) and the number of events committed so
-  /// far. {0, 0} when the journal is off. A checkpoint stores this pair so a
-  /// resumed process can truncate the file past any torn tail and continue
-  /// the event stream exactly where the snapshot left it.
-  struct JournalPosition {
-    std::uint64_t byte_offset = 0;
-    std::uint64_t events = 0;
-  };
+  /// Current journal position for checkpointing (the journal file is
+  /// flushed first); {0, 0} when the journal is off. A checkpoint stores it
+  /// so a resumed process can truncate the file past any torn tail and
+  /// continue the event stream exactly where the snapshot left it.
   JournalPosition journal_position();
 
  private:

@@ -112,8 +112,9 @@ RoundChurn ChurnProcess::step(fl::Fleet& fleet, int cycle) {
   if (obs::TelemetrySink* tel = fleet.telemetry();
       tel != nullptr &&
       (!churn.arrived.empty() || !churn.departed.empty())) {
-    tel->record_churn(cycle, static_cast<int>(churn.arrived.size()),
-                      static_cast<int>(churn.departed.size()), fleet.size());
+    tel->record_churn(cycle, {static_cast<int>(churn.arrived.size()),
+                              static_cast<int>(churn.departed.size()),
+                              fleet.size()});
   }
   return churn;
 }

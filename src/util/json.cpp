@@ -111,8 +111,8 @@ class Parser {
   JsonValue value() {
     skip_ws();
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{': return nested(&Parser::object);
+      case '[': return nested(&Parser::array);
       case '"': return JsonValue::make_string(string());
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -125,6 +125,14 @@ class Parser {
         return JsonValue::make_null();
       default: return number();
     }
+  }
+
+  /// One array/object level: the recursion stays bounded on any input.
+  JsonValue nested(JsonValue (Parser::*parse)()) {
+    if (++depth_ > JsonValue::kMaxDepth) fail("nesting too deep");
+    JsonValue v = (this->*parse)();
+    --depth_;
+    return v;
   }
 
   JsonValue object() {
@@ -252,6 +260,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -3,10 +3,11 @@
 // and dashboard dumps). Parses the full JSON grammar into an owning value
 // tree; objects preserve insertion order so diffs stay stable.
 //
-// This is a consumer for files Helios itself writes — small documents,
-// trusted input — so the design favors a tiny API over streaming speed.
-// Errors (malformed text, trailing garbage) throw std::runtime_error with
-// a byte offset.
+// It reads files Helios itself writes, but a journal or snapshot may come
+// from anywhere: the parser is recursive but caps nesting at kMaxDepth
+// levels, and every error (malformed text, trailing garbage, nesting past
+// the cap) throws std::runtime_error with a byte offset. The design favors
+// a tiny API over streaming speed.
 #pragma once
 
 #include <cstddef>
@@ -22,8 +23,13 @@ class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
+  /// Deepest array/object nesting parse() accepts (the deepest document
+  /// Helios writes, bench/baselines/BENCH_net.json, nests 9 levels).
+  static constexpr int kMaxDepth = 64;
+
   /// Parses one complete JSON document; throws std::runtime_error (with a
-  /// byte offset in the message) on malformed input or trailing garbage.
+  /// byte offset in the message) on malformed input, nesting deeper than
+  /// kMaxDepth, or trailing garbage.
   static JsonValue parse(std::string_view text);
 
   Kind kind() const { return kind_; }

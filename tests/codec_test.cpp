@@ -826,12 +826,19 @@ TEST(CodecFleetTest, JournalSummarizesAndReplaysCodecEvents) {
   EXPECT_NE(text.str().find("codec:"), std::string::npos);
 
   // Replaying the journal reconstructs the live dashboard — including the
-  // codec bytes-saved column — byte-for-byte.
+  // codec bytes-saved column — byte-for-byte, in the rendering and in both
+  // JSON artifacts.
   obs::StragglerDashboard replayed;
   obs::replay_dashboard(events, replayed);
   std::ostringstream replay;
   replayed.render(replay);
   EXPECT_EQ(replay.str(), live.str());
+  std::ostringstream live_json, replay_json;
+  sink.dashboard().write_json(live_json);
+  sink.dashboard().write_summary_json(live_json);
+  replayed.write_json(replay_json);
+  replayed.write_summary_json(replay_json);
+  EXPECT_EQ(replay_json.str(), live_json.str());
 }
 
 }  // namespace

@@ -1026,9 +1026,8 @@ TEST(CrashResumeTest, JournalContinuesSeamlesslyAcrossResume) {
     tc.tracing = false;
     tc.journal = true;
     tc.artifact_prefix = prefix;
-    tc.journal_resume = true;
-    tc.journal_resume_offset = info.journal_byte_offset;
-    tc.journal_resume_events = info.journal_events;
+    tc.journal_resume =
+        obs::JournalPosition{info.journal_byte_offset, info.journal_events};
     obs::TelemetrySink sink(tc);
     fl::Fleet fleet = testing::make_fleet();
     fleet.set_telemetry(&sink);

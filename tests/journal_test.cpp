@@ -1,10 +1,13 @@
 // Run-journal (flight recorder) tests: schema stability of the JSONL
 // stream, write -> parse -> replay round trips whose summaries are
 // bit-identical across thread counts, the zero-allocation disabled path,
-// and the 256-device long-tail churn acceptance run whose replayed
-// dashboard must match the live one byte for byte.
+// the 256-device long-tail churn acceptance run whose replayed dashboard
+// artifacts must match the live ones byte for byte, and hostile journals
+// (out-of-range numbers, a mutation sweep over the committed fixture,
+// nesting bombs), which must read and render or throw std::runtime_error.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
@@ -22,6 +25,7 @@
 #include "sim/population.h"
 #include "sim/sampler.h"
 #include "test_support.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 // ---- Allocation counting for the disabled-path test --------------------
@@ -47,9 +51,18 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace helios {
 namespace {
 
+/// A dashboard's rendering and JSON artifacts, concatenated.
+std::string views(const obs::StragglerDashboard& d) {
+  std::ostringstream os;
+  d.render(os);
+  d.write_json(os);
+  d.write_summary_json(os);
+  return os.str();
+}
+
 struct RunArtifacts {
   std::string journal;
-  std::string dashboard;  // the live run's rendering
+  std::string dashboard;  // the live run's views()
 };
 
 /// A short Helios run over the small test fleet, journal in memory.
@@ -67,9 +80,7 @@ RunArtifacts run_with_threads(int threads) {
   sink.flush();  // closes the journal (run_end)
   RunArtifacts a;
   a.journal = sink.journal_text();
-  std::ostringstream dash;
-  sink.render_dashboard(dash);
-  a.dashboard = dash.str();
+  a.dashboard = views(sink.dashboard());
   util::set_global_threads(0);
   return a;
 }
@@ -104,15 +115,13 @@ TEST(RunJournalTest, RoundTripSummaryIsBitIdenticalAcrossThreadCounts) {
   obs::write_summary_json(j4, s4);
   EXPECT_EQ(j1.str(), j4.str());
 
-  // And replaying either journal reconstructs its live dashboard exactly.
+  // And replaying either journal reconstructs its live dashboard exactly:
+  // the rendering, write_json and write_summary_json.
   obs::StragglerDashboard d1, d4;
   obs::replay_dashboard(ev1, d1);
   obs::replay_dashboard(ev4, d4);
-  std::ostringstream r1, r4;
-  d1.render(r1);
-  d4.render(r4);
-  EXPECT_EQ(r1.str(), one.dashboard);
-  EXPECT_EQ(r4.str(), four.dashboard);
+  EXPECT_EQ(views(d1), one.dashboard);
+  EXPECT_EQ(views(d4), four.dashboard);
 }
 
 // ---- Schema stability ---------------------------------------------------
@@ -127,17 +136,17 @@ TEST(RunJournalTest, SchemaV1FieldsAreStable) {
 
   sink.set_cycle(2);
   sink.set_virtual_time(1.5);
-  sink.record_cohort(2, 64, 60, 6);
-  sink.record_device_skipped(2, 9, /*dead=*/false);
-  sink.record_device_skipped(2, 10, /*dead=*/true);
-  sink.record_client_cycle(3, "jetson", true, 0.4, 10, 24, 2.0, 0.5, 1.25,
-                           0.7);
-  sink.record_aggregation_weight(3, 0.4167, 0.21);
-  sink.record_rotation(3, 2, {20, 3, 1, 0});
-  sink.record_device_transfer(3, 4096, 2, 1, true, false, false, 0.6);
-  sink.record_network_round(8192, 4, 3, 1, 1, 0, 0);
-  sink.record_churn(2, 1, 2, 63);
-  sink.record_cycle_result("Helios", 2, 1.5, 0.81, 0.42, 2.5);
+  sink.record_cohort(2, {64, 60, 6});
+  sink.record_device_skipped(2, 9, {"hollow"});
+  sink.record_device_skipped(2, 10, {"dead"});
+  sink.record_client_cycle(3, {"jetson", true, 0.4, 10, 24, 2.0, 0.5, 1.25,
+                               0.7});
+  sink.record_aggregation_weight(3, {0.4167, 0.21});
+  sink.record_rotation(3, {2, 20, 3, 1, 0});
+  sink.record_device_transfer(3, {4096, 2, 1, true, false, false, 0.6});
+  sink.record_network_round({8192, 4, 3, 1, 1, 0, 0});
+  sink.record_churn(2, {1, 2, 63});
+  sink.record_cycle_result(2, 1.5, {"Helios", 0.81, 0.42, 2.5});
   sink.flush();
 
   std::istringstream is(sink.journal_text());
@@ -244,16 +253,18 @@ TEST(RunJournalTest, DisabledJournalMakesNoAllocations) {
   EXPECT_FALSE(off.enabled());
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 64; ++i) {
-    off.cohort({i, -1, 0.0}, 64, 60, 6);
-    off.skip({i, 1, 0.0}, "hollow");
-    off.train({i, 1, 0.0}, "profile", false, 1.0, 24, 24, 1.0, 0.1, 0.5,
-              0.9);
-    off.transfer({i, 1, 0.0}, 2048, 1, 0, true, false, false, 0.1);
-    off.aggregation({i, 1, 0.0}, 0.5, 0.25);
-    off.rotation({i, 1, 0.0}, 1, 20, 2, 1, 1);
-    off.network_round({i, -1, 0.0}, 8192, 4, 4, 0, 0, 0, 0, false);
-    off.churn({i, -1, 0.0}, 0, 1, 63);
-    off.round_result({i, -1, 0.0}, "Helios", 0.8, 0.4, 2.0);
+    off.record({i, -1, 0.0}, obs::CohortEvent{64, 60, 6});
+    off.record({i, 1, 0.0}, obs::SkipEvent{"hollow"});
+    off.record({i, 1, 0.0}, obs::TrainEvent{"profile", false, 1.0, 24, 24,
+                                            1.0, 0.1, 0.5, 0.9});
+    off.record({i, 1, 0.0},
+               obs::TransferEvent{2048, 1, 0, true, false, false, 0.1});
+    off.record({i, 1, 0.0}, obs::AggEvent{0.5, 0.25});
+    off.record({i, 1, 0.0}, obs::RotationEvent{1, 20, 2, 1, 1});
+    off.record({i, -1, 0.0},
+               obs::NetRoundEvent{8192, 4, 4, 0, 0, 0, 0, false});
+    off.record({i, -1, 0.0}, obs::ChurnEvent{0, 1, 63});
+    off.record({i, -1, 0.0}, obs::RoundEvent{"Helios", 0.8, 0.4, 2.0});
   }
   off.close();
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
@@ -346,13 +357,10 @@ TEST(RunJournalTest, LongtailChurnRunReplaysToLiveDashboard) {
   EXPECT_GE(seen.size(), static_cast<std::size_t>(kDevices));
 
   // The replayed dashboard renders the same fleet percentile summary the
-  // live run shows.
+  // live run shows, and writes the same per-device and summary JSON.
   obs::StragglerDashboard replayed;
   obs::replay_dashboard(events, replayed);
-  std::ostringstream live, offline;
-  telemetry.render_dashboard(live);
-  replayed.render(offline);
-  EXPECT_EQ(live.str(), offline.str());
+  EXPECT_EQ(views(replayed), views(telemetry.dashboard()));
 
   // And the journal summary agrees with the live skip accounting.
   const obs::JournalSummary s = obs::summarize_journal(events);
@@ -368,6 +376,179 @@ TEST(RunJournalTest, LongtailChurnRunReplaysToLiveDashboard) {
           .counter("helios.sim.skipped_total", {{"reason", "dead"}})
           .value();
   EXPECT_EQ(skipped, live_skips);
+}
+
+// ---- Hostile journals ------------------------------------------------
+
+/// Reads `text`, summarizes and replays it, and renders every view.
+void read_and_render(const std::string& text) {
+  std::istringstream is(text);
+  const std::vector<obs::JournalEvent> events = obs::read_journal(is);
+  const obs::JournalSummary s = obs::summarize_journal(events);
+  std::ostringstream out;
+  obs::write_summary(out, s);
+  obs::write_summary_json(out, s);
+  obs::write_diff(out, s, s);
+  obs::StragglerDashboard dash;
+  obs::replay_dashboard(events, dash);
+  out << views(dash);
+  dash.set_summary_threshold(0);
+  dash.render(out);
+}
+
+/// `read_and_render(text)` throws std::runtime_error naming line `line`.
+void expect_rejected(const std::string& text, int line) {
+  try {
+    read_and_render(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::runtime_error& e) {
+    const std::string where = "journal line " + std::to_string(line) + ":";
+    EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr char kRunStart[] =
+    "{\"v\":1,\"t\":\"run_start\",\"r\":-1,\"dev\":-1,\"vt\":0,\"w\":0,"
+    "\"schema\":1}\n";
+
+TEST(HostileJournalTest, OutOfRangeNumbersAreRejected) {
+  const std::string start = kRunStart;
+  // A device id past int and a round id whose successor overflows.
+  expect_rejected(start + "{\"v\":1,\"t\":\"train\",\"r\":0,\"dev\":1e12,"
+                          "\"vt\":0,\"w\":0}\n",
+                  2);
+  expect_rejected(start + "{\"v\":1,\"t\":\"round\",\"r\":2147483647,"
+                          "\"dev\":-1,\"vt\":0,\"w\":0,\"strat\":\"x\","
+                          "\"acc\":0.5,\"loss\":1,\"up_mb\":1}\n",
+                  2);
+  // A schema version far outside int.
+  expect_rejected("{\"v\":1e300,\"t\":\"run_start\"}\n", 1);
+  // Field values: a count past int, a negative byte count, a bool that is
+  // not 0/1, a fraction where an integer belongs, an infinite double, a
+  // string where a number belongs.
+  for (const char* field :
+       {"\"tx\":1e10", "\"bytes\":-1", "\"ok\":2", "\"lost\":0.5",
+        "\"comm_s\":1e999", "\"tx\":\"2\""}) {
+    expect_rejected(start + "{\"v\":1,\"t\":\"xfer\",\"r\":0,\"dev\":3,"
+                            "\"vt\":0,\"w\":0," +
+                        field + "}\n",
+                    2);
+  }
+  // A non-string profile.
+  expect_rejected(start + "{\"v\":1,\"t\":\"train\",\"r\":0,\"dev\":3,"
+                          "\"vt\":0,\"w\":0,\"prof\":3}\n",
+                  2);
+}
+
+TEST(HostileJournalTest, ExtremeInRangeCountsDoNotOverflowTheFolds) {
+  // Counts at the top of their ranges, repeated: every total saturates or
+  // widens instead of overflowing (UBSan makes an overflow fatal).
+  std::string text = kRunStart;
+  for (int i = 0; i < 4; ++i) {
+    text += "{\"v\":1,\"t\":\"xfer\",\"r\":0,\"dev\":3,\"vt\":0,\"w\":0,"
+            "\"bytes\":9007199254740992,\"tx\":2147483647,"
+            "\"lost\":-2147483648,\"ok\":0,\"miss\":1,\"dead\":1,"
+            "\"comm_s\":1e308}\n";
+    text += "{\"v\":1,\"t\":\"xfer\",\"r\":0,\"dev\":3,\"vt\":0,\"w\":0,"
+            "\"tx\":-2147483648}\n";
+    text += "{\"v\":1,\"t\":\"codec\",\"r\":0,\"dev\":3,\"vt\":0,\"w\":0,"
+            "\"in\":0,\"out\":9007199254740992}\n";
+    text += "{\"v\":1,\"t\":\"merge\",\"r\":0,\"dev\":-1,\"vt\":0,\"w\":0,"
+            "\"tier\":\"edge\",\"frames\":9007199254740992,"
+            "\"bytes\":9007199254740992,\"raw\":9007199254740992,"
+            "\"miss\":2147483647,\"retx\":2147483647,\"lost\":2147483647}\n";
+    text += "{\"v\":1,\"t\":\"churn\",\"r\":2147483646,\"dev\":-1,"
+            "\"vt\":0,\"w\":0,\"in\":2147483647,\"out\":2147483647}\n";
+    text += "{\"v\":1,\"t\":\"round\",\"r\":2147483646,\"dev\":-1,"
+            "\"vt\":1e308,\"w\":1e308,\"strat\":\"x\"}\n";
+  }
+  EXPECT_NO_THROW(read_and_render(text));
+}
+
+/// One deterministic mutant of `text`: a bit flip, a truncation, an extreme
+/// number in place of one of the text's numbers, or a splice of two lines.
+std::string mutate(const std::string& text, util::Rng& rng) {
+  static const char* const kExtremes[] = {
+      "1e300", "-1e300", "1e999", "2147483647", "-2147483648", "2147483648",
+      "9007199254740993", "-1", "0.5", "-0", "4294967296"};
+  std::string m = text;
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_u64() % n);
+  };
+  switch (pick(4)) {
+    case 0:
+      m[pick(m.size())] ^= static_cast<char>(1U << pick(8));
+      break;
+    case 1:
+      m.resize(pick(m.size()));
+      break;
+    case 2: {
+      std::size_t at = pick(m.size());
+      while (at < m.size() && (m[at] < '0' || m[at] > '9')) ++at;
+      std::size_t end = at;
+      while (end < m.size() &&
+             std::string_view("0123456789.e-+").find(m[end]) !=
+                 std::string_view::npos) {
+        ++end;
+      }
+      m.replace(at, end - at, kExtremes[pick(std::size(kExtremes))]);
+      break;
+    }
+    default: {
+      // The head of one line joined to the tail of another.
+      const std::size_t a = m.rfind('\n', pick(m.size()));
+      const std::size_t b = m.find('\n', pick(m.size()));
+      if (a != std::string::npos && b != std::string::npos) {
+        m = m.substr(0, a + 1 + pick(40)) + m.substr(b - std::min(b, pick(40)));
+      }
+      break;
+    }
+  }
+  return m;
+}
+
+TEST(HostileJournalTest, MutatedFixtureReadsAndRendersOrThrows) {
+  std::ifstream is(HELIOS_JOURNAL_FIXTURE, std::ios::binary);
+  std::ostringstream buf;
+  buf << is.rdbuf();
+  const std::string fixture = buf.str();
+  ASSERT_FALSE(fixture.empty());
+  util::Rng rng(0x7E57);
+  int rejected = 0;
+  constexpr int kMutants = 600;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string m = mutate(fixture, rng);
+    try {
+      read_and_render(m);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    }
+  }
+  // Both outcomes occur: the sweep reaches the renderers and the checks.
+  EXPECT_GT(rejected, 0);
+  EXPECT_LT(rejected, kMutants);
+}
+
+TEST(JsonValueTest, NestingPastTheCapThrows) {
+  const auto nest = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  const int cap = util::JsonValue::kMaxDepth;
+  EXPECT_NO_THROW(util::JsonValue::parse(nest(cap)));
+  EXPECT_NO_THROW(util::JsonValue::parse("{\"a\":" + nest(cap - 1) + "}"));
+  EXPECT_THROW(util::JsonValue::parse(nest(cap + 1)), std::runtime_error);
+  EXPECT_THROW(util::JsonValue::parse(nest(100000)), std::runtime_error);
+  try {
+    util::JsonValue::parse(nest(100000));
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("at byte 64"), std::string::npos)
+        << e.what();
+  }
+  // A journal line nested that deep is a malformed line.
+  std::istringstream journal(nest(100000) + "\n");
+  EXPECT_THROW(obs::read_journal(journal), std::runtime_error);
 }
 
 }  // namespace

@@ -353,19 +353,19 @@ TEST(TelemetrySinkTest, CountersSurviveConcurrentClientUpdates) {
   constexpr int kThreads = 4;
   constexpr int kIters = 250;
   for (int d = 0; d < kThreads; ++d) {
-    sink.record_client_cycle(d, "hammer", d % 2 == 1, 1.0, 24, 24, 0.5, 0.1,
-                             0.25, 1.0);
+    sink.record_client_cycle(d, {"hammer", d % 2 == 1, 1.0, 24, 24, 0.5, 0.1,
+                                 0.25, 1.0});
   }
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int d = 0; d < kThreads; ++d) {
     threads.emplace_back([&sink, d] {
       for (int i = 1; i < kIters; ++i) {
-        sink.record_client_cycle(d, "hammer", d % 2 == 1, 1.0, 24, 24, 0.5,
-                                 0.1, 0.25, 1.0);
-        sink.record_aggregation_weight(d, 0.5, 0.25);
-        sink.record_cycle_result("hammer", i, static_cast<double>(i), 0.5,
-                                 1.0, 0.25);
+        sink.record_client_cycle(d, {"hammer", d % 2 == 1, 1.0, 24, 24, 0.5,
+                                     0.1, 0.25, 1.0});
+        sink.record_aggregation_weight(d, {0.5, 0.25});
+        sink.record_cycle_result(i, static_cast<double>(i),
+                                 {"hammer", 0.5, 1.0, 0.25});
       }
     });
   }
