@@ -2,14 +2,15 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <string>
 
 namespace helios::codec {
 namespace {
 
 constexpr std::uint8_t kZeroEscape = 0x80;  // -128: never a clamped q
-constexpr int kZeroRunMin = 3;              // shortest run worth escaping
-constexpr int kZeroRunMax = 255;            // u8 run length
+constexpr std::size_t kZeroRunMin = 3;      // shortest run worth escaping
+constexpr std::size_t kZeroRunMax = 255;    // u8 run length
 
 const CodecInfo kCodecs[] = {
     {CodecId::kFp32, "fp32", 32, false},
@@ -61,53 +62,46 @@ std::uint32_t group_of(std::span<const std::uint32_t> groups, std::size_t i) {
 /// clamp(lround(v / s), -127, +127) in double — half-away-from-zero, the
 /// platform-stable rounding rule the header documents. s == 0 (an all-zero
 /// group) maps everything to 0.
+///
+/// lround(x) is computed as the truncation of x + copysign(h, x), h the
+/// largest double below 0.5: exact for every finite |x| < 2^31, and within a
+/// group |x| <= max|v| / s stays below 191 (an fp16 scale rounds max|v| /
+/// 127 down by at most a third). Adding h rather than 0.5 keeps x just below
+/// a half step from rounding up; adding it to x at or past a half step
+/// reaches the next integer. The rounding takes no libm call and no branch.
 int int8_quantize(float v, float s) {
   if (!(s > 0.0f)) return 0;
-  const long q =
-      std::lround(static_cast<double>(v) / static_cast<double>(s));
-  return q > 127 ? 127 : (q < -127 ? -127 : static_cast<int>(q));
+  constexpr double kJustBelowHalf = 0.49999999999999994;  // 0.5 - 2^-54
+  const double x = static_cast<double>(v) / static_cast<double>(s);
+  const int q = static_cast<int>(x + std::copysign(kJustBelowHalf, x));
+  return q > 127 ? 127 : (q < -127 ? -127 : q);
 }
 
 float int8_dequantize(int q, float s) {
   return static_cast<float>(static_cast<double>(q) * static_cast<double>(s));
 }
 
-void check_plan(const QuantPlan& plan, std::span<const float> values,
-                std::span<const std::uint32_t> groups) {
-  const CodecInfo& info = codec_info(plan.id);
-  if (!groups.empty() && groups.size() != values.size()) {
-    throw CodecError("codec: group tags do not match the value stream");
-  }
-  if (info.scaled) {
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (group_of(groups, i) >= plan.scale_bits.size()) {
-        throw CodecError("codec: value tagged with an unknown group");
-      }
-    }
-  }
+/// Bytes the zero-run coding spends on a run of `run` zero codes: one
+/// escape pair per full 255-run, then an escape pair for a remainder of at
+/// least kZeroRunMin or the remainder's literal zero bytes.
+std::size_t zero_run_bytes(std::size_t run) {
+  const std::size_t rest = run % kZeroRunMax;
+  return 2 * (run / kZeroRunMax) + (rest >= kZeroRunMin ? 2 : rest);
 }
 
-void reject_non_finite(std::span<const float> values) {
-  for (float v : values) {
-    if (!std::isfinite(v)) {
-      throw CodecError("codec: non-finite value in payload");
-    }
+/// Writes the zero-run coding of a run of `run` zero codes at `at`.
+std::uint8_t* put_zero_run(std::uint8_t* at, std::size_t run) {
+  for (; run >= kZeroRunMax; run -= kZeroRunMax) {
+    *at++ = kZeroEscape;
+    *at++ = static_cast<std::uint8_t>(kZeroRunMax);
   }
-}
-
-/// One dequantized value (the decoder's exact arithmetic): fp16 round trip
-/// for kFp16, scale-grid snap for int8pn, identity for kFp32.
-float dequantize_one(const QuantPlan& plan, float value, std::uint32_t group) {
-  const CodecInfo& info = codec_info(plan.id);
-  if (info.scaled) {
-    if (group >= plan.scale_bits.size()) {
-      throw CodecError("codec: value tagged with an unknown group");
-    }
-    const float s = plan.scale(group);
-    return int8_dequantize(int8_quantize(value, s), s);
+  if (run >= kZeroRunMin) {
+    *at++ = kZeroEscape;
+    *at++ = static_cast<std::uint8_t>(run);
+    return at;
   }
-  if (plan.id == CodecId::kFp16) return fp16_to_float(fp16_from_float(value));
-  return value;  // kFp32
+  for (; run > 0; --run) *at++ = 0;
+  return at;
 }
 
 }  // namespace
@@ -193,82 +187,119 @@ float fp16_to_float(std::uint16_t h) {
   return std::bit_cast<float>(f);
 }
 
-QuantPlan plan_quantization(CodecId id, std::span<const float> values,
-                            std::span<const std::uint32_t> groups,
-                            std::size_t group_count) {
+Quantized quantize(CodecId id, std::vector<float> values,
+                   std::span<const std::uint32_t> groups,
+                   std::size_t group_count) {
   const CodecInfo& info = codec_info(id);
-  if (!groups.empty() && groups.size() != values.size()) {
+  const std::size_t n = values.size();
+  if (!groups.empty() && groups.size() != n) {
     throw CodecError("codec: group tags do not match the value stream");
   }
-  QuantPlan plan;
-  plan.id = id;
-  if (id == CodecId::kFp32) return plan;  // lossless: any bit pattern ships
-  reject_non_finite(values);
-  if (!info.scaled) return plan;
-  if (group_count == 0 && !values.empty()) {
+  Quantized q;
+  q.plan.id = id;
+  q.packed_bytes = n * (info.value_bits / 8);
+  if (id == CodecId::kFp32) {
+    q.values = std::move(values);  // lossless: any bit pattern ships
+    return q;
+  }
+  if (!info.scaled) {
+    for (float& v : values) {
+      if (!std::isfinite(v)) {
+        throw CodecError("codec: non-finite value in payload");
+      }
+      v = fp16_to_float(fp16_from_float(v));
+    }
+    q.values = std::move(values);
+    return q;
+  }
+  if (group_count == 0 && n != 0) {
     throw CodecError("codec: scaled codec needs at least one group");
   }
   std::vector<float> max_abs(group_count, 0.0f);
-  for (std::size_t i = 0; i < values.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t g = group_of(groups, i);
     if (g >= group_count) {
       throw CodecError("codec: value tagged with an unknown group");
     }
     const float a = std::fabs(values[i]);
+    if (!(a <= std::numeric_limits<float>::max())) {
+      throw CodecError("codec: non-finite value in payload");
+    }
     if (a > max_abs[g]) max_abs[g] = a;
   }
-  plan.scale_bits.resize(group_count);
+  // The fp16-rounded scale is the canonical one — quantization and
+  // dequantization both use the exact value that crosses the wire.
+  q.plan.scale_bits.resize(group_count);
+  std::vector<float> scale(group_count);
   for (std::size_t g = 0; g < group_count; ++g) {
-    // The fp16-rounded scale is the canonical one — quantization and
-    // dequantization both use the exact value that crosses the wire.
-    plan.scale_bits[g] = fp16_from_float(
+    q.plan.scale_bits[g] = fp16_from_float(
         static_cast<float>(static_cast<double>(max_abs[g]) / 127.0));
+    scale[g] = fp16_to_float(q.plan.scale_bits[g]);
   }
-  return plan;
+  // The one quantization of each value: its code, its dequantized value
+  // (in place) and its share of the zero-run coded size. Local spans: the
+  // int8 stores could otherwise alias, and reload, every vector's pointers.
+  q.codes.resize(n);
+  const std::span<std::int8_t> codes(q.codes);
+  const std::span<float> v(values);
+  const std::span<const float> scales(scale);
+  std::size_t bytes = 0;
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float s = scales[group_of(groups, i)];
+    const int code = int8_quantize(v[i], s);
+    codes[i] = static_cast<std::int8_t>(code);
+    v[i] = int8_dequantize(code, s);
+    if (code == 0) {
+      ++run;
+    } else {
+      bytes += zero_run_bytes(run) + 1;
+      run = 0;
+    }
+  }
+  q.packed_bytes = bytes + zero_run_bytes(run);
+  q.values = std::move(values);
+  return q;
 }
 
-std::size_t encode_values(const QuantPlan& plan, std::span<const float> values,
-                          std::span<const std::uint32_t> groups,
-                          std::vector<std::uint8_t>& out) {
-  check_plan(plan, values, groups);
-  const CodecInfo& info = codec_info(plan.id);
+std::size_t pack(const Quantized& q, std::vector<std::uint8_t>& out) {
+  const CodecInfo& info = codec_info(q.plan.id);
   const std::size_t start = out.size();
+  // Local spans: the byte stores could otherwise alias, and reload, the
+  // vectors' pointers.
+  const std::span<const std::int8_t> codes(q.codes);
+  const std::span<const float> values(q.values);
   if (info.scaled) {
-    int run = 0;
-    auto flush = [&] {
-      while (run >= kZeroRunMin) {
-        const int chunk = run < kZeroRunMax ? run : kZeroRunMax;
-        out.push_back(kZeroEscape);
-        out.push_back(static_cast<std::uint8_t>(chunk));
-        run -= chunk;
-      }
-      out.insert(out.end(), static_cast<std::size_t>(run), std::uint8_t{0});
-      run = 0;
-    };
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      const int q =
-          int8_quantize(values[i], plan.scale(group_of(groups, i)));
-      if (q == 0) {
+    // Zero-run coding never spends more than a byte per code.
+    out.resize(start + codes.size());
+    std::uint8_t* at = out.data() + start;
+    std::size_t run = 0;
+    for (const std::int8_t code : codes) {
+      if (code == 0) {
         ++run;
         continue;
       }
-      flush();
-      out.push_back(static_cast<std::uint8_t>(q));
+      if (run != 0) {
+        at = put_zero_run(at, run);
+        run = 0;
+      }
+      *at++ = static_cast<std::uint8_t>(code);
     }
-    flush();
+    at = put_zero_run(at, run);
+    out.resize(static_cast<std::size_t>(at - out.data()));
+    return out.size() - start;
+  }
+  out.resize(start + values.size() * (info.value_bits / 8));
+  std::uint8_t* at = out.data() + start;
+  if (q.plan.id == CodecId::kFp16) {
+    for (float v : values) {
+      store_le<2>(at, fp16_from_float(v));
+      at += 2;
+    }
   } else {
-    out.resize(start + values.size() * (info.value_bits / 8));
-    std::uint8_t* at = out.data() + start;
-    if (plan.id == CodecId::kFp16) {
-      for (float v : values) {
-        store_le<2>(at, fp16_from_float(v));
-        at += 2;
-      }
-    } else {
-      for (float v : values) {
-        store_le<4>(at, std::bit_cast<std::uint32_t>(v));
-        at += 4;
-      }
+    for (float v : values) {
+      store_le<4>(at, std::bit_cast<std::uint32_t>(v));
+      at += 4;
     }
   }
   return out.size() - start;
@@ -282,27 +313,29 @@ std::vector<float> decode_values(const QuantPlan& plan,
     throw CodecError("codec: group tags do not match the value stream");
   }
   const CodecInfo& info = codec_info(plan.id);
-  std::vector<float> values;
-  values.reserve(count);
-  ByteReader r(payload);
   if (info.scaled) {
-    while (values.size() < count) {
+    std::vector<float> values(count);  // zero runs are already in place
+    std::vector<float> scale(plan.scale_bits.size());
+    for (std::size_t g = 0; g < scale.size(); ++g) {
+      scale[g] = fp16_to_float(plan.scale_bits[g]);
+    }
+    ByteReader r(payload);
+    std::size_t i = 0;
+    while (i < count) {
       const std::uint8_t b = r.next();
       if (b == kZeroEscape) {
         const std::size_t run = r.next();
-        if (run < static_cast<std::size_t>(kZeroRunMin) ||
-            values.size() + run > count) {
+        if (run < kZeroRunMin || run > count - i) {
           throw CodecError("codec: corrupt zero run");
         }
-        values.insert(values.end(), run, 0.0f);
+        i += run;
         continue;
       }
-      const int q = static_cast<std::int8_t>(b);
-      const std::uint32_t g = group_of(groups, values.size());
-      if (g >= plan.scale_bits.size()) {
+      const std::uint32_t g = group_of(groups, i);
+      if (g >= scale.size()) {
         throw CodecError("codec: value tagged with an unknown group");
       }
-      values.push_back(int8_dequantize(q, plan.scale(g)));
+      values[i++] = int8_dequantize(static_cast<std::int8_t>(b), scale[g]);
     }
     if (r.consumed() != payload.size()) {
       throw CodecError("codec: packed stream has trailing bytes");
@@ -317,7 +350,7 @@ std::vector<float> decode_values(const QuantPlan& plan,
   if (payload.size() != count * width) {
     throw CodecError("codec: packed stream has trailing bytes");
   }
-  values.resize(count);
+  std::vector<float> values(count);
   const std::uint8_t* at = payload.data();
   if (plan.id == CodecId::kFp16) {
     for (float& v : values) {
@@ -331,46 +364,6 @@ std::vector<float> decode_values(const QuantPlan& plan,
     }
   }
   return values;
-}
-
-std::vector<float> dequantized_values(const QuantPlan& plan,
-                                      std::span<const float> values,
-                                      std::span<const std::uint32_t> groups) {
-  check_plan(plan, values, groups);
-  std::vector<float> out;
-  out.reserve(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out.push_back(dequantize_one(plan, values[i], group_of(groups, i)));
-  }
-  return out;
-}
-
-std::size_t payload_bytes(const QuantPlan& plan, std::span<const float> values,
-                          std::span<const std::uint32_t> groups) {
-  check_plan(plan, values, groups);
-  const CodecInfo& info = codec_info(plan.id);
-  if (!info.scaled) return values.size() * info.value_bits / 8;
-  std::size_t bytes = 0;
-  int run = 0;
-  auto flush = [&] {
-    while (run >= kZeroRunMin) {
-      const int chunk = run < kZeroRunMax ? run : kZeroRunMax;
-      bytes += 2;
-      run -= chunk;
-    }
-    bytes += static_cast<std::size_t>(run);
-    run = 0;
-  };
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (int8_quantize(values[i], plan.scale(group_of(groups, i))) == 0) {
-      ++run;
-    } else {
-      flush();
-      ++bytes;
-    }
-  }
-  flush();
-  return bytes;
 }
 
 }  // namespace helios::codec

@@ -7,6 +7,10 @@
 // model layout: one group per owning neuron plus a common group), and the
 // int8 codec quantizes each group against its own scale.
 //
+// The sender quantizes each value exactly once (quantize()): that one pass
+// yields the value's code, the value the receiver will rebuild and the
+// packed payload size, and pack() serializes its result.
+//
 // Determinism contract (the reason every rounding rule is spelled out):
 // encode -> decode is an exact function of the inputs on every platform the
 // project targets, so the sender can predict the receiver's dequantized
@@ -21,7 +25,7 @@
 //     identical grid); q = clamp(lround(v / s), -127, +127) evaluated in
 //     double (half-away-from-zero, the C standard's lround); dequantized
 //     value = float(q * s) in double arithmetic. q = 0 whenever s == 0
-//     (an all-zero group).
+//     (an all-zero group, or one whose max|v| / 127 underflows fp16).
 //
 // The packed stream is whole little-endian bytes: 4 per fp32 value, 2 per
 // fp16 value, 1 per int8 value. int8 payloads ride a zero-run escape: the
@@ -89,25 +93,38 @@ struct QuantPlan {
   /// Per dense-group fp16 scale bit patterns, group 0 first. The fp16 bits
   /// are the canonical form — they are what crosses the wire.
   std::vector<std::uint16_t> scale_bits;
-
-  float scale(std::size_t group) const {
-    return fp16_to_float(scale_bits.at(group));
-  }
 };
 
-/// Computes the quantization plan for a tagged value stream: values[i]
-/// belongs to dense group groups[i] (an empty `groups` span means all
-/// values are group 0). The lossy codecs reject NaN/Inf values.
-/// `group_count` sizes the scale list for the scaled codec.
-QuantPlan plan_quantization(CodecId id, std::span<const float> values,
-                            std::span<const std::uint32_t> groups,
-                            std::size_t group_count);
+/// A value stream quantized once: its plan and, per value, the code that
+/// crosses the wire and the value the decoder rebuilds from it. The packed
+/// payload, its size and the sender-side mirror the error-feedback
+/// accumulators difference against all read this one result.
+struct Quantized {
+  QuantPlan plan;
+  /// Per value, exactly what decode_values returns for it: the value
+  /// itself (fp32), its fp16 round trip (fp16), or q * s (int8pn).
+  std::vector<float> values;
+  /// int8pn only: per value, its code q in [-127, 127].
+  std::vector<std::int8_t> codes;
+  /// Exact size of the payload pack() writes (zero-run coded for int8pn).
+  std::size_t packed_bytes = 0;
+};
 
-/// Appends the packed payload of `values` under `plan` to `out`; returns
-/// the number of bytes appended.
-std::size_t encode_values(const QuantPlan& plan, std::span<const float> values,
-                          std::span<const std::uint32_t> groups,
-                          std::vector<std::uint8_t>& out);
+/// Quantizes a tagged value stream in one pass over it (int8pn makes one
+/// more, for the per-group max |v|): values[i] belongs to dense group
+/// groups[i] (an empty `groups` span means all values are group 0), and
+/// `group_count` sizes the scale list of the scaled codec. `values` is
+/// consumed and becomes Quantized::values. The lossy codecs reject NaN/Inf
+/// values, and int8pn values of an unknown group, with CodecError.
+Quantized quantize(CodecId id, std::vector<float> values,
+                   std::span<const std::uint32_t> groups,
+                   std::size_t group_count);
+
+/// Appends the packed payload of `q` to `out` — the int8pn codes with
+/// zero-run coding, the fp16 bits of its values (re-converting an fp16
+/// value is exact) or their fp32 bits; returns the number of bytes
+/// appended.
+std::size_t pack(const Quantized& q, std::vector<std::uint8_t>& out);
 
 /// Decodes exactly `count` values, consuming all of `payload` (throws
 /// CodecError on a short or oversized stream).
@@ -115,17 +132,5 @@ std::vector<float> decode_values(const QuantPlan& plan,
                                  std::span<const std::uint8_t> payload,
                                  std::span<const std::uint32_t> groups,
                                  std::size_t count);
-
-/// The dequantized values an encode -> decode round trip would produce,
-/// without serializing — the sender-side mirror the error-feedback
-/// accumulators difference against.
-std::vector<float> dequantized_values(const QuantPlan& plan,
-                                      std::span<const float> values,
-                                      std::span<const std::uint32_t> groups);
-
-/// Exact encoded payload size of `values` under `plan` (zero-run coding
-/// makes this value-dependent for int8pn).
-std::size_t payload_bytes(const QuantPlan& plan, std::span<const float> values,
-                          std::span<const std::uint32_t> groups);
 
 }  // namespace helios::codec

@@ -136,48 +136,33 @@ void check_message(const WireMessage& msg, const WireLayout& layout) {
 
 // ---- Scale groups ----------------------------------------------------------
 
-/// Sorted unique scale-group keys; a key's dense group id is its index
-/// here. Keys are owning-neuron ids with WireLayout::kCommonParam (the max
-/// u32) for common parameters, so ascending order puts the common group
-/// last — deterministically on both sides.
-std::vector<std::uint32_t> unique_keys(std::vector<std::uint32_t> keys) {
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  return keys;
-}
-
-/// Group tagging of a shipped-index list: one group per distinct owning
-/// neuron for the scaled codec, none otherwise.
-struct GroupTags {
-  std::vector<std::uint32_t> keys;    // per dense group id
-  std::vector<std::uint32_t> groups;  // per value
-};
-
-GroupTags derive_groups(const WireLayout& layout,
-                        std::span<const std::uint32_t> ship,
-                        const codec::CodecInfo& info) {
-  GroupTags t;
-  if (!info.scaled) return t;
-  std::vector<std::uint32_t> raw;
-  raw.reserve(ship.size());
-  for (std::uint32_t f : ship) raw.push_back(layout.neuron_of[f]);
-  t.keys = unique_keys(raw);
-  t.groups.reserve(raw.size());
-  for (std::uint32_t k : raw) {
-    t.groups.push_back(static_cast<std::uint32_t>(
-        std::lower_bound(t.keys.begin(), t.keys.end(), k) - t.keys.begin()));
+/// Numbers the scale groups of a shipped-index list into `groups` (one id
+/// per value) and returns their count: one group per distinct owning
+/// neuron, in ascending neuron id with the common group last — the order of
+/// the sorted distinct keys, read off a neuron-indexed rank table in
+/// O(values + neurons), identically on both sides.
+std::size_t number_groups(const WireLayout& layout,
+                          std::span<const std::uint32_t> ship,
+                          std::vector<std::uint32_t>& groups) {
+  // Slot n is neuron n; slot neuron_total (every neuron id is below it, and
+  // kCommonParam above) is the common group.
+  const auto common = static_cast<std::uint32_t>(layout.neuron_total);
+  std::vector<std::uint32_t> rank(std::size_t{common} + 1, 0);
+  groups.resize(ship.size());
+  for (std::size_t i = 0; i < ship.size(); ++i) {
+    const std::uint32_t slot = std::min(layout.neuron_of[ship[i]], common);
+    groups[i] = slot;
+    rank[slot] = 1;
   }
-  return t;
+  std::uint32_t count = 0;
+  for (std::uint32_t& r : rank) {
+    const std::uint32_t used = r;
+    r = count;
+    count += used;
+  }
+  for (std::uint32_t& g : groups) g = rank[g];
+  return count;
 }
-
-/// The values one frame carries: the shipped flat indices in ascending
-/// order, their values, and the values' scale groups.
-struct ValueStream {
-  std::vector<std::uint32_t> ship;
-  std::vector<float> values;
-  std::vector<std::uint32_t> groups;
-  codec::QuantPlan plan;
-};
 
 std::size_t frame_overhead(const WireLayout& layout, bool has_mask,
                            std::size_t scale_count) {
@@ -258,50 +243,48 @@ std::vector<std::uint8_t> encode_frame_auto(const WireMessage& msg,
   const bool has_mask = !msg.neuron_mask.empty();
   const bool delta = has_base && !lossless;
 
-  ValueStream dense;
-  dense.ship.reserve(layout.param_count);
-  dense.values.reserve(layout.param_count);
+  // The dense stream: every shipped flat index and its value, quantized
+  // once.
+  std::vector<std::uint32_t> ship;
+  std::vector<float> values;
+  ship.reserve(layout.param_count);
+  values.reserve(layout.param_count);
   for (std::size_t f = 0; f < layout.param_count; ++f) {
     if (!entry_shipped(layout, msg.neuron_mask, f)) continue;
-    dense.ship.push_back(static_cast<std::uint32_t>(f));
-    dense.values.push_back(delta ? msg.params[f] - base[f] : msg.params[f]);
+    ship.push_back(static_cast<std::uint32_t>(f));
+    values.push_back(delta ? msg.params[f] - base[f] : msg.params[f]);
   }
-  GroupTags tags = derive_groups(layout, dense.ship, info);
-  dense.groups = std::move(tags.groups);
-  dense.plan = codec::plan_quantization(codec, dense.values, dense.groups,
-                                        tags.keys.size());
+  std::vector<std::uint32_t> groups;
+  const std::size_t group_count =
+      info.scaled ? number_groups(layout, ship, groups) : 0;
+  const codec::Quantized dense =
+      codec::quantize(codec, std::move(values), groups, group_count);
   // What the decoder reconstructs per shipped value, before adding a base.
-  const std::vector<float> dq =
-      lossless ? std::vector<float>()
-               : codec::dequantized_values(dense.plan, dense.values,
-                                           dense.groups);
-  const std::span<const float> received =
-      lossless ? std::span<const float>(dense.values) : std::span(dq);
-  std::size_t packed =
-      codec::payload_bytes(dense.plan, dense.values, dense.groups);
+  const std::span<const float> received = dense.values;
   const std::size_t dense_total =
-      frame_overhead(layout, has_mask, dense.plan.scale_bits.size()) + packed;
+      frame_overhead(layout, has_mask, dense.plan.scale_bits.size()) +
+      dense.packed_bytes;
 
   // Sparse candidate (needs the base): only values the decoder cannot take
   // from the base ship — zero dequantized deltas, or fp32 values equal to
   // the base, reconstruct identically when dropped. The scales stay the
   // dense stream's, which are what quantized the values, renumbered over
-  // the groups that still ship (in ascending key order, exactly as
-  // derive_groups numbers them); every shipped value is non-zero, so none
+  // the groups that still ship (in ascending order, exactly as
+  // number_groups numbers them); every shipped code is non-zero, so none
   // rides the zero-run coding.
   bool use_sparse = false;
-  ValueStream sparse;
+  std::vector<std::uint32_t> sparse_ship;
+  codec::Quantized sparse;
   if (has_base) {
     const auto kept = [&](std::size_t i) {
-      return received[i] != (delta ? 0.0f : base[dense.ship[i]]);
+      return received[i] != (delta ? 0.0f : base[ship[i]]);
     };
-    // Per dense scale group: whether a kept value uses it.
-    std::vector<std::uint8_t> used(dense.plan.scale_bits.size(), 0);
     std::size_t kept_count = 0;
-    for (std::size_t i = 0; i < received.size(); ++i) {
-      if (!kept(i)) continue;
-      ++kept_count;
-      if (!dense.groups.empty()) used[dense.groups[i]] = 1;
+    for (std::size_t i = 0; i < received.size(); ++i) kept_count += kept(i);
+    // Per dense scale group: whether a kept value uses it.
+    std::vector<std::uint8_t> used(group_count, 0);
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      if (kept(i)) used[groups[i]] = 1;
     }
     const auto kept_scales =
         static_cast<std::size_t>(std::count(used.begin(), used.end(), 1));
@@ -310,29 +293,28 @@ std::vector<std::uint8_t> encode_frame_auto(const WireMessage& msg,
                      kept_count * sizeof(std::uint32_t) + sparse_packed <
                  dense_total;
     if (use_sparse) {
-      packed = sparse_packed;
       sparse.plan.id = codec;
-      std::vector<std::uint32_t> sparse_group(used.size(), 0);
       for (std::size_t g = 0; g < used.size(); ++g) {
-        if (used[g] == 0) continue;
-        sparse_group[g] =
-            static_cast<std::uint32_t>(sparse.plan.scale_bits.size());
-        sparse.plan.scale_bits.push_back(dense.plan.scale_bits[g]);
+        if (used[g] != 0) {
+          sparse.plan.scale_bits.push_back(dense.plan.scale_bits[g]);
+        }
       }
+      sparse.packed_bytes = sparse_packed;
       for (std::size_t i = 0; i < received.size(); ++i) {
         if (!kept(i)) continue;
-        sparse.ship.push_back(dense.ship[i]);
-        sparse.values.push_back(dense.values[i]);
-        if (!dense.groups.empty()) {
-          sparse.groups.push_back(sparse_group[dense.groups[i]]);
-        }
+        sparse_ship.push_back(ship[i]);
+        sparse.values.push_back(received[i]);
+        if (info.scaled) sparse.codes.push_back(dense.codes[i]);
       }
     }
   }
-  const ValueStream& s = use_sparse ? sparse : dense;
+  const codec::Quantized& s = use_sparse ? sparse : dense;
 
   std::vector<std::uint8_t> out;
-  out.reserve(dense_total);  // the sparse frame is smaller
+  // pack() stages int8 codes at a byte each before zero-run coding them.
+  out.reserve(frame_overhead(layout, has_mask, s.plan.scale_bits.size()) +
+              sparse_ship.size() * sizeof(std::uint32_t) +
+              std::max(s.packed_bytes, s.codes.size()));
   Writer w(out);
   std::uint16_t flags = has_mask ? kFlagHasMask : 0;
   if (delta) flags |= kFlagDelta;
@@ -348,13 +330,11 @@ std::vector<std::uint8_t> encode_frame_auto(const WireMessage& msg,
   w.u64(msg.sample_count);
   w.f64(msg.mean_loss);
   w.u32(static_cast<std::uint32_t>(codec));
-  w.u32(static_cast<std::uint32_t>(packed));
+  w.u32(static_cast<std::uint32_t>(s.packed_bytes));
   if (has_mask) append_packed_mask(out, msg.neuron_mask);
-  if (use_sparse) {
-    for (std::uint32_t f : s.ship) w.u32(f);
-  }
+  for (std::uint32_t f : sparse_ship) w.u32(f);
   for (std::uint16_t bits : s.plan.scale_bits) w.u16(bits);
-  codec::encode_values(s.plan, s.values, s.groups, out);
+  codec::pack(s, out);
   for (float v : msg.buffers) w.f32(v);
   w.u32(crc32(out));
 
@@ -369,9 +349,9 @@ std::vector<std::uint8_t> encode_frame_auto(const WireMessage& msg,
       } else {
         result->dequantized.assign(layout.param_count, 0.0f);
       }
-      for (std::size_t i = 0; i < dense.ship.size(); ++i) {
-        const std::uint32_t f = dense.ship[i];
-        result->dequantized[f] = delta ? base[f] + dq[i] : dq[i];
+      for (std::size_t i = 0; i < ship.size(); ++i) {
+        const std::uint32_t f = ship[i];
+        result->dequantized[f] = delta ? base[f] + received[i] : received[i];
       }
     }
   }
@@ -456,7 +436,7 @@ DecodedMessage decode_frame(std::span<const std::uint8_t> frame,
     throw WireError("wire: partial frame requires the base snapshot");
   }
 
-  // Gather the shipped flat indices, re-derive the scale groups exactly as
+  // Gather the shipped flat indices, number the scale groups exactly as
   // the encoder did, then unpack.
   std::vector<std::uint32_t> ship;
   ship.reserve(payload_count);
@@ -482,17 +462,20 @@ DecodedMessage decode_frame(std::span<const std::uint8_t> frame,
     }
   }
 
-  const GroupTags tags = derive_groups(layout, ship, codec::codec_info(codec));
+  std::vector<std::uint32_t> groups;
+  const std::size_t group_count = codec::codec_info(codec).scaled
+                                      ? number_groups(layout, ship, groups)
+                                      : 0;
   codec::QuantPlan plan;
   plan.id = codec;
-  plan.scale_bits.reserve(tags.keys.size());
-  for (std::size_t g = 0; g < tags.keys.size(); ++g) {
+  plan.scale_bits.reserve(group_count);
+  for (std::size_t g = 0; g < group_count; ++g) {
     plan.scale_bits.push_back(r.u16());
   }
   const std::span<const std::uint8_t> payload = r.raw(packed_bytes);
   std::vector<float> values;
   try {
-    values = codec::decode_values(plan, payload, tags.groups, ship.size());
+    values = codec::decode_values(plan, payload, groups, ship.size());
   } catch (const codec::CodecError& e) {
     throw WireError(std::string("wire: ") + e.what());
   }

@@ -50,7 +50,11 @@
 // scale_count is not stored: both sides derive the group list — one group
 // per owning neuron plus the common group — from the layout and mask
 // (dense) or the index list (sparse), so a frame cannot smuggle mismatched
-// scales past validation.
+// scales past validation. Groups are numbered in ascending neuron id with
+// the common group last, read off a neuron-indexed rank table in
+// O(values + neurons). The encoder quantizes each shipped value once and
+// builds the dense size, the sparse candidate, the payload and the
+// dequantized mirror from that one result (see codec/codec.h).
 //
 // Decoding validates magic, version, CRC, codec, counts and exact frame
 // length, and throws WireError on any mismatch (corruption, truncation, or
@@ -93,9 +97,9 @@ struct WireLayout {
   std::size_t param_count = 0;
   std::size_t buffer_count = 0;
   int neuron_total = 0;
-  /// Per flat parameter index: owning global neuron id, or kCommonParam for
-  /// parameters no neuron owns (e.g. the classifier head) — those ship with
-  /// every frame.
+  /// Per flat parameter index: owning global neuron id (below
+  /// neuron_total), or kCommonParam for parameters no neuron owns (e.g. the
+  /// classifier head) — those ship with every frame.
   std::vector<std::uint32_t> neuron_of;
 
   static constexpr std::uint32_t kCommonParam = 0xFFFFFFFFU;

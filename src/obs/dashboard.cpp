@@ -253,11 +253,13 @@ void StragglerDashboard::write_summary_json(std::ostream& os) const {
     if (!first) os << ',';
     first = false;
     os << "\n    \"" << r.json_key
-       << "\": {\"p50\": " << util::percentile(r.values, 50.0)
-       << ", \"p90\": " << util::percentile(r.values, 90.0)
-       << ", \"p99\": " << util::percentile(r.values, 99.0)
-       << ", \"mean\": " << util::mean(r.values) << ", \"max\": "
-       << *std::max_element(r.values.begin(), r.values.end()) << '}';
+       << "\": {\"p50\": " << JsonNumber{util::percentile(r.values, 50.0)}
+       << ", \"p90\": " << JsonNumber{util::percentile(r.values, 90.0)}
+       << ", \"p99\": " << JsonNumber{util::percentile(r.values, 99.0)}
+       << ", \"mean\": " << JsonNumber{util::mean(r.values)}
+       << ", \"max\": "
+       << JsonNumber{*std::max_element(r.values.begin(), r.values.end())}
+       << '}';
   }
   os << "\n  }";
   if (!tiers_.empty()) {
@@ -274,7 +276,7 @@ void StragglerDashboard::write_summary_json(std::ostream& os) const {
          << ", \"deadline_misses\": " << t.deadline_misses
          << ", \"retransmits\": " << t.retransmits
          << ", \"lost_frames\": " << t.lost_frames
-         << ", \"fold_seconds\": " << t.fold_seconds << '}';
+         << ", \"fold_seconds\": " << JsonNumber{t.fold_seconds} << '}';
     }
     os << "\n  }";
   }
@@ -291,16 +293,18 @@ void StragglerDashboard::write_json(std::ostream& os) const {
     os << "  {\"device_id\":" << id << ",\"name\":\"";
     json_escape(os, d.name);
     os << "\",\"straggler\":" << (d.straggler ? "true" : "false")
-       << ",\"volume\":" << d.volume << ",\"cycles\":" << d.cycles
+       << ",\"volume\":" << JsonNumber{d.volume} << ",\"cycles\":" << d.cycles
        << ",\"trained_neurons\":" << d.trained_neurons
-       << ",\"neuron_total\":" << d.neuron_total << ",\"r_n\":" << d.r_n
-       << ",\"mean_r_n\":" << d.mean_r_n() << ",\"alpha_n\":" << d.alpha_n
+       << ",\"neuron_total\":" << d.neuron_total
+       << ",\"r_n\":" << JsonNumber{d.r_n}
+       << ",\"mean_r_n\":" << JsonNumber{d.mean_r_n()}
+       << ",\"alpha_n\":" << JsonNumber{d.alpha_n}
        << ",\"forced_neurons\":" << d.forced_neurons
        << ",\"cs_hist\":[" << d.cs_hist[0] << ',' << d.cs_hist[1] << ','
        << d.cs_hist[2] << ',' << d.cs_hist[3] << ']'
-       << ",\"compute_seconds\":" << d.compute_seconds
-       << ",\"comm_seconds\":" << d.comm_seconds
-       << ",\"upload_mb\":" << d.upload_mb
+       << ",\"compute_seconds\":" << JsonNumber{d.compute_seconds}
+       << ",\"comm_seconds\":" << JsonNumber{d.comm_seconds}
+       << ",\"upload_mb\":" << JsonNumber{d.upload_mb}
        << ",\"wire_bytes\":" << d.wire_bytes
        << ",\"bytes_saved\":" << d.bytes_saved
        << ",\"frames_sent\":" << d.frames_sent
@@ -308,7 +312,7 @@ void StragglerDashboard::write_json(std::ostream& os) const {
        << ",\"retransmits\":" << d.retransmits
        << ",\"drops\":" << d.drops
        << ",\"dead\":" << (d.dead ? "true" : "false")
-       << ",\"last_loss\":" << d.last_loss << '}';
+       << ",\"last_loss\":" << JsonNumber{d.last_loss} << '}';
   }
   os << "\n]\n";
 }

@@ -271,9 +271,9 @@ void write_summary_json(std::ostream& os, const JournalSummary& s) {
   json_escape(os, s.strategy);
   os << "\",\"rounds\":" << s.rounds << ",\"events\":" << s.events
      << ",\"devices\":" << s.devices.size()
-     << ",\"final_accuracy\":" << s.final_accuracy
-     << ",\"final_virtual_time\":" << s.final_virtual_time
-     << ",\"wall_seconds\":" << s.wall_seconds
+     << ",\"final_accuracy\":" << JsonNumber{s.final_accuracy}
+     << ",\"final_virtual_time\":" << JsonNumber{s.final_virtual_time}
+     << ",\"wall_seconds\":" << JsonNumber{s.wall_seconds}
      << ",\"bytes_on_wire\":" << s.bytes_on_wire
      << ",\"frames_sent\":" << s.frames_sent
      << ",\"frames_lost\":" << s.frames_lost
@@ -300,7 +300,7 @@ void write_summary_json(std::ostream& os, const JournalSummary& s) {
          << ",\"deadline_misses\":" << t.deadline_misses
          << ",\"retransmits\":" << t.retransmits
          << ",\"lost_frames\":" << t.lost_frames
-         << ",\"fold_seconds\":" << t.fold_seconds << '}';
+         << ",\"fold_seconds\":" << JsonNumber{t.fold_seconds} << '}';
     }
     os << '}';
   }
@@ -316,11 +316,11 @@ void write_summary_json(std::ostream& os, const JournalSummary& s) {
        << ",\"trained_rounds\":" << st.cycles
        << ",\"skipped_hollow\":" << d.skipped_hollow
        << ",\"skipped_dead\":" << d.skipped_dead
-       << ",\"first_volume\":" << d.first_volume
-       << ",\"last_volume\":" << d.last_volume()
-       << ",\"mean_r_n\":" << st.mean_r_n()
-       << ",\"compute_seconds\":" << st.compute_seconds
-       << ",\"comm_seconds\":" << st.comm_seconds
+       << ",\"first_volume\":" << JsonNumber{d.first_volume}
+       << ",\"last_volume\":" << JsonNumber{d.last_volume()}
+       << ",\"mean_r_n\":" << JsonNumber{st.mean_r_n()}
+       << ",\"compute_seconds\":" << JsonNumber{st.compute_seconds}
+       << ",\"comm_seconds\":" << JsonNumber{st.comm_seconds}
        << ",\"wire_bytes\":" << st.wire_bytes
        << ",\"codec_raw_bytes\":" << d.codec_raw_bytes
        << ",\"codec_wire_bytes\":" << d.codec_wire_bytes

@@ -107,6 +107,11 @@ void json_escape(std::ostream& os, std::string_view s) {
   }
 }
 
+std::ostream& operator<<(std::ostream& os, JsonNumber n) {
+  if (!std::isfinite(n.value)) return os << "null";
+  return os << n.value;
+}
+
 namespace {
 
 void write_labels_json(std::ostream& os, const LabelSet& labels) {

@@ -134,4 +134,12 @@ class MetricsRegistry {
 /// JSON string escaping shared by the exporters and the trace writer.
 void json_escape(std::ostream& os, std::string_view s);
 
+/// A double as a JSON number, shared by the summary and dashboard writers:
+/// `os << JsonNumber{v}` prints v as `os << v` would, or `null` for NaN and
+/// +-Inf, which JSON cannot spell.
+struct JsonNumber {
+  double value;
+};
+std::ostream& operator<<(std::ostream& os, JsonNumber n);
+
 }  // namespace helios::obs

@@ -68,28 +68,38 @@ TEST(Fp16Test, ConversionIsIdempotent) {
   }
 }
 
+TEST(Fp16Test, EveryFiniteHalfReconvertsExactly) {
+  // pack() writes an fp16 value by converting its decoded float back, so
+  // the round trip must be the identity on every finite half (±0 and the
+  // subnormals included).
+  for (std::uint32_t h = 0; h <= 0xFFFF; ++h) {
+    if (((h >> 10) & 0x1F) == 0x1F) continue;  // Inf/NaN: never emitted
+    const auto bits = static_cast<std::uint16_t>(h);
+    EXPECT_EQ(codec::fp16_from_float(codec::fp16_to_float(bits)), bits)
+        << std::hex << h;
+  }
+}
+
 // ---- Codec-layer round trips ----------------------------------------------
 
-/// Encode -> decode round trip under `id`; checks the payload size
+/// Quantize -> pack -> decode round trip under `id`; checks the packed size
 /// prediction, the decode, and the sender-side dequantized mirror.
 void expect_codec_roundtrip(CodecId id, const std::vector<float>& values,
                             const std::vector<std::uint32_t>& groups,
                             std::size_t group_count) {
-  const codec::QuantPlan plan =
-      codec::plan_quantization(id, values, groups, group_count);
+  const codec::Quantized q =
+      codec::quantize(id, values, groups, group_count);
   std::vector<std::uint8_t> payload;
-  const std::size_t n = codec::encode_values(plan, values, groups, payload);
+  const std::size_t n = codec::pack(q, payload);
   ASSERT_EQ(n, payload.size());
-  EXPECT_EQ(n, codec::payload_bytes(plan, values, groups));
+  EXPECT_EQ(n, q.packed_bytes);
 
   const std::vector<float> decoded =
-      codec::decode_values(plan, payload, groups, values.size());
-  const std::vector<float> mirror =
-      codec::dequantized_values(plan, values, groups);
+      codec::decode_values(q.plan, payload, groups, values.size());
   ASSERT_EQ(decoded.size(), values.size());
-  ASSERT_EQ(mirror.size(), values.size());
+  ASSERT_EQ(q.values.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(decoded[i], mirror[i]) << "sender/receiver mismatch at " << i;
+    EXPECT_EQ(decoded[i], q.values[i]) << "sender/receiver mismatch at " << i;
     // Quantization error bound: half a grid step (int8), or fp16 relative
     // precision; fp32 is exact.
     if (id == CodecId::kFp32) {
@@ -101,7 +111,8 @@ void expect_codec_roundtrip(CodecId id, const std::vector<float>& values,
     } else {
       // Half a grid step; the absolute term covers groups whose fp16 scale
       // underflowed to 0 (max |v| < 127 * fp16-min, everything -> q = 0).
-      const float s = plan.scale(groups.empty() ? 0 : groups[i]);
+      const float s = codec::fp16_to_float(
+          q.plan.scale_bits[groups.empty() ? 0 : groups[i]]);
       EXPECT_NEAR(decoded[i], values[i], s * 0.5F + 4e-6F) << "index " << i;
     }
   }
@@ -148,29 +159,53 @@ TEST(CodecTest, FuzzRoundTripsAcrossShapesAndScales) {
   }
 }
 
+TEST(CodecTest, Int8RoundsHalfAwayFromZeroAndClamps) {
+  // max |v| = 127 gives s = fp16(1.0) = 1 exactly, so v / s = v.
+  const float below_half = std::nextafter(0.5F, 0.0F);
+  const std::vector<float> values = {127.0F, 0.5F,   -0.5F, 1.5F,  2.5F,
+                                     -2.5F,  126.5F, 0.25F, below_half};
+  const codec::Quantized q =
+      codec::quantize(CodecId::kInt8PerNeuron, values, {}, 1);
+  ASSERT_EQ(codec::fp16_to_float(q.plan.scale_bits.at(0)), 1.0F);
+  const std::vector<std::int8_t> want = {127, 1, -1, 2, 3, -3, 127, 0, 0};
+  EXPECT_EQ(q.codes, want);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(q.values[i], static_cast<float>(want[i])) << i;
+  }
+  // A subnormal fp16 scale can sit a third below max |v| / 127: the max
+  // lands past 127 steps and clamps.
+  const float s = std::ldexp(1.0F, -24);  // the smallest fp16 subnormal
+  const float max_abs = 127.0F * 1.49F * s;
+  const codec::Quantized c =
+      codec::quantize(CodecId::kInt8PerNeuron, {max_abs, -max_abs}, {}, 1);
+  ASSERT_EQ(codec::fp16_to_float(c.plan.scale_bits.at(0)), s);
+  EXPECT_EQ(c.codes, (std::vector<std::int8_t>{127, -127}));
+  EXPECT_EQ(c.values[0], 127.0F * s);
+}
+
 TEST(CodecTest, AllZeroStreamCompressesAndRoundTrips) {
   const std::vector<float> zeros(500, 0.0F);
-  const codec::QuantPlan plan =
-      codec::plan_quantization(CodecId::kInt8PerNeuron, zeros, {}, 1);
+  const codec::Quantized q =
+      codec::quantize(CodecId::kInt8PerNeuron, zeros, {}, 1);
   std::vector<std::uint8_t> payload;
-  codec::encode_values(plan, zeros, {}, payload);
+  codec::pack(q, payload);
   // 500 zeros -> two escape+length pairs (runs cap at 255).
   EXPECT_LE(payload.size(), 4U);
   const std::vector<float> decoded =
-      codec::decode_values(plan, payload, {}, zeros.size());
+      codec::decode_values(q.plan, payload, {}, zeros.size());
   for (float v : decoded) EXPECT_EQ(v, 0.0F);
 }
 
 TEST(CodecTest, ShortZeroRunsAreNotEscaped) {
   // Runs of 1-2 zeros stay literal bytes; the payload never expands.
   const std::vector<float> values = {1.0F, 0.0F, 0.0F, 1.0F, 0.0F, 1.0F};
-  const codec::QuantPlan plan =
-      codec::plan_quantization(CodecId::kInt8PerNeuron, values, {}, 1);
+  const codec::Quantized q =
+      codec::quantize(CodecId::kInt8PerNeuron, values, {}, 1);
   std::vector<std::uint8_t> payload;
-  codec::encode_values(plan, values, {}, payload);
+  codec::pack(q, payload);
   EXPECT_EQ(payload.size(), values.size());
   const std::vector<float> decoded =
-      codec::decode_values(plan, payload, {}, values.size());
+      codec::decode_values(q.plan, payload, {}, values.size());
   EXPECT_EQ(decoded[1], 0.0F);
   EXPECT_EQ(decoded[4], 0.0F);
 }
@@ -182,10 +217,10 @@ TEST(CodecTest, NeverExpandsBeyondOneBytePerValue) {
     for (auto& v : values) {
       v = rng.uniform() < 0.5 ? 0.0F : static_cast<float>(rng.normal());
     }
-    const codec::QuantPlan plan =
-        codec::plan_quantization(CodecId::kInt8PerNeuron, values, {}, 1);
+    const codec::Quantized q =
+        codec::quantize(CodecId::kInt8PerNeuron, values, {}, 1);
     std::vector<std::uint8_t> payload;
-    codec::encode_values(plan, values, {}, payload);
+    codec::pack(q, payload);
     EXPECT_LE(payload.size(), values.size());
   }
 }
@@ -195,10 +230,9 @@ TEST(CodecTest, RejectsNaNAndInf) {
                     std::numeric_limits<float>::infinity(),
                     -std::numeric_limits<float>::infinity()}) {
     std::vector<float> values = {1.0F, bad, 2.0F};
-    EXPECT_THROW(
-        codec::plan_quantization(CodecId::kInt8PerNeuron, values, {}, 1),
-        codec::CodecError);
-    EXPECT_THROW(codec::plan_quantization(CodecId::kFp16, values, {}, 1),
+    EXPECT_THROW(codec::quantize(CodecId::kInt8PerNeuron, values, {}, 1),
+                 codec::CodecError);
+    EXPECT_THROW(codec::quantize(CodecId::kFp16, values, {}, 1),
                  codec::CodecError);
   }
 }
@@ -207,25 +241,24 @@ TEST(CodecTest, DecodeRejectsTruncatedAndOversizedPayloads) {
   util::Rng rng(23);
   std::vector<float> values(64);
   for (auto& v : values) v = static_cast<float>(rng.normal());
-  const codec::QuantPlan plan =
-      codec::plan_quantization(CodecId::kInt8PerNeuron, values, {}, 1);
+  const codec::Quantized q =
+      codec::quantize(CodecId::kInt8PerNeuron, values, {}, 1);
   std::vector<std::uint8_t> payload;
-  codec::encode_values(plan, values, {}, payload);
+  codec::pack(q, payload);
 
   std::vector<std::uint8_t> shorter(payload.begin(), payload.end() - 1);
-  EXPECT_THROW(codec::decode_values(plan, shorter, {}, values.size()),
+  EXPECT_THROW(codec::decode_values(q.plan, shorter, {}, values.size()),
                codec::CodecError);
   std::vector<std::uint8_t> longer = payload;
   longer.push_back(0x00);
-  EXPECT_THROW(codec::decode_values(plan, longer, {}, values.size()),
+  EXPECT_THROW(codec::decode_values(q.plan, longer, {}, values.size()),
                codec::CodecError);
 }
 
 TEST(CodecTest, DecodeRejectsCorruptZeroRun) {
   // An escape byte announcing a run that overruns the value count.
   const codec::QuantPlan plan =
-      codec::plan_quantization(CodecId::kInt8PerNeuron,
-                               std::vector<float>{1.0F}, {}, 1);
+      codec::quantize(CodecId::kInt8PerNeuron, {1.0F}, {}, 1).plan;
   const std::vector<std::uint8_t> bogus = {0x80, 0xFF};
   EXPECT_THROW(codec::decode_values(plan, bogus, {}, 4), codec::CodecError);
   // A run length below the escape threshold is malformed by construction.

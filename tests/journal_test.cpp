@@ -466,6 +466,38 @@ TEST(HostileJournalTest, ExtremeInRangeCountsDoNotOverflowTheFolds) {
   EXPECT_NO_THROW(read_and_render(text));
 }
 
+TEST(HostileJournalTest, NonFiniteTotalsWriteJsonNull) {
+  // Two finite train times whose sum overflows to +inf: the summary JSON and
+  // both dashboard JSON artifacts stay parseable, with null in its place.
+  std::string text = kRunStart;
+  for (int i = 0; i < 2; ++i) {
+    text += "{\"v\":1,\"t\":\"train\",\"r\":0,\"dev\":7,\"vt\":0,\"w\":0,"
+            "\"train_s\":1e308}\n";
+  }
+  std::istringstream is(text);
+  const std::vector<obs::JournalEvent> events = obs::read_journal(is);
+
+  std::ostringstream summary;
+  obs::write_summary_json(summary, obs::summarize_journal(events));
+  const util::JsonValue s = util::JsonValue::parse(summary.str());
+  const util::JsonValue& device = s.find("per_device")->items().at(0);
+  EXPECT_TRUE(device.find("compute_seconds")->is_null()) << summary.str();
+  EXPECT_EQ(device.find("comm_seconds")->as_number(), 0.0);
+
+  obs::StragglerDashboard dash;
+  obs::replay_dashboard(events, dash);
+  std::ostringstream devices;
+  dash.write_json(devices);
+  const util::JsonValue d = util::JsonValue::parse(devices.str());
+  EXPECT_TRUE(d.items().at(0).find("compute_seconds")->is_null())
+      << devices.str();
+  std::ostringstream fleet;
+  dash.write_summary_json(fleet);
+  const util::JsonValue f = util::JsonValue::parse(fleet.str());
+  const util::JsonValue* compute = f.find("metrics")->find("compute_seconds");
+  EXPECT_TRUE(compute->find("mean")->is_null()) << fleet.str();
+}
+
 /// One deterministic mutant of `text`: a bit flip, a truncation, an extreme
 /// number in place of one of the text's numbers, or a splice of two lines.
 std::string mutate(const std::string& text, util::Rng& rng) {

@@ -12,7 +12,8 @@
 //   helios-journal replay <run.journal.jsonl> [--threshold N]
 //       Replays the journal into a StragglerDashboard and renders it — the
 //       same per-device / percentile table a live run prints. --threshold
-//       overrides the per-device vs fleet-summary cutover.
+//       overrides the per-device vs fleet-summary cutover; N is a
+//       non-negative integer, anything else is an error.
 //
 //   helios-journal resume-check <run.journal.jsonl>
 //       Validates that a journal spanning one or more checkpoint resumes
@@ -25,9 +26,10 @@
 // Journals aggregate per device before summarizing, so recordings of the
 // same run at different thread counts (whose lines interleave differently)
 // summarize and diff as identical.
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -104,6 +106,20 @@ int resume_check(const std::vector<obs::JournalEvent>& events) {
   return problems;
 }
 
+/// The value of `--threshold`: a non-negative decimal integer and nothing
+/// else (no sign, no trailing characters).
+std::size_t parse_threshold(const std::string& text) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [at, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || at != end) {
+    throw std::runtime_error(
+        "replay --threshold wants a non-negative integer, got '" + text +
+        "'");
+  }
+  return value;
+}
+
 std::vector<obs::JournalEvent> load(const std::string& path) {
   std::ifstream is(path);
   if (!is) throw std::runtime_error("cannot open " + path);
@@ -144,11 +160,12 @@ int main(int argc, char** argv) {
     if (cmd == "replay") {
       if (args.size() < 2) return usage();
       obs::StragglerDashboard dash;
-      for (std::size_t i = 2; i + 1 < args.size(); ++i) {
-        if (args[i] == "--threshold") {
-          dash.set_summary_threshold(
-              static_cast<std::size_t>(std::atoi(args[i + 1].c_str())));
+      for (std::size_t i = 2; i < args.size(); ++i) {
+        if (args[i] != "--threshold") continue;
+        if (i + 1 == args.size()) {
+          throw std::runtime_error("replay --threshold needs a value");
         }
+        dash.set_summary_threshold(parse_threshold(args[++i]));
       }
       obs::replay_dashboard(load(args[1]), dash);
       dash.render(std::cout);
