@@ -1,8 +1,10 @@
 #include "agg/accumulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "net/wire.h"
@@ -16,45 +18,60 @@ namespace {
 //   4   4  reserved, 0
 //   8   8  param_count  (validated against the geometry)
 //  16   8  buffer_count
-//  24   8  folded update count
+//  24   8  folded update count (at least 1)
 //  32   -  acc values (param_count), den values (param_count),
 //          bacc values (buffer_count), bden value — 8 B raw f64 bits each
 //   -   4  CRC32 over every preceding byte
 constexpr std::uint32_t kMergeMagic = 0x31464D48U;  // "HMF1"
+constexpr std::size_t kMergeFoldedAt = 24;
 constexpr std::size_t kMergeHeaderBytes = 32;
 constexpr std::size_t kMergeTrailerBytes = 4;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+// Frames are the accumulator's own f64 arrays copied word for word, so the
+// host byte order must be the frame's.
+static_assert(std::endian::native == std::endian::little,
+              "merge frames copy little-endian words");
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[at + i]) << (8 * i);
+template <typename T>
+T load(const std::uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof v);
   return v;
 }
 
-std::uint64_t get_u64(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(in[at + i]) << (8 * i);
-  return v;
+/// Every check a merge frame passes before anything reads its sums: length,
+/// magic, CRC, reserved word, geometry, a folded count of at least one (an
+/// empty accumulator is never sent). decode_frame and merge_frame share it.
+void validate_frame(std::span<const std::uint8_t> frame,
+                    const ModelGeometry& geometry) {
+  if (frame.size() != StreamingAccumulator::frame_bytes(geometry)) {
+    throw net::WireError("merge frame: bad length");
+  }
+  if (load<std::uint32_t>(frame.data()) != kMergeMagic) {
+    throw net::WireError("merge frame: bad magic");
+  }
+  const std::size_t body = frame.size() - kMergeTrailerBytes;
+  if (net::crc32(frame.first(body)) !=
+      load<std::uint32_t>(frame.data() + body)) {
+    throw net::WireError("merge frame: CRC mismatch");
+  }
+  if (load<std::uint32_t>(frame.data() + 4) != 0) {
+    throw net::WireError("merge frame: non-zero reserved word");
+  }
+  if (load<std::uint64_t>(frame.data() + 8) != geometry.param_count ||
+      load<std::uint64_t>(frame.data() + 16) != geometry.buffer_count) {
+    throw net::WireError("merge frame: geometry mismatch");
+  }
+  if (load<std::uint64_t>(frame.data() + kMergeFoldedAt) == 0) {
+    throw net::WireError("merge frame: zero folded count");
+  }
 }
 
-double get_f64(std::span<const std::uint8_t> in, std::size_t at) {
-  const std::uint64_t bits = get_u64(in, at);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+/// dst[i] += the i-th f64 of `src`, which may be unaligned.
+void add_words(std::span<double> dst, const std::uint8_t* src) {
+  for (std::size_t i = 0; i < dst.size(); ++i) {
+    dst[i] += load<double>(src + 8 * i);
+  }
 }
 
 }  // namespace
@@ -199,18 +216,28 @@ std::size_t StreamingAccumulator::frame_bytes(const ModelGeometry& geometry) {
 }
 
 std::vector<std::uint8_t> StreamingAccumulator::encode_frame() const {
+  // The header as laid out above: magic, reserved word, three counts.
+  const struct {
+    std::uint32_t magic;
+    std::uint32_t reserved;
+    std::uint64_t counts[3];
+  } head{kMergeMagic, 0, {geo_->param_count, geo_->buffer_count, folded_}};
+  static_assert(sizeof head == kMergeHeaderBytes);
+  const auto* h = reinterpret_cast<const std::uint8_t*>(&head);
   std::vector<std::uint8_t> out;
   out.reserve(frame_bytes(*geo_));
-  put_u32(out, kMergeMagic);
-  put_u32(out, 0);  // reserved
-  put_u64(out, static_cast<std::uint64_t>(geo_->param_count));
-  put_u64(out, static_cast<std::uint64_t>(geo_->buffer_count));
-  put_u64(out, folded_);
-  for (double v : acc_) put_f64(out, v);
-  for (double v : den_) put_f64(out, v);
-  for (double v : bacc_) put_f64(out, v);
-  put_f64(out, bden_);
-  put_u32(out, net::crc32({out.data(), out.size()}));
+  out.assign(h, h + sizeof head);
+  const auto put = [&out](const void* src, std::size_t n) {
+    if (n == 0) return;  // src is null for empty buffers
+    const auto* bytes = static_cast<const std::uint8_t*>(src);
+    out.insert(out.end(), bytes, bytes + n);
+  };
+  put(acc_.data(), acc_.size() * sizeof(double));
+  put(den_.data(), den_.size() * sizeof(double));
+  put(bacc_.data(), bacc_.size() * sizeof(double));
+  put(&bden_, sizeof bden_);
+  const std::uint32_t crc = net::crc32(out);
+  put(&crc, sizeof crc);
   return out;
 }
 
@@ -219,31 +246,41 @@ StreamingAccumulator StreamingAccumulator::decode_frame(
   if (geometry == nullptr) {
     throw std::invalid_argument("decode_frame: null geometry");
   }
-  if (frame.size() != frame_bytes(*geometry)) {
-    throw net::WireError("merge frame: bad length");
-  }
-  if (get_u32(frame, 0) != kMergeMagic) {
-    throw net::WireError("merge frame: bad magic");
-  }
-  const std::size_t body = frame.size() - kMergeTrailerBytes;
-  if (net::crc32(frame.subspan(0, body)) != get_u32(frame, body)) {
-    throw net::WireError("merge frame: CRC mismatch");
-  }
-  if (get_u32(frame, 4) != 0) {
-    throw net::WireError("merge frame: non-zero reserved word");
-  }
-  if (get_u64(frame, 8) != geometry->param_count ||
-      get_u64(frame, 16) != geometry->buffer_count) {
-    throw net::WireError("merge frame: geometry mismatch");
-  }
+  validate_frame(frame, *geometry);
   StreamingAccumulator a(geometry);
-  a.folded_ = get_u64(frame, 24);
-  std::size_t at = kMergeHeaderBytes;
-  for (double& v : a.acc_) { v = get_f64(frame, at); at += 8; }
-  for (double& v : a.den_) { v = get_f64(frame, at); at += 8; }
-  for (double& v : a.bacc_) { v = get_f64(frame, at); at += 8; }
-  a.bden_ = get_f64(frame, at);
+  const std::uint8_t* p = frame.data() + kMergeFoldedAt;
+  const auto take = [&p](void* dst, std::size_t n) {
+    if (n != 0) std::memcpy(dst, p, n);
+    p += n;
+  };
+  take(&a.folded_, sizeof a.folded_);
+  take(a.acc_.data(), a.acc_.size() * sizeof(double));
+  take(a.den_.data(), a.den_.size() * sizeof(double));
+  take(a.bacc_.data(), a.bacc_.size() * sizeof(double));
+  take(&a.bden_, sizeof a.bden_);
   return a;
+}
+
+void StreamingAccumulator::merge_frame(std::span<const std::uint8_t> frame) {
+  if (geo_ == nullptr) {
+    throw std::logic_error("merge_frame: accumulator has no geometry");
+  }
+  // Nothing is added until the whole frame has passed, so a rejected frame
+  // leaves the accumulator as it was.
+  validate_frame(frame, *geo_);
+  const auto folded = load<std::uint64_t>(frame.data() + kMergeFoldedAt);
+  if (folded > std::numeric_limits<std::uint64_t>::max() - folded_) {
+    throw net::WireError("merge frame: folded count overflows");
+  }
+  const std::uint8_t* p = frame.data() + kMergeHeaderBytes;
+  add_words(acc_, p);
+  p += 8 * acc_.size();
+  add_words(den_, p);
+  p += 8 * den_.size();
+  add_words(bacc_, p);
+  p += 8 * bacc_.size();
+  bden_ += load<double>(p);
+  folded_ += folded;
 }
 
 }  // namespace helios::agg

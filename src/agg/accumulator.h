@@ -19,10 +19,15 @@
 // carrying"), dropping a late child and finalizing renormalizes over the
 // remaining weight mass exactly — no re-weighting pass is needed.
 //
-// encode_frame/decode_frame serialize an accumulator into the merge frame
-// that crosses a tier uplink. Payload doubles are raw IEEE bits, so a
-// decode is bit-exact; a CRC32 guards the payload like the device wire
-// format does.
+// encode_frame serializes an accumulator into the merge frame that crosses a
+// tier uplink: the header and the f64 arrays are copied word for word (raw
+// IEEE bits, little-endian hosts only), and a CRC32 guards the payload like
+// the device wire format does. A parent takes a frame with merge_frame,
+// which adds the frame's sums straight into its own, in merge()'s order,
+// once the whole frame has passed every check — no decoded accumulator is
+// built. decode_frame runs the same checks and copies the sums into a new
+// accumulator, bit-exact (a -0.0 stays -0.0); merge(decode_frame(f)) and
+// merge_frame(f) leave the parent with the same bits.
 #pragma once
 
 #include <cstdint>
@@ -107,10 +112,17 @@ class StreamingAccumulator {
   static std::size_t frame_bytes(const ModelGeometry& geometry);
   /// Serializes the sums into a weight-carrying merge frame.
   std::vector<std::uint8_t> encode_frame() const;
-  /// Decodes a merge frame (geometry must match; CRC checked) bit-identically
-  /// to the encoded accumulator.
+  /// Decodes a merge frame (geometry must match; CRC checked; at least one
+  /// update folded) bit-identically to the encoded accumulator. Throws
+  /// net::WireError on a bad frame.
   static StreamingAccumulator decode_frame(std::span<const std::uint8_t> frame,
                                            const ModelGeometry* geometry);
+  /// Adds a merge frame's sums into this accumulator: the same bits as
+  /// merge(decode_frame(frame, geometry)), without the decoded copy. Runs
+  /// decode_frame's checks first, and refuses a folded count that would
+  /// overflow this one's; a bad frame throws net::WireError and leaves this
+  /// accumulator untouched.
+  void merge_frame(std::span<const std::uint8_t> frame);
 
   // Raw sums — exposed for tests and checkpointing.
   const std::vector<double>& acc() const { return acc_; }

@@ -139,13 +139,14 @@ void AggregatorTree::collapse() {
               continue;
             }
             // The tier crossing: the edge serializes its accumulator, the
-            // parent decodes and merges, and the edge-side copy is
-            // conceptually discarded. One frame is live at a time.
+            // parent checks the frame and adds its sums straight into its
+            // own, and the edge-side copy is conceptually discarded. One
+            // frame is live at a time.
             const std::vector<std::uint8_t> frame =
                 edges_[e].encode_frame();
             edge_bytes[p] += frame.size();
             edge_frames[p] += 1;
-            parents[p]->merge(StreamingAccumulator::decode_frame(frame, geo_));
+            parents[p]->merge_frame(frame);
           }
           if (depth3 && !parents[p]->empty()) {
             regional_frames[p] = parents[p]->encode_frame();
@@ -174,7 +175,7 @@ void AggregatorTree::collapse() {
       stats_[1].bytes_forwarded += frame.size();
       stats_[1].raw_bytes += frame.size();
     }
-    root_.merge(StreamingAccumulator::decode_frame(frame, geo_));
+    root_.merge_frame(frame);
     root_stats.frames_folded += 1;
   }
   root_stats.fold_seconds += seconds_since(t1);

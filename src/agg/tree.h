@@ -11,15 +11,17 @@
 //
 // Memory is O(edges * model): each node owns one fixed StreamingAccumulator;
 // device frames are folded and discarded, and a tier crossing is one
-// encode/decode of a weight-carrying merge frame (bit-exact round-trip).
+// weight-carrying merge frame, encoded by the child and added into the
+// parent with merge_frame (bit-exact: the same bits as decoding and
+// merging).
 //
 // Determinism: fold parallelizes ACROSS edges — each edge folds its own
 // devices sequentially in input order. collapse parallelizes across the
 // edge tier's parents: at depth 3 each regional is one pool task that
 // merges its edges' frames in ascending edge order, one frame live at a
-// time, and encodes its own frame; the root then decodes and merges the
-// regional frames on the calling thread, in regional order (at depth 2 the
-// root is the only parent). Every merge keeps its sequential order, so
+// time, and encodes its own frame; the root then merges the regional
+// frames on the calling thread, in regional order (at depth 2 the root is
+// the only parent). Every merge keeps its sequential order, so
 // results are bit-identical at any thread count.
 // Relay draws jitter/loss from per-node forked RNG streams
 // (Rng(seed).fork(tier).fork(node)), independent of device traffic.
@@ -93,9 +95,9 @@ class AggregatorTree {
             std::span<const FoldWeights> weights, bool per_neuron_merge,
             std::span<const float> contribution_base);
 
-  /// Encodes every non-empty edge accumulator into a merge frame, decodes it
-  /// at the parent and merges — regional tier first (depth 3, one pool task
-  /// per regional), then root. Late edges were already excluded upstream
+  /// Encodes every non-empty edge accumulator into a merge frame that the
+  /// parent merges with merge_frame — regional tier first (depth 3, one
+  /// pool task per regional), then root. Late edges were already excluded upstream
   /// (their devices never reached fold), so every frame here merges.
   void collapse();
 

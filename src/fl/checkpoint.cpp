@@ -167,35 +167,35 @@ util::RngState CheckpointReader::rng() {
 }
 
 std::vector<float> CheckpointReader::vec_f32() {
-  const std::uint32_t n = u32();
+  const std::uint32_t n = count(4);
   std::vector<float> v(n);
   for (std::uint32_t i = 0; i < n; ++i) v[i] = f32();
   return v;
 }
 
 std::vector<double> CheckpointReader::vec_f64() {
-  const std::uint32_t n = u32();
+  const std::uint32_t n = count(8);
   std::vector<double> v(n);
   for (std::uint32_t i = 0; i < n; ++i) v[i] = f64();
   return v;
 }
 
 std::vector<int> CheckpointReader::vec_i32() {
-  const std::uint32_t n = u32();
+  const std::uint32_t n = count(4);
   std::vector<int> v(n);
   for (std::uint32_t i = 0; i < n; ++i) v[i] = i32();
   return v;
 }
 
 std::vector<std::uint8_t> CheckpointReader::vec_u8() {
-  const std::uint32_t n = u32();
+  const std::uint32_t n = count(1);
   std::vector<std::uint8_t> v(n);
   for (std::uint32_t i = 0; i < n; ++i) v[i] = u8();
   return v;
 }
 
 std::vector<std::size_t> CheckpointReader::vec_size() {
-  const std::uint32_t n = u32();
+  const std::uint32_t n = count(8);
   std::vector<std::size_t> v(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     v[i] = static_cast<std::size_t>(u64());
@@ -207,6 +207,17 @@ std::string CheckpointReader::blob() {
   const std::uint64_t n = u64();
   return std::string(need(static_cast<std::size_t>(n)),
                      static_cast<std::size_t>(n));
+}
+
+std::uint32_t CheckpointReader::count(std::size_t bytes_each) {
+  const std::uint32_t n = u32();
+  if (n > remaining() / bytes_each) {
+    throw CheckpointError("checkpoint count " + std::to_string(n) +
+                          " at offset " + std::to_string(pos_ - 4) +
+                          " exceeds the " + std::to_string(remaining()) +
+                          " payload bytes left");
+  }
+  return n;
 }
 
 void CheckpointReader::expect_done(const char* what) const {
@@ -649,7 +660,7 @@ RunResult restore_checkpoint_payload(Fleet& fleet, Strategy* strategy,
       cfg.loss_prob = r.f64();
       const util::RngState rng = r.rng();
       const double death = r.f64();
-      const std::uint32_t n_outages = r.u32();
+      const std::uint32_t n_outages = r.count(2 * 8);  // start, end
       std::vector<std::pair<double, double>> outages;
       outages.reserve(n_outages);
       for (std::uint32_t k = 0; k < n_outages; ++k) {
@@ -672,7 +683,8 @@ RunResult restore_checkpoint_payload(Fleet& fleet, Strategy* strategy,
   // Partial RunResult.
   RunResult result;
   result.method = meta.method;
-  const std::uint32_t n_rounds = r.u32();
+  // cycle (4 B) and four f64 fields per round.
+  const std::uint32_t n_rounds = r.count(4 + 4 * 8);
   result.rounds.reserve(n_rounds);
   for (std::uint32_t i = 0; i < n_rounds; ++i) {
     RoundRecord rec;

@@ -112,6 +112,11 @@ class CheckpointReader {
   std::vector<std::uint8_t> vec_u8();
   std::vector<std::size_t> vec_size();
   std::string blob();
+  /// Reads a u32 element count and checks that the rest of the payload
+  /// can hold that many elements of at least `bytes_each` encoded bytes, so
+  /// nothing is sized by a count the payload cannot back. Throws
+  /// CheckpointError otherwise.
+  std::uint32_t count(std::size_t bytes_each);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }

@@ -120,7 +120,8 @@ void HierarchySession::load_state(Fleet& fleet, CheckpointReader& r) {
         std::to_string(topology_.fanout) + ")");
   }
   if (tree_ == nullptr) return;
-  const std::uint32_t n = r.u32();
+  // Four state words, the cached normal and its flag per channel.
+  const std::uint32_t n = r.count(4 * 8 + 8 + 1);
   std::vector<util::RngState> states;
   states.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) states.push_back(r.rng());

@@ -4,6 +4,11 @@
 #include <array>
 #include <bit>
 
+#if HELIOS_HAVE_PCLMUL
+#include "net/crc32_fold.h"
+#include "util/cpuid.h"
+#endif
+
 namespace helios::net {
 namespace {
 
@@ -28,6 +33,26 @@ CrcTables make_crc_tables() {
     }
   }
   return t;
+}
+
+/// Advances the running CRC register over `bytes`, four bytes per step:
+/// the tail of a folded buffer, and every buffer on CPUs without PCLMULQDQ.
+std::uint32_t crc32_update(std::uint32_t c,
+                           std::span<const std::uint8_t> bytes) {
+  static const CrcTables t = make_crc_tables();
+  std::size_t i = 0;
+  for (; i + 4 <= bytes.size(); i += 4) {
+    c ^= static_cast<std::uint32_t>(bytes[i]) |
+         static_cast<std::uint32_t>(bytes[i + 1]) << 8 |
+         static_cast<std::uint32_t>(bytes[i + 2]) << 16 |
+         static_cast<std::uint32_t>(bytes[i + 3]) << 24;
+    c = t[3][c & 0xFFU] ^ t[2][(c >> 8) & 0xFFU] ^ t[1][(c >> 16) & 0xFFU] ^
+        t[0][c >> 24];
+  }
+  for (; i < bytes.size(); ++i) {
+    c = t[0][(c ^ bytes[i]) & 0xFFU] ^ (c >> 8);
+  }
+  return c;
 }
 
 // ---- Little-endian byte IO -------------------------------------------------
@@ -173,23 +198,21 @@ std::size_t frame_overhead(const WireLayout& layout, bool has_mask,
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
-  static const CrcTables t = make_crc_tables();
   std::uint32_t c = 0xFFFFFFFFU;
-  std::size_t i = 0;
-  // Four bytes per step: every frame is CRC-checked on both sides, and the
-  // byte-at-a-time loop was most of an fp32 encode or decode.
-  for (; i + 4 <= bytes.size(); i += 4) {
-    c ^= static_cast<std::uint32_t>(bytes[i]) |
-         static_cast<std::uint32_t>(bytes[i + 1]) << 8 |
-         static_cast<std::uint32_t>(bytes[i + 2]) << 16 |
-         static_cast<std::uint32_t>(bytes[i + 3]) << 24;
-    c = t[3][c & 0xFFU] ^ t[2][(c >> 8) & 0xFFU] ^ t[1][(c >> 16) & 0xFFU] ^
-        t[0][c >> 24];
+#if HELIOS_HAVE_PCLMUL
+  // Whole 16-byte blocks fold with PCLMULQDQ; the tables take the tail.
+  static const bool fold = util::cpu_has_pclmul();
+  if (fold && bytes.size() >= detail::kCrcFoldMinBytes) {
+    const std::size_t blocks = bytes.size() & ~std::size_t{15};
+    c = detail::crc32_fold(c, bytes.first(blocks));
+    bytes = bytes.subspan(blocks);
   }
-  for (; i < bytes.size(); ++i) {
-    c = t[0][(c ^ bytes[i]) & 0xFFU] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFU;
+#endif
+  return crc32_update(c, bytes) ^ 0xFFFFFFFFU;
+}
+
+std::uint32_t crc32_table(std::span<const std::uint8_t> bytes) {
+  return crc32_update(0xFFFFFFFFU, bytes) ^ 0xFFFFFFFFU;
 }
 
 WireLayout make_wire_layout(nn::Model& model) {

@@ -179,7 +179,14 @@ DecodedMessage decode_frame(std::span<const std::uint8_t> frame,
                             const WireLayout& layout,
                             std::span<const float> base_params);
 
-/// CRC32 (IEEE 802.3, reflected 0xEDB88320) of `bytes`.
+/// CRC32 (IEEE 802.3, reflected 0xEDB88320) of `bytes`. On CPUs with
+/// PCLMULQDQ, buffers of 64 B or more fold 16 B blocks by carry-less
+/// multiplication and leave the tail under 16 B to the slicing-by-4 tables;
+/// elsewhere the tables take everything. Both give the same value.
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
+
+/// The same CRC32 by the slicing-by-4 tables alone, whatever the CPU: the
+/// oracle the folding path is tested against.
+std::uint32_t crc32_table(std::span<const std::uint8_t> bytes);
 
 }  // namespace helios::net

@@ -17,6 +17,14 @@ bool cpu_has_avx2_fma() {
 #endif
 }
 
+bool cpu_has_pclmul() {
+#if HELIOS_CPUID_X86
+  return __builtin_cpu_supports("pclmul");
+#else
+  return false;
+#endif
+}
+
 std::string cpu_feature_string() {
 #if HELIOS_CPUID_X86
   std::string s = "x86-64";

@@ -29,6 +29,7 @@
 #include "fl/hierarchy.h"
 #include "fl/sync.h"
 #include "fl/transport.h"
+#include "models/zoo.h"
 #include "net/wire.h"
 #include "obs/journal_reader.h"
 #include "obs/telemetry.h"
@@ -408,6 +409,82 @@ TEST(HierarchyDeterminismTest, RegionalTierIsExactOverSameEdgePartition) {
   const Snapshot depth2 = run_tree("helios", 4, 0, 1);
   const Snapshot depth3 = run_tree("helios", 4, 2, 1);
   expect_identical(depth2, depth3, "depth-2 vs depth-3, 4 edges");
+}
+
+// begin_round must leave no trace of the previous round. One tree reused
+// over rounds whose devices land on different edges — edge 0 and regional 0
+// busy in round 1, idle in round 2, busy again in round 3 — must finalize
+// every round bit for bit as a fresh tree does, buffers (BatchNorm) and
+// contribution shards included.
+TEST(HierarchyResetTest, ReusedTreeMatchesFreshTreeEveryRound) {
+  ThreadGuard guard;
+  nn::Model model = models::resnet18_lite_spec({1, 8, 8, 4}, 1, 1).build(9);
+  const agg::ModelGeometry geo = agg::make_geometry(model);
+  ASSERT_GT(geo.buffer_count, 0U);
+  const std::vector<float> global0 = model.params_flat();
+  const std::vector<float> buffers0(geo.buffer_count, 0.25F);
+  // Device ids per round; a device sits on edge id % 4, edges 0-1 under
+  // regional 0 and edges 2-3 under regional 1 at depth 3.
+  const std::vector<std::vector<int>> rounds = {
+      {0, 1, 5, 2}, {2, 6, 10}, {4, 3, 8}};
+
+  for (const int fanout : {0, 2}) {
+    agg::TreeTopology topo;
+    topo.edge_nodes = 4;
+    topo.fanout = fanout;
+    for (const int threads : {1, 4}) {
+      util::set_global_threads(threads);
+      const std::string ctx = "depth " + std::to_string(topo.depth()) +
+                              ", threads " + std::to_string(threads);
+      agg::AggregatorTree reused(topo, &geo);
+      util::Rng rng(0x7E5E7);
+      for (std::size_t r = 0; r < rounds.size(); ++r) {
+        std::vector<AccFixture::Update> updates;
+        std::vector<agg::UpdateView> views;
+        std::vector<agg::FoldWeights> weights;
+        for (const int id : rounds[r]) {
+          AccFixture::Update u;
+          u.params.resize(geo.param_count);
+          for (float& v : u.params) v = static_cast<float>(rng.normal());
+          u.buffers.resize(geo.buffer_count);
+          for (float& v : u.buffers) v = static_cast<float>(rng.uniform());
+          u.mask.resize(geo.neurons.size());
+          for (auto& b : u.mask) b = rng.uniform_int(4) != 0;
+          updates.push_back(std::move(u));
+          weights.push_back({1.0 + id, 0.5 + id});
+        }
+        for (std::size_t i = 0; i < updates.size(); ++i) {
+          views.push_back(AccFixture::view(rounds[r][i], updates[i]));
+        }
+        const auto run = [&](agg::AggregatorTree& tree) {
+          tree.fold(views, weights, true, global0);
+          tree.collapse();
+          std::pair<std::vector<float>, std::vector<float>> out{global0,
+                                                                buffers0};
+          tree.finalize(out.first, out.second);
+          return out;
+        };
+        reused.begin_round();
+        const auto got = run(reused);
+        agg::AggregatorTree fresh(topo, &geo);
+        const auto want = run(fresh);
+        const std::string at = ctx + ", round " + std::to_string(r + 1);
+        EXPECT_TRUE(testing::bitwise_equal(got.first, want.first)) << at;
+        EXPECT_TRUE(testing::bitwise_equal(got.second, want.second)) << at;
+        EXPECT_EQ(reused.root_folded(), rounds[r].size()) << at;
+        ASSERT_EQ(reused.contributions().size(), fresh.contributions().size())
+            << at;
+        for (std::size_t i = 0; i < fresh.contributions().size(); ++i) {
+          EXPECT_EQ(reused.contributions()[i].first,
+                    fresh.contributions()[i].first)
+              << at;
+          EXPECT_TRUE(testing::bitwise_equal(reused.contributions()[i].second,
+                                             fresh.contributions()[i].second))
+              << at;
+        }
+      }
+    }
+  }
 }
 
 // ---- Simulated relay: tier deadlines, loss, exclusion -----------------------

@@ -31,6 +31,7 @@
 #include "fl/hierarchy.h"
 #include "fl/sync.h"
 #include "fl/transport.h"
+#include "net/wire.h"
 #include "obs/journal_reader.h"
 #include "obs/telemetry.h"
 #include "sim/churn.h"
@@ -356,6 +357,92 @@ TEST(CheckpointCorruptionTest, RefusesTamperedFiles) {
   // Trailing garbage.
   write_file(bad, bytes + "xx");
   expect_refused(bad, "trailing bytes");
+}
+
+// A lying element count is refused before anything is sized by it: a
+// 12-byte payload claiming 2^32 - 1 doubles would otherwise ask for about
+// 34 GB and throw std::bad_alloc, or commit gigabytes, instead of failing
+// as a corrupt checkpoint.
+TEST(CheckpointCorruptionTest, LyingVectorCountsAreRefusedBeforeSizing) {
+  struct Reader {
+    const char* name;
+    std::size_t bytes_each;
+    void (*read)(fl::CheckpointReader&);
+  };
+  const Reader readers[] = {
+      {"vec_f32", 4, [](fl::CheckpointReader& r) { (void)r.vec_f32(); }},
+      {"vec_f64", 8, [](fl::CheckpointReader& r) { (void)r.vec_f64(); }},
+      {"vec_i32", 4, [](fl::CheckpointReader& r) { (void)r.vec_i32(); }},
+      {"vec_u8", 1, [](fl::CheckpointReader& r) { (void)r.vec_u8(); }},
+      {"vec_size", 8, [](fl::CheckpointReader& r) { (void)r.vec_size(); }},
+  };
+  for (const Reader& rd : readers) {
+    for (const std::uint32_t lie :
+         {std::numeric_limits<std::uint32_t>::max(), std::uint32_t{1} << 31,
+          static_cast<std::uint32_t>(8 / rd.bytes_each + 1)}) {
+      fl::CheckpointWriter w;
+      w.u32(lie);
+      w.u64(0);  // eight bytes of elements
+      fl::CheckpointReader r(w.buffer());
+      EXPECT_THROW(rd.read(r), fl::CheckpointError)
+          << rd.name << " claiming " << lie << " elements";
+    }
+    // A count the payload does back still reads.
+    fl::CheckpointWriter w;
+    w.u32(static_cast<std::uint32_t>(8 / rd.bytes_each));
+    w.u64(0);
+    fl::CheckpointReader r(w.buffer());
+    EXPECT_NO_THROW(rd.read(r)) << rd.name;
+    EXPECT_TRUE(r.done()) << rd.name;
+  }
+}
+
+// The same guard on a whole file: a checkpoint whose round count lies, with
+// its CRC recomputed so the framing passes, is refused as corrupt.
+TEST(CheckpointCorruptionTest, LyingRoundCountWithValidCrcIsRefused) {
+  TempDir tmp;
+  fl::Fleet fleet = testing::make_fleet();
+  fl::SyncFL strategy;
+  fl::RunResult partial;
+  partial.method = strategy.name();
+  strategy.run_range(fleet, partial, 0, 2);
+  const std::string path = tmp.file("ckpt");
+  fleet.save_checkpoint(path, &strategy, partial);
+  const std::string bytes = read_file(path);
+
+  // The RunResult section: the round count, then each round's record.
+  fl::CheckpointWriter needle;
+  needle.u32(static_cast<std::uint32_t>(partial.rounds.size()));
+  for (const fl::RoundRecord& rec : partial.rounds) {
+    needle.i32(rec.cycle);
+    needle.f64(rec.virtual_time);
+    needle.f64(rec.test_accuracy);
+    needle.f64(rec.mean_train_loss);
+    needle.f64(rec.upload_mb);
+  }
+  constexpr std::size_t kHeader = 24;  // magic, version, size, CRC
+  const std::size_t at = bytes.find(needle.buffer(), kHeader);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(needle.buffer(), at + 1), std::string::npos);
+
+  const std::string bad = tmp.file("bad");
+  for (const std::uint32_t lie : {std::numeric_limits<std::uint32_t>::max(),
+                                  std::uint32_t{1} << 28}) {
+    std::string tampered = bytes;
+    for (int b = 0; b < 4; ++b) {
+      tampered[at + static_cast<std::size_t>(b)] =
+          static_cast<char>(lie >> (8 * b));
+    }
+    const std::uint32_t crc = net::crc32(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(tampered.data()) + kHeader,
+        tampered.size() - kHeader));
+    for (int b = 0; b < 4; ++b) {
+      tampered[20 + static_cast<std::size_t>(b)] =
+          static_cast<char>(crc >> (8 * b));
+    }
+    write_file(bad, tampered);
+    expect_refused(bad, "lying round count");
+  }
 }
 
 TEST(CheckpointCorruptionTest, RefusesWrongArchitectureAndStrategy) {

@@ -244,6 +244,66 @@ TEST(WireTest, Crc32MatchesKnownVector) {
   EXPECT_EQ(net::crc32(digits), 0xCBF43926U);
 }
 
+// ---- CRC32: the folding path against the tables ----------------------------
+//
+// On CPUs with PCLMULQDQ, net::crc32 folds the 16-byte blocks of any buffer
+// of 64 B or more. The oracle is net::crc32_table, called explicitly so the
+// comparison also runs there; elsewhere both run the tables and the cases
+// still pin them.
+
+TEST(Crc32Test, CheckVectorOnBothPaths) {
+  const std::uint8_t digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(net::crc32(digits), 0xCBF43926U);
+  EXPECT_EQ(net::crc32_table(digits), 0xCBF43926U);
+}
+
+TEST(Crc32Test, FoldedMatchesTableAtEveryLengthAndOffset) {
+  // Every length 0..1100 at 16 start offsets: every residue of the 16-byte
+  // blocks and of the 64-byte four-lane steps, at every alignment.
+  util::Rng rng(0xC4C32);
+  std::vector<std::uint8_t> buf(1100 + 16);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const std::span<const std::uint8_t> s(buf.data() + offset, len);
+      ASSERT_EQ(net::crc32(s), net::crc32_table(s))
+          << "length " << len << " offset " << offset;
+    }
+  }
+}
+
+TEST(Crc32Test, FoldedMatchesTableOnRandomSpans) {
+  util::Rng rng(0x5EED);
+  std::vector<std::uint8_t> buf(70000);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (int i = 0; i < 2000; ++i) {
+    const std::size_t offset = rng.uniform_int(64);
+    const std::size_t len = rng.uniform_int(buf.size() - offset + 1);
+    const std::span<const std::uint8_t> s(buf.data() + offset, len);
+    ASSERT_EQ(net::crc32(s), net::crc32_table(s))
+        << "length " << len << " offset " << offset;
+  }
+}
+
+TEST(Crc32Test, FoldedMatchesTableOnFrameSizedBuffers) {
+  // A hier_lazy_32k merge frame's size and 1 MiB. The expected values are
+  // zlib.crc32 of the same bytes, computed outside the repo.
+  struct Case {
+    std::size_t bytes;
+    std::uint32_t crc;
+  };
+  for (const Case c : {Case{64, 0x9e279317U}, Case{1100, 0x13e64e0aU},
+                       Case{342204, 0xdc3ee0d9U},
+                       Case{std::size_t{1} << 20, 0xddde5310U}}) {
+    std::vector<std::uint8_t> buf(c.bytes);
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      buf[i] = static_cast<std::uint8_t>(i * 131 + (i >> 8) * 7);
+    }
+    EXPECT_EQ(net::crc32(buf), c.crc) << c.bytes << " B";
+    EXPECT_EQ(net::crc32_table(buf), c.crc) << c.bytes << " B";
+  }
+}
+
 // Satellite: the exact frame byte count and the analytic upload volume
 // (upload_mb = shipped params * 4 / 1e6) must agree within 1% for an
 // unmasked LeNet update — the wire format's framing overhead is negligible,
