@@ -81,24 +81,17 @@ void AggregatorTree::fold(std::span<const UpdateView> updates,
   // Edges are independent (distinct accumulators, disjoint devices), so the
   // fan-out is across edges; within one edge the fold is sequential, which
   // keeps results bit-identical at any thread count.
-  util::parallel_for(
-      0, static_cast<std::int64_t>(edges_.size()), 1,
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t e = lo; e < hi; ++e) {
-          const auto idx = static_cast<std::size_t>(e);
-          for (std::size_t i : per_edge[idx]) {
-            edges_[idx].fold(updates[i], weights[i], per_neuron_merge);
-            if (!contribution_base.empty() &&
-                !updates[i].trained_mask.empty()) {
-              staged_[idx].emplace_back(
-                  updates[i].client_id,
-                  neuron_change_means(geo_->neurons, contribution_base,
-                                      updates[i].params,
-                                      updates[i].trained_mask));
-            }
-          }
-        }
-      });
+  util::parallel_for_each(edges_.size(), [&](std::size_t e) {
+    for (std::size_t i : per_edge[e]) {
+      edges_[e].fold(updates[i], weights[i], per_neuron_merge);
+      if (!contribution_base.empty() && !updates[i].trained_mask.empty()) {
+        staged_[e].emplace_back(
+            updates[i].client_id,
+            neuron_change_means(geo_->neurons, contribution_base,
+                                updates[i].params, updates[i].trained_mask));
+      }
+    }
+  });
   TierStats& edge_stats = stats_.front();
   edge_stats.fold_seconds += seconds_since(t0);
   edge_stats.frames_folded += updates.size();
@@ -117,7 +110,7 @@ void AggregatorTree::collapse() {
   // Merging child frames is the parent tier's folding work: edge frames
   // land on the regionals (the root at depth 2), regional frames on the
   // root. The edge tier's parents are independent, so each merges its own
-  // edges, in ascending edge order, as one pool task.
+  // edges, in ascending edge order, as one claimed pool item.
   std::vector<StreamingAccumulator*> parents;
   if (depth3) {
     for (auto& r : regionals_) parents.push_back(&r);
@@ -127,32 +120,26 @@ void AggregatorTree::collapse() {
   std::vector<std::vector<std::uint8_t>> regional_frames(regionals_.size());
   std::vector<std::uint64_t> edge_frames(parents.size(), 0);
   std::vector<std::uint64_t> edge_bytes(parents.size(), 0);
-  util::parallel_for(
-      0, static_cast<std::int64_t>(parents.size()), 1,
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (auto p = static_cast<std::size_t>(lo);
-             p < static_cast<std::size_t>(hi); ++p) {
-          for (std::size_t e = 0; e < edges_.size(); ++e) {
-            if (edges_[e].empty() ||
-                static_cast<std::size_t>(
-                    topo_.regional_of(static_cast<int>(e))) != p) {
-              continue;
-            }
-            // The tier crossing: the edge serializes its accumulator, the
-            // parent checks the frame and adds its sums straight into its
-            // own, and the edge-side copy is conceptually discarded. One
-            // frame is live at a time.
-            const std::vector<std::uint8_t> frame =
-                edges_[e].encode_frame();
-            edge_bytes[p] += frame.size();
-            edge_frames[p] += 1;
-            parents[p]->merge_frame(frame);
-          }
-          if (depth3 && !parents[p]->empty()) {
-            regional_frames[p] = parents[p]->encode_frame();
-          }
-        }
-      });
+  util::parallel_for_each(parents.size(), [&](std::size_t p) {
+    for (std::size_t e = 0; e < edges_.size(); ++e) {
+      if (edges_[e].empty() ||
+          static_cast<std::size_t>(topo_.regional_of(static_cast<int>(e))) !=
+              p) {
+        continue;
+      }
+      // The tier crossing: the edge serializes its accumulator, the parent
+      // checks the frame and adds its sums straight into its own, and the
+      // edge-side copy is conceptually discarded. One frame is live at a
+      // time.
+      const std::vector<std::uint8_t> frame = edges_[e].encode_frame();
+      edge_bytes[p] += frame.size();
+      edge_frames[p] += 1;
+      parents[p]->merge_frame(frame);
+    }
+    if (depth3 && !parents[p]->empty()) {
+      regional_frames[p] = parents[p]->encode_frame();
+    }
+  });
   TierStats& root_stats = stats_.back();
   TierStats& parent_stats = depth3 ? stats_[1] : root_stats;
   for (std::size_t p = 0; p < parents.size(); ++p) {

@@ -15,9 +15,10 @@
 // parent with merge_frame (bit-exact: the same bits as decoding and
 // merging).
 //
-// Determinism: fold parallelizes ACROSS edges — each edge folds its own
-// devices sequentially in input order. collapse parallelizes across the
-// edge tier's parents: at depth 3 each regional is one pool task that
+// Determinism: fold parallelizes ACROSS edges — each edge is one claimed
+// pool item (util::parallel_for_each) that folds its own devices
+// sequentially in input order. collapse parallelizes across the edge
+// tier's parents: at depth 3 each regional is one claimed item that
 // merges its edges' frames in ascending edge order, one frame live at a
 // time, and encodes its own frame; the root then merges the regional
 // frames on the calling thread, in regional order (at depth 2 the root is

@@ -38,18 +38,6 @@ void AsyncFL::run_range(Fleet& fleet, RunResult& result, int begin, int end) {
   }
 }
 
-namespace {
-
-/// Telemetry for a fanned-out batch, in roster order on the calling thread.
-void record_cycles(std::span<Client* const> roster,
-                   std::span<const ClientUpdate> updates) {
-  for (std::size_t i = 0; i < roster.size(); ++i) {
-    roster[i]->record_cycle(updates[i]);
-  }
-}
-
-}  // namespace
-
 void AsyncFL::run_period(Fleet& fleet, RunResult& result, int begin,
                          int end) {
   AggOptions opts;
@@ -92,7 +80,10 @@ void AsyncFL::run_period(Fleet& fleet, RunResult& result, int begin,
           return c.train_cycle(fleet.server().global(),
                                fleet.server().global_buffers(), {});
         });
-    record_cycles(capable, updates);
+    // Telemetry of a fanned-out batch: in roster order, on this thread.
+    for (std::size_t i = 0; i < capable.size(); ++i) {
+      capable[i]->record_cycle(updates[i]);
+    }
     double loss = 0.0;
     for (const ClientUpdate& u : updates) loss += u.mean_loss;
     std::size_t trained_count = updates.size();
@@ -116,32 +107,29 @@ void AsyncFL::run_period(Fleet& fleet, RunResult& result, int begin,
       if (cycle - st.started_cycle + 1 < straggler_period_) continue;
       due.push_back(s);
     }
-    std::vector<ClientUpdate> straggler_updates = Fleet::parallel_train(
-        due, [&](Client& s, std::size_t) {
-          // at(): no concurrent map mutation
-          auto& st = period_state_.at(s.id());
-          return s.train_cycle(st.base, st.base_buffers, {});
+    // With a session, each task also encodes and decodes its straggler's
+    // upload against that snapshot (the asynchronous strategies' one path).
+    std::vector<Upload> straggler_uploads = train_uploads(
+        fleet, due, [&](std::size_t k) -> const PeriodState& {
+          return period_state_.at(due[k]->id());  // no concurrent mutation
         });
-    record_cycles(due, straggler_updates);
+    for (std::size_t i = 0; i < due.size(); ++i) {
+      due[i]->record_cycle(straggler_uploads[i].update);
+    }
     trained_count += due.size();
     for (std::size_t i = 0; i < due.size(); ++i) {
-      PeriodState& st = period_state_[due[i]->id()];
-      loss += straggler_updates[i].mean_loss;
-      st.busy = false;
-      if (session != nullptr) {
-        // The straggler's frame crosses the network on its own (it is not
-        // part of the round's deadline scope — the period already absorbs
-        // its lateness); a lost frame or a death drops the update.
-        NetworkSession::SingleDelivery sd = session->deliver_update(
-            straggler_updates[i], st.base, fleet.clock().now());
-        if (sd.delivered) {
-          upload += sd.update.upload_mb;
-          agg.push_back(std::move(sd.update));
-        }
-      } else {
-        upload += straggler_updates[i].upload_mb;
-        agg.push_back(std::move(straggler_updates[i]));
+      period_state_[due[i]->id()].busy = false;
+      Upload& up = straggler_uploads[i];
+      loss += up.update.mean_loss;
+      // The straggler's frame crosses the network on its own (it is not
+      // part of the round's deadline scope — the period already absorbs its
+      // lateness); a lost frame or a death drops the update.
+      if (session != nullptr &&
+          !session->deliver_update(up, fleet.clock().now()).delivered) {
+        continue;
       }
+      upload += up.update.upload_mb;
+      agg.push_back(std::move(up.update));
     }
 
     fleet.server().aggregate(agg, opts);

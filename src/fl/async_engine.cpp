@@ -68,7 +68,7 @@ void AsyncEngine::train_wave(Fleet& fleet, std::size_t popped) {
   if (ref != events_.end()) {
     for (const Event& ev : events_) {
       const auto i = static_cast<std::size_t>(ev.client_index);
-      if ((&ev == &*ref || ev.time < ref->time) && !inflight_[i].update) {
+      if ((&ev == &*ref || ev.time < ref->time) && !inflight_[i].upload) {
         wave.push_back(i);
       }
     }
@@ -83,13 +83,11 @@ void AsyncEngine::train_wave(Fleet& fleet, std::size_t popped) {
     if (tel) inflight_[i].cycle_seconds = c.estimate_cycle_seconds({});
     roster.push_back(&c);
   }
-  std::vector<ClientUpdate> updates = Fleet::parallel_train(
-      roster, [&](Client& c, std::size_t k) {
-        const InFlight& fl = inflight_[wave[k]];
-        return c.train_cycle(fl.base, fl.base_buffers, {});
-      });
+  std::vector<Upload> uploads = train_uploads(
+      fleet, roster,
+      [&](std::size_t k) -> const InFlight& { return inflight_[wave[k]]; });
   for (std::size_t k = 0; k < wave.size(); ++k) {
-    inflight_[wave[k]].update = std::move(updates[k]);
+    inflight_[wave[k]].upload = std::move(uploads[k]);
   }
 }
 
@@ -140,9 +138,10 @@ void AsyncEngine::run_range(Fleet& fleet, RunResult& result, int begin,
     const auto index = static_cast<std::size_t>(ev.client_index);
     Client& client = fleet.client(index);
     InFlight& fl = inflight_[index];
-    if (!fl.update) train_wave(fleet, index);
-    ClientUpdate update = std::move(*fl.update);
-    fl.update.reset();
+    if (!fl.upload) train_wave(fleet, index);
+    Upload upload = std::move(*fl.upload);
+    fl.upload.reset();
+    const ClientUpdate& update = upload.update;
     // The device finished *at* ev.time; backdate the sink so the Gantt slab
     // covers the cycle it just spent training.
     if (tel) tel->set_virtual_time(std::max(0.0, ev.time - fl.cycle_seconds));
@@ -152,15 +151,12 @@ void AsyncEngine::run_range(Fleet& fleet, RunResult& result, int begin,
     if (session != nullptr) {
       // ev.time already contains the analytic upload; the frame leaves the
       // device when training ends.
-      NetworkSession::SingleDelivery sd = session->deliver_update(
-          update, fl.base, ev.time - update.upload_seconds);
-      if (sd.delivered) {
-        if (sd.settle_s > fleet.clock().now()) {
-          fleet.clock().advance_to(sd.settle_s);
-        }
-        update = std::move(sd.update);
-      } else {
+      const NetworkSession::SingleDelivery sd =
+          session->deliver_update(upload, ev.time - update.upload_seconds);
+      if (!sd.delivered) {
         accepted = false;  // lost after retries or the device died mid-upload
+      } else if (sd.settle_s > fleet.clock().now()) {
+        fleet.clock().advance_to(sd.settle_s);
       }
     }
     const bool is_reference = client.id() == reference_id_;
@@ -204,7 +200,7 @@ void AsyncEngine::run_range(Fleet& fleet, RunResult& result, int begin,
 
 void AsyncEngine::save_state(CheckpointWriter& w) const {
   if (std::any_of(inflight_.begin(), inflight_.end(),
-                  [](const InFlight& fl) { return fl.update.has_value(); })) {
+                  [](const InFlight& fl) { return fl.upload.has_value(); })) {
     throw std::logic_error("AsyncEngine: save_state mid-wave");
   }
   w.i64(static_cast<std::int64_t>(version_));

@@ -12,10 +12,11 @@
 //
 // AsyncEngine owns that loop, once. Per completion event:
 //
-//   pop the earliest completion -> advance the clock -> take the update its
-//   wave trained on the in-flight base -> record the cycle -> deliver_update
-//   (when a network is attached) -> mix -> record a round if the reference
-//   device completed -> restart it
+//   pop the earliest completion -> advance the clock -> take the upload its
+//   wave trained (and encoded and decoded) on the in-flight base -> record
+//   the cycle -> deliver_update (when a network is attached: the protocol
+//   and telemetry only) -> mix -> record a round if the reference device
+//   completed -> restart it
 //
 // A round is recorded each time the reference device (the first capable
 // device, else client 0) completes, aligning the cycle axis with the
@@ -32,11 +33,18 @@
 // Waves: a device trains on the snapshot it started from, and nothing
 // touches it between its start and its pop, so its training can run before
 // its pop. When a popped device has no trained update yet, the engine
-// trains a wave through Fleet::parallel_train: that device, the reference's
+// trains a wave through train_uploads (Fleet::parallel_train, threads
+// claiming the next device as they free up): that device, the reference's
 // pending completion, and every in-flight completion strictly earlier than
 // the reference's. All of them pop before (or at) the reference's pop, the
 // only place a round — and so run_range — can end; ties with the reference
-// stay out, since heap order among equal times is not fixed. Delivery, mix,
+// stay out, since heap order among equal times is not fixed. With a
+// network attached, the task that trains a device also encodes its update
+// against the device's own base and decodes it; the error-feedback
+// residuals are created on the driving thread before the fan-out. Each
+// device's residual advances once per completion either way, and every
+// wave member pops before run_range returns, so a checkpoint never holds a
+// residual advanced for an unpopped update. The protocol, deaths, mix,
 // telemetry and restarts stay in event order on the driving thread, so the
 // run is bit-identical at any thread count. Intra-op kernels run inline
 // inside a wave of more than one device.
@@ -52,6 +60,7 @@
 #include "fl/checkpoint.h"
 #include "fl/fleet.h"
 #include "fl/metrics.h"
+#include "fl/transport.h"
 
 namespace helios::fl {
 
@@ -95,8 +104,9 @@ class AsyncEngine {
     std::vector<float> base;
     std::vector<float> base_buffers;
     long started_version = 0;
-    /// Trained by the device's wave, taken at its pop; never serialized.
-    std::optional<ClientUpdate> update;
+    /// Trained by the device's wave (with a session, also encoded and
+    /// decoded there), taken at its pop; never serialized.
+    std::optional<Upload> upload;
     /// Cycle estimate taken before the wave trained, for the Gantt
     /// backdating at pop (only while telemetry is attached).
     double cycle_seconds = 0.0;

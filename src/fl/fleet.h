@@ -5,6 +5,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -111,28 +112,26 @@ class Fleet {
   double evaluate();
 
   /// Round-level fan-out: runs `fn(client, i)` for every client in `roster`
-  /// concurrently on the global thread pool and returns the updates indexed
-  /// by roster position. Clients are independent during a round (each owns
-  /// its model, optimizer, RNG, and loader; the global snapshot is read-only
-  /// here), so each update is bit-identical to what the sequential loop
-  /// would have produced — and because the caller aggregates the returned
-  /// vector in roster order, the whole round is too. Any per-round state the
-  /// callback needs (masks, work scales, RNG draws) must be precomputed
-  /// before the fan-out so it does not depend on execution order. With one
-  /// thread configured this degenerates to a plain in-order loop.
+  /// concurrently on the global thread pool and returns the results indexed
+  /// by roster position. Threads claim the next client as they free up
+  /// (util::parallel_for_each), so a slow client delays only itself, not a
+  /// static slice of the roster. Clients are independent during a round
+  /// (each owns its model, optimizer, RNG, and loader; the global snapshot
+  /// is read-only here), so each result is bit-identical to what the
+  /// sequential loop would have produced — and because the caller
+  /// aggregates the returned vector in roster order, the whole round is too.
+  /// Any per-round state the callback needs (masks, work scales, RNG draws,
+  /// error-feedback residuals) must be prepared before the fan-out so it
+  /// does not depend on execution order. With one thread configured this
+  /// degenerates to a plain in-order loop.
   template <typename Fn>
-  static std::vector<ClientUpdate> parallel_train(
-      std::span<Client* const> roster, Fn&& fn) {
-    std::vector<ClientUpdate> updates(roster.size());
-    util::parallel_for(
-        0, static_cast<std::int64_t>(roster.size()), 1,
-        [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t i = lo; i < hi; ++i) {
-            const auto idx = static_cast<std::size_t>(i);
-            updates[idx] = fn(*roster[idx], idx);
-          }
-        });
-    return updates;
+  static auto parallel_train(std::span<Client* const> roster, Fn&& fn) {
+    std::vector<std::invoke_result_t<Fn&, Client&, std::size_t>> results(
+        roster.size());
+    util::parallel_for_each(roster.size(), [&](std::size_t i) {
+      results[i] = fn(*roster[i], i);
+    });
+    return results;
   }
 
   /// One-line observability opt-in: threads `sink` through the server and

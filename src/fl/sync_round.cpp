@@ -47,14 +47,9 @@ void SyncRoundStrategy::run_range(Fleet& fleet, RunResult& result, int begin,
     for (std::size_t i = 0; i < roster.size(); ++i) {
       roster[i]->record_cycle(round.updates[i]);
     }
-    util::parallel_for(0, static_cast<std::int64_t>(roster.size()), 1,
-                       [&](std::int64_t lo, std::int64_t hi) {
-                         for (auto i = static_cast<std::size_t>(lo);
-                              i < static_cast<std::size_t>(hi); ++i) {
-                           post_train(fleet, round.updates[i],
-                                      round.global_before);
-                         }
-                       });
+    util::parallel_for_each(roster.size(), [&](std::size_t i) {
+      post_train(fleet, round.updates[i], round.global_before);
+    });
     // The network (if any) decides what arrived and how long the round
     // took; without a session this is the analytic max(train + upload).
     round.net = deliver_round(fleet, round.updates, round.global_before);

@@ -55,23 +55,28 @@ obs::TransferEvent transfer_event(const net::RoundProtocol::Delivery& del,
 
 }  // namespace
 
-std::vector<std::vector<float>*> NetworkSession::residuals_for(
-    std::span<const ClientUpdate> updates, std::span<const float> base_params) {
-  std::vector<std::vector<float>*> residuals(updates.size(), nullptr);
+std::vector<float>* NetworkSession::residual_for(
+    int client_id, std::span<const float> base_params) {
   if (options().payload_codec == codec::CodecId::kFp32 ||
       !options().error_feedback ||
       base_params.size() != layout_.param_count) {
-    return residuals;
+    return nullptr;
   }
+  return &feedback_.residual(client_id, layout_.param_count);
+}
+
+std::vector<std::vector<float>*> NetworkSession::residuals_for(
+    std::span<const ClientUpdate> updates, std::span<const float> base_params) {
+  std::vector<std::vector<float>*> residuals(updates.size(), nullptr);
   std::unordered_set<int> seen;
   for (std::size_t i = 0; i < updates.size(); ++i) {
     const int id = updates[i].client_id;
-    if (!seen.insert(id).second) {
+    residuals[i] = residual_for(id, base_params);
+    if (residuals[i] != nullptr && !seen.insert(id).second) {
       throw std::logic_error(
           "NetworkSession: two updates from client " + std::to_string(id) +
           " share one error-feedback residual");
     }
-    residuals[i] = &feedback_.residual(id, layout_.param_count);
   }
   return residuals;
 }
@@ -97,6 +102,7 @@ NetworkSession::SentFrame NetworkSession::encode_for_send(
   net::CodecResult result;
   sent.bytes = net::encode_frame_auto(msg, base_params, layout_,
                                       options().payload_codec, &result);
+  sent.codec.bytes_out = sent.bytes.size();
   if (residual != nullptr) {
     // residual' = compensated - what the receiver reconstructs.
     for (std::size_t f = 0; f < layout_.param_count; ++f) {
@@ -105,24 +111,28 @@ NetworkSession::SentFrame NetworkSession::encode_for_send(
     }
   }
   if (fleet_.telemetry() != nullptr) {
-    sent.dense_bytes = net::dense_frame_bytes(layout_, msg.neuron_mask);
+    sent.codec.bytes_in = net::dense_frame_bytes(layout_, msg.neuron_mask);
     if (residual != nullptr) {
-      sent.residual_norm = codec::ErrorFeedback::l2_norm(*residual);
+      sent.codec.residual_norm = codec::ErrorFeedback::l2_norm(*residual);
     }
   }
   return sent;
 }
 
-void NetworkSession::record_codec(const ClientUpdate& update,
-                                  const SentFrame& sent) const {
+Upload NetworkSession::prepare_upload(const ClientUpdate& update,
+                                      std::span<const float> base_params,
+                                      std::vector<float>* residual) const {
+  const SentFrame sent = encode_for_send(update, base_params, residual);
+  return {decode(sent.bytes, base_params, update), sent.codec};
+}
+
+void NetworkSession::record_codec(int client_id,
+                                  const obs::CodecEvent& event) const {
   obs::TelemetrySink* sink = fleet_.telemetry();
   if (sink == nullptr || options().payload_codec == codec::CodecId::kFp32) {
     return;
   }
-  sink->record_codec(update.client_id,
-                     {.bytes_in = sent.dense_bytes,
-                      .bytes_out = sent.bytes.size(),
-                      .residual_norm = sent.residual_norm});
+  sink->record_codec(client_id, event);
 }
 
 void NetworkSession::save_state(const Fleet& fleet,
@@ -188,15 +198,11 @@ std::vector<ClientUpdate> NetworkSession::decode_accepted(
     std::span<const float> base_params,
     std::span<const ClientUpdate> updates) const {
   std::vector<ClientUpdate> decoded(updates.size());
-  util::parallel_for(0, static_cast<std::int64_t>(updates.size()), 1,
-                     [&](std::int64_t lo, std::int64_t hi) {
-                       for (auto i = static_cast<std::size_t>(lo);
-                            i < static_cast<std::size_t>(hi); ++i) {
-                         if (accepted[i] == 0) continue;
-                         decoded[i] =
-                             decode(frames[i].bytes, base_params, updates[i]);
-                       }
-                     });
+  util::parallel_for_each(updates.size(), [&](std::size_t i) {
+    if (accepted[i] != 0) {
+      decoded[i] = decode(frames[i].bytes, base_params, updates[i]);
+    }
+  });
   return decoded;
 }
 
@@ -226,16 +232,11 @@ NetDelivery NetworkSession::deliver_round(std::span<const ClientUpdate> updates,
   const std::vector<std::vector<float>*> residuals =
       residuals_for(updates, base_params);
   std::vector<SentFrame> frames(updates.size());
-  util::parallel_for(0, static_cast<std::int64_t>(updates.size()), 1,
-                     [&](std::int64_t lo, std::int64_t hi) {
-                       for (auto i = static_cast<std::size_t>(lo);
-                            i < static_cast<std::size_t>(hi); ++i) {
-                         frames[i] = encode_for_send(updates[i], base_params,
-                                                     residuals[i]);
-                       }
-                     });
+  util::parallel_for_each(updates.size(), [&](std::size_t i) {
+    frames[i] = encode_for_send(updates[i], base_params, residuals[i]);
+  });
   for (std::size_t i = 0; i < updates.size(); ++i) {
-    record_codec(updates[i], frames[i]);
+    record_codec(updates[i].client_id, frames[i].codec);
   }
 
   if (!simulated()) {
@@ -349,24 +350,20 @@ NetDelivery NetworkSession::deliver_round(std::span<const ClientUpdate> updates,
 }
 
 NetworkSession::SingleDelivery NetworkSession::deliver_update(
-    const ClientUpdate& update, std::span<const float> base_params,
-    double start_s) {
+    Upload& upload, double start_s) {
   track_clients();
   obs::TelemetrySink* sink = fleet_.telemetry();
-  const SentFrame sent = encode_for_send(
-      update, base_params,
-      residuals_for(std::span(&update, 1), base_params).front());
-  record_codec(update, sent);
-  const std::vector<std::uint8_t>& frame = sent.bytes;
+  ClientUpdate& update = upload.update;
+  record_codec(update.client_id, upload.codec);
+  const auto frame_bytes = static_cast<std::size_t>(upload.codec.bytes_out);
 
   SingleDelivery s;
   if (!simulated()) {
-    s.update = decode(frame, base_params, update);
     s.comm_seconds = update.upload_seconds;
     s.settle_s = start_s + update.upload_seconds;
     if (sink != nullptr) {
       sink->record_device_transfer(
-          update.client_id, {.bytes_on_wire = frame.size(),
+          update.client_id, {.bytes_on_wire = frame_bytes,
                              .transmissions = 1,
                              .comm_seconds = update.upload_seconds});
     }
@@ -374,7 +371,7 @@ NetworkSession::SingleDelivery NetworkSession::deliver_update(
   }
 
   const net::RoundProtocol::Delivery del =
-      protocol_.send_with_retries(update.client_id, frame.size(), start_s,
+      protocol_.send_with_retries(update.client_id, frame_bytes, start_s,
                                   /*deadline_abs_s=*/0.0);
   s.delivered = del.delivered;
   s.died = del.died;
@@ -393,9 +390,8 @@ NetworkSession::SingleDelivery NetworkSession::deliver_update(
       s.comm_seconds += hop;
       s.settle_s += hop;
     }
-    s.update = decode(frame, base_params, update);
-    s.update.upload_seconds = s.comm_seconds;
-    s.update.upload_mb = static_cast<double>(del.bytes_on_wire) / 1e6;
+    update.upload_seconds = s.comm_seconds;
+    update.upload_mb = static_cast<double>(del.bytes_on_wire) / 1e6;
   }
   if (sink != nullptr) {
     sink->record_device_transfer(del.device_id,

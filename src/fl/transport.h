@@ -28,11 +28,14 @@
 //
 // Threading: deliver_round encodes every update on the global pool, then
 // decodes every accepted frame there (net.encode / net.decode spans, on
-// whichever thread runs them). The order-sensitive steps stay on the
-// calling thread in roster order: creating error-feedback residuals, the
+// whichever thread claims them). The asynchronous strategies do an
+// upload's wire work inside their training fan-out (train_uploads: the
+// pool task that trains a completion also encodes and decodes it), so
+// deliver_update, at the completion's pop, runs only the protocol. The
+// order-sensitive steps stay on the calling thread in roster or event
+// order: creating error-feedback residuals (before any fan-out), the
 // channel and tree-relay simulation, deaths, and all telemetry. Results and
-// journals are therefore identical at any thread count. deliver_update
-// encodes and decodes its single update on the calling thread.
+// journals are therefore identical at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -44,8 +47,19 @@
 #include "fl/fleet.h"
 #include "net/round_protocol.h"
 #include "net/wire.h"
+#include "obs/journal.h"
 
 namespace helios::fl {
+
+/// One upload with its wire work done ahead of its delivery: the update as
+/// the server decodes it, plus the frame's size and codec telemetry but not
+/// its bytes. Without a session: the update as trained, no codec record.
+struct Upload {
+  ClientUpdate update;
+  /// bytes_out is the frame's size; bytes_in (the same message as a dense
+  /// fp32 frame) and residual_norm are filled only while a sink is attached.
+  obs::CodecEvent codec;
+};
 
 /// What the server saw of one synchronous round.
 struct NetDelivery {
@@ -113,19 +127,37 @@ class NetworkSession : public Checkpointable {
   NetDelivery deliver_round(std::span<const ClientUpdate> updates,
                             std::span<const float> base_params);
 
-  /// One update outside a synchronous round (the asynchronous strategies'
-  /// per-completion path). `start_s` is when the upload begins.
+  /// The error-feedback residual that sends from `client_id` against
+  /// `base_params` compensate with, created on first use; nullptr unless
+  /// error feedback applies. Call it on the driving thread, before a
+  /// fan-out: the bank is an ordered map, unsafe to insert into
+  /// concurrently.
+  std::vector<float>* residual_for(int client_id,
+                                   std::span<const float> base_params);
+
+  /// The wire work of one upload outside a synchronous round: encodes
+  /// `update` against `base_params` (adding `residual`, when non-null,
+  /// before quantizing and replacing it with the new quantization error)
+  /// and decodes the frame as the server will. Writes nothing but
+  /// `*residual`, so uploads of distinct clients may be prepared
+  /// concurrently.
+  Upload prepare_upload(const ClientUpdate& update,
+                        std::span<const float> base_params,
+                        std::vector<float>* residual) const;
+
+  /// Delivers one prepared upload outside a synchronous round (the
+  /// asynchronous strategies' per-completion path): runs the protocol from
+  /// `start_s`, deactivates a device that died, and records codec and
+  /// transfer telemetry. When delivered, `upload.update` takes the wire's
+  /// upload time and volume.
   struct SingleDelivery {
     bool delivered = true;
     bool died = false;
     double comm_seconds = 0.0;
     /// Absolute virtual time the frame settled.
     double settle_s = 0.0;
-    ClientUpdate update;  // decoded arrival (valid when delivered)
   };
-  SingleDelivery deliver_update(const ClientUpdate& update,
-                                std::span<const float> base_params,
-                                double start_s);
+  SingleDelivery deliver_update(Upload& upload, double start_s);
 
   /// The error-feedback residual bank (empty while payload_codec is kFp32
   /// or error_feedback is off).
@@ -137,22 +169,15 @@ class NetworkSession : public Checkpointable {
   void load_state(Fleet& fleet, CheckpointReader& r) override;
 
  private:
-  /// One update encoded for sending, with what its codec telemetry reports
-  /// (filled only while a sink is attached).
+  /// One update encoded for sending, with what its codec telemetry reports.
   struct SentFrame {
     std::vector<std::uint8_t> bytes;
-    /// The same message as a dense fp32 frame.
-    std::size_t dense_bytes = 0;
-    /// L2 norm of the carried residual after the send (error feedback only).
-    double residual_norm = 0.0;
+    obs::CodecEvent codec;  // as in Upload
   };
 
   void track_clients();
-  /// The residual each update's send compensates with, created in roster
-  /// order (the bank is an ordered map, unsafe to insert into
-  /// concurrently); all null unless error feedback applies. Throws
-  /// std::logic_error when two updates share a client id, since both sends
-  /// would write one residual.
+  /// residual_for each update, in roster order. Throws std::logic_error
+  /// when two updates share a residual, since both sends would write it.
   std::vector<std::vector<float>*> residuals_for(
       std::span<const ClientUpdate> updates,
       std::span<const float> base_params);
@@ -164,7 +189,7 @@ class NetworkSession : public Checkpointable {
                             std::span<const float> base_params,
                             std::vector<float>* residual) const;
   /// Codec telemetry of one send (quantized codecs only).
-  void record_codec(const ClientUpdate& update, const SentFrame& sent) const;
+  void record_codec(int client_id, const obs::CodecEvent& event) const;
   ClientUpdate decode(std::span<const std::uint8_t> frame,
                       std::span<const float> base_params,
                       const ClientUpdate& local) const;
@@ -183,6 +208,33 @@ class NetworkSession : public Checkpointable {
   net::RoundProtocol protocol_;
   codec::ErrorFeedback feedback_;
 };
+
+/// The asynchronous strategies' training fan-out (AFO's and Asyn. FL's
+/// waves, Asyn. FL's due stragglers): through Fleet::parallel_train, trains
+/// roster[k] from the snapshot `from(k)` (anything with `base` and
+/// `base_buffers`) and, with a session attached, prepares its upload
+/// against that snapshot in the same pool task, so deliver_update at the
+/// completion is left the protocol and the telemetry. The residuals are
+/// created first, on this thread. Roster clients must be distinct.
+template <typename From>
+std::vector<Upload> train_uploads(Fleet& fleet,
+                                  std::span<Client* const> roster,
+                                  From&& from) {
+  NetworkSession* session = fleet.network();
+  std::vector<std::vector<float>*> residuals(roster.size(), nullptr);
+  if (session != nullptr) {
+    for (std::size_t k = 0; k < roster.size(); ++k) {
+      residuals[k] = session->residual_for(roster[k]->id(), from(k).base);
+    }
+  }
+  return Fleet::parallel_train(roster, [&](Client& c, std::size_t k) {
+    const auto& snapshot = from(k);
+    ClientUpdate update =
+        c.train_cycle(snapshot.base, snapshot.base_buffers, {});
+    if (session == nullptr) return Upload{std::move(update), {}};
+    return session->prepare_upload(update, snapshot.base, residuals[k]);
+  });
+}
 
 /// Legacy-path round closure shared by the synchronous strategies: without
 /// a session the round lasts as long as the slowest train + analytic upload

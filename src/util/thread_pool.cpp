@@ -14,6 +14,19 @@ namespace {
 /// executes a parallel_region chunk.
 thread_local bool t_in_parallel_region = false;
 
+/// Sets t_in_parallel_region for a scope and restores the previous value on
+/// any exit, a throwing body included.
+class RegionFlag {
+ public:
+  RegionFlag() : saved_(t_in_parallel_region) { t_in_parallel_region = true; }
+  ~RegionFlag() { t_in_parallel_region = saved_; }
+  RegionFlag(const RegionFlag&) = delete;
+  RegionFlag& operator=(const RegionFlag&) = delete;
+
+ private:
+  bool saved_;
+};
+
 int hardware_threads() {
   const unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? static_cast<int>(hc) : 1;
@@ -53,10 +66,12 @@ std::atomic<int> g_cached_threads{0};
 
 }  // namespace
 
-ThreadPool::ThreadPool(int threads) : size_(std::max(1, threads)) {
+ThreadPool::ThreadPool(int threads)
+    : size_(std::max(1, threads)),
+      inboxes_(static_cast<std::size_t>(size_ - 1)) {
   workers_.reserve(static_cast<std::size_t>(size_ - 1));
-  for (int t = 0; t < size_ - 1; ++t) {
-    workers_.emplace_back([this] { worker_loop(); });
+  for (std::size_t w = 0; w < inboxes_.size(); ++w) {
+    workers_.emplace_back([this, w] { worker_loop(w); });
   }
 }
 
@@ -69,16 +84,21 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(std::size_t w) {
   t_in_parallel_region = true;  // workers never open nested regions
+  std::deque<std::function<void()>>& inbox = inboxes_[w];
   while (true) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop requested and queue drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      cv_.wait(lock, [&] {
+        return stop_ || !inbox.empty() || !queue_.empty();
+      });
+      std::deque<std::function<void()>>& from =
+          inbox.empty() ? queue_ : inbox;
+      if (from.empty()) return;  // stop requested and queues drained
+      task = std::move(from.front());
+      from.pop_front();
     }
     task();
   }
@@ -107,10 +127,8 @@ void ThreadPool::parallel_region(
   const int nchunks = static_cast<int>(
       std::min<std::int64_t>({max_chunks, size_, range}));
   if (nchunks <= 1 || t_in_parallel_region) {
-    const bool saved = t_in_parallel_region;
-    t_in_parallel_region = true;
+    const RegionFlag flag;
     body(begin, end);
-    t_in_parallel_region = saved;
     return;
   }
 
@@ -124,15 +142,13 @@ void ThreadPool::parallel_region(
   auto run_chunk = [&](int c) {
     const std::int64_t lo = begin + range * c / nchunks;
     const std::int64_t hi = begin + range * (c + 1) / nchunks;
-    const bool saved = t_in_parallel_region;
-    t_in_parallel_region = true;
     try {
+      const RegionFlag flag;
       if (lo < hi) body(lo, hi);
     } catch (...) {
       std::lock_guard<std::mutex> lock(region.mu);
       if (!region.error) region.error = std::current_exception();
     }
-    t_in_parallel_region = saved;
     // The notify must happen under the region lock: once `done` reaches
     // nchunks the caller may return and destroy `region`.
     std::lock_guard<std::mutex> lock(region.mu);
@@ -145,8 +161,11 @@ void ThreadPool::parallel_region(
       // Shutdown racing a new region: run it inline instead of enqueueing.
       for (int c = 1; c < nchunks; ++c) run_chunk(c);
     } else {
+      // Chunk c goes to worker c - 1, so no thread runs two chunks of one
+      // region (parallel_for_each caps work per participant).
       for (int c = 1; c < nchunks; ++c) {
-        queue_.push_back([&run_chunk, c] { run_chunk(c); });
+        inboxes_[static_cast<std::size_t>(c - 1)].push_back(
+            [&run_chunk, c] { run_chunk(c); });
       }
     }
   }

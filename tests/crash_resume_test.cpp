@@ -1002,19 +1002,22 @@ TEST(CrashResumeTest, HierarchyTreeResumeBitIdentical) {
 
 // ---- Quantized codec + error feedback resume --------------------------------
 
-/// Helios with int8 per-neuron quantized uploads and error feedback on a
-/// lossy simulated network. The residual bank is cross-round state: every
+/// A strategy with int8 per-neuron quantized uploads and error feedback on
+/// a lossy simulated network. The residual bank is cross-round state: every
 /// shipped frame folds last round's quantization error back in, so a resume
 /// that loses (or mangles) a single residual diverges immediately. The
 /// session registers as the "codec_ef" component; both the final model and
 /// the carried residual bank itself must match the uninterrupted run bit
-/// for bit.
+/// for bit. For AFO and Asyn. FL's due stragglers the encode runs inside the
+/// training fan-out, ahead of the completion's pop, so this also pins that
+/// no checkpoint holds a residual advanced for an update not yet popped.
 struct CodecSnapshot {
   Snapshot snap;
   std::map<int, std::vector<float>> residuals;
 };
 
-CodecSnapshot codec_ef_net_run(int kill_at, const std::string& ckpt) {
+CodecSnapshot codec_ef_net_run(const std::string& kind, int kill_at,
+                               const std::string& ckpt) {
   const int cycles = 5;
   net::NetworkOptions nopts;
   nopts.mode = net::NetMode::kSimulated;
@@ -1028,26 +1031,26 @@ CodecSnapshot codec_ef_net_run(int kill_at, const std::string& ckpt) {
     fl::Fleet fleet = testing::make_fleet();
     fl::NetworkSession session(fleet, nopts);
     fleet.register_checkpointable("codec_ef", &session);
-    core::HeliosStrategy strategy(core::HeliosConfig{});
+    auto strategy = make_strategy(kind);
     fl::RunResult partial;
-    partial.method = strategy.name();
-    strategy.run_range(fleet, partial, 0, kill_at);
-    fleet.save_checkpoint(ckpt, &strategy, partial);
+    partial.method = strategy->name();
+    strategy->run_range(fleet, partial, 0, kill_at);
+    fleet.save_checkpoint(ckpt, strategy.get(), partial);
     // Session (and its residual bank) dies here.
   }
 
   fl::Fleet fleet = testing::make_fleet();
   fl::NetworkSession session(fleet, nopts);
   fleet.register_checkpointable("codec_ef", &session);
-  core::HeliosStrategy strategy(core::HeliosConfig{});
+  auto strategy = make_strategy(kind);
   fl::RunResult result;
   if (kill_at > 0) {
-    result = fleet.resume(ckpt, &strategy);
+    result = fleet.resume(ckpt, strategy.get());
   } else {
-    result.method = strategy.name();
+    result.method = strategy->name();
   }
-  strategy.run_range(fleet, result, static_cast<int>(result.rounds.size()),
-                     cycles);
+  strategy->run_range(fleet, result, static_cast<int>(result.rounds.size()),
+                      cycles);
   CodecSnapshot out;
   out.snap = snapshot_of(fleet, std::move(result));
   out.residuals = session.feedback().all();
@@ -1056,22 +1059,22 @@ CodecSnapshot codec_ef_net_run(int kill_at, const std::string& ckpt) {
 
 TEST(CrashResumeTest, ErrorFeedbackResidualsResumeBitIdentical) {
   TempDir tmp;
-  const CodecSnapshot golden = codec_ef_net_run(0, "");
-  ASSERT_FALSE(golden.residuals.empty());
-  for (int kill_at = 1; kill_at < 5; ++kill_at) {
-    const CodecSnapshot resumed = codec_ef_net_run(
-        kill_at, tmp.file("ckpt_" + std::to_string(kill_at)));
-    const std::string context = "codec_ef kill_at=" + std::to_string(kill_at);
-    expect_identical(golden.snap, resumed.snap, context);
-    ASSERT_EQ(golden.residuals.size(), resumed.residuals.size()) << context;
-    for (const auto& [id, r] : golden.residuals) {
-      const auto it = resumed.residuals.find(id);
-      ASSERT_NE(it, resumed.residuals.end()) << context << " client " << id;
-      ASSERT_EQ(r.size(), it->second.size()) << context << " client " << id;
-      EXPECT_EQ(std::memcmp(r.data(), it->second.data(),
-                            r.size() * sizeof(float)),
-                0)
-          << context << ": residual bank differs for client " << id;
+  for (const std::string kind : {"helios", "afo", "async_period"}) {
+    const CodecSnapshot golden = codec_ef_net_run(kind, 0, "");
+    ASSERT_FALSE(golden.residuals.empty()) << kind;
+    for (int kill_at = 1; kill_at < 5; ++kill_at) {
+      const CodecSnapshot resumed = codec_ef_net_run(
+          kind, kill_at, tmp.file(kind + "_ckpt_" + std::to_string(kill_at)));
+      const std::string context =
+          "codec_ef " + kind + " kill_at=" + std::to_string(kill_at);
+      expect_identical(golden.snap, resumed.snap, context);
+      ASSERT_EQ(golden.residuals.size(), resumed.residuals.size()) << context;
+      for (const auto& [id, r] : golden.residuals) {
+        const auto it = resumed.residuals.find(id);
+        ASSERT_NE(it, resumed.residuals.end()) << context << " client " << id;
+        EXPECT_TRUE(testing::bitwise_equal(r, it->second))
+            << context << ": residual bank differs for client " << id;
+      }
     }
   }
 }

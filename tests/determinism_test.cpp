@@ -303,6 +303,21 @@ TEST(DeterminismTest, SyncJournalIdenticalAcrossThreadCounts) {
   check([] { return fl::AsyncFL(2); }, "async_p2");
 }
 
+// The event engine encodes and decodes each completion inside its wave, on
+// the pool, ahead of its pop; codec and transfer telemetry must still come
+// out at the pop, in event order, and each residual must advance once per
+// completion.
+TEST(DeterminismTest, AsyncCodecJournalIdenticalAcrossThreadCounts) {
+  ThreadGuard guard;
+  const net::NetworkOptions network = lossy_int8_network();
+  auto check = [&](auto make, const std::string& name) {
+    expect_same_journal(journal_with_threads(1, make, network),
+                        journal_with_threads(4, make, network), name);
+  };
+  check([] { return fl::Afo(); }, "afo");
+  check([] { return fl::AsyncFL(); }, "async");
+}
+
 // ---- Sliced evaluation ------------------------------------------------------
 // Fleet::evaluate cuts the test set into one slice per pool thread and
 // evaluates the slices on per-thread replicas. That is exact only because
