@@ -161,6 +161,7 @@ struct FleetOptions {
   int classes = 4;
   int hw = 8;                   // image side (1 channel)
   float lr = 0.08F;
+  float momentum = 0.0F;
   int batch = 8;
   float noise = 0.6F;
   std::uint64_t seed = 11;
@@ -194,6 +195,7 @@ inline fl::Fleet make_fleet(const FleetOptions& o = {}) {
     fl::ClientConfig cfg;
     cfg.seed = o.seed + static_cast<std::uint64_t>(i);
     cfg.lr = o.lr;
+    cfg.momentum = o.momentum;
     cfg.batch_size = o.batch;
     const bool straggler = i >= o.clients - o.stragglers;
     fl::Client& c = fleet.add_client(
