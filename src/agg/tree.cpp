@@ -302,23 +302,13 @@ RelayOutcome AggregatorTree::relay(std::span<const double> edge_ready,
   return out;
 }
 
-std::vector<util::RngState> AggregatorTree::channel_states() const {
-  std::vector<util::RngState> states;
-  states.reserve(edge_channels_.size() + regional_channels_.size());
-  for (const auto& c : edge_channels_) states.push_back(c.rng_state());
-  for (const auto& c : regional_channels_) states.push_back(c.rng_state());
-  return states;
-}
-
-void AggregatorTree::set_channel_states(
-    std::span<const util::RngState> states) {
-  if (states.size() != edge_channels_.size() + regional_channels_.size()) {
-    throw std::invalid_argument(
-        "AggregatorTree::set_channel_states: state count mismatch");
-  }
-  std::size_t i = 0;
-  for (auto& c : edge_channels_) c.set_rng_state(states[i++]);
-  for (auto& c : regional_channels_) c.set_rng_state(states[i++]);
+void AggregatorTree::io(util::CheckpointArchive& ar) {
+  // Four state words, the cached normal and its flag per channel.
+  const std::size_t links = edge_channels_.size() + regional_channels_.size();
+  ar.expect(ar.count(links, 4 * 8 + 8 + 1) == links,
+            "AggregatorTree: checkpointed link count does not match the tree");
+  for (auto& c : edge_channels_) ar.io(c.rng());
+  for (auto& c : regional_channels_) ar.io(c.rng());
 }
 
 }  // namespace helios::agg

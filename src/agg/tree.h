@@ -147,12 +147,11 @@ class AggregatorTree {
     return regional_channels_.at(static_cast<std::size_t>(r));
   }
 
-  // -- Checkpoint hooks ------------------------------------------------------
-  // The cross-round mutable state is the uplink channels' RNG positions
-  // (advanced by jitter/loss draws): edge channels in node order, then
-  // regional channels. Accumulators and shards live only within a round.
-  std::vector<util::RngState> channel_states() const;
-  void set_channel_states(std::span<const util::RngState> states);
+  /// Checkpoint section. The cross-round mutable state is the uplink
+  /// channels' RNG positions (advanced by jitter/loss draws): edge channels
+  /// in node order, then regional channels. Accumulators and shards live
+  /// only within a round.
+  void io(util::CheckpointArchive& ar);
 
  private:
   /// One uplink send with bounded retransmits (mirrors

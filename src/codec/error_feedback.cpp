@@ -1,7 +1,6 @@
 #include "codec/error_feedback.h"
 
 #include <cmath>
-#include <utility>
 
 #include "codec/codec.h"
 
@@ -34,8 +33,12 @@ double ErrorFeedback::l2_norm(std::span<const float> residual) {
   return std::sqrt(sq);
 }
 
-void ErrorFeedback::assign(int client_id, std::vector<float> residual) {
-  residuals_[client_id] = std::move(residual);
+void ErrorFeedback::io(util::CheckpointArchive& ar, std::size_t param_count) {
+  ar.io_map(residuals_, 4 + 4, [&](int, std::vector<float>& residual) {
+    ar.io(residual);
+    ar.expect(residual.size() == param_count,
+              "error feedback: residual length mismatch");
+  });
 }
 
 }  // namespace helios::codec

@@ -16,14 +16,17 @@
 // exist for clients that have shipped a quantized frame; a residual is
 // full-parameter-length but only the entries the client actually shipped
 // ever become non-zero (unshipped neurons carry their residual forward
-// untouched). The fl layer wraps the bank in a Checkpointable adapter so
-// crash/resume restores every residual bit-identically.
+// untouched). The bank is one checkpoint section (io), which the fl layer's
+// NetworkSession registers so crash/resume restores every residual
+// bit-identically.
 #pragma once
 
 #include <cstddef>
 #include <map>
 #include <span>
 #include <vector>
+
+#include "util/checkpoint_archive.h"
 
 namespace helios::codec {
 
@@ -46,11 +49,12 @@ class ErrorFeedback {
   /// The same norm of a residual already in hand.
   static double l2_norm(std::span<const float> residual);
 
-  /// Ordered view for serialization.
+  /// Ordered view of every residual.
   const std::map<int, std::vector<float>>& all() const { return residuals_; }
 
-  /// Replaces a client's residual (checkpoint restore).
-  void assign(int client_id, std::vector<float> residual);
+  /// Checkpoint section: every residual by client id. A restore refuses a
+  /// residual whose length is not `param_count`.
+  void io(util::CheckpointArchive& ar, std::size_t param_count);
 
   void clear() { residuals_.clear(); }
 

@@ -162,47 +162,31 @@ void HeliosStrategy::after_aggregate(fl::Fleet& fleet,
   }
 }
 
-void HeliosStrategy::save_state(const fl::Fleet& fleet,
-                                fl::CheckpointWriter& w) const {
-  (void)fleet;
+void HeliosStrategy::io(fl::Fleet& fleet, fl::CheckpointArchive& ar) {
+  // Sorted ids: the bytes must not depend on hash iteration order.
   std::vector<int> ids;
   ids.reserve(state_.size());
   for (const auto& [id, st] : state_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
-  w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (int id : ids) {
-    const StragglerState& st = state_.at(id);
-    w.i32(id);
-    w.f64(st.trainer->keep_ratio());
-    w.vec_f64(st.trainer->contributions());
-    w.rng(st.trainer->rng_state());
-    w.vec_i32(st.regulator->skipped());
+  // Per straggler: id, keep ratio, two vector lengths, the RNG position.
+  ids.resize(ar.count(ids.size(), 4 + 8 + 4 + (4 * 8 + 8 + 1) + 4));
+  if (ar.loading()) {
+    state_.clear();
+    geometry_.reset();
   }
-}
-
-void HeliosStrategy::load_state(fl::Fleet& fleet, fl::CheckpointReader& r) {
-  state_.clear();
-  geometry_.reset();
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const int id = r.i32();
-    const double keep_ratio = r.f64();
-    std::vector<double> contributions = r.vec_f64();
-    const util::RngState rng = r.rng();
-    std::vector<int> skipped = r.vec_i32();
+  for (int& id : ids) {
+    ar.io(id);
     fl::Client* client = fleet.find_client(id);
-    if (client == nullptr) {
-      throw fl::CheckpointError(
-          "HeliosStrategy: checkpointed straggler id not in fleet");
-    }
-    // state_for starts from the shared geometry; overlay the carried state
-    // on top.
+    ar.expect(client != nullptr,
+              "HeliosStrategy: checkpointed straggler id not in fleet");
+    // state_for starts a restored straggler from the shared geometry; its
+    // carried state lands on top.
     StragglerState& st = state_for(*client);
-    st.trainer->set_keep_ratio(keep_ratio);
-    st.trainer->set_contributions(std::move(contributions));
-    st.trainer->set_rng_state(rng);
-    st.regulator->set_budget_total(st.trainer->budget_total());
-    st.regulator->set_skipped(std::move(skipped));
+    st.trainer->io(ar);
+    st.regulator->io(ar);
+    if (ar.loading()) {
+      st.regulator->set_budget_total(st.trainer->budget_total());
+    }
   }
 }
 

@@ -48,9 +48,7 @@ class HeliosStrategy final : public fl::SyncRoundStrategy {
   /// Cross-cycle soft-training state, per straggler: keep ratio, per-neuron
   /// contributions U^ij, the mask-drawing RNG position, and the C_s
   /// rotation counters. Serialized sorted by client id.
-  void save_state(const fl::Fleet& fleet,
-                  fl::CheckpointWriter& w) const override;
-  void load_state(fl::Fleet& fleet, fl::CheckpointReader& r) override;
+  void io(fl::Fleet& fleet, fl::CheckpointArchive& ar) override;
 
   /// Invoked at the start of every cycle — used by the scalability example
   /// to admit devices mid-collaboration. Soft-training state for new

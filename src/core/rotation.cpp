@@ -51,6 +51,12 @@ std::vector<int> RotationRegulator::overdue() const {
   return out;
 }
 
+void RotationRegulator::io(util::CheckpointArchive& ar) {
+  const std::size_t neurons = skipped_.size();
+  ar.io(skipped_);
+  ar.expect(skipped_.size() == neurons, "RotationRegulator: C_s size mismatch");
+}
+
 int RotationRegulator::skipped_cycles(int neuron) const {
   return skipped_.at(static_cast<std::size_t>(neuron));
 }

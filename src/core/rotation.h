@@ -14,6 +14,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/checkpoint_archive.h"
+
 namespace helios::core {
 
 class RotationRegulator {
@@ -38,15 +40,9 @@ class RotationRegulator {
 
   int neuron_total() const { return static_cast<int>(skipped_.size()); }
 
-  // Checkpoint hooks: C_s is the whole cross-cycle state (the threshold is
-  // derived from the budget, which the caller re-applies on restore).
-  const std::vector<int>& skipped() const { return skipped_; }
-  void set_skipped(std::vector<int> s) {
-    if (s.size() != skipped_.size()) {
-      throw std::invalid_argument("RotationRegulator: C_s size mismatch");
-    }
-    skipped_ = std::move(s);
-  }
+  /// Checkpoint section: C_s is the whole cross-cycle state (the threshold
+  /// is derived from the budget, which the caller re-applies on restore).
+  void io(util::CheckpointArchive& ar);
 
  private:
   std::vector<int> skipped_;

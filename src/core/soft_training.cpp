@@ -22,19 +22,32 @@ SoftTrainer::SoftTrainer(std::shared_ptr<const NeuronGeometry> geometry,
       geometry_(std::move(geometry)),
       u_(geometry_->neurons.size(), 0.0),
       rng_(config.seed) {
-  if (config_.keep_ratio <= 0.0 || config_.keep_ratio > 1.0) {
+  if (!(config_.keep_ratio > 0.0 && config_.keep_ratio <= 1.0)) {
     throw std::invalid_argument("SoftTrainer: keep_ratio out of (0, 1]");
   }
-  if (config_.ps <= 0.0 || config_.ps > 1.0) {
+  if (!(config_.ps > 0.0 && config_.ps <= 1.0)) {
     throw std::invalid_argument("SoftTrainer: ps out of (0, 1]");
   }
 }
 
 void SoftTrainer::set_keep_ratio(double p) {
-  if (p <= 0.0 || p > 1.0) {
+  if (!(p > 0.0 && p <= 1.0)) {
     throw std::invalid_argument("SoftTrainer: keep_ratio out of (0, 1]");
   }
   config_.keep_ratio = p;
+}
+
+void SoftTrainer::io(util::CheckpointArchive& ar) {
+  const std::size_t neurons = u_.size();
+  ar.io(config_.keep_ratio);
+  ar.expect(config_.keep_ratio > 0.0 && config_.keep_ratio <= 1.0,
+            "SoftTrainer: keep_ratio out of (0, 1]");
+  ar.io(u_);
+  ar.expect(u_.size() == neurons &&
+                std::all_of(u_.begin(), u_.end(),
+                            [](double u) { return std::isfinite(u); }),
+            "SoftTrainer: contributions do not match the model");
+  ar.io(rng_);
 }
 
 int SoftTrainer::budget_total() const {

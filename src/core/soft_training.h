@@ -19,6 +19,7 @@
 
 #include "fl/submodel.h"
 #include "nn/model.h"
+#include "util/checkpoint_archive.h"
 #include "util/rng.h"
 
 namespace helios::core {
@@ -82,17 +83,11 @@ class SoftTrainer {
   /// Total per-cycle budget sum(P_i n_i) at the current volume.
   int budget_total() const;
 
-  // Checkpoint hooks: cross-cycle state is (contributions, rng position,
-  // keep ratio — already settable above). The geometry depends on the
-  // architecture alone and is rebuilt, not checkpointed.
-  void set_contributions(std::vector<double> u) {
-    if (u.size() != u_.size()) {
-      throw std::invalid_argument("SoftTrainer: contribution size mismatch");
-    }
-    u_ = std::move(u);
-  }
-  util::RngState rng_state() const { return rng_.state(); }
-  void set_rng_state(const util::RngState& s) { rng_ = util::Rng::from_state(s); }
+  /// Checkpoint section: the cross-cycle state is the keep ratio, the
+  /// contributions (finite, one per neuron: select_mask sorts by them) and
+  /// the RNG position. The geometry depends on the architecture alone and
+  /// is rebuilt, not checkpointed.
+  void io(util::CheckpointArchive& ar);
 
  private:
   SoftTrainerConfig config_;

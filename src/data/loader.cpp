@@ -2,8 +2,11 @@
 
 #include "data/loader.h"
 
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+
+#include "util/checkpoint_archive.h"
 
 namespace helios::data {
 
@@ -36,10 +39,12 @@ void DataLoader::reset() { shuffle_order(); }
 void DataLoader::restore(const util::RngState& rng,
                          std::vector<std::size_t> order, std::size_t cursor) {
   if (order.size() != order_.size()) {
-    throw std::invalid_argument("DataLoader::restore: order size mismatch");
+    throw util::CheckpointError("DataLoader::restore: order size mismatch");
   }
-  if (cursor > order.size()) {
-    throw std::invalid_argument("DataLoader::restore: cursor out of range");
+  if (!valid_epoch_order(order, cursor)) {
+    throw util::CheckpointError(
+        "DataLoader::restore: order is not a permutation or cursor out of "
+        "range");
   }
   rng_ = util::Rng::from_state(rng);
   order_ = std::move(order);
@@ -69,6 +74,17 @@ Batch DataLoader::next() {
   }
   cursor_ += take;
   return b;
+}
+
+bool valid_epoch_order(std::span<const std::size_t> order,
+                       std::size_t cursor) {
+  if (cursor > order.size()) return false;
+  std::vector<std::uint8_t> seen(order.size(), 0);
+  for (std::size_t index : order) {
+    if (index >= order.size() || seen[index] != 0) return false;
+    seen[index] = 1;
+  }
+  return true;
 }
 
 }  // namespace helios::data

@@ -1,6 +1,8 @@
 // Shuffling mini-batch iterator over a Dataset.
 #pragma once
 
+#include <span>
+
 #include "data/dataset.h"
 #include "util/rng.h"
 
@@ -39,8 +41,9 @@ class DataLoader {
   util::RngState rng_state() const { return rng_.state(); }
   const std::vector<std::size_t>& order() const { return order_; }
   std::size_t cursor() const { return cursor_; }
-  /// Restores a snapshotted iteration position; `order` must be a
-  /// permutation of the dataset indices (size-checked).
+  /// Restores a snapshotted iteration position. Throws
+  /// util::CheckpointError unless `order` is a permutation of the dataset
+  /// indices and `cursor` lies within it.
   void restore(const util::RngState& rng, std::vector<std::size_t> order,
                std::size_t cursor);
 
@@ -54,6 +57,11 @@ class DataLoader {
 
   void shuffle_order();
 };
+
+/// Whether `order` is a permutation of [0, order.size()) and `cursor` lies
+/// within it: an iteration position a DataLoader over that many samples can
+/// resume from.
+bool valid_epoch_order(std::span<const std::size_t> order, std::size_t cursor);
 
 /// Full-dataset accuracy of `logits_fn` style models is provided at the FL
 /// layer; here we expose simple batched iteration only.

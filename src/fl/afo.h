@@ -27,12 +27,10 @@ class Afo final : public Strategy {
     engine_.run_range(fleet, result, begin, end);
   }
 
-  void save_state(const Fleet& /*fleet*/, CheckpointWriter& w) const override {
-    engine_.save_state(w);
+  void io(Fleet& fleet, CheckpointArchive& ar) override {
+    engine_.io(fleet, ar);
   }
-  void load_state(Fleet& fleet, CheckpointReader& r) override {
-    engine_.load_state(fleet, r);
-  }
+  int completed_rounds() const override { return engine_.recorded(); }
 
  private:
   AsyncEngine engine_;

@@ -147,38 +147,25 @@ void AsyncFL::run_period(Fleet& fleet, RunResult& result, int begin,
   }
 }
 
-void AsyncFL::save_state(const Fleet& fleet, CheckpointWriter& w) const {
-  (void)fleet;
+void AsyncFL::io(Fleet& fleet, CheckpointArchive& ar) {
   if (straggler_period_ == 0) {
-    engine_.save_state(w);
+    engine_.io(fleet, ar);
     return;
   }
-  w.u32(static_cast<std::uint32_t>(period_state_.size()));
-  for (const auto& [id, st] : period_state_) {
-    w.i32(id);
-    w.vec_f32(st.base);
-    w.vec_f32(st.base_buffers);
-    w.boolean(st.busy);
-    w.i32(st.started_cycle);
-  }
-}
-
-void AsyncFL::load_state(Fleet& fleet, CheckpointReader& r) {
-  if (straggler_period_ == 0) {
-    engine_.load_state(fleet, r);
-    return;
-  }
-  period_state_.clear();
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const int id = r.i32();
-    PeriodState st;
-    st.base = r.vec_f32();
-    st.base_buffers = r.vec_f32();
-    st.busy = r.boolean();
-    st.started_cycle = r.i32();
-    period_state_.emplace(id, std::move(st));
-  }
+  // Per entry: two vector lengths, the busy flag and the start cycle.
+  ar.io_map(period_state_, 4 + 4 + 4 + 1 + 4, [&](int, PeriodState& st) {
+    ar.io(st.base);
+    ar.io(st.base_buffers);
+    ar.io(st.busy);
+    ar.io(st.started_cycle);
+    // A busy straggler trains from its base at its due cycle.
+    ar.expect(st.started_cycle >= 0 &&
+                  (!st.busy ||
+                   (st.base.size() == fleet.server().param_count() &&
+                    st.base_buffers.size() ==
+                        fleet.server().global_buffers().size())),
+              "AsyncFL: period state does not match the model");
+  });
 }
 
 }  // namespace helios::fl

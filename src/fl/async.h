@@ -19,7 +19,7 @@
 //
 // All state (the engine's, or the straggler background map) lives in
 // members so a run can be checkpointed at any round boundary and resumed
-// bit-identically via save_state/load_state.
+// bit-identically through io().
 #pragma once
 
 #include <map>
@@ -40,8 +40,10 @@ class AsyncFL final : public Strategy {
 
   /// State for the active mode: the event engine's (fully async) or the
   /// straggler background map (period mode).
-  void save_state(const Fleet& fleet, CheckpointWriter& w) const override;
-  void load_state(Fleet& fleet, CheckpointReader& r) override;
+  void io(Fleet& fleet, CheckpointArchive& ar) override;
+  int completed_rounds() const override {
+    return straggler_period_ == 0 ? engine_.recorded() : -1;
+  }
 
  private:
   /// Period mode: the snapshot a straggler started from and when. Ordered

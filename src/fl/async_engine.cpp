@@ -198,91 +198,79 @@ void AsyncEngine::run_range(Fleet& fleet, RunResult& result, int begin,
   }
 }
 
-void AsyncEngine::save_state(CheckpointWriter& w) const {
+void AsyncEngine::io(Fleet& fleet, CheckpointArchive& ar) {
   if (std::any_of(inflight_.begin(), inflight_.end(),
                   [](const InFlight& fl) { return fl.upload.has_value(); })) {
-    throw std::logic_error("AsyncEngine: save_state mid-wave");
+    throw std::logic_error("AsyncEngine: checkpoint mid-wave");
   }
-  w.i64(static_cast<std::int64_t>(version_));
-  w.i32(reference_id_);
-  w.i32(recorded_);
-  w.f64(loss_acc_);
-  w.f64(upload_acc_);
-  w.i32(loss_count_);
-  w.vec_u8(parked_);
-  w.u32(static_cast<std::uint32_t>(events_.size()));
-  for (const Event& ev : events_) {
-    w.f64(ev.time);
-    w.i32(ev.client_index);
+  ar.io(version_);
+  ar.io(reference_id_);
+  ar.io(recorded_);
+  ar.io(loss_acc_);
+  ar.io(upload_acc_);
+  ar.io(loss_count_);
+  ar.io(parked_);
+  events_.resize(ar.count(events_.size(), 8 + 4));
+  for (Event& ev : events_) {
+    ar.io(ev.time);
+    ar.io(ev.client_index);
   }
-  w.u32(static_cast<std::uint32_t>(inflight_.size()));
-  for (const InFlight& fl : inflight_) {
-    w.vec_f32(fl.base);
-    w.vec_f32(fl.base_buffers);
-    w.i64(static_cast<std::int64_t>(fl.started_version));
-  }
-}
-
-void AsyncEngine::load_state(Fleet& fleet, CheckpointReader& r) {
-  version_ = static_cast<long>(r.i64());
-  reference_id_ = r.i32();
-  recorded_ = r.i32();
-  loss_acc_ = r.f64();
-  upload_acc_ = r.f64();
-  loss_count_ = r.i32();
-  parked_ = r.vec_u8();
-  events_.clear();
-  const std::uint32_t n_events = r.u32();
-  for (std::uint32_t i = 0; i < n_events; ++i) {
-    // Braced initializers evaluate left to right: time, then client index.
-    events_.push_back(Event{r.f64(), r.i32()});
-  }
-  const std::uint32_t n_inflight = r.u32();
-  if (n_inflight > fleet.size()) {
-    throw CheckpointError("AsyncEngine: in-flight table longer than the fleet");
-  }
-  inflight_.assign(n_inflight, InFlight{});
+  const std::uint32_t n_inflight = ar.count(inflight_.size(), 4 + 4 + 8);
+  ar.expect(n_inflight <= fleet.size(),
+            "AsyncEngine: in-flight table longer than the fleet");
+  inflight_.resize(n_inflight);
   for (InFlight& fl : inflight_) {
-    fl.base = r.vec_f32();
-    fl.base_buffers = r.vec_f32();
-    fl.started_version = static_cast<long>(r.i64());
+    ar.io(fl.base);
+    ar.io(fl.base_buffers);
+    ar.io(fl.started_version);
   }
-  if (parked_.size() != n_inflight) {
-    throw CheckpointError("AsyncEngine: parked table does not match");
-  }
+  if (!ar.loading()) return;
+
+  ar.expect(parked_.size() == n_inflight,
+            "AsyncEngine: parked table does not match");
   // A wave trains every scheduled device at once, so each must be scheduled
   // once, and the heap must pop in time order for the wave to end with the
   // round.
   std::vector<std::uint8_t> scheduled(n_inflight, 0);
   for (const Event& ev : events_) {
-    if (!std::isfinite(ev.time)) {
-      throw CheckpointError("AsyncEngine: event time is not finite");
-    }
-    if (ev.client_index < 0 ||
-        static_cast<std::uint32_t>(ev.client_index) >= n_inflight) {
-      throw CheckpointError("AsyncEngine: event outside the tables");
-    }
+    ar.expect(std::isfinite(ev.time), "AsyncEngine: event time is not finite");
+    ar.expect(ev.client_index >= 0 &&
+                  static_cast<std::uint32_t>(ev.client_index) < n_inflight,
+              "AsyncEngine: event outside the tables");
     const auto i = static_cast<std::size_t>(ev.client_index);
-    if (scheduled[i] || parked_[i]) {
-      throw CheckpointError("AsyncEngine: device scheduled twice");
-    }
+    ar.expect(!scheduled[i] && !parked_[i],
+              "AsyncEngine: device scheduled twice");
     scheduled[i] = 1;
   }
-  if (!std::is_heap(events_.begin(), events_.end(), std::greater<Event>{})) {
-    throw CheckpointError("AsyncEngine: events out of heap order");
-  }
+  ar.expect(std::is_heap(events_.begin(), events_.end(), std::greater<Event>{}),
+            "AsyncEngine: events out of heap order");
   // Only the reference's pop records a round; an active reference that
   // never pops would run the loop forever. An engine saved before its first
   // run_range has no tables and no reference yet.
   if (n_inflight == 0 && recorded_ == 0) return;
-  if (reference_id_ < 0 ||
-      static_cast<std::uint32_t>(reference_id_) >= n_inflight) {
-    throw CheckpointError("AsyncEngine: reference outside the tables");
-  }
+  ar.expect(reference_id_ >= 0 &&
+                static_cast<std::uint32_t>(reference_id_) < n_inflight,
+            "AsyncEngine: reference outside the tables");
   const auto ref = static_cast<std::size_t>(reference_id_);
-  if (!scheduled[ref] && fleet.client(ref).active()) {
-    throw CheckpointError(
-        "AsyncEngine: active reference has no pending event");
+  ar.expect(scheduled[ref] || !fleet.client(ref).active(),
+            "AsyncEngine: active reference has no pending event");
+  // What start_client leaves for a scheduled device: the live model's
+  // shapes, a start version no later than the mix count, and a completion
+  // one cycle estimate after the clock at most. A later completion would
+  // let the other devices complete and restart ahead of the reference
+  // without end.
+  const double now = fleet.clock().now();
+  for (const Event& ev : events_) {
+    const auto i = static_cast<std::size_t>(ev.client_index);
+    const InFlight& fl = inflight_[i];
+    ar.expect(fl.base.size() == fleet.server().param_count() &&
+                  fl.base_buffers.size() ==
+                      fleet.server().global_buffers().size(),
+              "AsyncEngine: in-flight base does not match the model");
+    ar.expect(fl.started_version >= 0 && fl.started_version <= version_,
+              "AsyncEngine: start version outside the mix count");
+    ar.expect(ev.time <= now + fleet.client(i).estimate_cycle_seconds({}),
+              "AsyncEngine: event beyond its device's cycle");
   }
 }
 

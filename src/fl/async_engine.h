@@ -78,19 +78,24 @@ class AsyncEngine {
   /// must equal the number of rounds recorded so far.
   void run_range(Fleet& fleet, RunResult& result, int begin, int end);
 
-  /// Event heap (its plain array, so a restored run pops in the identical
-  /// order), in-flight base snapshots with their start versions (empty for
-  /// a device not in flight), sampler parking and the open round's
-  /// accumulators. Throws std::logic_error mid-wave, while a trained update
-  /// waits for its pop; run_range never returns in that state.
-  void save_state(CheckpointWriter& w) const;
-  /// Accepts tables shorter than the fleet — devices that joined after the
-  /// last run_range start at the next one. Throws CheckpointError when they
-  /// are longer, when an event time is not finite, an event or the
-  /// reference lies outside the tables, a device is scheduled twice
-  /// (two events, or an event while parked), the events are out of heap
-  /// order, or an active reference has no pending event.
-  void load_state(Fleet& fleet, CheckpointReader& r);
+  /// Checkpoint section: the event heap (its plain array, so a restored run
+  /// pops in the identical order), in-flight base snapshots with their
+  /// start versions (empty for a device not in flight), sampler parking and
+  /// the open round's accumulators. Throws std::logic_error mid-wave, while
+  /// a trained update waits for its pop; run_range never returns in that
+  /// state. A restore accepts tables shorter than the fleet — devices that
+  /// joined after the last run_range start at the next one — and throws
+  /// CheckpointError when they are longer, when an event time is not
+  /// finite, an event or the reference lies outside the tables, a device is
+  /// scheduled twice (two events, or an event while parked), the events are
+  /// out of heap order, an active reference has no pending event, or a
+  /// scheduled device's base, start version or completion time is not one
+  /// start_client could have left (a completion lies at most one cycle
+  /// estimate after the restored clock).
+  void io(Fleet& fleet, CheckpointArchive& ar);
+
+  /// Rounds recorded so far.
+  int recorded() const { return recorded_; }
 
  private:
   struct Event {
@@ -103,7 +108,7 @@ class AsyncEngine {
   struct InFlight {
     std::vector<float> base;
     std::vector<float> base_buffers;
-    long started_version = 0;
+    std::int64_t started_version = 0;
     /// Trained by the device's wave (with a session, also encoded and
     /// decoded there), taken at its pop; never serialized.
     std::optional<Upload> upload;
@@ -132,7 +137,7 @@ class AsyncEngine {
   std::vector<Event> events_;  // min-heap on completion time
   std::vector<InFlight> inflight_;
   std::vector<std::uint8_t> parked_;
-  long version_ = 0;  ///< mixes applied so far
+  std::int64_t version_ = 0;  ///< mixes applied so far
   int reference_id_ = -1;  ///< a client id, which is also its fleet index
   int recorded_ = 0;
   double loss_acc_ = 0.0;

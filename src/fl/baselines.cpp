@@ -32,24 +32,9 @@ std::vector<PlannedClient> RandomSubmodel::plan(Fleet& fleet, int cycle) {
   return plan;
 }
 
-void RandomSubmodel::save_state(const Fleet& fleet,
-                                CheckpointWriter& w) const {
-  (void)fleet;
-  w.u32(static_cast<std::uint32_t>(client_rng_.size()));
-  for (const auto& [id, rng] : client_rng_) {
-    w.i32(id);
-    w.rng(rng.state());
-  }
-}
-
-void RandomSubmodel::load_state(Fleet& fleet, CheckpointReader& r) {
-  (void)fleet;
-  client_rng_.clear();
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const int id = r.i32();
-    client_rng_.emplace(id, util::Rng::from_state(r.rng()));
-  }
+void RandomSubmodel::io(Fleet& /*fleet*/, CheckpointArchive& ar) {
+  ar.io_map(client_rng_, 4 + 4 * 8 + 8 + 1,
+            [&](int, util::Rng& rng) { ar.io(rng); });
 }
 
 StaticPrune::StaticPrune(std::uint64_t seed)
@@ -75,23 +60,13 @@ std::vector<PlannedClient> StaticPrune::plan(Fleet& fleet, int cycle) {
   return plan;
 }
 
-void StaticPrune::save_state(const Fleet& fleet, CheckpointWriter& w) const {
-  (void)fleet;
-  w.u32(static_cast<std::uint32_t>(fixed_.size()));
-  for (const auto& [id, mask] : fixed_) {
-    w.i32(id);
-    w.vec_u8(mask);
-  }
-}
-
-void StaticPrune::load_state(Fleet& fleet, CheckpointReader& r) {
-  (void)fleet;
-  fixed_.clear();
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const int id = r.i32();
-    fixed_.emplace(id, r.vec_u8());
-  }
+void StaticPrune::io(Fleet& fleet, CheckpointArchive& ar) {
+  const auto neurons = static_cast<std::size_t>(fleet.server().neuron_total());
+  ar.io_map(fixed_, 4 + 4, [&](int, std::vector<std::uint8_t>& mask) {
+    ar.io(mask);
+    ar.expect(mask.size() == neurons,
+              "StaticPrune: checkpointed mask does not match the model");
+  });
 }
 
 }  // namespace helios::fl

@@ -23,8 +23,7 @@ class RandomSubmodel final : public SyncRoundStrategy {
   std::string name() const override { return "Random"; }
 
   /// Cross-cycle state: each straggler's mask-drawing RNG position.
-  void save_state(const Fleet& fleet, CheckpointWriter& w) const override;
-  void load_state(Fleet& fleet, CheckpointReader& r) override;
+  void io(Fleet& fleet, CheckpointArchive& ar) override;
 
  private:
   void begin_run(Fleet& fleet) override;
@@ -42,8 +41,7 @@ class StaticPrune final : public SyncRoundStrategy {
   std::string name() const override { return "Static Prune"; }
 
   /// Cross-cycle state: the once-drawn permanent mask per straggler.
-  void save_state(const Fleet& fleet, CheckpointWriter& w) const override;
-  void load_state(Fleet& fleet, CheckpointReader& r) override;
+  void io(Fleet& fleet, CheckpointArchive& ar) override;
 
  private:
   void begin_run(Fleet& fleet) override;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -21,34 +22,15 @@ namespace {
 constexpr char kMagic[8] = {'H', 'E', 'L', 'I', 'O', 'S', 'F', 'K'};
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 4;  // magic, ver, size, crc
 
-void put_u32(std::string& out, std::uint32_t v) {
-  char b[4];
-  b[0] = static_cast<char>(v & 0xFF);
-  b[1] = static_cast<char>((v >> 8) & 0xFF);
-  b[2] = static_cast<char>((v >> 16) & 0xFF);
-  b[3] = static_cast<char>((v >> 24) & 0xFF);
-  out.append(b, 4);
+template <typename T>
+void append(std::string& out, T v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  out.append(b, 8);
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-  }
+template <typename T>
+T load(const char* p) {
+  T v;
+  std::memcpy(&v, p, sizeof v);
   return v;
 }
 
@@ -59,184 +41,15 @@ std::uint32_t payload_crc(std::string_view payload) {
 
 }  // namespace
 
-// ---- CheckpointWriter -------------------------------------------------------
-
-void CheckpointWriter::u32(std::uint32_t v) { put_u32(out_, v); }
-void CheckpointWriter::u64(std::uint64_t v) { put_u64(out_, v); }
-
-void CheckpointWriter::f32(float v) {
-  std::uint32_t bits;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  u32(bits);
-}
-
-void CheckpointWriter::f64(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  u64(bits);
-}
-
-void CheckpointWriter::str(std::string_view s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  out_.append(s.data(), s.size());
-}
-
-void CheckpointWriter::rng(const util::RngState& s) {
-  for (int i = 0; i < 4; ++i) u64(s.words[i]);
-  f64(s.cached_normal);
-  boolean(s.has_cached_normal);
-}
-
-void CheckpointWriter::vec_f32(const std::vector<float>& v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  for (float x : v) f32(x);
-}
-
-void CheckpointWriter::vec_f64(const std::vector<double>& v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  for (double x : v) f64(x);
-}
-
-void CheckpointWriter::vec_i32(const std::vector<int>& v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  for (int x : v) i32(x);
-}
-
-void CheckpointWriter::vec_u8(const std::vector<std::uint8_t>& v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  for (std::uint8_t x : v) u8(x);
-}
-
-void CheckpointWriter::vec_size(const std::vector<std::size_t>& v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  for (std::size_t x : v) u64(static_cast<std::uint64_t>(x));
-}
-
-void CheckpointWriter::blob(const std::string& bytes) {
-  u64(bytes.size());
-  out_.append(bytes);
-}
-
-// ---- CheckpointReader -------------------------------------------------------
-
-const char* CheckpointReader::need(std::size_t n) {
-  if (data_.size() - pos_ < n) {
-    throw CheckpointError("checkpoint payload truncated: need " +
-                          std::to_string(n) + " bytes at offset " +
-                          std::to_string(pos_) + ", have " +
-                          std::to_string(data_.size() - pos_));
-  }
-  const char* p = data_.data() + pos_;
-  pos_ += n;
-  return p;
-}
-
-std::uint8_t CheckpointReader::u8() {
-  return static_cast<std::uint8_t>(*need(1));
-}
-std::uint32_t CheckpointReader::u32() { return get_u32(need(4)); }
-std::uint64_t CheckpointReader::u64() { return get_u64(need(8)); }
-
-float CheckpointReader::f32() {
-  const std::uint32_t bits = u32();
-  float v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-double CheckpointReader::f64() {
-  const std::uint64_t bits = u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-std::string CheckpointReader::str() {
-  const std::uint32_t n = u32();
-  return std::string(need(n), n);
-}
-
-util::RngState CheckpointReader::rng() {
-  util::RngState s;
-  for (int i = 0; i < 4; ++i) s.words[i] = u64();
-  s.cached_normal = f64();
-  s.has_cached_normal = boolean();
-  return s;
-}
-
-std::vector<float> CheckpointReader::vec_f32() {
-  const std::uint32_t n = count(4);
-  std::vector<float> v(n);
-  for (std::uint32_t i = 0; i < n; ++i) v[i] = f32();
-  return v;
-}
-
-std::vector<double> CheckpointReader::vec_f64() {
-  const std::uint32_t n = count(8);
-  std::vector<double> v(n);
-  for (std::uint32_t i = 0; i < n; ++i) v[i] = f64();
-  return v;
-}
-
-std::vector<int> CheckpointReader::vec_i32() {
-  const std::uint32_t n = count(4);
-  std::vector<int> v(n);
-  for (std::uint32_t i = 0; i < n; ++i) v[i] = i32();
-  return v;
-}
-
-std::vector<std::uint8_t> CheckpointReader::vec_u8() {
-  const std::uint32_t n = count(1);
-  std::vector<std::uint8_t> v(n);
-  for (std::uint32_t i = 0; i < n; ++i) v[i] = u8();
-  return v;
-}
-
-std::vector<std::size_t> CheckpointReader::vec_size() {
-  const std::uint32_t n = count(8);
-  std::vector<std::size_t> v(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    v[i] = static_cast<std::size_t>(u64());
-  }
-  return v;
-}
-
-std::string CheckpointReader::blob() {
-  const std::uint64_t n = u64();
-  return std::string(need(static_cast<std::size_t>(n)),
-                     static_cast<std::size_t>(n));
-}
-
-std::uint32_t CheckpointReader::count(std::size_t bytes_each) {
-  const std::uint32_t n = u32();
-  if (n > remaining() / bytes_each) {
-    throw CheckpointError("checkpoint count " + std::to_string(n) +
-                          " at offset " + std::to_string(pos_ - 4) +
-                          " exceeds the " + std::to_string(remaining()) +
-                          " payload bytes left");
-  }
-  return n;
-}
-
-void CheckpointReader::expect_done(const char* what) const {
-  if (!done()) {
-    throw CheckpointError(std::string(what) + ": " +
-                          std::to_string(remaining()) +
-                          " unconsumed bytes (schema drift?)");
-  }
-}
-
 // ---- File framing -----------------------------------------------------------
 
 void write_checkpoint_file(const std::string& path, std::string_view payload) {
   std::string frame;
   frame.reserve(kHeaderBytes + payload.size());
   frame.append(kMagic, sizeof kMagic);
-  put_u32(frame, kCheckpointVersion);
-  put_u64(frame, payload.size());
-  put_u32(frame, payload_crc(payload));
+  append(frame, kCheckpointVersion);
+  append(frame, static_cast<std::uint64_t>(payload.size()));
+  append(frame, payload_crc(payload));
   frame.append(payload);
   util::atomic_write_file(path, frame);
 }
@@ -255,67 +68,26 @@ std::string read_checkpoint_file(const std::string& path) {
     throw CheckpointError("checkpoint has wrong magic (not a Helios "
                           "checkpoint): " + path);
   }
-  const std::uint32_t version = get_u32(data.data() + 8);
+  const auto version = load<std::uint32_t>(data.data() + 8);
   if (version != kCheckpointVersion) {
     throw CheckpointError("checkpoint schema version " +
                           std::to_string(version) + " unsupported (expected " +
                           std::to_string(kCheckpointVersion) + "): " + path);
   }
-  const std::uint64_t size = get_u64(data.data() + 12);
+  const auto size = load<std::uint64_t>(data.data() + 12);
   if (data.size() < kHeaderBytes + size) {
     throw CheckpointError("checkpoint payload truncated: " + path);
   }
   if (data.size() > kHeaderBytes + size) {
     throw CheckpointError("checkpoint has trailing bytes: " + path);
   }
-  const std::uint32_t want = get_u32(data.data() + 20);
+  const auto want = load<std::uint32_t>(data.data() + 20);
   const std::string_view payload(data.data() + kHeaderBytes,
                                  static_cast<std::size_t>(size));
   if (payload_crc(payload) != want) {
     throw CheckpointError("checkpoint CRC mismatch (corrupt file): " + path);
   }
   return std::string(payload);
-}
-
-namespace {
-
-struct Meta {
-  std::string spec_name;
-  std::uint64_t param_count = 0;
-  std::uint64_t buffer_count = 0;
-  int neuron_total = 0;
-  std::string method;
-  int completed_cycles = 0;
-  std::uint64_t journal_offset = 0;
-  std::uint64_t journal_events = 0;
-};
-
-Meta read_meta(CheckpointReader& r) {
-  Meta m;
-  m.spec_name = r.str();
-  m.param_count = r.u64();
-  m.buffer_count = r.u64();
-  m.neuron_total = r.i32();
-  m.method = r.str();
-  m.completed_cycles = r.i32();
-  m.journal_offset = r.u64();
-  m.journal_events = r.u64();
-  return m;
-}
-
-}  // namespace
-
-CheckpointInfo peek_checkpoint(const std::string& path) {
-  const std::string payload = read_checkpoint_file(path);
-  CheckpointReader r(payload);
-  const Meta m = read_meta(r);
-  CheckpointInfo info;
-  info.spec_name = m.spec_name;
-  info.method = m.method;
-  info.completed_cycles = m.completed_cycles;
-  info.journal_byte_offset = m.journal_offset;
-  info.journal_events = m.journal_events;
-  return info;
 }
 
 // ---- CheckpointManager ------------------------------------------------------
@@ -403,324 +175,214 @@ std::optional<std::string> CheckpointManager::latest_valid(
 
 // ---- Full-state payloads ----------------------------------------------------
 
-std::string make_checkpoint_payload(Fleet& fleet, const Strategy* strategy,
-                                    const RunResult& partial) {
-  CheckpointWriter w;
+namespace {
 
+// Smallest encoding of a client: id, three flags and the loader gate, the
+// volume, the cycle counter, mu and the velocity's length.
+constexpr std::size_t kClientBytes = 4 + 4 * 1 + 8 + 4 + 4 + 4;
+
+/// The payload, one section after another, in either direction: meta,
+/// registered components, client roster, clock, server model, network
+/// session, the partial RunResult and the strategy. Without a fleet
+/// (peek_checkpoint) the walk stops after the meta section.
+void walk(CheckpointArchive& ar, CheckpointInfo& meta, Fleet* fleet,
+          Strategy* strategy, RunResult& result) {
   // Meta. The journal position lives here so peek_checkpoint can hand it to
   // the resumed process before any fleet (or telemetry sink) exists.
-  w.str(fleet.spec().name);
-  w.u64(fleet.server().param_count());
-  w.u64(fleet.server().global_buffers().size());
-  w.i32(fleet.server().neuron_total());
-  w.str(partial.method);
-  w.i32(static_cast<int>(partial.rounds.size()));
-  obs::JournalPosition jp;
-  if (fleet.telemetry() != nullptr) {
-    jp = fleet.telemetry()->journal_position();
-  }
-  w.u64(jp.byte_offset);
-  w.u64(jp.events);
-
-  // Registered components (e.g. churn) — saved before the client roster
-  // because their load may re-add mid-run joiners to the rebuilt fleet.
-  const auto& comps = fleet.checkpointables();
-  w.u32(static_cast<std::uint32_t>(comps.size()));
-  for (const auto& [name, comp] : comps) {
-    w.str(name);
-    CheckpointWriter sub;
-    comp->save_state(fleet, sub);
-    w.blob(sub.buffer());
-  }
-
-  // Client roster + per-client cross-round state. Replica parameters are
-  // not stored: they are overwritten by the global snapshot at every cycle
-  // start, so only the materialized flag (memory footprint fidelity) and
-  // the genuinely cross-cycle pieces travel.
-  w.u32(static_cast<std::uint32_t>(fleet.size()));
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    Client& c = fleet.client(i);
-    w.i32(c.id());
-    w.boolean(c.is_straggler());
-    w.boolean(c.active());
-    w.f64(c.volume());
-    w.i32(c.cycles_completed());
-    w.f32(c.config().proximal_mu);
-    w.boolean(c.materialized());
-    // Loader state is gated on validity: a fresh lazy client has no loader
-    // yet (it is a pure function of the seed, rebuilt on first use), so
-    // nothing needs to travel.
-    const Client::LoaderState ls = c.loader_state();
-    w.boolean(ls.valid);
-    if (ls.valid) {
-      w.rng(ls.rng);
-      w.vec_size(ls.order);
-      w.u64(static_cast<std::uint64_t>(ls.cursor));
+  std::uint64_t params = 0;
+  std::uint64_t buffers = 0;
+  int neurons = 0;
+  if (!ar.loading()) {
+    meta.spec_name = fleet->spec().name;
+    params = fleet->server().param_count();
+    buffers = fleet->server().global_buffers().size();
+    neurons = fleet->server().neuron_total();
+    meta.method = result.method;
+    meta.completed_cycles = static_cast<int>(result.rounds.size());
+    if (fleet->telemetry() != nullptr) {
+      const obs::JournalPosition jp = fleet->telemetry()->journal_position();
+      meta.journal_byte_offset = jp.byte_offset;
+      meta.journal_events = jp.events;
     }
-    w.vec_f32(c.optimizer().velocity());
+  }
+  ar.io(meta.spec_name);
+  ar.io(params);
+  ar.io(buffers);
+  ar.io(neurons);
+  ar.io(meta.method);
+  ar.io(meta.completed_cycles);
+  ar.io(meta.journal_byte_offset);
+  ar.io(meta.journal_events);
+  if (fleet == nullptr) return;
+  Server& server = fleet->server();
+  ar.expect(meta.spec_name == fleet->spec().name, [&] {
+    return "checkpoint architecture mismatch: snapshot spec '" +
+           meta.spec_name + "' vs rebuilt fleet spec '" + fleet->spec().name +
+           "'";
+  });
+  ar.expect(params == server.param_count() &&
+                buffers == server.global_buffers().size() &&
+                neurons == server.neuron_total(),
+            [&] {
+              return "checkpoint architecture mismatch: snapshot has " +
+                     std::to_string(params) + " params / " +
+                     std::to_string(buffers) + " buffers / " +
+                     std::to_string(neurons) +
+                     " neurons; the rebuilt fleet has " +
+                     std::to_string(server.param_count()) + " / " +
+                     std::to_string(server.global_buffers().size()) + " / " +
+                     std::to_string(server.neuron_total());
+            });
+  result.method = meta.method;
+
+  // Registered components (e.g. churn) before the client roster: churn
+  // re-admits mid-run joiners on restore, so the roster check below sees
+  // the full population.
+  const auto& comps = fleet->checkpointables();
+  const std::uint32_t n_comps = ar.count(comps.size(), 4 + 8);
+  ar.expect(n_comps == comps.size(), [&] {
+    return "checkpoint component count mismatch: snapshot has " +
+           std::to_string(n_comps) + ", fleet registered " +
+           std::to_string(comps.size());
+  });
+  for (std::uint32_t i = 0; i < n_comps; ++i) {
+    std::string name = comps[i].first;
+    ar.io(name);
+    ar.expect(name == comps[i].first, [&] {
+      return "checkpoint component mismatch at slot " + std::to_string(i) +
+             ": snapshot '" + name + "' vs registered '" + comps[i].first +
+             "'";
+    });
+    ar.section("component '" + name + "'", [&](CheckpointArchive& sub) {
+      comps[i].second->io(*fleet, sub);
+    });
+  }
+
+  // Client roster and each client's cross-round state.
+  const std::uint32_t n_clients = ar.count(fleet->size(), kClientBytes);
+  ar.expect(n_clients == fleet->size(), [&] {
+    return "checkpoint roster mismatch: snapshot has " +
+           std::to_string(n_clients) + " clients, the rebuilt fleet has " +
+           std::to_string(fleet->size());
+  });
+  for (std::uint32_t i = 0; i < n_clients; ++i) {
+    Client& c = fleet->client(i);
+    int id = c.id();
+    ar.io(id);
+    ar.expect(id == c.id(), [&] {
+      return "checkpoint roster mismatch at index " + std::to_string(i) +
+             ": snapshot id " + std::to_string(id) + " vs fleet id " +
+             std::to_string(c.id());
+    });
+    c.io(ar);
   }
 
   // Virtual clock.
-  w.f64(fleet.clock().now());
+  ar.io(fleet->clock().now(), [&](double now) {
+    ar.expect(std::isfinite(now) && now >= 0.0,
+              "checkpoint clock is not a finite, non-negative time");
+    fleet->clock().reset();
+    fleet->clock().advance_to(now);
+  });
 
   // Server model.
-  w.vec_f32(fleet.server().global());
-  w.vec_f32(fleet.server().global_buffers());
+  ar.io(server.global(), [&](std::vector<float> global) {
+    ar.expect(global.size() == server.param_count(),
+              "checkpoint global parameters do not match the model");
+    server.set_global(std::move(global));
+  });
+  ar.io(server.global_buffers(), [&](std::vector<float> global_buffers) {
+    ar.expect(global_buffers.size() == server.global_buffers().size(),
+              "checkpoint global buffers do not match the model");
+    server.set_global_buffers(std::move(global_buffers));
+  });
 
-  // Network session: per-device channel roster with config overrides, RNG
-  // positions and scripted faults. The session object itself is rebuilt by
-  // the resuming process; this section overlays its mutable state.
-  NetworkSession* session = fleet.network();
-  w.boolean(session != nullptr);
+  // Network session: the protocol's per-device config overrides and its
+  // channel roster with each channel's full state (RNG position, scripted
+  // faults). The session object itself is rebuilt by the resuming process;
+  // this section restores its mutable state.
+  NetworkSession* session = fleet->network();
+  bool had_session = session != nullptr;
+  ar.io(had_session);
+  ar.expect(!had_session || session != nullptr,
+            "checkpoint has a network session but the rebuilt fleet has none "
+            "(attach an identically configured NetworkSession before resume)");
+  ar.expect(had_session || session == nullptr,
+            "rebuilt fleet has a network session but the checkpoint has none");
   if (session != nullptr) {
-    w.boolean(session->simulated());
-    net::RoundProtocol& proto = session->protocol();
-    const auto& overrides = proto.overrides();
-    w.u32(static_cast<std::uint32_t>(overrides.size()));
-    for (const auto& [id, cfg] : overrides) {
-      w.i32(id);
-      w.f64(cfg.bandwidth_mbps);
-      w.f64(cfg.latency_s);
-      w.f64(cfg.jitter_s);
-      w.f64(cfg.loss_prob);
-    }
-    const std::vector<int> ids = proto.device_ids();
-    w.u32(static_cast<std::uint32_t>(ids.size()));
-    for (int id : ids) {
-      const net::SimulatedChannel& ch = proto.channel(id);
-      w.i32(id);
-      w.f64(ch.bandwidth_mbps());
-      const net::ChannelConfig& cfg = ch.config();
-      w.f64(cfg.bandwidth_mbps);
-      w.f64(cfg.latency_s);
-      w.f64(cfg.jitter_s);
-      w.f64(cfg.loss_prob);
-      w.rng(ch.rng_state());
-      w.f64(ch.death_s());
-      const auto& outages = ch.outages();
-      w.u32(static_cast<std::uint32_t>(outages.size()));
-      for (const auto& [start, end] : outages) {
-        w.f64(start);
-        w.f64(end);
-      }
-    }
+    bool simulated = session->simulated();
+    ar.io(simulated);
+    ar.expect(simulated == session->simulated(),
+              "checkpoint network mode mismatch (simulated vs ideal)");
+    session->protocol().io(ar);
   }
 
-  // Partial RunResult.
-  w.u32(static_cast<std::uint32_t>(partial.rounds.size()));
-  for (const RoundRecord& rec : partial.rounds) {
-    w.i32(rec.cycle);
-    w.f64(rec.virtual_time);
-    w.f64(rec.test_accuracy);
-    w.f64(rec.mean_train_loss);
-    w.f64(rec.upload_mb);
+  // Partial RunResult: the cycle and four f64 fields per round.
+  result.rounds.resize(ar.count(result.rounds.size(), 4 + 4 * 8));
+  ar.expect(result.rounds.size() ==
+                static_cast<std::size_t>(meta.completed_cycles),
+            "checkpoint round count does not match its meta section");
+  for (RoundRecord& rec : result.rounds) {
+    ar.io(rec.cycle);
+    ar.io(rec.virtual_time);
+    ar.io(rec.test_accuracy);
+    ar.io(rec.mean_train_loss);
+    ar.io(rec.upload_mb);
   }
 
   // Strategy state.
-  w.boolean(strategy != nullptr);
+  bool had_strategy = strategy != nullptr;
+  ar.io(had_strategy);
+  ar.expect(!had_strategy || strategy != nullptr,
+            "checkpoint carries strategy state but no strategy was supplied");
+  ar.expect(had_strategy || strategy == nullptr,
+            "a strategy was supplied but the checkpoint carries no strategy "
+            "state");
   if (strategy != nullptr) {
-    w.str(strategy->name());
-    CheckpointWriter sub;
-    strategy->save_state(fleet, sub);
-    w.blob(sub.buffer());
+    std::string name = strategy->name();
+    ar.io(name);
+    ar.expect(name == strategy->name(), [&] {
+      return "checkpoint strategy mismatch: snapshot '" + name +
+             "' vs supplied '" + strategy->name() + "'";
+    });
+    ar.section("strategy state", [&](CheckpointArchive& sub) {
+      strategy->io(*fleet, sub);
+    });
+    const int progress = strategy->completed_rounds();
+    ar.expect(progress < 0 ||
+                  static_cast<std::size_t>(progress) == result.rounds.size(),
+              "checkpoint strategy progress does not match its rounds");
   }
+  ar.expect_done("checkpoint payload");
+}
 
-  return w.take();
+}  // namespace
+
+CheckpointInfo peek_checkpoint(const std::string& path) {
+  const std::string payload = read_checkpoint_file(path);
+  CheckpointArchive ar(payload);
+  CheckpointInfo info;
+  RunResult none;
+  walk(ar, info, nullptr, nullptr, none);
+  return info;
+}
+
+std::string make_checkpoint_payload(Fleet& fleet, const Strategy* strategy,
+                                    const RunResult& partial) {
+  CheckpointArchive ar;
+  CheckpointInfo meta;
+  RunResult result = partial;
+  // A writing archive only reads the strategy's state.
+  walk(ar, meta, &fleet, const_cast<Strategy*>(strategy), result);
+  return ar.take();
 }
 
 RunResult restore_checkpoint_payload(Fleet& fleet, Strategy* strategy,
                                      std::string_view payload) {
-  CheckpointReader r(payload);
-
-  const Meta meta = read_meta(r);
-  if (meta.spec_name != fleet.spec().name) {
-    throw CheckpointError("checkpoint architecture mismatch: snapshot spec '" +
-                          meta.spec_name + "' vs rebuilt fleet spec '" +
-                          fleet.spec().name + "'");
-  }
-  if (meta.param_count != fleet.server().param_count() ||
-      meta.buffer_count != fleet.server().global_buffers().size() ||
-      meta.neuron_total != fleet.server().neuron_total()) {
-    throw CheckpointError(
-        "checkpoint architecture mismatch: snapshot has " +
-        std::to_string(meta.param_count) + " params / " +
-        std::to_string(meta.buffer_count) + " buffers / " +
-        std::to_string(meta.neuron_total) + " neurons; the rebuilt fleet has " +
-        std::to_string(fleet.server().param_count()) + " / " +
-        std::to_string(fleet.server().global_buffers().size()) + " / " +
-        std::to_string(fleet.server().neuron_total()));
-  }
-
-  // Components first: churn re-admits mid-run joiners here, so the roster
-  // check below sees the full population.
-  const auto& comps = fleet.checkpointables();
-  const std::uint32_t comp_count = r.u32();
-  if (comp_count != comps.size()) {
-    throw CheckpointError(
-        "checkpoint component count mismatch: snapshot has " +
-        std::to_string(comp_count) + ", fleet registered " +
-        std::to_string(comps.size()));
-  }
-  for (std::uint32_t i = 0; i < comp_count; ++i) {
-    const std::string name = r.str();
-    if (name != comps[i].first) {
-      throw CheckpointError("checkpoint component mismatch at slot " +
-                            std::to_string(i) + ": snapshot '" + name +
-                            "' vs registered '" + comps[i].first + "'");
-    }
-    const std::string blob = r.blob();
-    CheckpointReader sub(blob);
-    comps[i].second->load_state(fleet, sub);
-    sub.expect_done(("component '" + name + "'").c_str());
-  }
-
-  // Client roster + state.
-  const std::uint32_t n_clients = r.u32();
-  if (n_clients != fleet.size()) {
-    throw CheckpointError("checkpoint roster mismatch: snapshot has " +
-                          std::to_string(n_clients) +
-                          " clients, the rebuilt fleet has " +
-                          std::to_string(fleet.size()));
-  }
-  for (std::uint32_t i = 0; i < n_clients; ++i) {
-    Client& c = fleet.client(i);
-    const int id = r.i32();
-    if (id != c.id()) {
-      throw CheckpointError("checkpoint roster mismatch at index " +
-                            std::to_string(i) + ": snapshot id " +
-                            std::to_string(id) + " vs fleet id " +
-                            std::to_string(c.id()));
-    }
-    c.set_straggler(r.boolean());
-    c.set_active(r.boolean());
-    c.set_volume(r.f64());
-    c.set_cycles_completed(r.i32());
-    c.set_proximal_mu(r.f32());
-    const bool materialized = r.boolean();
-    if (r.boolean()) {
-      const util::RngState loader_rng = r.rng();
-      std::vector<std::size_t> order = r.vec_size();
-      const std::size_t cursor = static_cast<std::size_t>(r.u64());
-      c.restore_loader_state(loader_rng, std::move(order), cursor);
-    }
-    c.optimizer().set_velocity(r.vec_f32());
-    // Only the flag is restored: parameters are overwritten at cycle start.
-    if (materialized) {
-      c.model();
-    } else {
-      c.hibernate();
-    }
-  }
-
-  // Virtual clock.
-  fleet.clock().reset();
-  fleet.clock().advance_to(r.f64());
-
-  // Server model.
-  fleet.server().set_global(r.vec_f32());
-  fleet.server().set_global_buffers(r.vec_f32());
-
-  // Network session.
-  const bool had_session = r.boolean();
-  NetworkSession* session = fleet.network();
-  if (had_session && session == nullptr) {
-    throw CheckpointError(
-        "checkpoint has a network session but the rebuilt fleet has none "
-        "(attach an identically configured NetworkSession before resume)");
-  }
-  if (!had_session && session != nullptr) {
-    throw CheckpointError(
-        "rebuilt fleet has a network session but the checkpoint has none");
-  }
-  if (had_session) {
-    const bool was_simulated = r.boolean();
-    if (was_simulated != session->simulated()) {
-      throw CheckpointError(
-          "checkpoint network mode mismatch (simulated vs ideal)");
-    }
-    net::RoundProtocol& proto = session->protocol();
-    const std::uint32_t n_overrides = r.u32();
-    for (std::uint32_t i = 0; i < n_overrides; ++i) {
-      const int id = r.i32();
-      net::ChannelConfig cfg;
-      cfg.bandwidth_mbps = r.f64();
-      cfg.latency_s = r.f64();
-      cfg.jitter_s = r.f64();
-      cfg.loss_prob = r.f64();
-      proto.configure_device(id, cfg);
-    }
-    const std::uint32_t n_devices = r.u32();
-    for (std::uint32_t i = 0; i < n_devices; ++i) {
-      const int id = r.i32();
-      const double resolved_bw = r.f64();
-      net::ChannelConfig cfg;
-      cfg.bandwidth_mbps = r.f64();
-      cfg.latency_s = r.f64();
-      cfg.jitter_s = r.f64();
-      cfg.loss_prob = r.f64();
-      const util::RngState rng = r.rng();
-      const double death = r.f64();
-      const std::uint32_t n_outages = r.count(2 * 8);  // start, end
-      std::vector<std::pair<double, double>> outages;
-      outages.reserve(n_outages);
-      for (std::uint32_t k = 0; k < n_outages; ++k) {
-        const double start = r.f64();
-        const double end = r.f64();
-        outages.emplace_back(start, end);
-      }
-      // Registration forks the protocol's seed rng purely by id, so a
-      // device registered here gets the same base channel it had in the
-      // crashed process; the snapshot then overlays the mutable state.
-      if (!proto.has_device(id)) proto.add_device(id, resolved_bw);
-      net::SimulatedChannel& ch = proto.channel(id);
-      ch.set_config(cfg);
-      ch.set_rng_state(rng);
-      if (death >= 0.0) ch.set_death(death);
-      ch.set_outages(std::move(outages));
-    }
-  }
-
-  // Partial RunResult.
+  CheckpointArchive ar(payload);
+  CheckpointInfo meta;
   RunResult result;
-  result.method = meta.method;
-  // cycle (4 B) and four f64 fields per round.
-  const std::uint32_t n_rounds = r.count(4 + 4 * 8);
-  result.rounds.reserve(n_rounds);
-  for (std::uint32_t i = 0; i < n_rounds; ++i) {
-    RoundRecord rec;
-    rec.cycle = r.i32();
-    rec.virtual_time = r.f64();
-    rec.test_accuracy = r.f64();
-    rec.mean_train_loss = r.f64();
-    rec.upload_mb = r.f64();
-    result.rounds.push_back(rec);
-  }
-
-  // Strategy state.
-  const bool had_strategy = r.boolean();
-  if (had_strategy && strategy == nullptr) {
-    throw CheckpointError(
-        "checkpoint carries strategy state but no strategy was supplied");
-  }
-  if (!had_strategy && strategy != nullptr) {
-    throw CheckpointError(
-        "a strategy was supplied but the checkpoint carries no strategy "
-        "state");
-  }
-  if (had_strategy) {
-    const std::string name = r.str();
-    if (name != strategy->name()) {
-      throw CheckpointError("checkpoint strategy mismatch: snapshot '" +
-                            name + "' vs supplied '" + strategy->name() +
-                            "'");
-    }
-    const std::string blob = r.blob();
-    CheckpointReader sub(blob);
-    strategy->load_state(fleet, sub);
-    sub.expect_done("strategy state");
-  }
-
-  r.expect_done("checkpoint payload");
+  walk(ar, meta, &fleet, strategy, result);
   return result;
 }
 

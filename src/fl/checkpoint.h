@@ -8,9 +8,18 @@
 // roster with per-device RNG positions / scripted faults, the journal's
 // byte offset, the partial RunResult recorded so far, and the strategy's
 // own state (per-neuron contributions U^ij, C_s rotation counters, async
-// event heaps, ...) via the Strategy save/load hooks.
+// event heaps, ...).
 //
-// File format (schema v1):
+// Every section is defined once, as a walk over util::CheckpointArchive
+// that both saves and restores it (see util/checkpoint_archive.h): the
+// payload walk in checkpoint.cpp (meta, components, roster, clock, server,
+// session, rounds, strategy), Client::io for a client's state, and
+// Checkpointable::io for each strategy and registered component. Checks
+// that restored values are usable sit inside those walks, so a restore
+// throws CheckpointError rather than handing a later round state it would
+// crash or hang on.
+//
+// File format (schema v3):
 //
 //   magic "HELIOSFK" | u32 version | u64 payload_size | u32 crc32(payload)
 //   | payload
@@ -34,24 +43,19 @@
 
 #include <cstdint>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "util/rng.h"
+#include "util/checkpoint_archive.h"
 
 namespace helios::fl {
 
 class Fleet;
 struct RunResult;
 
-/// Any checkpoint problem: framing (bad magic / version / CRC / length),
-/// schema drift, or a state/architecture mismatch at restore.
-class CheckpointError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
+using util::CheckpointArchive;
+using util::CheckpointError;
 
 // v2: per-client loader state gained a validity gate (lazy-data clients can
 // be snapshotted while data-hibernated, with no loader built yet).
@@ -59,88 +63,19 @@ class CheckpointError : public std::runtime_error {
 // version counter + per-device start versions).
 inline constexpr std::uint32_t kCheckpointVersion = 3;
 
-/// Little-endian binary encoder for checkpoint payloads. All multi-byte
-/// values are explicitly little-endian, so a snapshot is portable across
-/// builds on the (LE) platforms the project targets.
-class CheckpointWriter {
- public:
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f32(float v);
-  void f64(double v);
-  void str(std::string_view s);
-  void rng(const util::RngState& s);
-  void vec_f32(const std::vector<float>& v);
-  void vec_f64(const std::vector<double>& v);
-  void vec_i32(const std::vector<int>& v);
-  void vec_u8(const std::vector<std::uint8_t>& v);
-  void vec_size(const std::vector<std::size_t>& v);
-  /// A length-prefixed nested payload (component / strategy sections), so a
-  /// reader can verify it consumed the section exactly.
-  void blob(const std::string& bytes);
-
-  const std::string& buffer() const { return out_; }
-  std::string take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-/// Mirror decoder; every read throws CheckpointError on payload overrun, so
-/// a truncated or trailing-garbage section cannot be silently accepted.
-class CheckpointReader {
- public:
-  explicit CheckpointReader(std::string_view data) : data_(data) {}
-
-  std::uint8_t u8();
-  bool boolean() { return u8() != 0; }
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  float f32();
-  double f64();
-  std::string str();
-  util::RngState rng();
-  std::vector<float> vec_f32();
-  std::vector<double> vec_f64();
-  std::vector<int> vec_i32();
-  std::vector<std::uint8_t> vec_u8();
-  std::vector<std::size_t> vec_size();
-  std::string blob();
-  /// Reads a u32 element count and checks that the rest of the payload
-  /// can hold that many elements of at least `bytes_each` encoded bytes, so
-  /// nothing is sized by a count the payload cannot back. Throws
-  /// CheckpointError otherwise.
-  std::uint32_t count(std::size_t bytes_each);
-
-  std::size_t remaining() const { return data_.size() - pos_; }
-  bool done() const { return pos_ == data_.size(); }
-  /// Throws unless the payload was consumed exactly.
-  void expect_done(const char* what) const;
-
- private:
-  const char* need(std::size_t n);
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
-
 /// A component with cross-round state that rides inside the fleet snapshot
-/// (e.g. sim::ChurnProcess). Registered by name via
-/// Fleet::register_checkpointable; names and registration order must match
-/// between the saving and the resuming process.
+/// (e.g. sim::ChurnProcess), and the base of every Strategy. Components are
+/// registered by name via Fleet::register_checkpointable; names and
+/// registration order must match between the saving and the resuming
+/// process.
 class Checkpointable {
  public:
   virtual ~Checkpointable() = default;
-  virtual void save_state(const Fleet& fleet, CheckpointWriter& w) const = 0;
-  /// Restores the snapshotted state. May mutate the fleet roster (churn
-  /// re-admits its joiners here, before per-client state loads).
-  virtual void load_state(Fleet& fleet, CheckpointReader& r) = 0;
+  /// Passes the cross-round state through `ar`, which saves it or restores
+  /// it (ar.loading()). A restore may mutate the fleet roster (churn
+  /// re-admits its joiners here, before per-client state loads) and throws
+  /// CheckpointError on state the next round could not run from.
+  virtual void io(Fleet& fleet, CheckpointArchive& ar) = 0;
 };
 
 // ---- File framing ---------------------------------------------------------

@@ -101,17 +101,46 @@ Client::LoaderState Client::loader_state() const {
   return s;
 }
 
-void Client::restore_loader_state(const util::RngState& rng,
-                                  std::vector<std::size_t> order,
-                                  std::size_t cursor) {
-  if (loader_) {
-    loader_->restore(rng, std::move(order), cursor);
-    return;
+void Client::io(util::CheckpointArchive& ar) {
+  ar.io(straggler_);
+  ar.io(active_);
+  ar.io(volume_);
+  ar.expect(volume_ > 0.0 && volume_ <= 1.0,
+            "checkpoint client volume out of (0, 1]");
+  ar.io(cycles_completed_);
+  ar.io(config_.proximal_mu);
+  ar.expect(config_.proximal_mu >= 0.0F,
+            "checkpoint client proximal mu is negative");
+  bool materialized = model_ != nullptr;
+  ar.io(materialized);
+  // A loader position travels once the loader exists (or a hibernation
+  // stashed it); a fresh lazy client's loader is a pure function of its
+  // seed.
+  LoaderState loader = ar.loading() ? LoaderState{} : loader_state();
+  ar.io(loader.valid);
+  if (loader.valid) {
+    ar.io(loader.rng);
+    ar.io(loader.order);
+    ar.io(loader.cursor);
+    if (ar.loading()) {
+      ar.expect(data::valid_epoch_order(loader.order, loader.cursor),
+                "checkpoint loader order is not a permutation of its shard");
+      if (loader_) {
+        loader_->restore(loader.rng, std::move(loader.order), loader.cursor);
+      } else {
+        stash_ = std::move(loader);
+      }
+    }
   }
-  stash_.rng = rng;
-  stash_.order = std::move(order);
-  stash_.cursor = cursor;
-  stash_.valid = true;
+  opt_.io(ar, expected_params_);
+  // Only the flag is restored: parameters are overwritten at cycle start.
+  if (ar.loading()) {
+    if (materialized) {
+      ensure_model();
+    } else {
+      hibernate();
+    }
+  }
 }
 
 void Client::hibernate() {
@@ -125,10 +154,7 @@ void Client::hibernate() {
   if (data_factory_ && loader_) {
     // Stash the loader's cross-epoch state so re-materialization resumes the
     // identical shuffle stream, then drop the shard.
-    stash_.rng = loader_->rng_state();
-    stash_.order = loader_->order();
-    stash_.cursor = loader_->cursor();
-    stash_.valid = true;
+    stash_ = loader_state();
     loader_.reset();
     data_ = data::Dataset{};
   }
@@ -297,14 +323,16 @@ double Client::testbench_seconds(int iterations) {
 }
 
 void Client::set_volume(double v) {
-  if (v <= 0.0 || v > 1.0) {
+  if (!(v > 0.0 && v <= 1.0)) {
     throw std::invalid_argument("Client: volume must be in (0, 1]");
   }
   volume_ = v;
 }
 
 void Client::set_proximal_mu(float mu) {
-  if (mu < 0.0F) throw std::invalid_argument("Client: negative proximal mu");
+  if (!(mu >= 0.0F)) {
+    throw std::invalid_argument("Client: negative proximal mu");
+  }
   config_.proximal_mu = mu;
 }
 

@@ -14,6 +14,7 @@
 #include "device/resource.h"
 #include "models/zoo.h"
 #include "nn/sgd.h"
+#include "util/checkpoint_archive.h"
 
 namespace helios::obs {
 class TelemetrySink;
@@ -175,29 +176,15 @@ class Client {
   int cycles_completed() const { return cycles_completed_; }
   /// Effective learning rate for the next cycle.
   float current_lr() const;
-  /// Checkpoint restore: the counter feeds lr decay, so a resumed client
-  /// must continue from the snapshotted value.
-  void set_cycles_completed(int n) { cycles_completed_ = n; }
-
-  /// Checkpoint access to the cross-round mutable parts: the data loader
-  /// (shuffle RNG + epoch order + cursor) and the optimizer (momentum
-  /// velocity). Model replica parameters are NOT checkpointed — they are
-  /// overwritten by the global snapshot at every cycle start, so only the
-  /// materialized flag matters. Loader state is exposed as a value snapshot
-  /// (not the loader itself) so a lazy, data-hibernated client can be
-  /// checkpointed and restored without materializing its shard.
-  struct LoaderState {
-    util::RngState rng{};
-    std::vector<std::size_t> order;
-    std::size_t cursor = 0;
-    /// False when the client has never run (fresh lazy client): the loader
-    /// will be built deterministically from the seed on first use, so there
-    /// is nothing to snapshot.
-    bool valid = false;
-  };
-  LoaderState loader_state() const;
-  void restore_loader_state(const util::RngState& rng,
-                            std::vector<std::size_t> order, std::size_t cursor);
+  /// Checkpoint section: the roster flags, volume, lr-decay counter and
+  /// proximal mu, the data loader's position (shuffle RNG, epoch order,
+  /// cursor) and the optimizer's momentum velocity. Model replica
+  /// parameters are NOT checkpointed — they are overwritten by the global
+  /// snapshot at every cycle start, so only the materialized flag matters.
+  /// A data-hibernated lazy client saves and restores its stashed loader
+  /// position without materializing its shard; the shard's size is checked
+  /// against that position when it is rebuilt.
+  void io(util::CheckpointArchive& ar);
   nn::Sgd& optimizer() { return opt_; }
   const nn::Sgd& optimizer() const { return opt_; }
 
@@ -213,6 +200,20 @@ class Client {
   /// Materializes the local dataset (lazy clients) and/or the loader, and
   /// re-applies any stashed loader state. Returns the live loader.
   data::DataLoader& ensure_data();
+
+  /// A loader position held by value, so a lazy, data-hibernated client
+  /// carries it without its shard.
+  struct LoaderState {
+    util::RngState rng{};
+    std::vector<std::size_t> order;
+    std::size_t cursor = 0;
+    /// False when the client has never run (fresh lazy client): the loader
+    /// will be built deterministically from the seed on first use, so there
+    /// is nothing to carry.
+    bool valid = false;
+  };
+  /// The live loader's position, else the stashed one.
+  LoaderState loader_state() const;
 
   int id_;
   data::Dataset data_;

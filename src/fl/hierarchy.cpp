@@ -97,36 +97,20 @@ void HierarchySession::emit_tier_telemetry() {
   }
 }
 
-void HierarchySession::save_state(const Fleet& fleet,
-                                  CheckpointWriter& w) const {
-  (void)fleet;
-  w.u32(static_cast<std::uint32_t>(topology_.edge_nodes));
-  w.u32(static_cast<std::uint32_t>(topology_.fanout));
+void HierarchySession::io(Fleet& /*fleet*/, CheckpointArchive& ar) {
+  int edges = topology_.edge_nodes;
+  int fanout = topology_.fanout;
+  ar.io(edges);
+  ar.io(fanout);
+  ar.expect(edges == topology_.edge_nodes && fanout == topology_.fanout, [&] {
+    return "HierarchySession: checkpointed topology does not match (edges " +
+           std::to_string(edges) + "/" + std::to_string(topology_.edge_nodes) +
+           ", fanout " + std::to_string(fanout) + "/" +
+           std::to_string(topology_.fanout) + ")";
+  });
   if (tree_ == nullptr) return;
-  const std::vector<util::RngState> states = tree_->channel_states();
-  w.u32(static_cast<std::uint32_t>(states.size()));
-  for (const util::RngState& s : states) w.rng(s);
-}
-
-void HierarchySession::load_state(Fleet& fleet, CheckpointReader& r) {
-  (void)fleet;
-  const auto edges = static_cast<int>(r.u32());
-  const auto fanout = static_cast<int>(r.u32());
-  if (edges != topology_.edge_nodes || fanout != topology_.fanout) {
-    throw CheckpointError(
-        "HierarchySession: checkpointed topology does not match (edges " +
-        std::to_string(edges) + "/" + std::to_string(topology_.edge_nodes) +
-        ", fanout " + std::to_string(fanout) + "/" +
-        std::to_string(topology_.fanout) + ")");
-  }
-  if (tree_ == nullptr) return;
-  // Four state words, the cached normal and its flag per channel.
-  const std::uint32_t n = r.count(4 * 8 + 8 + 1);
-  std::vector<util::RngState> states;
-  states.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) states.push_back(r.rng());
-  tree_->set_channel_states(states);
-  round_open_ = false;
+  tree_->io(ar);
+  round_open_ = false;  // a checkpoint sits at a round boundary
 }
 
 }  // namespace helios::fl

@@ -100,10 +100,9 @@ class HierarchySession : public Checkpointable {
   /// the async event order stays reproducible.
   double async_uplink_seconds(int client_id, std::size_t rider_bytes) const;
 
-  // -- Checkpointable --------------------------------------------------------
-  // Cross-round tree state: the uplink channels' RNG positions.
-  void save_state(const Fleet& fleet, CheckpointWriter& w) const override;
-  void load_state(Fleet& fleet, CheckpointReader& r) override;
+  /// Checkpointable: the topology (checked against this session's) and the
+  /// tree's uplink RNG positions.
+  void io(Fleet& fleet, CheckpointArchive& ar) override;
 
  private:
   void emit_tier_telemetry();

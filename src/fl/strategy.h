@@ -5,8 +5,8 @@
 // Strategies are resumable: run() is a thin wrapper over run_range(), which
 // executes cycles [begin, end) against a partially filled RunResult. All
 // cross-cycle state lives in strategy members (initialized when begin == 0),
-// so a run can stop at any round boundary, be checkpointed via the
-// Checkpointable hooks, and continue — bit-identically — in a new process.
+// so a run can stop at any round boundary, be checkpointed through
+// Checkpointable::io, and continue — bit-identically — in a new process.
 #pragma once
 
 #include "fl/checkpoint.h"
@@ -40,15 +40,14 @@ class Strategy : public Checkpointable {
                          int end) = 0;
 
   /// Checkpointable: strategies with no cross-cycle state beyond the fleet
-  /// inherit these no-ops; stateful ones (Helios, async engines) override.
-  void save_state(const Fleet& fleet, CheckpointWriter& w) const override {
-    (void)fleet;
-    (void)w;
-  }
-  void load_state(Fleet& fleet, CheckpointReader& r) override {
-    (void)fleet;
-    (void)r;
-  }
+  /// inherit this no-op; stateful ones (Helios, async engines) override.
+  void io(Fleet& /*fleet*/, CheckpointArchive& /*ar*/) override {}
+
+  /// Rounds the strategy's own state counts as completed, or -1 when it
+  /// keeps no count. A restore refuses a strategy section whose count
+  /// disagrees with the checkpoint's rounds, since run_range would resume
+  /// from the wrong round.
+  virtual int completed_rounds() const { return -1; }
 };
 
 }  // namespace helios::fl

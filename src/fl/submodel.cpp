@@ -19,7 +19,7 @@ std::vector<LayerNeuronRange> layer_ranges(nn::Model& model) {
 
 std::vector<int> layer_budgets(const std::vector<LayerNeuronRange>& ranges,
                                double keep_ratio) {
-  if (keep_ratio <= 0.0 || keep_ratio > 1.0) {
+  if (!(keep_ratio > 0.0 && keep_ratio <= 1.0)) {
     throw std::invalid_argument("layer_budgets: keep_ratio out of (0, 1]");
   }
   std::vector<int> budgets;

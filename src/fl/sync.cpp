@@ -37,14 +37,4 @@ std::vector<PlannedClient> SyncFL::plan(Fleet& fleet, int cycle) {
   return participants;
 }
 
-void SyncFL::save_state(const Fleet& fleet, CheckpointWriter& w) const {
-  (void)fleet;
-  w.rng(rng_.state());
-}
-
-void SyncFL::load_state(Fleet& fleet, CheckpointReader& r) {
-  (void)fleet;
-  rng_ = util::Rng::from_state(r.rng());
-}
-
 }  // namespace helios::fl

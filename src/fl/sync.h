@@ -21,8 +21,7 @@ class SyncFL final : public SyncRoundStrategy {
   std::string name() const override;
 
   /// Cross-cycle state is the participation-sampling RNG position.
-  void save_state(const Fleet& fleet, CheckpointWriter& w) const override;
-  void load_state(Fleet& fleet, CheckpointReader& r) override;
+  void io(Fleet& /*fleet*/, CheckpointArchive& ar) override { ar.io(rng_); }
 
  private:
   void begin_run(Fleet& fleet) override;

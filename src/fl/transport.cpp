@@ -135,27 +135,6 @@ void NetworkSession::record_codec(int client_id,
   sink->record_codec(client_id, event);
 }
 
-void NetworkSession::save_state(const Fleet& fleet,
-                                CheckpointWriter& w) const {
-  (void)fleet;
-  const auto& all = feedback_.all();
-  w.u32(static_cast<std::uint32_t>(all.size()));
-  for (const auto& [client_id, residual] : all) {
-    w.i32(client_id);
-    w.vec_f32(residual);
-  }
-}
-
-void NetworkSession::load_state(Fleet& fleet, CheckpointReader& r) {
-  (void)fleet;
-  feedback_.clear();
-  const std::uint32_t count = r.u32();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::int32_t client_id = r.i32();
-    feedback_.assign(client_id, r.vec_f32());
-  }
-}
-
 ClientUpdate NetworkSession::decode(std::span<const std::uint8_t> frame,
                                     std::span<const float> base_params,
                                     const ClientUpdate& local) const {

@@ -163,10 +163,11 @@ class NetworkSession : public Checkpointable {
   /// or error_feedback is off).
   const codec::ErrorFeedback& feedback() const { return feedback_; }
 
-  /// Checkpointable: snapshots the residual bank so a resumed run's
-  /// compensated uploads stay bit-identical to the uninterrupted run.
-  void save_state(const Fleet& fleet, CheckpointWriter& w) const override;
-  void load_state(Fleet& fleet, CheckpointReader& r) override;
+  /// Checkpointable: the residual bank, so a resumed run's compensated
+  /// uploads stay bit-identical to the uninterrupted run.
+  void io(Fleet& /*fleet*/, CheckpointArchive& ar) override {
+    feedback_.io(ar, layout_.param_count);
+  }
 
  private:
   /// One update encoded for sending, with what its codec telemetry reports.

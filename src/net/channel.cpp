@@ -1,11 +1,38 @@
 #include "net/channel.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace helios::net {
 
 namespace {
+
 constexpr double kMb = 1.0e6;
+
+bool valid_outage(double start_s, double end_s) {
+  return start_s >= 0.0 && end_s > start_s && std::isfinite(end_s);
+}
+
+}  // namespace
+
+const char* ChannelConfig::error() const {
+  if (!(latency_s >= 0.0 && jitter_s >= 0.0 && std::isfinite(latency_s) &&
+        std::isfinite(jitter_s))) {
+    return "SimulatedChannel: negative latency/jitter";
+  }
+  if (!(loss_prob >= 0.0 && loss_prob < 1.0)) {
+    return "SimulatedChannel: loss_prob out of [0, 1)";
+  }
+  return nullptr;
+}
+
+void ChannelConfig::io(util::CheckpointArchive& ar) {
+  ar.io(bandwidth_mbps);
+  ar.io(latency_s);
+  ar.io(jitter_s);
+  ar.io(loss_prob);
+  const char* bad = error();
+  ar.expect(bad == nullptr, [&] { return std::string("checkpoint: ") + bad; });
 }
 
 SimulatedChannel::SimulatedChannel(ChannelConfig config,
@@ -14,16 +41,10 @@ SimulatedChannel::SimulatedChannel(ChannelConfig config,
     : config_(config), rng_(rng) {
   bandwidth_mbps_ = config.bandwidth_mbps > 0.0 ? config.bandwidth_mbps
                                                 : fallback_bandwidth_mbps;
-  if (bandwidth_mbps_ <= 0.0) {
+  if (!(bandwidth_mbps_ > 0.0)) {
     throw std::invalid_argument("SimulatedChannel: bandwidth must be > 0");
   }
-  if (config.latency_s < 0.0 || config.jitter_s < 0.0) {
-    throw std::invalid_argument("SimulatedChannel: negative latency/jitter");
-  }
-  if (config.loss_prob < 0.0 || config.loss_prob >= 1.0) {
-    throw std::invalid_argument(
-        "SimulatedChannel: loss_prob out of [0, 1)");
-  }
+  if (const char* bad = config.error()) throw std::invalid_argument(bad);
 }
 
 void SimulatedChannel::set_config(ChannelConfig config) {
@@ -32,10 +53,26 @@ void SimulatedChannel::set_config(ChannelConfig config) {
 }
 
 void SimulatedChannel::add_outage(double start_s, double end_s) {
-  if (start_s < 0.0 || end_s <= start_s) {
+  if (!valid_outage(start_s, end_s)) {
     throw std::invalid_argument("SimulatedChannel: bad outage window");
   }
   outages_.emplace_back(start_s, end_s);
+}
+
+void SimulatedChannel::io(util::CheckpointArchive& ar) {
+  ar.io(bandwidth_mbps_);
+  config_.io(ar);
+  ar.expect(bandwidth_mbps_ > 0.0,
+            "checkpoint: SimulatedChannel: bandwidth must be > 0");
+  ar.io(rng_);
+  ar.io(death_s_);
+  outages_.resize(ar.count(outages_.size(), 2 * 8));
+  for (auto& [start, end] : outages_) {
+    ar.io(start);
+    ar.io(end);
+    ar.expect(valid_outage(start, end),
+              "checkpoint: SimulatedChannel: bad outage window");
+  }
 }
 
 void SimulatedChannel::set_death(double at_s) {

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/checkpoint_archive.h"
 #include "util/rng.h"
 
 namespace helios::net {
@@ -32,6 +33,11 @@ struct ChannelConfig {
   double jitter_s = 0.0;
   /// Probability an attempt's frame is lost in transit.
   double loss_prob = 0.0;
+
+  /// Why the config cannot drive a channel (latency or jitter negative or
+  /// not finite, loss_prob outside [0, 1)), or nullptr when it can.
+  const char* error() const;
+  void io(util::CheckpointArchive& ar);
 };
 
 class SimulatedChannel {
@@ -40,11 +46,13 @@ class SimulatedChannel {
   /// (the device profile's B_n). The channel owns its Rng.
   SimulatedChannel(ChannelConfig config, double fallback_bandwidth_mbps,
                    util::Rng rng);
+  /// A channel to restore through io().
+  SimulatedChannel() = default;
 
   // -- Fault scripting ------------------------------------------------------
 
   /// Transient outage: attempts starting in [start_s, end_s) are blocked and
-  /// resume when the window ends.
+  /// resume when the window ends. The window must be finite.
   void add_outage(double start_s, double end_s);
   /// Permanent death at `at_s`: attempts at or after it fail terminally, and
   /// a frame in flight across `at_s` is cut off mid-transfer.
@@ -82,20 +90,15 @@ class SimulatedChannel {
   const ChannelConfig& config() const { return config_; }
   void set_config(ChannelConfig config);
 
-  // -- Checkpoint hooks -----------------------------------------------------
-  // Mutable state beyond the config: the Rng position (advanced by
-  // jitter/loss draws), the scripted death time, and the outage windows.
-  // The fl checkpoint layer snapshots and restores these so a resumed run's
-  // channels replay the identical fault/jitter sequence.
-  util::RngState rng_state() const { return rng_.state(); }
-  void set_rng_state(const util::RngState& s) { rng_ = util::Rng::from_state(s); }
-  double death_s() const { return death_s_; }
-  const std::vector<std::pair<double, double>>& outages() const {
-    return outages_;
-  }
-  void set_outages(std::vector<std::pair<double, double>> outages) {
-    outages_ = std::move(outages);
-  }
+  /// The jitter and loss draws' stream (the aggregator tree checkpoints its
+  /// links' positions).
+  util::Rng& rng() { return rng_; }
+
+  /// Checkpoint section: the resolved bandwidth, the config, the RNG
+  /// position, the scripted death time and the outage windows — the whole
+  /// channel, so a resumed run replays the identical fault and jitter
+  /// sequence. A restore runs the constructor's and add_outage's checks.
+  void io(util::CheckpointArchive& ar);
 
  private:
   ChannelConfig config_;

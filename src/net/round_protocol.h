@@ -81,14 +81,11 @@ class RoundProtocol {
   void script_outage(int id, double start_s, double end_s);
   void script_death(int id, double at_s);
 
-  /// Registered device ids in ascending order (checkpointing: the roster of
-  /// channels, including devices that joined mid-run). seed_rng_ itself
-  /// never advances — add_device forks it purely by id — so re-registering
-  /// the same ids after a resume rebuilds identical base channels before
-  /// their snapshotted rng/fault state is overlaid.
-  std::vector<int> device_ids() const;
-  /// Per-device config overrides (restored before channels are rebuilt).
-  const std::map<int, ChannelConfig>& overrides() const { return overrides_; }
+  /// Checkpoint section: the per-device config overrides, then every
+  /// registered channel (devices that joined mid-run included) with its
+  /// whole state. A restore replaces both; a fleet client left without a
+  /// channel is registered afresh by the session's next delivery.
+  void io(util::CheckpointArchive& ar);
 
   // -- Transfers ------------------------------------------------------------
 

@@ -26,6 +26,12 @@ Sgd::Sgd(float lr, float momentum, float weight_decay, float clip_norm)
   }
 }
 
+void Sgd::io(util::CheckpointArchive& ar, std::size_t param_count) {
+  ar.io(velocity_);
+  ar.expect(velocity_.empty() || velocity_.size() == param_count,
+            "checkpoint optimizer velocity does not match the model");
+}
+
 void Sgd::step(Model& model) {
   const std::size_t n = model.param_count();
   const bool use_momentum = momentum_ > 0.0F;

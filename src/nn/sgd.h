@@ -7,6 +7,7 @@
 #pragma once
 
 #include "nn/model.h"
+#include "util/checkpoint_archive.h"
 
 namespace helios::nn {
 
@@ -26,11 +27,11 @@ class Sgd {
   void set_lr(float lr) { lr_ = lr; }
   float momentum() const { return momentum_; }
 
-  // Checkpoint hooks: the velocity buffer is the only cross-step state.
-  // Empty until the first momentum step (lazily sized), and stays empty
-  // forever when momentum == 0 — round-trips either way.
-  const std::vector<float>& velocity() const { return velocity_; }
-  void set_velocity(std::vector<float> v) { velocity_ = std::move(v); }
+  /// Checkpoint section: the velocity buffer is the only cross-step state.
+  /// Empty until the first momentum step (lazily sized), and stays empty
+  /// forever when momentum == 0; a restore refuses any other length than
+  /// `param_count`.
+  void io(util::CheckpointArchive& ar, std::size_t param_count);
 
  private:
   float lr_;

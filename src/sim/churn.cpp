@@ -119,44 +119,21 @@ RoundChurn ChurnProcess::step(fl::Fleet& fleet, int cycle) {
   return churn;
 }
 
-void ChurnProcess::save_state(const fl::Fleet& fleet,
-                              fl::CheckpointWriter& w) const {
-  (void)fleet;
-  w.rng(arrival_rng_.state());
-  w.f64(next_arrival_s_);
-  // unordered_map iteration order is not deterministic; serialize sorted.
-  std::vector<int> ids;
-  ids.reserve(death_at_.size());
-  for (const auto& [id, at] : death_at_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (int id : ids) {
-    w.i32(id);
-    w.f64(death_at_.at(id));
-  }
-  w.vec_i32(joined_indices_);
-}
-
-void ChurnProcess::load_state(fl::Fleet& fleet, fl::CheckpointReader& r) {
-  arrival_rng_ = util::Rng::from_state(r.rng());
-  next_arrival_s_ = r.f64();
-  death_at_.clear();
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const int id = r.i32();
-    death_at_[id] = r.f64();
-  }
-  joined_indices_ = r.vec_i32();
+void ChurnProcess::io(fl::Fleet& fleet, fl::CheckpointArchive& ar) {
+  ar.io(arrival_rng_);
+  ar.io(next_arrival_s_);
+  ar.io_map(death_at_, 4 + 8, [&](int, double& at) { ar.io(at); });
+  ar.io(joined_indices_);
+  if (!ar.loading()) return;
   // Replay the joins into the rebuilt fleet (which holds only the initial
   // population). Admission is skipped: the snapshot's per-client section
   // overwrites straggler/volume/active flags right after this.
   for (int index : joined_indices_) {
     if (index < static_cast<int>(fleet.size())) continue;
-    if (index != static_cast<int>(fleet.size())) {
-      throw fl::CheckpointError(
-          "ChurnProcess: joiner index " + std::to_string(index) +
-          " does not extend the rebuilt fleet contiguously");
-    }
+    ar.expect(index == static_cast<int>(fleet.size()), [&] {
+      return "ChurnProcess: joiner index " + std::to_string(index) +
+             " does not extend the rebuilt fleet contiguously";
+    });
     add_device(fleet, pop_, index);
   }
 }

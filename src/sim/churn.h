@@ -21,7 +21,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "core/scalability.h"
@@ -70,13 +70,11 @@ class ChurnProcess : public fl::Checkpointable {
   double death_time(int id) const;
 
   /// Checkpointable: snapshot = (arrival-stream RNG position, pending
-  /// arrival time, departure schedule, joiner indices). load_state re-adds
+  /// arrival time, departure schedule, joiner indices). A restore re-adds
   /// the joiners to the rebuilt fleet — BEFORE the checkpoint's per-client
   /// section loads, so the roster matches — skipping admission (the
   /// snapshotted client flags land afterwards anyway).
-  void save_state(const fl::Fleet& fleet, fl::CheckpointWriter& w)
-      const override;
-  void load_state(fl::Fleet& fleet, fl::CheckpointReader& r) override;
+  void io(fl::Fleet& fleet, fl::CheckpointArchive& ar) override;
 
  private:
   double lifetime(int id) const;
@@ -87,9 +85,9 @@ class ChurnProcess : public fl::Checkpointable {
   util::Rng arrival_rng_;
   core::ScalabilityManager manager_;
   double next_arrival_s_ = -1.0;  ///< lazily initialized on first step
-  std::unordered_map<int, double> death_at_;
+  std::map<int, double> death_at_;  ///< ordered: checkpoint bytes by id
   /// Population indices of devices this process added mid-run, in join
-  /// order (what load_state replays into a rebuilt fleet).
+  /// order (what a restore replays into a rebuilt fleet).
   std::vector<int> joined_indices_;
 };
 

@@ -16,24 +16,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <ostream>
 #include <span>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "core/helios_strategy.h"
-#include "core/straggler_id.h"
-#include "core/target.h"
-#include "fl/afo.h"
-#include "fl/async.h"
-#include "fl/baselines.h"
-#include "fl/checkpoint.h"
-#include "fl/hierarchy.h"
-#include "fl/sync.h"
-#include "fl/transport.h"
-#include "sim/churn.h"
-#include "sim/population.h"
-#include "sim/sampler.h"
+#include "checkpoint_rigs.h"
 #include "tensor/backend/dispatch.h"
 #include "test_support.h"
 #include "util/thread_pool.h"
@@ -56,120 +45,33 @@ std::uint64_t digest(const std::string& payload) {
       reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size()));
 }
 
-/// Runs `rounds` rounds of `strategy` on `fleet` and returns the payload.
-std::string payload_after(fl::Fleet& fleet, fl::Strategy& strategy,
-                          int rounds) {
-  fl::RunResult partial;
-  partial.method = strategy.name();
-  strategy.run_range(fleet, partial, 0, rounds);
-  return fl::make_checkpoint_payload(fleet, &strategy, partial);
-}
+using testing::RigKind;
 
-/// Helios on mobile_longtail(6) over a depth-3 aggregator tree, with a
-/// lossy int8-per-neuron session (error-feedback residuals, one channel
-/// override, a scripted outage and a scripted death) and churn joiners:
-/// every component section, the session section and Helios' state.
 std::string helios_tree_payload() {
-  const sim::PopulationGenerator pop(sim::mobile_longtail(6));
-  fl::Fleet fleet = sim::build_fleet(pop);
-  const core::StragglerReport report =
-      core::StragglerIdentifier::time_based(fleet, 2);
-  core::StragglerIdentifier::apply(fleet, report);
-  core::TargetDeterminer::assign_profiled(fleet, report);
-  // Rounds last about 0.1 virtual seconds.
-  sim::ChurnOptions copts;
-  copts.arrival_rate_per_s = 8.0;
-  copts.mean_lifetime_s = 4000.0;
-  copts.seed = 13;
-  copts.max_devices = 9;
-  copts.admit_arrivals = true;
-  sim::ChurnProcess churn(pop, copts);
-  agg::TreeTopology topo;
-  topo.edge_nodes = 4;
-  topo.fanout = 2;
-  topo.edge_link.jitter_s = 0.01;
-  topo.edge_link.loss_prob = 0.05;
-  topo.edge_link.latency_s = 0.005;
-  topo.regional_link.loss_prob = 0.05;
-  fl::HierarchySession hier(fleet, topo);
-  net::NetworkOptions nopts;
-  nopts.mode = net::NetMode::kSimulated;
-  nopts.payload_codec = codec::CodecId::kInt8PerNeuron;
-  nopts.error_feedback = true;
-  nopts.channel.loss_prob = 0.05;
-  nopts.channel.latency_s = 0.01;
-  nopts.channel.jitter_s = 0.02;
-  fl::NetworkSession session(fleet, nopts);
-  net::ChannelConfig slow;
-  slow.bandwidth_mbps = 0.5;
-  slow.latency_s = 0.05;
-  slow.loss_prob = 0.1;
-  session.protocol().configure_device(1, slow);
-  session.protocol().script_outage(2, 0.05, 0.2);
-  session.protocol().script_death(3, 0.15);
-  fleet.register_checkpointable("churn", &churn);
-  fleet.register_checkpointable("hierarchy", &hier);
-  fleet.register_checkpointable("codec_ef", &session);
-  core::HeliosStrategy strategy(core::HeliosConfig{});
-  strategy.set_cycle_hook(
-      [&churn](fl::Fleet& f, int cycle) { churn.step(f, cycle); });
-
-  const std::string payload = payload_after(fleet, strategy, 4);
-  EXPECT_GT(fleet.size(), 6U) << "no churn joiner arrived";
-  EXPECT_FALSE(fleet.client(3).active()) << "the scripted death never hit";
-  EXPECT_GT(session.feedback().clients(), 0U) << "no residual was banked";
-  EXPECT_FALSE(fleet.stragglers().empty());
+  testing::CheckpointRig rig = testing::make_rig(RigKind::kHeliosTree);
+  const std::string payload = rig.pinned_payload();
+  EXPECT_GT(rig.fleet->size(), 6U) << "no churn joiner arrived";
+  EXPECT_FALSE(rig.fleet->client(3).active())
+      << "the scripted death never hit";
+  EXPECT_GT(rig.session->feedback().clients(), 0U)
+      << "no residual was banked";
+  EXPECT_FALSE(rig.fleet->stragglers().empty());
   return payload;
 }
 
-/// AFO on lazy mobile_longtail(64) with a 1/8 cohort sampler: parked
-/// devices write empty bases, never-trained lazy clients no loader state,
-/// hibernated ones a stashed loader.
 std::string afo_sampled_payload() {
-  sim::CohortSampler::Options sopts;
-  sopts.fraction = 0.125;
-  sopts.seed = 17;
-  const sim::CohortSampler sampler(sopts);
-  fl::Fleet fleet = testing::make_sampled_longtail(sampler);
-  fl::Afo strategy;
-  const std::string payload = payload_after(fleet, strategy, 3);
+  testing::CheckpointRig rig = testing::make_rig(RigKind::kAfoSampled);
+  const std::string payload = rig.pinned_payload();
   std::size_t live = 0;
-  for (auto& c : fleet.clients()) live += c->materialized() ? 1 : 0;
-  EXPECT_LT(live, fleet.size() / 2) << "the sampler parked too few devices";
+  for (auto& c : rig.fleet->clients()) live += c->materialized() ? 1 : 0;
+  EXPECT_LT(live, rig.fleet->size() / 2)
+      << "the sampler parked too few devices";
   return payload;
 }
 
-std::string async_payload() {
-  fl::Fleet fleet = testing::make_fleet();
-  fl::AsyncFL strategy;
-  return payload_after(fleet, strategy, 3);
-}
-
-std::string async_period_payload() {
-  fl::Fleet fleet = testing::make_fleet();
-  fl::AsyncFL strategy(2);
-  return payload_after(fleet, strategy, 3);
-}
-
-std::string random_payload() {
-  fl::Fleet fleet = testing::make_fleet();
-  fl::RandomSubmodel strategy;
-  return payload_after(fleet, strategy, 3);
-}
-
-std::string static_payload() {
-  fl::Fleet fleet = testing::make_fleet();
-  fl::StaticPrune strategy;
-  return payload_after(fleet, strategy, 3);
-}
-
-/// SyncFL with momentum: every client carries a non-empty velocity.
-std::string sync_momentum_payload() {
-  testing::FleetOptions o;
-  o.momentum = 0.9F;
-  fl::Fleet fleet = testing::make_fleet(o);
-  fl::SyncFL strategy(0.75);
-  return payload_after(fleet, strategy, 3);
+template <RigKind kKind>
+std::string payload_of() {
+  return testing::make_rig(kKind).pinned_payload();
 }
 
 struct Case {
@@ -178,15 +80,19 @@ struct Case {
   std::uint64_t digest;
 };
 
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
+
 // Recorded at 78c6e40 (scalar backend, 1 thread, no sink).
 const Case kCases[] = {
     {"helios_tree_int8_churn", helios_tree_payload, 0xa661fe00c2ba6060ULL},
     {"afo_sampled_lazy", afo_sampled_payload, 0xd29f1a7575f5ad50ULL},
-    {"async_full", async_payload, 0x304f024a7a1d77a0ULL},
-    {"async_period2", async_period_payload, 0x036de5b1d54f70f3ULL},
-    {"random_submodel", random_payload, 0x19d084a514c529feULL},
-    {"static_prune", static_payload, 0xac764c33fb28b59fULL},
-    {"sync_momentum", sync_momentum_payload, 0xd92390e75c3ba0e8ULL},
+    {"async_full", payload_of<RigKind::kAsync>, 0x304f024a7a1d77a0ULL},
+    {"async_period2", payload_of<RigKind::kAsyncPeriod>,
+     0x036de5b1d54f70f3ULL},
+    {"random_submodel", payload_of<RigKind::kRandom>, 0x19d084a514c529feULL},
+    {"static_prune", payload_of<RigKind::kStatic>, 0xac764c33fb28b59fULL},
+    {"sync_momentum", payload_of<RigKind::kSyncMomentum>,
+     0xd92390e75c3ba0e8ULL},
 };
 
 class CheckpointDigestTest : public ::testing::TestWithParam<Case> {};

@@ -297,7 +297,7 @@ TEST(ErrorFeedbackTest, ResidualsAreLazilyZeroInitialized) {
 
 TEST(ErrorFeedbackTest, NormAndClearAndAssign) {
   codec::ErrorFeedback ef;
-  ef.assign(2, {3.0F, 4.0F});
+  ef.residual(2, 2) = {3.0F, 4.0F};
   EXPECT_DOUBLE_EQ(ef.l2_norm(2), 5.0);
   EXPECT_THROW(ef.residual(2, 3), codec::CodecError);  // length mismatch
   ef.clear();

@@ -15,6 +15,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -367,31 +368,56 @@ TEST(CheckpointCorruptionTest, LyingVectorCountsAreRefusedBeforeSizing) {
   struct Reader {
     const char* name;
     std::size_t bytes_each;
-    void (*read)(fl::CheckpointReader&);
+    void (*read)(fl::CheckpointArchive&);
   };
   const Reader readers[] = {
-      {"vec_f32", 4, [](fl::CheckpointReader& r) { (void)r.vec_f32(); }},
-      {"vec_f64", 8, [](fl::CheckpointReader& r) { (void)r.vec_f64(); }},
-      {"vec_i32", 4, [](fl::CheckpointReader& r) { (void)r.vec_i32(); }},
-      {"vec_u8", 1, [](fl::CheckpointReader& r) { (void)r.vec_u8(); }},
-      {"vec_size", 8, [](fl::CheckpointReader& r) { (void)r.vec_size(); }},
+      {"vec_f32", 4,
+       [](fl::CheckpointArchive& ar) {
+         std::vector<float> v;
+         ar.io(v);
+       }},
+      {"vec_f64", 8,
+       [](fl::CheckpointArchive& ar) {
+         std::vector<double> v;
+         ar.io(v);
+       }},
+      {"vec_i32", 4,
+       [](fl::CheckpointArchive& ar) {
+         std::vector<int> v;
+         ar.io(v);
+       }},
+      {"vec_u8", 1,
+       [](fl::CheckpointArchive& ar) {
+         std::vector<std::uint8_t> v;
+         ar.io(v);
+       }},
+      {"vec_size", 8,
+       [](fl::CheckpointArchive& ar) {
+         std::vector<std::size_t> v;
+         ar.io(v);
+       }},
+  };
+  // A u32 count, then eight bytes of elements.
+  auto payload = [](std::uint32_t count) {
+    fl::CheckpointArchive w;
+    std::uint64_t elements = 0;
+    w.io(count);
+    w.io(elements);
+    return w.take();
   };
   for (const Reader& rd : readers) {
     for (const std::uint32_t lie :
          {std::numeric_limits<std::uint32_t>::max(), std::uint32_t{1} << 31,
           static_cast<std::uint32_t>(8 / rd.bytes_each + 1)}) {
-      fl::CheckpointWriter w;
-      w.u32(lie);
-      w.u64(0);  // eight bytes of elements
-      fl::CheckpointReader r(w.buffer());
+      const std::string bytes = payload(lie);
+      fl::CheckpointArchive r(bytes);
       EXPECT_THROW(rd.read(r), fl::CheckpointError)
           << rd.name << " claiming " << lie << " elements";
     }
     // A count the payload does back still reads.
-    fl::CheckpointWriter w;
-    w.u32(static_cast<std::uint32_t>(8 / rd.bytes_each));
-    w.u64(0);
-    fl::CheckpointReader r(w.buffer());
+    const std::string bytes =
+        payload(static_cast<std::uint32_t>(8 / rd.bytes_each));
+    fl::CheckpointArchive r(bytes);
     EXPECT_NO_THROW(rd.read(r)) << rd.name;
     EXPECT_TRUE(r.done()) << rd.name;
   }
@@ -411,14 +437,15 @@ TEST(CheckpointCorruptionTest, LyingRoundCountWithValidCrcIsRefused) {
   const std::string bytes = read_file(path);
 
   // The RunResult section: the round count, then each round's record.
-  fl::CheckpointWriter needle;
-  needle.u32(static_cast<std::uint32_t>(partial.rounds.size()));
-  for (const fl::RoundRecord& rec : partial.rounds) {
-    needle.i32(rec.cycle);
-    needle.f64(rec.virtual_time);
-    needle.f64(rec.test_accuracy);
-    needle.f64(rec.mean_train_loss);
-    needle.f64(rec.upload_mb);
+  fl::CheckpointArchive needle;
+  auto rounds = static_cast<std::uint32_t>(partial.rounds.size());
+  needle.io(rounds);
+  for (fl::RoundRecord rec : partial.rounds) {
+    needle.io(rec.cycle);
+    needle.io(rec.virtual_time);
+    needle.io(rec.test_accuracy);
+    needle.io(rec.mean_train_loss);
+    needle.io(rec.upload_mb);
   }
   constexpr std::size_t kHeader = 24;  // magic, version, size, CRC
   const std::size_t at = bytes.find(needle.buffer(), kHeader);
@@ -467,6 +494,99 @@ TEST(CheckpointCorruptionTest, RefusesWrongArchitectureAndStrategy) {
     fl::Fleet fleet = testing::make_fleet();
     fl::Afo strategy;
     EXPECT_THROW(fleet.resume(path, &strategy), fl::CheckpointError);
+  }
+}
+
+/// `bytes`, a framed checkpoint, with its CRC recomputed over the payload
+/// so that the framing passes and the payload parser sees the edit.
+std::string with_valid_crc(std::string bytes) {
+  constexpr std::size_t kHeader = 24;  // magic, version, size, CRC
+  const std::uint32_t crc = net::crc32(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()) + kHeader,
+      bytes.size() - kHeader));
+  for (int b = 0; b < 4; ++b) {
+    bytes[20 + static_cast<std::size_t>(b)] = static_cast<char>(crc >> (8 * b));
+  }
+  return bytes;
+}
+
+std::uint64_t load_le(const std::string& bytes, std::size_t at, int width) {
+  std::uint64_t v = 0;
+  for (int b = width - 1; b >= 0; --b) {
+    v = (v << 8) |
+        static_cast<std::uint8_t>(bytes[at + static_cast<std::size_t>(b)]);
+  }
+  return v;
+}
+
+/// Offsets of every loader epoch order in a checkpoint file: a u32 count
+/// n >= 2 followed by n u64 indices forming a permutation of [0, n).
+std::vector<std::size_t> loader_orders(const std::string& bytes) {
+  std::vector<std::size_t> found;
+  for (std::size_t at = 24; at + 4 <= bytes.size(); ++at) {
+    const std::uint64_t n = load_le(bytes, at, 4);
+    if (n < 2 || n > (bytes.size() - at - 4) / 8) continue;
+    std::vector<std::uint8_t> seen(n, 0);
+    bool permutation = true;
+    for (std::uint64_t k = 0; k < n && permutation; ++k) {
+      const std::uint64_t index = load_le(bytes, at + 4 + 8 * k, 8);
+      permutation = index < n && seen[index] == 0;
+      if (permutation) seen[index] = 1;
+    }
+    if (permutation) found.push_back(at);
+  }
+  return found;
+}
+
+/// `bytes` with the first index of the loader order at `at` moved one past
+/// the shard, CRC recomputed.
+std::string order_past_the_shard(std::string bytes, std::size_t at) {
+  const std::uint64_t n = load_le(bytes, at, 4);
+  for (int b = 0; b < 8; ++b) {
+    bytes[at + 4 + static_cast<std::size_t>(b)] =
+        static_cast<char>(n >> (8 * b));
+  }
+  return with_valid_crc(std::move(bytes));
+}
+
+// A loader order holding an index past the shard reads out of bounds in the
+// next round, so restore requires a permutation of [0, n): against the
+// shard for a live loader, and on its own for the order a hibernated lazy
+// client stashes until its shard is rebuilt.
+TEST(CheckpointCorruptionTest, LoaderOrderOutsideTheShardIsRefused) {
+  TempDir tmp;
+  const std::string bad = tmp.file("bad");
+  {  // Live loaders: one per eager client.
+    const std::string bytes = read_file(make_valid_checkpoint(tmp, "ckpt"));
+    const std::vector<std::size_t> orders = loader_orders(bytes);
+    ASSERT_EQ(orders.size(), 4U);
+    for (std::size_t at : orders) {
+      write_file(bad, order_past_the_shard(bytes, at));
+      expect_refused(bad, "live loader order past the shard");
+    }
+  }
+  {  // Stashed orders: lazy clients restore theirs into the stash.
+    sim::CohortSampler::Options sopts;
+    sopts.fraction = 0.125;
+    sopts.seed = 17;
+    const sim::CohortSampler sampler(sopts);
+    const std::string path = tmp.file("lazy");
+    {
+      fl::Fleet fleet = testing::make_sampled_longtail(sampler);
+      fl::Afo strategy;
+      fl::RunResult partial;
+      partial.method = strategy.name();
+      strategy.run_range(fleet, partial, 0, 2);
+      fleet.save_checkpoint(path, &strategy, partial);
+    }
+    const std::string bytes = read_file(path);
+    const std::vector<std::size_t> orders = loader_orders(bytes);
+    ASSERT_FALSE(orders.empty());
+    write_file(bad, order_past_the_shard(bytes, orders.front()));
+    fl::Fleet fleet = testing::make_sampled_longtail(sampler);
+    fl::Afo strategy;
+    EXPECT_THROW(fleet.resume(bad, &strategy), fl::CheckpointError)
+        << "stashed loader order past the shard";
   }
 }
 
@@ -679,8 +799,12 @@ TEST(CrashResumeTest, AfoChurnJoinerResumeBitIdentical) {
 // The engine's tables may be shorter than the fleet (devices joined after
 // the last run_range) but never longer.
 TEST(CrashResumeTest, AsyncEngineTablesMayTrailButNotExceedTheFleet) {
+  // The grown fleet keeps the saved devices at their indices (stragglers
+  // 2 and 3), as joiners append: a restore bounds each pending completion
+  // by its device's cycle estimate.
   testing::FleetOptions six;
   six.clients = 6;
+  six.stragglers = 4;
   for (const std::string kind : {"async", "afo"}) {
     SCOPED_TRACE(kind);
     fl::Fleet fleet4 = testing::make_fleet();
@@ -688,29 +812,31 @@ TEST(CrashResumeTest, AsyncEngineTablesMayTrailButNotExceedTheFleet) {
     fl::RunResult partial;
     partial.method = saved4->name();
     saved4->run_range(fleet4, partial, 0, 2);
-    fl::CheckpointWriter w4;
-    saved4->save_state(fleet4, w4);
+    fl::CheckpointArchive w4;
+    saved4->io(fleet4, w4);
 
+    // The clock is restored before the strategy section.
     fl::Fleet fleet6 = testing::make_fleet(six);
+    fleet6.clock().advance_to(fleet4.clock().now());
     auto grown = make_strategy(kind);
-    fl::CheckpointReader r4(w4.buffer());
-    EXPECT_NO_THROW(grown->load_state(fleet6, r4));
+    fl::CheckpointArchive r4(w4.buffer());
+    EXPECT_NO_THROW(grown->io(fleet6, r4));
     EXPECT_TRUE(r4.done());
 
     auto saved6 = make_strategy(kind);
     partial.rounds.clear();
     saved6->run_range(fleet6, partial, 0, 2);
-    fl::CheckpointWriter w6;
-    saved6->save_state(fleet6, w6);
+    fl::CheckpointArchive w6;
+    saved6->io(fleet6, w6);
     fl::Fleet shrunk = testing::make_fleet();
     auto restored = make_strategy(kind);
-    fl::CheckpointReader r6(w6.buffer());
-    EXPECT_THROW(restored->load_state(shrunk, r6), fl::CheckpointError);
+    fl::CheckpointArchive r6(w6.buffer());
+    EXPECT_THROW(restored->io(shrunk, r6), fl::CheckpointError);
   }
 }
 
-// The engine's section, decoded field by field (the layout of
-// AsyncEngine::save_state) so a test can forge one rule violation at a time.
+// The engine's section, field by field (the layout of AsyncEngine::io), so
+// a test can forge one rule violation at a time.
 struct EngineSection {
   struct Entry {
     std::vector<float> base;
@@ -726,52 +852,42 @@ struct EngineSection {
   std::vector<std::uint8_t> parked;
   std::vector<std::pair<double, std::int32_t>> events;  // (time, index)
   std::vector<Entry> inflight;
+  /// The saving fleet's clock; not part of the section, but restored
+  /// before it, as a whole-payload restore does.
+  double clock = 0.0;
+
+  void io(fl::CheckpointArchive& ar) {
+    ar.io(version);
+    ar.io(reference);
+    ar.io(recorded);
+    ar.io(loss_acc);
+    ar.io(upload_acc);
+    ar.io(loss_count);
+    ar.io(parked);
+    events.resize(ar.count(events.size(), 12));
+    for (auto& [time, index] : events) {
+      ar.io(time);
+      ar.io(index);
+    }
+    inflight.resize(ar.count(inflight.size(), 16));
+    for (Entry& e : inflight) {
+      ar.io(e.base);
+      ar.io(e.base_buffers);
+      ar.io(e.started_version);
+    }
+  }
 
   static EngineSection decode(const std::string& bytes) {
-    fl::CheckpointReader r(bytes);
+    fl::CheckpointArchive r(bytes);
     EngineSection s;
-    s.version = r.i64();
-    s.reference = r.i32();
-    s.recorded = r.i32();
-    s.loss_acc = r.f64();
-    s.upload_acc = r.f64();
-    s.loss_count = r.i32();
-    s.parked = r.vec_u8();
-    for (std::uint32_t n = r.u32(), i = 0; i < n; ++i) {
-      const double time = r.f64();
-      s.events.emplace_back(time, r.i32());
-    }
-    for (std::uint32_t n = r.u32(), i = 0; i < n; ++i) {
-      Entry e;
-      e.base = r.vec_f32();
-      e.base_buffers = r.vec_f32();
-      e.started_version = r.i64();
-      s.inflight.push_back(std::move(e));
-    }
+    s.io(r);
     r.expect_done("engine section");
     return s;
   }
 
-  std::string encode() const {
-    fl::CheckpointWriter w;
-    w.i64(version);
-    w.i32(reference);
-    w.i32(recorded);
-    w.f64(loss_acc);
-    w.f64(upload_acc);
-    w.i32(loss_count);
-    w.vec_u8(parked);
-    w.u32(static_cast<std::uint32_t>(events.size()));
-    for (const auto& [time, index] : events) {
-      w.f64(time);
-      w.i32(index);
-    }
-    w.u32(static_cast<std::uint32_t>(inflight.size()));
-    for (const Entry& e : inflight) {
-      w.vec_f32(e.base);
-      w.vec_f32(e.base_buffers);
-      w.i64(e.started_version);
-    }
+  std::string encode() {
+    fl::CheckpointArchive w;
+    io(w);
     return w.take();
   }
 
@@ -792,10 +908,11 @@ EngineSection valid_afo_section() {
   fl::RunResult partial;
   partial.method = strategy.name();
   strategy.run_range(fleet, partial, 0, 2);
-  fl::CheckpointWriter w;
-  strategy.save_state(fleet, w);
+  fl::CheckpointArchive w;
+  strategy.io(fleet, w);
   EngineSection s = EngineSection::decode(w.buffer());
   EXPECT_EQ(s.encode(), w.buffer()) << "the decoder misreads the layout";
+  s.clock = fleet.clock().now();
   EXPECT_EQ(s.reference, 0);
   EXPECT_EQ(s.events.size(), 4U);
   return s;
@@ -803,13 +920,14 @@ EngineSection valid_afo_section() {
 
 /// Loading `s` into a fresh 4-device fleet must throw CheckpointError whose
 /// message names `rule`.
-void expect_section_refused(const EngineSection& s, const std::string& rule) {
+void expect_section_refused(EngineSection s, const std::string& rule) {
   fl::Fleet fleet = testing::make_fleet();
+  fleet.clock().advance_to(s.clock);
   fl::Afo strategy;
   const std::string bytes = s.encode();
-  fl::CheckpointReader r(bytes);
+  fl::CheckpointArchive r(bytes);
   try {
-    strategy.load_state(fleet, r);
+    strategy.io(fleet, r);
     ADD_FAILURE() << "forged section accepted: " << rule;
   } catch (const fl::CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find(rule), std::string::npos)
@@ -864,6 +982,19 @@ TEST(CrashResumeTest, AsyncEngineRefusesEventsOutOfHeapOrder) {
   // The root must be the earliest completion.
   s.events.front().first = s.events.back().first + 1.0;
   expect_section_refused(s, "events out of heap order");
+}
+
+// A pending event far beyond its device's cycle, finite and heap-ordered,
+// lets every other device complete and restart ahead of the reference
+// without end. start_client schedules a completion at most one cycle
+// estimate after the clock, so restore bounds each event by that.
+TEST(CrashResumeTest, AsyncEngineRefusesEventBeyondItsCycle) {
+  EngineSection s = valid_afo_section();
+  for (auto& ev : s.events) {
+    if (ev.second == s.reference) ev.first = 1e300;
+  }
+  s.reheap();
+  expect_section_refused(s, "event beyond its device's cycle");
 }
 
 // Once every device is dead the engine stops at the reference's pop, which
