@@ -303,9 +303,8 @@ RelayOutcome AggregatorTree::relay(std::span<const double> edge_ready,
 }
 
 void AggregatorTree::io(util::CheckpointArchive& ar) {
-  // Four state words, the cached normal and its flag per channel.
   const std::size_t links = edge_channels_.size() + regional_channels_.size();
-  ar.expect(ar.count(links, 4 * 8 + 8 + 1) == links,
+  ar.expect(ar.count(links, util::CheckpointArchive::kRngBytes) == links,
             "AggregatorTree: checkpointed link count does not match the tree");
   for (auto& c : edge_channels_) ar.io(c.rng());
   for (auto& c : regional_channels_) ar.io(c.rng());

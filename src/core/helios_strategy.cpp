@@ -169,7 +169,8 @@ void HeliosStrategy::io(fl::Fleet& fleet, fl::CheckpointArchive& ar) {
   for (const auto& [id, st] : state_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   // Per straggler: id, keep ratio, two vector lengths, the RNG position.
-  ids.resize(ar.count(ids.size(), 4 + 8 + 4 + (4 * 8 + 8 + 1) + 4));
+  ids.resize(ar.count(ids.size(),
+                      4 + 8 + 4 + fl::CheckpointArchive::kRngBytes + 4));
   if (ar.loading()) {
     state_.clear();
     geometry_.reset();

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "util/checkpoint_archive.h"

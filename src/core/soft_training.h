@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "fl/submodel.h"

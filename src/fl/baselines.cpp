@@ -33,7 +33,7 @@ std::vector<PlannedClient> RandomSubmodel::plan(Fleet& fleet, int cycle) {
 }
 
 void RandomSubmodel::io(Fleet& /*fleet*/, CheckpointArchive& ar) {
-  ar.io_map(client_rng_, 4 + 4 * 8 + 8 + 1,
+  ar.io_map(client_rng_, 4 + CheckpointArchive::kRngBytes,
             [&](int, util::Rng& rng) { ar.io(rng); });
 }
 

@@ -43,7 +43,8 @@ void RoundProtocol::io(util::CheckpointArchive& ar) {
   // Smallest encodings after the id: a config (four f64), and a channel
   // (its bandwidth, config, RNG position, death time, outage count).
   constexpr std::size_t kConfig = 4 * 8;
-  constexpr std::size_t kChannel = 8 + kConfig + (4 * 8 + 8 + 1) + 8 + 4;
+  constexpr std::size_t kChannel =
+      8 + kConfig + util::CheckpointArchive::kRngBytes + 8 + 4;
   ar.io_map(overrides_, 4 + kConfig,
             [&](int, ChannelConfig& cfg) { cfg.io(ar); });
   ar.io_map(channels_, 4 + kChannel,

@@ -57,6 +57,10 @@ concept CheckpointScalar =
 
 class CheckpointArchive {
  public:
+  /// Encoded size of an RngState: four state words, the cached normal and
+  /// its flag.
+  static constexpr std::size_t kRngBytes = 4 * 8 + 8 + 1;
+
   /// A writing archive; take() hands over the payload.
   CheckpointArchive() = default;
   /// A reading archive over `payload`, which must outlive it. Every read
