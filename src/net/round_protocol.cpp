@@ -52,6 +52,7 @@ void RoundProtocol::io(util::CheckpointArchive& ar) {
 }
 
 void RoundProtocol::configure_device(int id, ChannelConfig config) {
+  if (const char* bad = config.error()) throw std::invalid_argument(bad);
   overrides_[id] = config;
   auto it = channels_.find(id);
   if (it != channels_.end()) it->second.set_config(config);

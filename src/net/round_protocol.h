@@ -74,7 +74,9 @@ class RoundProtocol {
   SimulatedChannel& channel(int id);
 
   /// Per-device channel override; applies to the existing channel and to a
-  /// future add_device registration.
+  /// future add_device registration. Throws std::invalid_argument for a
+  /// config SimulatedChannel's constructor refuses, which a checkpoint
+  /// restore would refuse too.
   void configure_device(int id, ChannelConfig config);
 
   /// Fault scripting shortcuts (device must be registered).

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -452,6 +453,29 @@ TEST(RoundProtocolTest, PerDeviceStreamsAreStableUnderChurn) {
     EXPECT_EQ(a.send_with_retries(1, 5000, i * 1.0, 0.0).settle_s,
               b.send_with_retries(1, 5000, i * 1.0, 0.0).settle_s);
   }
+}
+
+// An override goes through the channel constructor's checks, so no run can
+// configure a device its own checkpoint restore would refuse.
+TEST(RoundProtocolTest, ConfigureDeviceRefusesConfigsTheChannelRefuses) {
+  net::RoundProtocol proto(net::NetworkOptions{});
+  proto.add_device(0, 4.0);
+  for (const auto& [latency, jitter, loss] :
+       {std::tuple{-0.1, 0.0, 0.0}, std::tuple{0.0, 0.0, 1.0},
+        std::tuple{std::numeric_limits<double>::quiet_NaN(), 0.0, 0.0},
+        std::tuple{0.0, std::numeric_limits<double>::infinity(), 0.0}}) {
+    net::ChannelConfig cfg;
+    cfg.latency_s = latency;
+    cfg.jitter_s = jitter;
+    cfg.loss_prob = loss;
+    EXPECT_THROW(proto.configure_device(0, cfg), std::invalid_argument)
+        << latency << " " << jitter << " " << loss;
+  }
+  net::ChannelConfig ok;
+  ok.latency_s = 0.01;
+  ok.loss_prob = 0.5;
+  EXPECT_NO_THROW(proto.configure_device(0, ok));
+  EXPECT_EQ(proto.channel(0).config().loss_prob, 0.5);
 }
 
 // ---- Fleet-level integration ----------------------------------------------
