@@ -1,15 +1,16 @@
 // Hostile checkpoints through peek_checkpoint and Fleet::resume: a
 // deterministic mutator over the payloads of the pinned configurations
 // (checkpoint_rigs.h). Mutants are bit flips, truncations, lying u32
-// counts and u64 section lengths (0, 1, n-1, n+1, 2^31, 2^32-1), and
-// splices of two configurations' payloads; 7 in 8 get their size and CRC
-// recomputed so that they reach the payload walk behind the framing. Each
-// mutant is written to a file, probed with peek_checkpoint and resumed into
-// a freshly built rig. The contract: the restore throws CheckpointError,
-// or it returns and one more round completes or throws CheckpointError
-// (a hibernated client's stashed loader order meets its shard only when
-// the shard is rebuilt) — never another exception, and under the sanitized
-// presets never a sanitizer report.
+// counts and u64 section lengths anywhere in the layout (0, 1, n-1, n+1,
+// 2^31, 2^32-1), and splices of two configurations' payloads; 7 in 8 get
+// their size and CRC recomputed so that they reach the payload walk behind
+// the framing. Each mutant is written to a file, probed with
+// peek_checkpoint and resumed into a freshly built rig. The contract: the
+// restore throws CheckpointError, or it returns and one more round
+// completes or throws CheckpointError (a hibernated client's stashed
+// loader order meets its shard only when the shard is rebuilt) — never
+// another exception, and under the sanitized presets never a sanitizer
+// report.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -42,20 +43,20 @@ struct Base {
 };
 
 /// The counts of a valid payload, found by walking its layout: every u32
-/// length outside the component and strategy sections, and those
-/// sections' u64 lengths (their bodies are skipped).
+/// length (strings, vectors, maps and tables) and every section's u64
+/// length, inside the component and strategy sections too.
 std::vector<std::pair<std::size_t, int>> count_fields(
     std::string_view payload) {
   std::vector<std::pair<std::size_t, int>> out;
   fl::CheckpointArchive ar(payload);
-  auto mark = [&](int width) {
-    out.emplace_back(payload.size() - ar.remaining(), width);
-  };
+  auto at = [&] { return payload.size() - ar.remaining(); };
+  auto mark = [&](int width) { out.emplace_back(at(), width); };
   auto skip = [&](auto value) { ar.io(value); };
   auto str = [&] {
     mark(4);
     std::string s;
     ar.io(s);
+    return s;
   };
   auto vec = [&](auto value) {
     mark(4);
@@ -65,14 +66,77 @@ std::vector<std::pair<std::size_t, int>> count_fields(
     mark(4);
     return ar.count(0, each);
   };
-  auto section = [&] {
+  constexpr std::size_t kRng = fl::CheckpointArchive::kRngBytes;
+  const util::RngState rng;
+  // A component or strategy section by name: its u64 length, then its
+  // layout, which must end where the length says.
+  auto section = [&](const std::string& name) {
     mark(8);
-    ar.section("section", [](fl::CheckpointArchive& sub) {
-      while (!sub.done()) {
-        std::uint8_t byte = 0;
-        sub.io(byte);
+    std::uint64_t length = 0;
+    ar.io(length);
+    const std::size_t end = at() + length;
+    if (name == "churn") {
+      skip(rng);
+      skip(double{});
+      for (std::uint32_t n = count(12), i = 0; i < n; ++i) {
+        skip(std::int32_t{});
+        skip(double{});
       }
-    });
+      vec(std::vector<int>{});
+    } else if (name == "hierarchy") {
+      skip(std::int32_t{});
+      skip(std::int32_t{});
+      for (std::uint32_t n = count(kRng), i = 0; i < n; ++i) skip(rng);
+    } else if (name == "codec_ef") {
+      for (std::uint32_t n = count(8), i = 0; i < n; ++i) {
+        skip(std::int32_t{});
+        vec(std::vector<float>{});
+      }
+    } else if (name == "Helios") {
+      for (std::uint32_t n = count(16 + kRng + 4), i = 0; i < n; ++i) {
+        skip(std::int32_t{});
+        skip(double{});
+        vec(std::vector<double>{});
+        skip(rng);
+        vec(std::vector<int>{});
+      }
+    } else if (name == "Random") {
+      for (std::uint32_t n = count(4 + kRng), i = 0; i < n; ++i) {
+        skip(std::int32_t{});
+        skip(rng);
+      }
+    } else if (name == "Static Prune") {
+      for (std::uint32_t n = count(8), i = 0; i < n; ++i) {
+        skip(std::int32_t{});
+        vec(std::vector<std::uint8_t>{});
+      }
+    } else if (name == "Asyn. FL (period 2)") {
+      for (std::uint32_t n = count(17), i = 0; i < n; ++i) {
+        skip(std::int32_t{});
+        vec(std::vector<float>{});
+        vec(std::vector<float>{});
+        skip(false);
+        skip(std::int32_t{});
+      }
+    } else if (name == "Asyn. FL" || name == "AFO") {
+      skip(std::int64_t{});
+      for (int k = 0; k < 2; ++k) skip(std::int32_t{});
+      for (int k = 0; k < 2; ++k) skip(double{});
+      skip(std::int32_t{});
+      vec(std::vector<std::uint8_t>{});
+      for (std::uint32_t n = count(12), i = 0; i < n; ++i) {
+        skip(double{});
+        skip(std::int32_t{});
+      }
+      for (std::uint32_t n = count(16), i = 0; i < n; ++i) {
+        vec(std::vector<float>{});
+        vec(std::vector<float>{});
+        skip(std::int64_t{});
+      }
+    } else {
+      skip(rng);  // SyncFL's participation stream
+    }
+    EXPECT_EQ(at(), end) << "the count walk misreads section " << name;
   };
   str();  // spec
   for (int i = 0; i < 2; ++i) skip(std::uint64_t{});
@@ -80,10 +144,7 @@ std::vector<std::pair<std::size_t, int>> count_fields(
   str();  // method
   skip(std::int32_t{});
   for (int i = 0; i < 2; ++i) skip(std::uint64_t{});
-  for (std::uint32_t n = count(12), i = 0; i < n; ++i) {
-    str();
-    section();
-  }
+  for (std::uint32_t n = count(12), i = 0; i < n; ++i) section(str());
   for (std::uint32_t n = count(28), i = 0; i < n; ++i) {
     skip(std::int32_t{});
     skip(false);
@@ -95,7 +156,7 @@ std::vector<std::pair<std::size_t, int>> count_fields(
     bool loader = false;
     ar.io(loader);
     if (loader) {
-      skip(util::RngState{});
+      skip(rng);
       vec(std::vector<std::size_t>{});
       skip(std::uint64_t{});
     }
@@ -112,10 +173,10 @@ std::vector<std::pair<std::size_t, int>> count_fields(
       skip(std::int32_t{});
       for (int k = 0; k < 4; ++k) skip(double{});
     }
-    for (std::uint32_t n = count(97), i = 0; i < n; ++i) {
+    for (std::uint32_t n = count(4 + 48 + kRng + 12), i = 0; i < n; ++i) {
       skip(std::int32_t{});
       for (int k = 0; k < 5; ++k) skip(double{});
-      skip(util::RngState{});
+      skip(rng);
       skip(double{});
       for (std::uint32_t m = count(16), k = 0; k < 2 * m; ++k) {
         skip(double{});
@@ -128,10 +189,7 @@ std::vector<std::pair<std::size_t, int>> count_fields(
   }
   bool strategy = false;
   ar.io(strategy);
-  if (strategy) {
-    str();
-    section();
-  }
+  if (strategy) section(str());
   EXPECT_TRUE(ar.done()) << "the count walk misreads the layout";
   return out;
 }
