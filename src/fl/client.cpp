@@ -190,7 +190,6 @@ ClientUpdate Client::train_cycle(std::span<const float> global_params,
   if (telemetry_) telemetry_->set_device(id_);
   nn::Model& model = ensure_model();
   data::DataLoader& loader = ensure_data();
-  opt_.set_lr(current_lr());
   model.load_params(global_params);
   model.load_buffers(global_buffers);
   if (neuron_mask.empty()) {
@@ -255,13 +254,6 @@ void Client::record_cycle(const ClientUpdate& update) {
             .upload_seconds = update.upload_seconds,
             .upload_mb = update.upload_mb, .mean_loss = update.mean_loss});
   telemetry_->set_device(-1);
-}
-
-float Client::current_lr() const {
-  if (config_.lr_decay >= 1.0F) return config_.lr;
-  float lr = config_.lr;
-  for (int i = 0; i < cycles_completed_; ++i) lr *= config_.lr_decay;
-  return lr;
 }
 
 nn::StepResult Client::local_step(const data::Batch& batch,

@@ -34,9 +34,6 @@ struct ClientConfig {
   /// mu * (w - w_global) to every gradient, anchoring local training to the
   /// global model (Li et al., 2020).
   float proximal_mu = 0.0F;
-  /// Multiplicative learning-rate decay applied once per completed cycle:
-  /// lr(cycle) = lr * lr_decay^cycle. 1.0 = constant rate.
-  float lr_decay = 1.0F;
   std::uint64_t seed = 1;
 };
 
@@ -172,11 +169,9 @@ class Client {
   /// FedProx proximal coefficient (runtime-adjustable; see ClientConfig).
   void set_proximal_mu(float mu);
 
-  /// Number of completed local training cycles (drives lr decay).
+  /// Number of completed local training cycles.
   int cycles_completed() const { return cycles_completed_; }
-  /// Effective learning rate for the next cycle.
-  float current_lr() const;
-  /// Checkpoint section: the roster flags, volume, lr-decay counter and
+  /// Checkpoint section: the roster flags, volume, cycle counter and
   /// proximal mu, the data loader's position (shuffle RNG, epoch order,
   /// cursor) and the optimizer's momentum velocity. Model replica
   /// parameters are NOT checkpointed — they are overwritten by the global

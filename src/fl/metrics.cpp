@@ -35,33 +35,6 @@ double RunResult::total_upload_mb() const {
   return s;
 }
 
-void RunResult::write_csv(std::ostream& os) const {
-  os << "cycle,virtual_time_s,test_accuracy,mean_train_loss,upload_mb\n";
-  for (const RoundRecord& r : rounds) {
-    os << r.cycle << ',' << r.virtual_time << ',' << r.test_accuracy << ','
-       << r.mean_train_loss << ',' << r.upload_mb << '\n';
-  }
-}
-
-void RunResult::write_comparison_csv(std::ostream& os,
-                                     const std::vector<RunResult>& runs) {
-  os << "cycle";
-  std::size_t max_rounds = 0;
-  for (const RunResult& r : runs) {
-    os << ',' << r.method;
-    max_rounds = std::max(max_rounds, r.rounds.size());
-  }
-  os << '\n';
-  for (std::size_t c = 0; c < max_rounds; ++c) {
-    os << c;
-    for (const RunResult& r : runs) {
-      os << ',';
-      if (c < r.rounds.size()) os << r.rounds[c].test_accuracy;
-    }
-    os << '\n';
-  }
-}
-
 double RunResult::accuracy_variance(std::size_t tail) const {
   if (rounds.size() < 2) return 0.0;
   const std::size_t take = std::min(tail < 2 ? std::size_t{2} : tail,

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -33,20 +32,12 @@ struct RunResult {
   /// Virtual time at which `target` accuracy is first reached; +inf if never.
   double time_to_accuracy(double target) const;
 
-  /// Population stddev of accuracy over the last `tail` cycles — the
+  /// Population variance of accuracy over the last `tail` cycles — the
   /// "fluctuation" metric of the Fig. 6 ablation.
   double accuracy_variance(std::size_t tail = 10) const;
 
   /// Total communication volume across all recorded cycles (MB).
   double total_upload_mb() const;
-
-  /// Writes the trace as CSV (header + one row per cycle) for plotting.
-  void write_csv(std::ostream& os) const;
-
-  /// Writes several runs side by side: cycle, then one accuracy column per
-  /// run (aligned by cycle index; missing cycles are empty).
-  static void write_comparison_csv(std::ostream& os,
-                                   const std::vector<RunResult>& runs);
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   static constexpr double never = std::numeric_limits<double>::infinity();

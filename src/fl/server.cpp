@@ -36,19 +36,15 @@ void Server::aggregate(std::span<const ClientUpdate> updates,
   const std::size_t p = global_.size();
   const int m = neuron_total();
 
-  // alpha_n = r_n / sum r (Eq. 10); uniform when the option is off. The
+  // Each update carries one weight, its sample count (FedAvg), times
+  // alpha_n under hetero_volume_weights (Eq. 10: one scalar per device,
+  // applied to the whole update, the classifier head included). The
   // per-index normalization below divides by the sum of participating
-  // weights, so only relative alphas matter. Eq. 10 compensates for the
-  // structural divergence of partial models, so alpha applies to the
-  // neuron-owned parameters; common parameters (e.g. the classifier head,
-  // which every device always trains in full) keep plain FedAvg weights —
-  // otherwise extreme volume gaps would starve the shared head of the
-  // stragglers' data.
+  // weights, so only relative alphas matter.
   if (opts.alpha_damping < 0.0 || opts.alpha_damping > 1.0) {
     throw std::invalid_argument("Server::aggregate: alpha_damping out of [0,1]");
   }
-  std::vector<double> common_w(updates.size(), 1.0);
-  std::vector<double> neuron_w(updates.size(), 1.0);
+  std::vector<agg::FoldWeights> weights(updates.size());
   for (std::size_t i = 0; i < updates.size(); ++i) {
     const ClientUpdate& u = updates[i];
     if (u.params.size() != p) {
@@ -58,38 +54,26 @@ void Server::aggregate(std::span<const ClientUpdate> updates,
         static_cast<int>(u.trained_mask.size()) != m) {
       throw std::invalid_argument("Server::aggregate: bad trained mask size");
     }
-    double w = 1.0;
-    if (opts.sample_weighting) w *= static_cast<double>(u.sample_count);
-    common_w[i] = w;
+    double w = static_cast<double>(u.sample_count);
     if (opts.hetero_volume_weights) {
-      // Damped Eq. 10 weight; the per-index normalization divides by the
-      // participating weight sum, so no global normalization is needed.
       const double d = opts.alpha_damping;
       w *= (1.0 - d) + d * u.trained_fraction(m);
     }
-    neuron_w[i] = w;
-    if (opts.alpha_scope == AggOptions::AlphaScope::kWholeUpdate) {
-      common_w[i] = w;
-    }
+    weights[i] = {w, w};
   }
 
   // Report the exact weights this aggregation uses: r_n as uploaded, alpha
-  // as each update's share of the neuron-owned weight mass (shares sum to 1
-  // over the cycle's participants).
+  // as each update's share of the weight mass (shares sum to 1 over the
+  // cycle's participants).
   if (telemetry_) {
     double weight_sum = 0.0;
-    for (double w : neuron_w) weight_sum += w;
+    for (const agg::FoldWeights& w : weights) weight_sum += w.neuron;
     for (std::size_t i = 0; i < updates.size(); ++i) {
       telemetry_->record_aggregation_weight(
           updates[i].client_id,
           {.r_n = updates[i].trained_fraction(m),
-           .alpha = weight_sum > 0.0 ? neuron_w[i] / weight_sum : 0.0});
+           .alpha = weight_sum > 0.0 ? weights[i].neuron / weight_sum : 0.0});
     }
-  }
-
-  std::vector<agg::FoldWeights> weights(updates.size());
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    weights[i] = {common_w[i], neuron_w[i]};
   }
 
   // With an active aggregator tree attached, the accumulation happens at

@@ -22,11 +22,13 @@ class HierarchySession;
 /// at a time; Fleet::evaluate cuts it into one slice per pool thread.
 inline constexpr int kEvalBatch = 128;
 
+/// Updates are weighted by their local sample counts (FedAvg).
 struct AggOptions {
-  /// Weight updates by local sample counts (FedAvg).
-  bool sample_weighting = true;
   /// Helios Eq. 10: additionally weight device n by its trained-neuron
-  /// fraction r_n, so more complete submodels contribute more.
+  /// fraction r_n, so more complete submodels contribute more. The weight
+  /// applies to the whole update, common parameters included: applying
+  /// different mixing ratios to a layer and to the layer consuming its
+  /// features proved unstable under strong Non-IID skew.
   bool hetero_volume_weights = false;
   /// Damping of the Eq. 10 weight: alpha_n = (1 - d) + d * r_n. d = 1 is
   /// the literal paper formula (alpha proportional to r_n); we default to
@@ -36,13 +38,6 @@ struct AggOptions {
   /// keeps the "more complete -> more contribution" ordering and the
   /// IID-side variance reduction.
   double alpha_damping = 0.25;
-  /// Scope of the alpha_n weight. kWholeUpdate is the literal Eq. 10 (one
-  /// scalar per device); kNeuronOnly exempts the common parameters (e.g.
-  /// the classifier head) from alpha. kWholeUpdate is the default: applying
-  /// different mixing ratios to a layer and to the layer consuming its
-  /// features proved unstable under strong Non-IID skew.
-  enum class AlphaScope { kWholeUpdate, kNeuronOnly };
-  AlphaScope alpha_scope = AlphaScope::kWholeUpdate;
   /// Participant-aware merging: a neuron's parameters are averaged only
   /// over the devices that trained it this cycle (part of Sec. VI-B's
   /// aggregation optimization). When false, the server performs the naive

@@ -1,6 +1,5 @@
 #include "nn/activations.h"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace helios::nn {
@@ -37,83 +36,6 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   const std::uint8_t* pos = positive_.data();
   for (std::size_t i = 0; i < dx.numel(); ++i) {
     dp[i] = pos[i] != 0 ? dp[i] : 0.0F;
-  }
-  return dx;
-}
-
-LeakyReLU::LeakyReLU(float negative_slope) : slope_(negative_slope) {
-  if (negative_slope < 0.0F || negative_slope >= 1.0F) {
-    throw std::invalid_argument("LeakyReLU: slope out of [0, 1)");
-  }
-}
-
-std::string LeakyReLU::name() const {
-  return "LeakyReLU(" + std::to_string(slope_) + ")";
-}
-
-Tensor LeakyReLU::forward(const Tensor& x, bool training) {
-  Tensor y = x;
-  float* yp = y.data();
-  if (training) {
-    positive_.resize(y.numel());
-    cached_numel_ = y.numel();
-  }
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    const bool pos = yp[i] > 0.0F;
-    if (training) positive_[i] = pos;
-    if (!pos) yp[i] *= slope_;
-  }
-  return y;
-}
-
-Tensor LeakyReLU::backward(const Tensor& grad_out) {
-  if (grad_out.numel() != cached_numel_) {
-    throw std::logic_error("LeakyReLU: backward/forward size mismatch");
-  }
-  Tensor dx = grad_out;
-  float* dp = dx.data();
-  for (std::size_t i = 0; i < dx.numel(); ++i) {
-    if (!positive_[i]) dp[i] *= slope_;
-  }
-  return dx;
-}
-
-Tensor Tanh::forward(const Tensor& x, bool training) {
-  Tensor y = x;
-  for (float& v : y.flat()) v = std::tanh(v);
-  if (training) cached_output_ = y;
-  return y;
-}
-
-Tensor Tanh::backward(const Tensor& grad_out) {
-  if (grad_out.numel() != cached_output_.numel()) {
-    throw std::logic_error("Tanh: backward/forward size mismatch");
-  }
-  Tensor dx = grad_out;
-  float* dp = dx.data();
-  const float* yp = cached_output_.data();
-  for (std::size_t i = 0; i < dx.numel(); ++i) {
-    dp[i] *= 1.0F - yp[i] * yp[i];
-  }
-  return dx;
-}
-
-Tensor Sigmoid::forward(const Tensor& x, bool training) {
-  Tensor y = x;
-  for (float& v : y.flat()) v = 1.0F / (1.0F + std::exp(-v));
-  if (training) cached_output_ = y;
-  return y;
-}
-
-Tensor Sigmoid::backward(const Tensor& grad_out) {
-  if (grad_out.numel() != cached_output_.numel()) {
-    throw std::logic_error("Sigmoid: backward/forward size mismatch");
-  }
-  Tensor dx = grad_out;
-  float* dp = dx.data();
-  const float* yp = cached_output_.data();
-  for (std::size_t i = 0; i < dx.numel(); ++i) {
-    dp[i] *= yp[i] * (1.0F - yp[i]);
   }
   return dx;
 }

@@ -18,40 +18,4 @@ class ReLU final : public Layer {
   std::size_t cached_numel_ = 0;
 };
 
-/// Leaky ReLU with configurable negative slope.
-class LeakyReLU final : public Layer {
- public:
-  explicit LeakyReLU(float negative_slope = 0.01F);
-  std::string name() const override;
-  Tensor forward(const Tensor& x, bool training) override;
-  Tensor backward(const Tensor& grad_out) override;
-
- private:
-  float slope_;
-  std::vector<std::uint8_t> positive_;
-  std::size_t cached_numel_ = 0;
-};
-
-/// Hyperbolic tangent.
-class Tanh final : public Layer {
- public:
-  std::string name() const override { return "Tanh"; }
-  Tensor forward(const Tensor& x, bool training) override;
-  Tensor backward(const Tensor& grad_out) override;
-
- private:
-  Tensor cached_output_;
-};
-
-/// Logistic sigmoid.
-class Sigmoid final : public Layer {
- public:
-  std::string name() const override { return "Sigmoid"; }
-  Tensor forward(const Tensor& x, bool training) override;
-  Tensor backward(const Tensor& grad_out) override;
-
- private:
-  Tensor cached_output_;
-};
-
 }  // namespace helios::nn

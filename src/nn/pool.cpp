@@ -119,91 +119,6 @@ double MaxPool2d::activation_numel_per_sample() const {
   return static_cast<double>(channels_) * out_h() * out_w();
 }
 
-AvgPool2d::AvgPool2d(int channels, int in_h, int in_w, int kernel, int stride)
-    : channels_(channels),
-      in_h_(in_h),
-      in_w_(in_w),
-      kernel_(kernel),
-      stride_(stride) {
-  if (channels <= 0 || kernel <= 0 || stride <= 0 || in_h < kernel ||
-      in_w < kernel) {
-    throw std::invalid_argument("AvgPool2d: bad geometry");
-  }
-}
-
-std::string AvgPool2d::name() const {
-  return "AvgPool2d(k=" + std::to_string(kernel_) + ")";
-}
-
-Tensor AvgPool2d::forward(const Tensor& x, bool training) {
-  if (x.shape() != Shape{x.dim(0), channels_, in_h_, in_w_}) {
-    throw std::invalid_argument(name() + ": bad input shape " +
-                                tensor::shape_to_string(x.shape()));
-  }
-  const int n = x.dim(0), oh = out_h(), ow = out_w();
-  if (training) cached_batch_ = n;
-  Tensor y({n, channels_, oh, ow});
-  const float* xp = x.data();
-  float* yp = y.data();
-  const std::size_t in_plane = static_cast<std::size_t>(in_h_) * in_w_;
-  const float inv = 1.0F / static_cast<float>(kernel_ * kernel_);
-  std::size_t out_idx = 0;
-  for (int i = 0; i < n; ++i) {
-    for (int c = 0; c < channels_; ++c) {
-      const float* plane =
-          xp + (static_cast<std::size_t>(i) * channels_ + c) * in_plane;
-      for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox, ++out_idx) {
-          float acc = 0.0F;
-          for (int ky = 0; ky < kernel_; ++ky) {
-            const int iy = oy * stride_ + ky;
-            for (int kx = 0; kx < kernel_; ++kx) {
-              acc += plane[iy * in_w_ + ox * stride_ + kx];
-            }
-          }
-          yp[out_idx] = acc * inv;
-        }
-      }
-    }
-  }
-  return y;
-}
-
-Tensor AvgPool2d::backward(const Tensor& grad_out) {
-  const int n = cached_batch_, oh = out_h(), ow = out_w();
-  if (n == 0 || grad_out.shape() != Shape{n, channels_, oh, ow}) {
-    throw std::logic_error(name() + ": backward shape mismatch");
-  }
-  Tensor dx({n, channels_, in_h_, in_w_});
-  float* dp = dx.data();
-  const float* gp = grad_out.data();
-  const std::size_t in_plane = static_cast<std::size_t>(in_h_) * in_w_;
-  const float inv = 1.0F / static_cast<float>(kernel_ * kernel_);
-  std::size_t out_idx = 0;
-  for (int i = 0; i < n; ++i) {
-    for (int c = 0; c < channels_; ++c) {
-      float* plane =
-          dp + (static_cast<std::size_t>(i) * channels_ + c) * in_plane;
-      for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox, ++out_idx) {
-          const float g = gp[out_idx] * inv;
-          for (int ky = 0; ky < kernel_; ++ky) {
-            const int iy = oy * stride_ + ky;
-            for (int kx = 0; kx < kernel_; ++kx) {
-              plane[iy * in_w_ + ox * stride_ + kx] += g;
-            }
-          }
-        }
-      }
-    }
-  }
-  return dx;
-}
-
-double AvgPool2d::activation_numel_per_sample() const {
-  return static_cast<double>(channels_) * out_h() * out_w();
-}
-
 GlobalAvgPool::GlobalAvgPool(int channels, int in_h, int in_w)
     : channels_(channels), in_h_(in_h), in_w_(in_w) {
   if (channels <= 0 || in_h <= 0 || in_w <= 0) {

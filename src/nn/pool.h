@@ -24,24 +24,6 @@ class MaxPool2d final : public Layer {
   int cached_batch_ = 0;
 };
 
-/// Strided average pooling with a square window.
-class AvgPool2d final : public Layer {
- public:
-  AvgPool2d(int channels, int in_h, int in_w, int kernel, int stride);
-
-  std::string name() const override;
-  Tensor forward(const Tensor& x, bool training) override;
-  Tensor backward(const Tensor& grad_out) override;
-  double activation_numel_per_sample() const override;
-
-  int out_h() const { return (in_h_ - kernel_) / stride_ + 1; }
-  int out_w() const { return (in_w_ - kernel_) / stride_ + 1; }
-
- private:
-  int channels_, in_h_, in_w_, kernel_, stride_;
-  int cached_batch_ = 0;
-};
-
 /// Global average pooling: [N, C, H, W] -> [N, C].
 class GlobalAvgPool final : public Layer {
  public:

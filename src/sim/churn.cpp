@@ -13,6 +13,10 @@ namespace {
 
 constexpr std::uint64_t kArrivalStream = 0xA221;
 constexpr std::uint64_t kLifetimeStream = 0x11FE;
+/// Mean inter-arrival gaps the clock may lie past the pending arrival.
+/// Catching up draws one gap at a time, so a clock beyond this (a restored
+/// clock no run reaches) is refused instead of drawn up to.
+constexpr double kMaxPendingGaps = 1e6;
 
 }  // namespace
 
@@ -85,6 +89,12 @@ RoundChurn ChurnProcess::step(fl::Fleet& fleet, int cycle) {
     if (next_arrival_s_ < 0.0) {
       next_arrival_s_ = now + next_exponential(1.0 /
                                                options_.arrival_rate_per_s);
+    }
+    if ((now - next_arrival_s_) * options_.arrival_rate_per_s >
+        kMaxPendingGaps) {
+      throw fl::CheckpointError(
+          "ChurnProcess: clock " + std::to_string(now) +
+          " s lies more than 1e6 mean arrival gaps past the pending arrival");
     }
     const int cap = options_.max_devices > 0 ? options_.max_devices
                                              : pop_.config().devices;

@@ -62,7 +62,9 @@ class ChurnProcess : public fl::Checkpointable {
   /// time passed. Deterministic: events depend only on (seed, device id,
   /// virtual time), never on wall clock or thread count. Call once per
   /// cycle (e.g. from a strategy cycle hook). Reports to the fleet's
-  /// telemetry sink (helios.sim.* metrics).
+  /// telemetry sink (helios.sim.* metrics). Throws CheckpointError when the
+  /// clock lies more than 1e6 mean arrival gaps past the pending arrival,
+  /// which only a corrupt restored clock does.
   RoundChurn step(fl::Fleet& fleet, int cycle);
 
   /// Device id's scheduled departure time (negative = immortal or not yet

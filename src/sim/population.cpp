@@ -154,13 +154,6 @@ DeviceSpec PopulationGenerator::device(int i) const {
   return d;
 }
 
-std::vector<DeviceSpec> PopulationGenerator::all() const {
-  std::vector<DeviceSpec> out;
-  out.reserve(static_cast<std::size_t>(config_.devices));
-  for (int i = 0; i < config_.devices; ++i) out.push_back(device(i));
-  return out;
-}
-
 PopulationConfig paper_4dev() {
   PopulationConfig c;
   c.name = "paper-4dev";

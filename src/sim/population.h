@@ -132,7 +132,6 @@ class PopulationGenerator {
   /// Device i's spec — a pure function of (config.seed, i); i may exceed
   /// config.devices (joiners drawn from the same population).
   DeviceSpec device(int i) const;
-  std::vector<DeviceSpec> all() const;
 
  private:
   PopulationConfig config_;

@@ -13,7 +13,7 @@
 // Cross-backend contract (verified by tests/checkasm_kernels.cpp):
 //   * mask handling and anything integer-indexed is exact: masked-out
 //     outputs are bitwise identical across backends,
-//   * the optimizer update kernels are elementwise with no FMA, so the
+//   * the SGD update kernel is elementwise with no FMA, so the
 //     AVX2 path is bitwise identical to scalar,
 //   * the matmul kernels use FMA on the AVX2 path, which changes rounding;
 //     they carry the documented ULP-style tolerance (kFmaUlpTol) relative
@@ -83,25 +83,6 @@ struct SgdArgs {
 };
 using SgdKernelFn = void (*)(const SgdArgs&);
 
-/// One Adam step over a contiguous parameter slice; bc1/bc2 are the bias
-/// corrections (1 - beta^t) computed once per step by the caller.
-struct AdamArgs {
-  float* w = nullptr;
-  const float* g = nullptr;
-  float* m = nullptr;
-  float* v = nullptr;
-  const std::uint8_t* frozen = nullptr;
-  std::size_t count = 0;
-  float lr = 0.0F;
-  float beta1 = 0.0F;
-  float beta2 = 0.0F;
-  float eps = 0.0F;
-  float weight_decay = 0.0F;
-  float bc1 = 1.0F;
-  float bc2 = 1.0F;
-};
-using AdamKernelFn = void (*)(const AdamArgs&);
-
 enum class Backend : std::uint8_t { kScalar = 0, kAvx2 = 1 };
 
 struct KernelTable {
@@ -119,7 +100,6 @@ struct KernelTable {
   MatmulKernelFn matmul_tn_out_rows = nullptr;
   MatmulKernelFn matmul_nt_rows_acc = nullptr;
   SgdKernelFn sgd_update = nullptr;
-  AdamKernelFn adam_update = nullptr;
 };
 
 /// The portable reference table (always available; the correctness oracle).

@@ -1,7 +1,7 @@
 // AVX2+FMA kernels. This TU is the only one compiled with
 // -mavx2 -mfma (plus -ffp-contract=off so the compiler cannot fuse the
-// optimizer kernels' separate mul/add intrinsics into FMAs behind our
-// back); dispatch.cpp only routes here after util::cpu_has_avx2_fma().
+// SGD kernel's separate mul/add intrinsics into FMAs behind our back);
+// dispatch.cpp only routes here after util::cpu_has_avx2_fma().
 //
 // Numerics:
 //   * The matmul kernels use explicit _mm256_fmadd_ps. FMA skips the
@@ -10,12 +10,11 @@
 //     (tensor/backend/kernels.h); per-output-element accumulation order is
 //     fixed (ascending k / i), so results are bit-identical at any thread
 //     count and any chunk split.
-//   * The optimizer kernels use only mul/add/div/sqrt in the scalar
-//     reference's exact operation order — all four are correctly rounded
-//     under IEEE-754, so these paths are bitwise identical to scalar
-//     (checkasm pins this).
+//   * The SGD kernel uses only mul/add/sub in the scalar reference's exact
+//     operation order — all are correctly rounded under IEEE-754, so this
+//     path is bitwise identical to scalar (checkasm pins this).
 //   * Mask logic is integer-exact: masked-out rows are never touched, and
-//     frozen optimizer lanes are restored by blend, so those bytes are
+//     frozen SGD lanes are restored by blend, so those bytes are
 //     bitwise identical to scalar.
 //
 // Masked variants stream the packed active-index lists precomputed by the
@@ -26,8 +25,6 @@
 #if defined(HELIOS_HAVE_AVX2)
 
 #include <immintrin.h>
-
-#include <cmath>
 
 namespace helios::tensor::backend {
 namespace {
@@ -772,8 +769,8 @@ void v_matmul_tn_out_rows(const MatmulArgs& t, std::int64_t lo,
 }
 
 // ---------------------------------------------------------------------------
-// Optimizer updates. Exact operation order of the scalar reference with
-// mul/add/div/sqrt only (no FMA; -ffp-contract=off keeps the compiler from
+// SGD update. Exact operation order of the scalar reference with
+// mul/add only (no FMA; -ffp-contract=off keeps the compiler from
 // introducing any) — bitwise identical to scalar. Frozen lanes are restored
 // via blendv, so their bytes never change.
 // ---------------------------------------------------------------------------
@@ -821,58 +818,6 @@ void v_sgd_update(const SgdArgs& t) {
   }
 }
 
-void v_adam_update(const AdamArgs& t) {
-  const std::size_t vec = t.count & ~std::size_t{7};
-  const __m256 lr = _mm256_set1_ps(t.lr);
-  const __m256 b1 = _mm256_set1_ps(t.beta1);
-  const __m256 b2 = _mm256_set1_ps(t.beta2);
-  const __m256 one_minus_b1 = _mm256_set1_ps(1.0F - t.beta1);
-  const __m256 one_minus_b2 = _mm256_set1_ps(1.0F - t.beta2);
-  const __m256 eps = _mm256_set1_ps(t.eps);
-  const __m256 wd = _mm256_set1_ps(t.weight_decay);
-  const __m256 bc1 = _mm256_set1_ps(t.bc1);
-  const __m256 bc2 = _mm256_set1_ps(t.bc2);
-  for (std::size_t i = 0; i < vec; i += 8) {
-    const __m256 w = _mm256_loadu_ps(t.w + i);
-    const __m256 g = _mm256_loadu_ps(t.g + i);
-    const __m256 m_old = _mm256_loadu_ps(t.m + i);
-    const __m256 v_old = _mm256_loadu_ps(t.v + i);
-    const __m256 grad = _mm256_add_ps(g, _mm256_mul_ps(wd, w));
-    __m256 m_new = _mm256_add_ps(_mm256_mul_ps(b1, m_old),
-                                 _mm256_mul_ps(one_minus_b1, grad));
-    // Match scalar's left-to-right association ((1-b2)*grad)*grad — float
-    // multiplication is commutative but not associative, and the contract
-    // is bitwise identity.
-    __m256 v_new = _mm256_add_ps(
-        _mm256_mul_ps(b2, v_old),
-        _mm256_mul_ps(_mm256_mul_ps(one_minus_b2, grad), grad));
-    const __m256 mhat = _mm256_div_ps(m_new, bc1);
-    const __m256 vhat = _mm256_div_ps(v_new, bc2);
-    const __m256 upd = _mm256_div_ps(
-        _mm256_mul_ps(lr, mhat),
-        _mm256_add_ps(_mm256_sqrt_ps(vhat), eps));
-    __m256 w_new = _mm256_sub_ps(w, upd);
-    if (t.frozen != nullptr) {
-      const __m256 act = active_lanes(t.frozen, i);
-      m_new = _mm256_blendv_ps(m_old, m_new, act);
-      v_new = _mm256_blendv_ps(v_old, v_new, act);
-      w_new = _mm256_blendv_ps(w, w_new, act);
-    }
-    _mm256_storeu_ps(t.m + i, m_new);
-    _mm256_storeu_ps(t.v + i, v_new);
-    _mm256_storeu_ps(t.w + i, w_new);
-  }
-  for (std::size_t i = vec; i < t.count; ++i) {
-    if (t.frozen && t.frozen[i]) continue;
-    const float grad = t.g[i] + t.weight_decay * t.w[i];
-    t.m[i] = t.beta1 * t.m[i] + (1.0F - t.beta1) * grad;
-    t.v[i] = t.beta2 * t.v[i] + (1.0F - t.beta2) * grad * grad;
-    const float mhat = t.m[i] / t.bc1;
-    const float vhat = t.v[i] / t.bc2;
-    t.w[i] -= t.lr * mhat / (std::sqrt(vhat) + t.eps);
-  }
-}
-
 }  // namespace
 
 const KernelTable& avx2_kernels() {
@@ -887,7 +832,6 @@ const KernelTable& avx2_kernels() {
       /*matmul_tn_out_rows=*/v_matmul_tn_out_rows,
       /*matmul_nt_rows_acc=*/v_matmul_nt_rows_acc,
       /*sgd_update=*/v_sgd_update,
-      /*adam_update=*/v_adam_update,
   };
   return table;
 }

@@ -13,8 +13,6 @@
 // so the results are bit-identical — only the memory walk differs.
 #include "tensor/backend/kernels.h"
 
-#include <cmath>
-
 namespace helios::tensor::backend {
 namespace {
 
@@ -217,18 +215,6 @@ void s_sgd_update(const SgdArgs& t) {
   }
 }
 
-void s_adam_update(const AdamArgs& t) {
-  for (std::size_t i = 0; i < t.count; ++i) {
-    if (t.frozen && t.frozen[i]) continue;
-    const float grad = t.g[i] + t.weight_decay * t.w[i];
-    t.m[i] = t.beta1 * t.m[i] + (1.0F - t.beta1) * grad;
-    t.v[i] = t.beta2 * t.v[i] + (1.0F - t.beta2) * grad * grad;
-    const float mhat = t.m[i] / t.bc1;
-    const float vhat = t.v[i] / t.bc2;
-    t.w[i] -= t.lr * mhat / (std::sqrt(vhat) + t.eps);
-  }
-}
-
 }  // namespace
 
 const KernelTable& scalar_kernels() {
@@ -243,7 +229,6 @@ const KernelTable& scalar_kernels() {
       /*matmul_tn_out_rows=*/s_matmul_tn_out_rows,
       /*matmul_nt_rows_acc=*/s_matmul_nt_rows_acc,
       /*sgd_update=*/s_sgd_update,
-      /*adam_update=*/s_adam_update,
   };
   return table;
 }

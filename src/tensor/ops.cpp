@@ -72,70 +72,6 @@ void add_inplace(Tensor& dst, const Tensor& src) {
   for (std::size_t i = 0; i < dst.numel(); ++i) d[i] += s[i];
 }
 
-void sub_inplace(Tensor& dst, const Tensor& src) {
-  require_same_shape(dst, src, "sub_inplace");
-  float* d = dst.data();
-  const float* s = src.data();
-  for (std::size_t i = 0; i < dst.numel(); ++i) d[i] -= s[i];
-}
-
-void scale_inplace(Tensor& dst, float s) {
-  for (float& v : dst.flat()) v *= s;
-}
-
-void axpy_inplace(Tensor& dst, float s, const Tensor& src) {
-  require_same_shape(dst, src, "axpy_inplace");
-  float* d = dst.data();
-  const float* x = src.data();
-  for (std::size_t i = 0; i < dst.numel(); ++i) d[i] += s * x[i];
-}
-
-Tensor add(const Tensor& a, const Tensor& b) {
-  Tensor out = a;
-  add_inplace(out, b);
-  return out;
-}
-
-Tensor sub(const Tensor& a, const Tensor& b) {
-  Tensor out = a;
-  sub_inplace(out, b);
-  return out;
-}
-
-Tensor mul(const Tensor& a, const Tensor& b) {
-  require_same_shape(a, b, "mul");
-  Tensor out = a;
-  float* d = out.data();
-  const float* s = b.data();
-  for (std::size_t i = 0; i < out.numel(); ++i) d[i] *= s[i];
-  return out;
-}
-
-double sum(const Tensor& t) {
-  double s = 0.0;
-  for (float v : t.flat()) s += v;
-  return s;
-}
-
-double l1_norm(const Tensor& t) {
-  double s = 0.0;
-  for (float v : t.flat()) s += std::fabs(v);
-  return s;
-}
-
-double l2_norm(const Tensor& t) {
-  double s = 0.0;
-  for (float v : t.flat()) s += static_cast<double>(v) * v;
-  return std::sqrt(s);
-}
-
-float max_value(const Tensor& t) {
-  if (t.empty()) throw std::invalid_argument("max_value: empty tensor");
-  float m = t.flat()[0];
-  for (float v : t.flat()) m = std::max(m, v);
-  return m;
-}
-
 Tensor matmul(const Tensor& a, const Tensor& b) {
   require_2d(a, "matmul lhs");
   require_2d(b, "matmul rhs");

@@ -60,27 +60,6 @@ void run_chunked(std::int64_t extent, std::int64_t per_item_work,
 
 /// dst += src (shapes must match).
 void add_inplace(Tensor& dst, const Tensor& src);
-/// dst -= src (shapes must match).
-void sub_inplace(Tensor& dst, const Tensor& src);
-/// dst *= s.
-void scale_inplace(Tensor& dst, float s);
-/// dst += s * src (axpy; shapes must match).
-void axpy_inplace(Tensor& dst, float s, const Tensor& src);
-/// Elementwise a + b.
-Tensor add(const Tensor& a, const Tensor& b);
-/// Elementwise a - b.
-Tensor sub(const Tensor& a, const Tensor& b);
-/// Elementwise a * b (Hadamard).
-Tensor mul(const Tensor& a, const Tensor& b);
-
-// ---------------------------------------------------------------------------
-// Reductions
-// ---------------------------------------------------------------------------
-
-double sum(const Tensor& t);
-double l1_norm(const Tensor& t);
-double l2_norm(const Tensor& t);
-float max_value(const Tensor& t);
 
 // ---------------------------------------------------------------------------
 // Matrix multiplication (2-D only; C is resized/zeroed by the _into forms)

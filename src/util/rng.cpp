@@ -134,19 +134,4 @@ Rng Rng::from_state(const RngState& s) {
   return rng;
 }
 
-std::size_t Rng::weighted_index(std::span<const double> weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    if (w < 0.0) throw std::invalid_argument("weighted_index: negative weight");
-    total += w;
-  }
-  if (total <= 0.0) throw std::invalid_argument("weighted_index: zero total weight");
-  double r = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
 }  // namespace helios::util

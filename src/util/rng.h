@@ -88,10 +88,6 @@ class Rng {
   /// without advancing the parent.
   Rng fork(std::uint64_t stream);
 
-  /// Samples an index from an (unnormalized, non-negative) weight vector.
-  /// Requires at least one strictly positive weight.
-  std::size_t weighted_index(std::span<const double> weights);
-
   /// Snapshot of the full stream position (checkpointing). A generator
   /// restored via from_state() produces the identical future sequence,
   /// including fork() children (fork reads state without advancing it).

@@ -1,8 +1,8 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace helios::util {
 
@@ -25,26 +25,11 @@ double RunningStats::variance() const {
   return m2_ / static_cast<double>(count_);
 }
 
-double RunningStats::sample_variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 double mean(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
   double s = 0.0;
   for (double x : xs) s += x;
   return s / static_cast<double>(xs.size());
-}
-
-double stddev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(xs.size()));
 }
 
 double percentile(std::span<const double> xs, double q) {
@@ -57,27 +42,6 @@ double percentile(std::span<const double> xs, double q) {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-std::vector<double> moving_average(std::span<const double> xs,
-                                   std::size_t window) {
-  if (window == 0) throw std::invalid_argument("moving_average: window == 0");
-  std::vector<double> out(xs.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    acc += xs[i];
-    if (i >= window) acc -= xs[i - window];
-    const std::size_t effective = std::min(i + 1, window);
-    out[i] = acc / static_cast<double>(effective);
-  }
-  return out;
-}
-
-std::size_t first_reaching(std::span<const double> xs, double threshold) {
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (xs[i] >= threshold) return i;
-  }
-  return npos;
 }
 
 }  // namespace helios::util

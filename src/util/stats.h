@@ -1,10 +1,9 @@
 // Small statistics helpers shared by the FL metrics recorder and the
-// benchmark harness (running moments, percentiles, series summaries).
+// benchmark harness (running moments, means, percentiles).
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace helios::util {
 
@@ -17,9 +16,6 @@ class RunningStats {
   double mean() const { return mean_; }
   /// Population variance (0 when fewer than two samples).
   double variance() const;
-  /// Sample variance, n-1 denominator (0 when fewer than two samples).
-  double sample_variance() const;
-  double stddev() const;
   double min() const { return min_; }
   double max() const { return max_; }
 
@@ -34,20 +30,7 @@ class RunningStats {
 /// Mean of a series; 0 for an empty series.
 double mean(std::span<const double> xs);
 
-/// Population standard deviation; 0 for fewer than two samples.
-double stddev(std::span<const double> xs);
-
 /// Linear-interpolated percentile, q in [0, 100]. Requires non-empty input.
 double percentile(std::span<const double> xs, double q);
-
-/// Trailing moving average with the given window (window >= 1); output has
-/// the same length as the input, with a shorter effective window at the head.
-std::vector<double> moving_average(std::span<const double> xs,
-                                   std::size_t window);
-
-/// Index of the first element >= threshold, or npos if never reached.
-std::size_t first_reaching(std::span<const double> xs, double threshold);
-
-inline constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
 }  // namespace helios::util

@@ -32,18 +32,6 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << row[c];
-    }
-    os << '\n';
-  };
-  print_row(headers_);
-  for (const auto& row : rows_) print_row(row);
-}
-
 std::string Table::num(double v, int precision) {
   std::ostringstream ss;
   ss << std::fixed << std::setprecision(precision) << v;

@@ -1,4 +1,4 @@
-// Console table / CSV emission used by the benchmark harness to print the
+// Console table rendering used by the benchmark harness to print the
 // paper's tables and figure series in a uniform, diffable format.
 #pragma once
 
@@ -9,7 +9,7 @@
 namespace helios::util {
 
 /// Column-aligned text table. Build with headers, add stringly-typed rows
-/// (helpers format doubles), then stream to stdout or a CSV file.
+/// (helpers format doubles), then print to a stream.
 class Table {
  public:
   explicit Table(std::vector<std::string> headers);
@@ -21,9 +21,6 @@ class Table {
 
   /// Pretty, column-aligned rendering.
   void print(std::ostream& os) const;
-
-  /// Comma-separated rendering (no quoting; callers avoid commas in cells).
-  void print_csv(std::ostream& os) const;
 
   /// Fixed-precision formatting helper for numeric cells.
   static std::string num(double v, int precision = 2);

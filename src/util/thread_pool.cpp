@@ -91,30 +91,13 @@ void ThreadPool::worker_loop(std::size_t w) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] {
-        return stop_ || !inbox.empty() || !queue_.empty();
-      });
-      std::deque<std::function<void()>>& from =
-          inbox.empty() ? queue_ : inbox;
-      if (from.empty()) return;  // stop requested and queues drained
-      task = std::move(from.front());
-      from.pop_front();
+      cv_.wait(lock, [&] { return stop_ || !inbox.empty(); });
+      if (inbox.empty()) return;  // stop requested and inbox drained
+      task = std::move(inbox.front());
+      inbox.pop_front();
     }
     task();
   }
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  if (worker_count() == 0) {
-    task();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) throw std::runtime_error("ThreadPool: submit after shutdown");
-    queue_.push_back(std::move(task));
-  }
-  cv_.notify_one();
 }
 
 void ThreadPool::parallel_region(

@@ -1,5 +1,4 @@
-// Work-queue thread pool, a deterministic parallel_for and a claimed
-// parallel_for_each.
+// Thread pool, a deterministic parallel_for and a claimed parallel_for_each.
 //
 // Helios parallelizes at two levels (DESIGN.md, "Threading model"):
 //   * item-level — parallel_for_each fans out independent items: a round's
@@ -58,7 +57,7 @@ class ThreadPool {
   /// parallel_region participates, so only `threads - 1` workers are
   /// spawned. ThreadPool(1) spawns no threads.
   explicit ThreadPool(int threads);
-  /// Drains remaining queued work, then joins the workers.
+  /// Joins the workers once each has run the region chunks in its inbox.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -66,10 +65,6 @@ class ThreadPool {
 
   int size() const { return size_; }
   int worker_count() const { return static_cast<int>(workers_.size()); }
-
-  /// Enqueues a task. With no workers (size() == 1) the task runs inline.
-  /// Throws std::runtime_error after shutdown began.
-  void submit(std::function<void()> task);
 
   /// Splits [begin, end) into at most size() contiguous chunks of at least
   /// `grain` elements, runs `body(lo, hi)` for each (chunk 0 on the calling
@@ -85,7 +80,6 @@ class ThreadPool {
 
   int size_;
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;  ///< submit()ted tasks
   /// Region chunks, one queue per worker.
   std::vector<std::deque<std::function<void()>>> inboxes_;
   std::mutex mu_;

@@ -13,8 +13,8 @@
 //
 // Verification contract (tensor/backend/kernels.h):
 //   * outputs with no active contribution (masked-out rows/cols, frozen
-//     optimizer lanes) are bitwise identical to the scalar reference,
-//   * the optimizer kernels are bitwise identical everywhere,
+//     SGD lanes) are bitwise identical to the scalar reference,
+//   * the SGD kernel is bitwise identical everywhere,
 //   * FMA matmul outputs obey |diff| <= kFmaUlpTol * eps * sum|a.b| + eps,
 //   * within one backend, any chunking of the partition range is bitwise
 //     identical to the full-range call (the thread-count determinism
@@ -47,8 +47,6 @@
 namespace {
 
 using helios::tensor::Tensor;
-using helios::tensor::backend::AdamArgs;
-using helios::tensor::backend::AdamKernelFn;
 using helios::tensor::backend::available_tables;
 using helios::tensor::backend::Backend;
 using helios::tensor::backend::KernelTable;
@@ -382,7 +380,7 @@ void verify_matmul(const MatmulVariant& v) {
 }
 
 // ---------------------------------------------------------------------------
-// Optimizer kernels (bitwise contract)
+// SGD kernel (bitwise contract)
 // ---------------------------------------------------------------------------
 
 void verify_sgd() {
@@ -437,65 +435,6 @@ void verify_sgd() {
                      os.str());
             }
           }
-        }
-      }
-    }
-  }
-}
-
-void verify_adam() {
-  std::uint64_t seed = 0xADA;
-  const std::size_t counts[] = {1, 7, 8, 63, 64, 257, 1000};
-  for (std::size_t count : counts) {
-    for (float wd : {0.0F, 0.01F}) {
-      for (bool freeze : {false, true}) {
-        Rng rng(seed++);
-        std::vector<float> w0(count), g(count), m0(count), v0(count);
-        fill_uniform(w0, rng);
-        fill_uniform(g, rng);
-        fill_uniform(m0, rng);
-        fill_uniform(v0, rng, 0.0F, 1.0F);  // second moment stays >= 0
-        std::vector<std::uint8_t> frozen;
-        if (freeze) {
-          frozen.resize(count);
-          for (auto& f : frozen) f = rng.uniform(0.0F, 1.0F) < 0.3F ? 1 : 0;
-        }
-
-        auto run = [&](const KernelTable& table, std::vector<float>& w,
-                       std::vector<float>& m, std::vector<float>& v) {
-          AdamArgs args;
-          args.w = w.data();
-          args.g = g.data();
-          args.m = m.data();
-          args.v = v.data();
-          args.frozen = frozen.empty() ? nullptr : frozen.data();
-          args.count = count;
-          args.lr = 1e-3F;
-          args.beta1 = 0.9F;
-          args.beta2 = 0.999F;
-          args.eps = 1e-8F;
-          args.weight_decay = wd;
-          args.bc1 = 1.0F - std::pow(0.9F, 3.0F);
-          args.bc2 = 1.0F - std::pow(0.999F, 3.0F);
-          table.adam_update(args);
-        };
-
-        std::vector<float> w_ref = w0, m_ref = m0, v_ref = v0;
-        run(scalar_kernels(), w_ref, m_ref, v_ref);
-        for (const KernelTable* table : available_tables()) {
-          std::vector<float> w = w0, m = m0, v = v0;
-          run(*table, w, m, v);
-          std::ostringstream os;
-          os << "adam_update [" << table->name << "] count=" << count
-             << " wd=" << wd << " frozen=" << freeze
-             << ": not bitwise identical";
-          record(std::memcmp(w.data(), w_ref.data(),
-                             count * sizeof(float)) == 0 &&
-                     std::memcmp(m.data(), m_ref.data(),
-                                 count * sizeof(float)) == 0 &&
-                     std::memcmp(v.data(), v_ref.data(),
-                                 count * sizeof(float)) == 0,
-                 os.str());
         }
       }
     }
@@ -720,7 +659,7 @@ int run_bench(const std::string& out_path) {
     }
   }
 
-  // Optimizer kernels: memory-bound elementwise updates at the same three
+  // The SGD kernel: a memory-bound elementwise update at the same three
   // scales (element counts matching the matmul classes' C matrices).
   const struct {
     const char* cls;
@@ -729,61 +668,38 @@ int run_bench(const std::string& out_path) {
       {"lenet", 18432}, {"alexnet_lite", 69984}, {"large", 262144}};
   for (const auto& oc : opt_classes) {
     Rng rng(43);
-    std::vector<float> w(oc.count), g(oc.count), mbuf(oc.count),
-        vbuf(oc.count);
+    std::vector<float> w(oc.count), g(oc.count), vbuf(oc.count);
     fill_uniform(w, rng);
     fill_uniform(g, rng);
-    fill_uniform(mbuf, rng);
     fill_uniform(vbuf, rng, 0.0F, 1.0F);
-    for (const char* which : {"sgd_update", "adam_update"}) {
-      const bool is_sgd = std::string(which) == "sgd_update";
-      const double flops = static_cast<double>(oc.count) * (is_sgd ? 6 : 18);
-      std::ostringstream line;
-      line << "    {\"name\": \"" << which << '/' << oc.cls
-           << "\", \"flops\": " << flops;
-      double scalar_gflops = 0.0;
-      for (const KernelTable* table : available_tables()) {
-        BenchResult r;
-        if (is_sgd) {
-          SgdArgs args;
-          args.w = w.data();
-          args.g = g.data();
-          args.v = vbuf.data();
-          args.count = oc.count;
-          args.lr = 1e-4F;
-          args.momentum = 0.9F;
-          args.weight_decay = 1e-4F;
-          SgdKernelFn fn = table->sgd_update;
-          r = run_timed([&] { fn(args); }, target);
-        } else {
-          AdamArgs args;
-          args.w = w.data();
-          args.g = g.data();
-          args.m = mbuf.data();
-          args.v = vbuf.data();
-          args.count = oc.count;
-          args.lr = 1e-4F;
-          args.beta1 = 0.9F;
-          args.beta2 = 0.999F;
-          args.eps = 1e-8F;
-          args.bc1 = 0.271F;
-          args.bc2 = 0.002997F;
-          AdamKernelFn fn = table->adam_update;
-          r = run_timed([&] { fn(args); }, target);
-        }
-        const double gflops = flops / r.seconds_per_call * 1e-9;
-        if (table->id == Backend::kScalar) scalar_gflops = gflops;
-        line << ", \"" << table->name << "_gflops\": " << gflops << ", \""
-             << table->name << "_cycles_per_call\": " << r.cycles_per_call;
-        if (table->id != Backend::kScalar && scalar_gflops > 0.0) {
-          line << ", \"speedup_" << table->name
-               << "_vs_scalar\": " << gflops / scalar_gflops;
-        }
+    const double flops = static_cast<double>(oc.count) * 6;
+    std::ostringstream line;
+    line << "    {\"name\": \"sgd_update/" << oc.cls
+         << "\", \"flops\": " << flops;
+    double scalar_gflops = 0.0;
+    for (const KernelTable* table : available_tables()) {
+      SgdArgs args;
+      args.w = w.data();
+      args.g = g.data();
+      args.v = vbuf.data();
+      args.count = oc.count;
+      args.lr = 1e-4F;
+      args.momentum = 0.9F;
+      args.weight_decay = 1e-4F;
+      SgdKernelFn fn = table->sgd_update;
+      const BenchResult r = run_timed([&] { fn(args); }, target);
+      const double gflops = flops / r.seconds_per_call * 1e-9;
+      if (table->id == Backend::kScalar) scalar_gflops = gflops;
+      line << ", \"" << table->name << "_gflops\": " << gflops << ", \""
+           << table->name << "_cycles_per_call\": " << r.cycles_per_call;
+      if (table->id != Backend::kScalar && scalar_gflops > 0.0) {
+        line << ", \"speedup_" << table->name
+             << "_vs_scalar\": " << gflops / scalar_gflops;
       }
-      line << "}";
-      std::cout << "[checkasm bench] " << which << '/' << oc.cls << "\n";
-      cases << ",\n" << line.str();
     }
+    line << "}";
+    std::cout << "[checkasm bench] sgd_update/" << oc.cls << "\n";
+    cases << ",\n" << line.str();
   }
 
   std::ostringstream os;
@@ -819,7 +735,6 @@ std::vector<NamedCheck> all_checks() {
     checks.push_back({v.name, nullptr});
   }
   checks.push_back({"sgd_update", verify_sgd});
-  checks.push_back({"adam_update", verify_adam});
   checks.push_back({"conv2d_fwd", run_conv_fwd});
   checks.push_back({"conv2d_bwd", run_conv_bwd});
   checks.push_back({"tolerance", verify_tolerance});

@@ -42,15 +42,21 @@ struct Base {
   std::vector<std::pair<std::size_t, int>> counts;
 };
 
-/// The counts of a valid payload, found by walking its layout: every u32
-/// length (strings, vectors, maps and tables) and every section's u64
-/// length, inside the component and strategy sections too.
-std::vector<std::pair<std::size_t, int>> count_fields(
-    std::string_view payload) {
-  std::vector<std::pair<std::size_t, int>> out;
+/// What a walk of a valid payload's layout finds.
+struct Layout {
+  /// Offsets (and widths) of every u32 length (strings, vectors, maps and
+  /// tables) and every section's u64 length, inside the component and
+  /// strategy sections too.
+  std::vector<std::pair<std::size_t, int>> counts;
+  /// Offset of the fleet clock's double.
+  std::size_t clock = 0;
+};
+
+Layout walk_layout(std::string_view payload) {
+  Layout out;
   fl::CheckpointArchive ar(payload);
   auto at = [&] { return payload.size() - ar.remaining(); };
-  auto mark = [&](int width) { out.emplace_back(at(), width); };
+  auto mark = [&](int width) { out.counts.emplace_back(at(), width); };
   auto skip = [&](auto value) { ar.io(value); };
   auto str = [&] {
     mark(4);
@@ -162,6 +168,7 @@ std::vector<std::pair<std::size_t, int>> count_fields(
     }
     vec(std::vector<float>{});
   }
+  out.clock = at();
   skip(double{});
   vec(std::vector<float>{});
   vec(std::vector<float>{});
@@ -318,7 +325,7 @@ struct Sweep {
     for (const Base& p : plan) {
       Base b = p;
       b.payload = testing::make_rig(b.kind).pinned_payload();
-      b.counts = count_fields(b.payload);
+      b.counts = walk_layout(b.payload).counts;
       bases.push_back(std::move(b));
     }
   }
@@ -368,6 +375,36 @@ TEST(HostileCheckpointTest, MutantsRestoreOrThrowCheckpointError) {
   // Both outcomes occur: mutants reach the walk's checks and its end.
   EXPECT_GT(refused, total / 2);
   EXPECT_LT(refused, total);
+}
+
+// A restored clock need only be finite and non-negative, and the churn
+// process catches its pending arrival up to the clock one mean gap (1/8 s
+// here) at a time. Flipping the top exponent bit of the Helios-tree rig's
+// clock (about 0.39 s) makes it about 7e307 s, so far ahead that adding a
+// gap no longer moves the pending arrival and the catch-up never ends. The
+// first round after the restore must refuse the clock.
+TEST(HostileCheckpointTest, ClockFarBeyondTheRunIsRefused) {
+  std::string payload =
+      testing::make_rig(RigKind::kHeliosTree).pinned_payload();
+  const std::size_t at = walk_layout(payload).clock;
+  const std::uint64_t bits = get_le(payload, at, 8);
+  double clock = 0.0;
+  std::memcpy(&clock, &bits, sizeof clock);
+  ASSERT_GT(clock, 0.1);
+  ASSERT_LT(clock, 1.0);
+  put_le(payload, at, bits ^ (std::uint64_t{1} << 62), 8);
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "helios_checkpoint_clock_flip";
+  {
+    const std::string file = framed(payload);
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(file.data(), static_cast<std::streamsize>(file.size()));
+    ASSERT_TRUE(os.good()) << "cannot write " << path;
+  }
+  EXPECT_THROW(restore_and_step(RigKind::kHeliosTree, path.string()),
+               fl::CheckpointError);
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
 }
 
 }  // namespace

@@ -1,14 +1,10 @@
-// Tests for the extended layer set (GroupNorm, Dropout, DepthwiseConv2d,
-// AvgPool2d, extra activations) and the Adam optimizer.
+// Tests for the layers beyond the LeNet/AlexNet set: GroupNorm,
+// DepthwiseConv2d and the MobileNet-lite model built from them.
 #include <gtest/gtest.h>
 
 #include "models/zoo.h"
-#include "nn/activations.h"
-#include "nn/adam.h"
 #include "nn/depthwise.h"
-#include "nn/dropout.h"
 #include "nn/groupnorm.h"
-#include "nn/pool.h"
 #include "test_support.h"
 
 namespace helios::nn {
@@ -48,32 +44,6 @@ TEST(GradCheckExtra, DepthwiseConvStridedMasked) {
   layer.set_mask(mask);
   Tensor x = Tensor::randn({2, 4, 8, 8}, rng);
   EXPECT_EQ(gradcheck_layer(layer, x, rng), 0);
-}
-
-TEST(GradCheckExtra, AvgPool) {
-  util::Rng rng(75);
-  AvgPool2d layer(2, 6, 6, 2, 2);
-  Tensor x = Tensor::randn({2, 2, 6, 6}, rng);
-  EXPECT_EQ(gradcheck_layer(layer, x, rng), 0);
-}
-
-TEST(GradCheckExtra, TanhSigmoidLeaky) {
-  util::Rng rng(76);
-  {
-    Tanh layer;
-    Tensor x = Tensor::randn({3, 8}, rng);
-    EXPECT_EQ(gradcheck_layer(layer, x, rng), 0);
-  }
-  {
-    Sigmoid layer;
-    Tensor x = Tensor::randn({3, 8}, rng);
-    EXPECT_EQ(gradcheck_layer(layer, x, rng), 0);
-  }
-  {
-    LeakyReLU layer(0.1F);
-    Tensor x = Tensor::randn({3, 8}, rng);
-    EXPECT_EQ(gradcheck_layer(layer, x, rng), 0);
-  }
 }
 
 TEST(GroupNorm, NormalizesPerSampleGroups) {
@@ -131,58 +101,6 @@ TEST(GroupNorm, MaskedChannelsZeroAndExcludedFromStats) {
   }
 }
 
-TEST(Dropout, EvalIsIdentity) {
-  util::Rng rng(79);
-  Dropout layer(0.5F, 7);
-  Tensor x = Tensor::randn({4, 10}, rng);
-  Tensor y = layer.forward(x, false);
-  EXPECT_TRUE(y.allclose(x));
-}
-
-TEST(Dropout, TrainDropsApproximatelyRate) {
-  util::Rng rng(80);
-  Dropout layer(0.3F, 8);
-  Tensor x = Tensor::full({100, 100}, 1.0F);
-  Tensor y = layer.forward(x, true);
-  int zeros = 0;
-  for (float v : y.flat()) zeros += (v == 0.0F);
-  EXPECT_NEAR(static_cast<double>(zeros) / 10000.0, 0.3, 0.02);
-  // Kept units are scaled by 1/(1-rate); the mean stays ~1.
-  double mean = 0.0;
-  for (float v : y.flat()) mean += v;
-  EXPECT_NEAR(mean / 10000.0, 1.0, 0.05);
-}
-
-TEST(Dropout, BackwardMatchesForwardMask) {
-  Dropout layer(0.5F, 9);
-  Tensor x = Tensor::full({1, 64}, 1.0F);
-  Tensor y = layer.forward(x, true);
-  Tensor g = Tensor::full({1, 64}, 1.0F);
-  Tensor dx = layer.backward(g);
-  for (std::size_t i = 0; i < 64; ++i) {
-    if (y.flat()[i] == 0.0F) {
-      EXPECT_EQ(dx.flat()[i], 0.0F);
-    } else {
-      EXPECT_NEAR(dx.flat()[i], 2.0F, 1e-6F);  // 1/(1-0.5)
-    }
-  }
-}
-
-TEST(Dropout, RejectsBadRate) {
-  EXPECT_THROW(Dropout(-0.1F, 1), std::invalid_argument);
-  EXPECT_THROW(Dropout(1.0F, 1), std::invalid_argument);
-}
-
-TEST(AvgPool, AveragesWindows) {
-  AvgPool2d p(1, 4, 4, 2, 2);
-  Tensor x({1, 1, 4, 4}, {1, 2, 3, 4,
-                          5, 6, 7, 8,
-                          9, 10, 11, 12,
-                          13, 14, 15, 16});
-  Tensor y = p.forward(x, false);
-  EXPECT_TRUE(y.allclose(Tensor({1, 1, 2, 2}, {3.5F, 5.5F, 11.5F, 13.5F})));
-}
-
 TEST(Depthwise, MaskedChannelOutputsZero) {
   util::Rng rng(81);
   DepthwiseConv2d dw(3, 5, 5, 3, 1, 1, rng);
@@ -203,56 +121,6 @@ TEST(Depthwise, FlopsScaleWithActiveChannels) {
   const std::vector<std::uint8_t> mask{1, 0, 0, 0};
   dw.set_mask(mask);
   EXPECT_NEAR(dw.forward_flops_per_sample() / full, 0.25, 1e-9);
-}
-
-TEST(Adam, ReducesLossOnFixedBatch) {
-  nn::Model m = models::make_mlp({1, 4, 4, 3}, 83, 12);
-  Adam opt(5e-3F);
-  util::Rng rng(84);
-  Tensor x = Tensor::randn({12, 1, 4, 4}, rng);
-  std::vector<int> labels;
-  for (int i = 0; i < 12; ++i) {
-    labels.push_back(static_cast<int>(rng.uniform_int(3)));
-  }
-  double first = 0.0, last = 0.0;
-  for (int step = 0; step < 40; ++step) {
-    m.zero_grad();
-    Tensor logits = m.forward(x, true);
-    Tensor grad;
-    const double loss = tensor::softmax_cross_entropy(logits, labels, grad);
-    m.backward(grad);
-    opt.step(m);
-    if (step == 0) first = loss;
-    last = loss;
-  }
-  EXPECT_LT(last, first * 0.5);
-  EXPECT_EQ(opt.steps_taken(), 40);
-}
-
-TEST(Adam, RespectsFrozenNeurons) {
-  nn::Model m = models::make_mlp({1, 4, 4, 3}, 85, 8);
-  Adam opt(1e-2F);
-  std::vector<std::uint8_t> mask(static_cast<std::size_t>(m.neuron_total()), 1);
-  mask[2] = 0;
-  m.set_neuron_mask(mask);
-  const auto before = m.params_flat();
-  for (const ParamRef& ref : m.param_refs()) ref.grad->fill(1.0F);
-  opt.step(m);
-  opt.step(m);
-  const auto after = m.params_flat();
-  for (const FlatSlice& s : m.neurons()[2].slices) {
-    for (std::size_t f = s.offset; f < s.offset + s.length; ++f) {
-      EXPECT_EQ(after[f], before[f]);
-    }
-  }
-}
-
-TEST(Adam, RejectsBadHyperparameters) {
-  EXPECT_THROW(Adam(0.0F), std::invalid_argument);
-  EXPECT_THROW(Adam(1e-3F, 1.0F), std::invalid_argument);
-  EXPECT_THROW(Adam(1e-3F, 0.9F, 1.0F), std::invalid_argument);
-  EXPECT_THROW(Adam(1e-3F, 0.9F, 0.999F, 0.0F), std::invalid_argument);
-  EXPECT_THROW(Adam(1e-3F, 0.9F, 0.999F, 1e-8F, -1.0F), std::invalid_argument);
 }
 
 TEST(MobileNet, BuildsAndClassifies) {

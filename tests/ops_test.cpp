@@ -12,37 +12,10 @@ Tensor mat(std::initializer_list<int> shape, std::initializer_list<float> v) {
   return Tensor(Shape(shape), std::vector<float>(v));
 }
 
-TEST(Elementwise, AddSubScale) {
-  Tensor a = mat({2, 2}, {1, 2, 3, 4});
-  Tensor b = mat({2, 2}, {5, 6, 7, 8});
-  Tensor c = add(a, b);
-  EXPECT_TRUE(c.allclose(mat({2, 2}, {6, 8, 10, 12})));
-  Tensor d = sub(b, a);
-  EXPECT_TRUE(d.allclose(mat({2, 2}, {4, 4, 4, 4})));
-  scale_inplace(a, 2.0F);
-  EXPECT_TRUE(a.allclose(mat({2, 2}, {2, 4, 6, 8})));
-  axpy_inplace(a, -1.0F, d);
-  EXPECT_TRUE(a.allclose(mat({2, 2}, {-2, 0, 2, 4})));
-}
-
-TEST(Elementwise, Mul) {
-  Tensor a = mat({3}, {1, -2, 3});
-  Tensor b = mat({3}, {4, 5, -6});
-  EXPECT_TRUE(mul(a, b).allclose(mat({3}, {4, -10, -18})));
-}
-
 TEST(Elementwise, ShapeMismatchThrows) {
   Tensor a({2, 2});
   Tensor b({4});
   EXPECT_THROW(add_inplace(a, b), std::invalid_argument);
-}
-
-TEST(Reductions, SumNorms) {
-  Tensor t = mat({4}, {1, -2, 3, -4});
-  EXPECT_DOUBLE_EQ(sum(t), -2.0);
-  EXPECT_DOUBLE_EQ(l1_norm(t), 10.0);
-  EXPECT_NEAR(l2_norm(t), std::sqrt(30.0), 1e-6);
-  EXPECT_EQ(max_value(t), 3.0F);
 }
 
 TEST(Matmul, KnownProduct) {

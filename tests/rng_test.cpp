@@ -128,23 +128,6 @@ TEST(Rng, ForkIsDeterministic) {
   for (int i = 0; i < 32; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
-TEST(Rng, WeightedIndexRespectsWeights) {
-  Rng rng(22);
-  const std::vector<double> w{0.0, 1.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 20000; ++i) ++counts[rng.weighted_index(w)];
-  EXPECT_EQ(counts[0], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[1], 3.0, 0.3);
-}
-
-TEST(Rng, WeightedIndexRejectsBadInput) {
-  Rng rng(23);
-  const std::vector<double> zero{0.0, 0.0};
-  EXPECT_THROW(rng.weighted_index(zero), std::invalid_argument);
-  const std::vector<double> negative{1.0, -0.5};
-  EXPECT_THROW(rng.weighted_index(negative), std::invalid_argument);
-}
-
 // skip_normals(n) must leave the stream exactly where n normal() calls do:
 // the xoshiro words, the cache flag, and the cached value bit for bit (a
 // consumed sine stays in the slot, and checkpoints serialize it).

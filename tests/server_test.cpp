@@ -38,18 +38,6 @@ TEST(Server, FullUpdatesAverageWithSampleWeights) {
   for (float v : server.global()) EXPECT_NEAR(v, 3.25F, 1e-5F);
 }
 
-TEST(Server, UnweightedAverageWhenSampleWeightingOff) {
-  Server server(ref_model());
-  const std::size_t p = server.param_count();
-  std::vector<ClientUpdate> ups{
-      update_with(std::vector<float>(p, 1.0F), 10),
-      update_with(std::vector<float>(p, 3.0F), 90)};
-  AggOptions opts;
-  opts.sample_weighting = false;
-  server.aggregate(ups, opts);
-  for (float v : server.global()) EXPECT_NEAR(v, 2.0F, 1e-5F);
-}
-
 TEST(Server, PartialUpdateOnlyTouchesTrainedNeurons) {
   Server server(ref_model());
   const auto before = server.global();
@@ -120,7 +108,6 @@ TEST(Server, HeteroWeightsFavorCompleteModels) {
   s1.aggregate(ups, plain);
   AggOptions hetero;
   hetero.hetero_volume_weights = true;
-  hetero.alpha_scope = AggOptions::AlphaScope::kNeuronOnly;
   Server s2(ref_model());
   s2.aggregate(ups, hetero);
   // On neuron 0's parameters, hetero weighting pulls the average toward the
@@ -128,10 +115,11 @@ TEST(Server, HeteroWeightsFavorCompleteModels) {
   const auto& neurons = s2.reference_model().neurons();
   const nn::FlatSlice s0 = neurons[0].slices[0];
   EXPECT_LT(s2.global()[s0.offset], s1.global()[s0.offset]);
-  // With kNeuronOnly scope the common (head) parameters are alpha-exempt:
-  // equal under both options.
+  // Eq. 10 weights the whole update: the common head bias moves toward the
+  // full-model device just as neuron 0's parameters do.
   const std::size_t last = p - 1;  // head bias is the final parameter
-  EXPECT_NEAR(s1.global()[last], s2.global()[last], 1e-6F);
+  EXPECT_LT(s2.global()[last], s1.global()[last]);
+  EXPECT_FLOAT_EQ(s2.global()[last], s2.global()[s0.offset]);
   // Literal Eq. 10 (damping 1.0, whole update): the straggler is suppressed
   // even harder on neuron 0.
   AggOptions literal;

@@ -39,6 +39,28 @@ TEST(SyncFL, RoundTimeDominatedByStraggler) {
   EXPECT_GE(res.rounds[0].virtual_time, straggler_cycle * 0.99);
 }
 
+TEST(SyncPartialParticipation, SamplesSubsetAndStillLearns) {
+  FleetOptions o;
+  o.clients = 4;
+  o.stragglers = 0;
+  o.samples_per_client = 64;
+  Fleet fleet = make_fleet(o);
+  SyncFL strategy(0.5);
+  EXPECT_EQ(strategy.name().substr(0, 10), "Syn. FL (C");
+  const RunResult res = strategy.run(fleet, 10);
+  EXPECT_EQ(res.rounds.size(), 10u);
+  EXPECT_GT(res.final_accuracy(3), 0.35);
+  // Half participation -> roughly half the per-cycle upload volume.
+  Fleet full_fleet = make_fleet(o);
+  const RunResult full = SyncFL().run(full_fleet, 10);
+  EXPECT_LT(res.total_upload_mb(), 0.7 * full.total_upload_mb());
+}
+
+TEST(SyncPartialParticipation, Validation) {
+  EXPECT_THROW(SyncFL(0.0), std::invalid_argument);
+  EXPECT_THROW(SyncFL(1.5), std::invalid_argument);
+}
+
 TEST(AsyncFL, CapableCyclesAreFasterThanSync) {
   Fleet sync_fleet = make_fleet();
   Fleet async_fleet = make_fleet();

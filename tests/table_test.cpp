@@ -28,14 +28,6 @@ TEST(Table, PadsShortRows) {
   EXPECT_EQ(t.row_count(), 1u);
 }
 
-TEST(Table, CsvFormat) {
-  Table t({"x", "y"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "x,y\n1,2\n");
-}
-
 TEST(Table, NumFormatsPrecision) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(2.0, 0), "2");

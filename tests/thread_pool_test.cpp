@@ -1,5 +1,5 @@
 // ThreadPool / parallel_for / parallel_for_each unit tests: coverage,
-// the claiming cap, exception propagation, nesting, teardown, roster-indexed
+// the claiming cap, exception propagation, nesting, roster-indexed
 // fan-out results, and the bit-identity of parallelized kernels across
 // thread counts.
 #include <algorithm>
@@ -111,42 +111,16 @@ TEST(ThreadPoolTest, OneThreadPoolSpawnsNoWorkers) {
   util::ThreadPool pool(1);
   EXPECT_EQ(pool.size(), 1);
   EXPECT_EQ(pool.worker_count(), 0);
+  // A region runs as one full-range chunk on the caller.
+  const std::thread::id caller = std::this_thread::get_id();
   int ran = 0;
-  pool.submit([&] { ++ran; });  // runs inline
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(ThreadPoolTest, SubmitFromWorkerDoesNotDeadlock) {
-  util::ThreadPool pool(3);
-  ASSERT_EQ(pool.worker_count(), 2);
-  std::atomic<bool> inner_done{false};
-  std::atomic<bool> outer_done{false};
-  pool.submit([&] {
-    pool.submit([&] { inner_done = true; });
-    outer_done = true;
+  pool.parallel_region(0, 64, 1, [&](std::int64_t lo, std::int64_t hi) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(lo, 0);
+    EXPECT_EQ(hi, 64);
+    ++ran;
   });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!(inner_done && outer_done) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  EXPECT_TRUE(outer_done.load());
-  EXPECT_TRUE(inner_done.load());
-}
-
-TEST(ThreadPoolTest, TeardownDrainsQueuedWork) {
-  std::atomic<int> ran{0};
-  {
-    util::ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        ran++;
-      });
-    }
-  }  // destructor: queued tasks drain before join
-  EXPECT_EQ(ran.load(), 64);
+  EXPECT_EQ(ran, 1);
 }
 
 TEST(ThreadPoolTest, GlobalThreadCountFollowsOverride) {
