@@ -1,26 +1,23 @@
 // Network-simulation benchmark: what do faulty channels cost each strategy?
 //
-// Two sections, both written machine-readably to BENCH_net.json (schema 2)
-// so CI can diff the wire overhead and the graceful-degradation accuracy
-// cost via bench_compare:
+// Two tables:
 //
-//  * `strategies`: for every strategy, one ideal-channel baseline run plus
+//  * strategies: for every strategy, one ideal-channel baseline run plus
 //    one simulated run per loss rate (0 / 1 / 5%), all on identical
-//    fleets. Reported per run: bytes actually on the wire (retransmits
-//    included), host wall-clock, virtual round time, and the
-//    final-accuracy delta against the ideal baseline.
+//    fleets. Reported per run: final accuracy, bytes actually on the wire
+//    (retransmits included), lost frames, dropped updates and host
+//    wall-clock.
 //
-//  * `quantization`: the wire-codec sweep — Helios and Syn. FL on a
-//    sampled mobile-longtail population (C = 0.1) with the payload codec
-//    at fp32 / fp16 / int8 per-neuron (error feedback on) across the same
-//    loss rates. Each quantized run reports its measured wire-byte
-//    reduction and final-accuracy delta against the fp32 run at the same
-//    loss rate; bench_compare holds the int8pn reduction to the >= 4x
-//    acceptance floor.
+//  * the wire-codec sweep: Helios and Syn. FL on a sampled mobile-longtail
+//    population (C = 0.1) with the payload codec at fp32 / fp16 / int8
+//    per-neuron (error feedback on) across the same loss rates. Each
+//    quantized run reports its measured wire-byte reduction and
+//    final-accuracy delta against the fp32 run at the same loss rate. The
+//    int8pn floor (>= 4x, at most 0.5 points below fp32) is a tier-1 test
+//    on this configuration: `Int8pnFloorTest` in tests/codec_test.cpp.
 #include <algorithm>
 #include <chrono>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "bench_common.h"
@@ -28,11 +25,9 @@
 #include "core/straggler_id.h"
 #include "core/target.h"
 #include "fl/transport.h"
-#include "obs/procstat.h"
 #include "obs/telemetry.h"
 #include "sim/population.h"
 #include "sim/sampler.h"
-#include "util/atomic_file.h"
 
 namespace {
 
@@ -40,14 +35,10 @@ using namespace helios;
 
 struct RunStats {
   double accuracy = 0.0;
-  double virtual_seconds = 0.0;
   double wall_seconds = 0.0;
   double wire_mb = 0.0;
-  double frames_sent = 0.0;
   double frames_lost = 0.0;
   double drops = 0.0;
-  double deadline_misses = 0.0;
-  double deaths = 0.0;
 };
 
 /// Sums a per-device labeled counter over the fleet's device ids.
@@ -79,47 +70,22 @@ RunStats run_once(const bench::TaskSpec& task, const bench::FleetSetup& setup,
 
   RunStats s;
   s.accuracy = result.final_accuracy();
-  s.virtual_seconds =
-      result.rounds.empty() ? 0.0 : result.rounds.back().virtual_time;
   s.wall_seconds = wall.count();
   s.wire_mb = sum_device_counter(telemetry, "helios.net.bytes_on_wire_total",
                                  setup.devices) /
               1e6;
-  s.frames_sent = sum_device_counter(
-      telemetry, "helios.net.frames_sent_total", setup.devices);
   s.frames_lost = sum_device_counter(
       telemetry, "helios.net.frames_lost_total", setup.devices);
   s.drops =
       sum_device_counter(telemetry, "helios.net.drops_total", setup.devices);
-  s.deadline_misses =
-      telemetry.metrics().counter("helios.net.deadline_missed_total").value();
-  s.deaths = sum_device_counter(
-      telemetry, "helios.net.device_deaths_total", setup.devices);
   return s;
-}
-
-void write_stats(std::ostream& os, const RunStats& s) {
-  os << "{\"accuracy\": " << s.accuracy
-     << ", \"virtual_seconds\": " << s.virtual_seconds
-     << ", \"wall_seconds\": " << s.wall_seconds
-     << ", \"wire_mb\": " << s.wire_mb
-     << ", \"frames_sent\": " << s.frames_sent
-     << ", \"frames_lost\": " << s.frames_lost
-     << ", \"drops\": " << s.drops
-     << ", \"deadline_misses\": " << s.deadline_misses
-     << ", \"deaths\": " << s.deaths << "}";
 }
 
 // --- Quantization sweep -----------------------------------------------
 
 struct QuantStats {
   double accuracy = 0.0;
-  double wall_seconds = 0.0;
-  double wire_mb = 0.0;       // everything on the wire, retransmits included
-  double frames_sent = 0.0;
-  double frames_lost = 0.0;
-  double codec_raw_mb = 0.0;   // fp32-dense cost of the encoded payloads
-  double codec_wire_mb = 0.0;  // what the codec actually emitted
+  double wire_mb = 0.0;  // everything on the wire, retransmits included
 };
 
 /// One run of the codec sweep: a sampled mobile-longtail fleet (the
@@ -159,39 +125,15 @@ QuantStats run_quant_once(const std::string& method, codec::CodecId codec,
   fl::NetworkSession session(fleet, opts);
 
   auto strategy = bench::make_strategy(method);
-  const auto t0 = std::chrono::steady_clock::now();
   const fl::RunResult result = strategy->run(fleet, cycles);
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - t0;
 
   QuantStats s;
   s.accuracy = result.final_accuracy();
-  s.wall_seconds = wall.count();
   s.wire_mb = sum_device_counter(telemetry, "helios.net.bytes_on_wire_total",
                                  devices) /
               1e6;
-  s.frames_sent =
-      sum_device_counter(telemetry, "helios.net.frames_sent_total", devices);
-  s.frames_lost =
-      sum_device_counter(telemetry, "helios.net.frames_lost_total", devices);
-  s.codec_raw_mb =
-      sum_device_counter(telemetry, "helios.codec.bytes_in_total", devices) /
-      1e6;
-  s.codec_wire_mb =
-      sum_device_counter(telemetry, "helios.codec.bytes_out_total", devices) /
-      1e6;
   fleet.set_sampler(nullptr);
   return s;
-}
-
-void write_quant_stats(std::ostream& os, const QuantStats& s) {
-  os << "{\"accuracy\": " << s.accuracy
-     << ", \"wall_seconds\": " << s.wall_seconds
-     << ", \"wire_mb\": " << s.wire_mb
-     << ", \"frames_sent\": " << s.frames_sent
-     << ", \"frames_lost\": " << s.frames_lost
-     << ", \"codec_raw_mb\": " << s.codec_raw_mb
-     << ", \"codec_wire_mb\": " << s.codec_wire_mb << "}";
 }
 
 }  // namespace
@@ -206,12 +148,7 @@ int main() {
 
   util::Table table({"method", "channel", "final acc (%)", "wire (MB)",
                      "lost", "drops", "wall (s)"});
-  std::ostringstream json;  // buffered; replaced atomically below
-  json << "{\n  \"schema\": 2,\n  \"scale\": \"" << scale.name
-       << "\",\n  \"cycles\": " << task.cycles << ",\n  \"strategies\": [\n";
-
-  for (std::size_t m = 0; m < methods.size(); ++m) {
-    const std::string& method = methods[m];
+  for (const std::string& method : methods) {
     // Ideal baseline: frames are encoded and counted but delivery is
     // perfect and timing stays analytic.
     const RunStats ideal = run_once(task, setup, method, net::NetworkOptions{});
@@ -219,14 +156,11 @@ int main() {
                    util::Table::num(ideal.accuracy * 100.0, 2),
                    util::Table::num(ideal.wire_mb, 3), "0", "0",
                    util::Table::num(ideal.wall_seconds, 2)});
-    json << "    {\"name\": \"" << method << "\", \"ideal\": ";
-    write_stats(json, ideal);
-    json << ", \"lossy\": [\n";
 
-    for (std::size_t l = 0; l < loss_rates.size(); ++l) {
+    for (const double loss : loss_rates) {
       net::NetworkOptions opts;
       opts.mode = net::NetMode::kSimulated;
-      opts.channel.loss_prob = loss_rates[l];
+      opts.channel.loss_prob = loss;
       opts.channel.latency_s = 0.005;
       opts.channel.jitter_s = 0.002;
       opts.deadline_factor = 2.0;
@@ -237,19 +171,13 @@ int main() {
       opts.seed = 97;
       const RunStats lossy = run_once(task, setup, method, opts);
       table.add_row(
-          {method, "loss " + util::Table::num(loss_rates[l] * 100.0, 0) + "%",
+          {method, "loss " + util::Table::num(loss * 100.0, 0) + "%",
            util::Table::num(lossy.accuracy * 100.0, 2),
            util::Table::num(lossy.wire_mb, 3),
            util::Table::num(lossy.frames_lost, 0),
            util::Table::num(lossy.drops, 0),
            util::Table::num(lossy.wall_seconds, 2)});
-      json << "      {\"loss\": " << loss_rates[l] << ", \"stats\": ";
-      write_stats(json, lossy);
-      json << ", \"accuracy_delta_vs_ideal\": "
-           << (lossy.accuracy - ideal.accuracy) << "}"
-           << (l + 1 < loss_rates.size() ? "," : "") << "\n";
     }
-    json << "    ]}" << (m + 1 < methods.size() ? "," : "") << "\n";
   }
 
   // Quantization sweep on the acceptance population: mobile-longtail at
@@ -264,52 +192,31 @@ int main() {
   util::Table quant_table({"method", "codec", "loss", "final acc (%)",
                            "wire (MB)", "reduction vs fp32",
                            "acc delta vs fp32"});
-  json << "  ],\n  \"quantization\": {\"devices\": " << kQuantDevices
-       << ", \"cohort_fraction\": 0.1, \"cycles\": " << kQuantCycles
-       << ", \"methods\": [\n";
-  for (std::size_t m = 0; m < quant_methods.size(); ++m) {
-    const std::string& method = quant_methods[m];
+  for (const std::string& method : quant_methods) {
     std::vector<QuantStats> fp32_runs;  // per loss rate, codec order fixed
-    json << "    {\"name\": \"" << method << "\", \"codecs\": [\n";
-    for (std::size_t c = 0; c < codecs.size(); ++c) {
-      const codec::CodecId id = codecs[c];
-      json << "      {\"name\": \"" << codec::codec_name(id)
-           << "\", \"lossy\": [\n";
+    for (const codec::CodecId id : codecs) {
       for (std::size_t l = 0; l < loss_rates.size(); ++l) {
         const QuantStats s =
             run_quant_once(method, id, loss_rates[l], kQuantDevices,
                            kQuantCycles);
         if (id == codec::CodecId::kFp32) fp32_runs.push_back(s);
-        json << "        {\"loss\": " << loss_rates[l] << ", \"stats\": ";
-        write_quant_stats(json, s);
         std::string reduction = "--";
         std::string delta = "--";
         if (id != codec::CodecId::kFp32) {
           const QuantStats& base = fp32_runs[l];
           const double r = s.wire_mb > 0.0 ? base.wire_mb / s.wire_mb : 0.0;
           const double d = s.accuracy - base.accuracy;
-          json << ", \"wire_reduction_vs_fp32\": " << r
-               << ", \"accuracy_delta_vs_fp32\": " << d;
           reduction = util::Table::num(r, 2) + "x";
           delta = util::Table::num(d * 100.0, 2) + "%";
         }
-        json << "}" << (l + 1 < loss_rates.size() ? "," : "") << "\n";
         quant_table.add_row(
             {method, codec::codec_name(id),
              util::Table::num(loss_rates[l] * 100.0, 0) + "%",
              util::Table::num(s.accuracy * 100.0, 2),
              util::Table::num(s.wire_mb, 3), reduction, delta});
       }
-      json << "      ]}" << (c + 1 < codecs.size() ? "," : "") << "\n";
     }
-    json << "    ]}" << (m + 1 < quant_methods.size() ? "," : "") << "\n";
   }
-  json << "  ]}";
-
-  const obs::ProcMemory mem = obs::read_proc_memory();
-  json << ",\n  \"rss_mb\": " << mem.rss_mb
-       << ",\n  \"peak_rss_mb\": " << mem.peak_rss_mb << "\n}\n";
-  util::atomic_write_file("BENCH_net.json", json.str());
 
   util::print_banner(std::cout,
                      "Network simulation: wire bytes, faults and accuracy "
@@ -319,9 +226,5 @@ int main() {
                      "Wire codec sweep: mobile-longtail (40 devices, "
                      "C = 0.1), error feedback on");
   quant_table.print(std::cout);
-  std::cout << "wrote BENCH_net.json (" << methods.size() << " strategies x "
-            << loss_rates.size() << " loss rates + ideal baselines + "
-            << quant_methods.size() << "x" << codecs.size()
-            << " codec sweep)\n";
   return 0;
 }

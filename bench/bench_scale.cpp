@@ -1,26 +1,24 @@
 // Population-scale benchmark: how does throughput and memory behave as the
 // fleet grows from the paper's testbed size to a sampled population?
 //
-// Two sections, both written machine-readably to BENCH_scale.json
-// (schema 1) so CI can track scaling regressions via bench_compare:
+// Two tables:
 //
-//  * flat `points`: fleet sizes 8 / 64 / 256 / 1024 (mobile-longtail
+//  * flat points: fleet sizes 8 / 64 / 256 / 1024 (mobile-longtail
 //    preset, cohort sampling at C = max(0.05, 4/N), 5 rounds), Helios and
 //    Syn. FL each reporting rounds per wall-clock second, the peak
 //    live-replica footprint (the sum of materialized client models — the
 //    memory the lazy-client design is bounding), and process peak RSS.
 //
-//  * `hierarchy`: Helios through a depth-3 aggregator tree (64 edges,
+//  * hierarchy: Helios through a depth-3 aggregator tree (64 edges,
 //    fanout 8) on lazy-data populations of 8k up to 256k devices at
 //    C = max(0.01, 8/N) — the O(100k)-device regime the streaming tree
-//    exists for. Each row reports rounds/s, per-tier fold time, the merge
-//    frame size, and the per-round resident set, whose growth across
-//    rounds must stay flat: root memory is bounded by the accumulator
-//    geometry, not the population.
+//    exists for. Each row reports rounds/s, per-tier fold time and the
+//    resident set's drift across rounds, which must stay flat: root memory
+//    is bounded by the accumulator geometry, not the population. The
+//    100k-device row's flatness is a tier-1 test:
+//    `ScaleSmokeTest.HundredThousandDeviceTreeKeepsRssFlat`.
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string_view>
@@ -29,12 +27,10 @@
 #include "bench_common.h"
 #include "core/straggler_id.h"
 #include "core/target.h"
-#include "fl/checkpoint.h"
 #include "fl/hierarchy.h"
 #include "obs/procstat.h"
 #include "sim/population.h"
 #include "sim/sampler.h"
-#include "util/atomic_file.h"
 #include "util/table.h"
 
 namespace {
@@ -43,20 +39,13 @@ using namespace helios;
 
 struct ScaleStats {
   double accuracy = 0.0;
-  double setup_seconds = 0.0;     // fleet build + straggler id + sampler
   double wall_seconds = 0.0;      // the strategy run itself
   double rounds_per_second = 0.0;
   double peak_replica_mb = 0.0;   // max over rounds of live replica bytes
-  double final_replica_mb = 0.0;  // after the last round's hibernation
   double peak_rss_mb = 0.0;       // process-wide (monotone across runs)
-  std::size_t cohort_rounds = 0;  // sampled client-rounds
-  double checkpoint_save_seconds = 0.0;  // full snapshot + atomic write
-  double checkpoint_load_seconds = 0.0;  // read + validate + restore
-  double checkpoint_file_mb = 0.0;       // framed file size on disk
 };
 
 ScaleStats run_once(const std::string& method, int devices, int cycles) {
-  const auto setup0 = std::chrono::steady_clock::now();
   const sim::PopulationGenerator pop(sim::mobile_longtail(devices));
   fl::Fleet fleet = sim::build_fleet(pop);
   // Flag the slowest quarter (rank-based suits a long tail) and assign
@@ -72,8 +61,6 @@ ScaleStats run_once(const std::string& method, int devices, int cycles) {
   sim::CohortSampler sampler(sopts);
   sampler.attach(&fleet);
   fleet.set_sampler(&sampler);
-  const std::chrono::duration<double> setup =
-      std::chrono::steady_clock::now() - setup0;
 
   auto strategy = bench::make_strategy(method);
   ScaleStats s;
@@ -81,7 +68,6 @@ ScaleStats run_once(const std::string& method, int devices, int cycles) {
   // hibernated but while its replicas were still live a moment ago — the
   // peak is whatever the largest cohort materialized.
   std::size_t peak_bytes = 0;
-  std::size_t sampled = 0;
   if (auto* helios = dynamic_cast<core::HeliosStrategy*>(strategy.get())) {
     helios->set_cycle_hook([&](fl::Fleet& f, int) {
       peak_bytes = std::max(peak_bytes, f.live_replica_bytes());
@@ -92,60 +78,27 @@ ScaleStats run_once(const std::string& method, int devices, int cycles) {
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - t0;
 
-  for (auto& c : fleet.clients()) sampled += c->materialized() ? 1 : 0;
   peak_bytes = std::max(peak_bytes, fleet.live_replica_bytes());
-
-  // Checkpoint cost at this fleet size: a full save (snapshot + atomic
-  // write) and a full resume (read + validate + restore) of the state the
-  // run just produced. Gated by bench_compare via the *seconds* keys.
-  {
-    const std::string ckpt = "BENCH_scale_ckpt.tmp";
-    const auto s0 = std::chrono::steady_clock::now();
-    fleet.save_checkpoint(ckpt, strategy.get(), result);
-    s.checkpoint_save_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - s0)
-            .count();
-    std::ifstream in(ckpt, std::ios::binary | std::ios::ate);
-    if (in) s.checkpoint_file_mb = static_cast<double>(in.tellg()) / 1e6;
-    in.close();
-    const auto l0 = std::chrono::steady_clock::now();
-    const fl::RunResult restored = fleet.resume(ckpt, strategy.get());
-    s.checkpoint_load_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - l0)
-            .count();
-    if (restored.rounds.size() != result.rounds.size()) {
-      std::cerr << "WARNING: checkpoint round-trip dropped rounds\n";
-    }
-    std::remove(ckpt.c_str());
-  }
   s.accuracy = result.final_accuracy();
-  s.setup_seconds = setup.count();
   s.wall_seconds = wall.count();
   s.rounds_per_second =
       wall.count() > 0.0 ? static_cast<double>(cycles) / wall.count() : 0.0;
   s.peak_replica_mb = static_cast<double>(peak_bytes) / 1e6;
-  s.final_replica_mb =
-      static_cast<double>(fleet.live_replica_bytes()) / 1e6;
   s.peak_rss_mb = obs::read_proc_memory().peak_rss_mb;
-  s.cohort_rounds = sampled;
   fleet.set_sampler(nullptr);
   return s;
 }
 
 struct TreeScaleStats {
-  double accuracy = 0.0;
-  double setup_seconds = 0.0;  // population + fleet + straggler id + tree
   double wall_seconds = 0.0;
   double rounds_per_second = 0.0;
   double peak_replica_mb = 0.0;
   double peak_rss_mb = 0.0;
-  double merge_frame_mb = 0.0;      // one tier crossing, fixed by geometry
   std::vector<double> round_rss_mb; // resident set after each round
   double rss_growth_mb = 0.0;       // last - first round (flatness claim)
   double edge_fold_seconds = 0.0;
   double regional_fold_seconds = 0.0;
   double root_fold_seconds = 0.0;
-  std::uint64_t device_frames = 0;  // updates folded at the edge tier
   std::size_t cohort_devices = 0;   // materialized after the last round
 };
 
@@ -155,7 +108,6 @@ struct TreeScaleStats {
 // tree scaling shows up.
 TreeScaleStats run_tree_once(int devices, int cycles, int edge_nodes,
                              int fanout) {
-  const auto setup0 = std::chrono::steady_clock::now();
   sim::PopulationConfig cfg = sim::mobile_longtail(devices);
   cfg.lazy_data = true;  // sample memory follows the cohort, not the fleet
   const sim::PopulationGenerator pop(cfg);
@@ -176,13 +128,9 @@ TreeScaleStats run_tree_once(int devices, int cycles, int edge_nodes,
   topo.edge_nodes = edge_nodes;
   topo.fanout = fanout;
   fl::HierarchySession hier(fleet, topo);
-  const std::chrono::duration<double> setup =
-      std::chrono::steady_clock::now() - setup0;
 
   auto strategy = bench::make_strategy("Helios");
   TreeScaleStats s;
-  s.merge_frame_mb =
-      static_cast<double>(hier.tree().merge_frame_bytes()) / 1e6;
   // Per-tier rollups survive until the next round's begin_round, so the
   // cycle hook (firing at each round start) harvests the previous round;
   // one more harvest after the run collects the final round.
@@ -191,7 +139,6 @@ TreeScaleStats run_tree_once(int devices, int cycles, int edge_nodes,
       const std::string_view tier = t.tier;
       if (tier == "edge") {
         s.edge_fold_seconds += t.fold_seconds;
-        s.device_frames += t.frames_folded;
       } else if (tier == "regional") {
         s.regional_fold_seconds += t.fold_seconds;
       } else {
@@ -209,7 +156,7 @@ TreeScaleStats run_tree_once(int devices, int cycles, int edge_nodes,
     }
   });
   const auto t0 = std::chrono::steady_clock::now();
-  const fl::RunResult result = strategy->run(fleet, cycles);
+  strategy->run(fleet, cycles);
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - t0;
   harvest();
@@ -218,8 +165,6 @@ TreeScaleStats run_tree_once(int devices, int cycles, int edge_nodes,
   for (auto& c : fleet.clients()) {
     s.cohort_devices += c->materialized() ? 1 : 0;
   }
-  s.accuracy = result.final_accuracy();
-  s.setup_seconds = setup.count();
   s.wall_seconds = wall.count();
   s.rounds_per_second =
       wall.count() > 0.0 ? static_cast<double>(cycles) / wall.count() : 0.0;
@@ -245,12 +190,7 @@ int main() {
   util::Table table({"devices", "method", "rounds/s", "wall (s)",
                      "peak replicas (MB)", "full fleet (MB)", "peak RSS (MB)",
                      "final acc (%)"});
-  std::ostringstream json;  // buffered; replaced atomically below
-  json << "{\n  \"schema\": 1,\n  \"scale\": \"" << scale.name
-       << "\",\n  \"cycles\": " << cycles << ",\n  \"points\": [\n";
-
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    const int devices = sizes[i];
+  for (const int devices : sizes) {
     // What the whole population would occupy if every client held a live
     // replica — the bound the lazy-materialization design avoids.
     const sim::PopulationGenerator pop(sim::mobile_longtail(devices));
@@ -259,32 +199,16 @@ int main() {
         static_cast<double>(probe.param_count() * 2 + probe.buffer_count()) *
         sizeof(float) * devices / 1e6;
 
-    json << "    {\"devices\": " << devices
-         << ", \"full_fleet_mb\": " << full_fleet_mb << ", \"methods\": [\n";
-    for (std::size_t m = 0; m < methods.size(); ++m) {
-      const ScaleStats s = run_once(methods[m], devices, cycles);
-      table.add_row({std::to_string(devices), methods[m],
+    for (const std::string& method : methods) {
+      const ScaleStats s = run_once(method, devices, cycles);
+      table.add_row({std::to_string(devices), method,
                      util::Table::num(s.rounds_per_second, 2),
                      util::Table::num(s.wall_seconds, 2),
                      util::Table::num(s.peak_replica_mb, 2),
                      util::Table::num(full_fleet_mb, 2),
                      util::Table::num(s.peak_rss_mb, 1),
                      util::Table::num(s.accuracy * 100.0, 2)});
-      json << "      {\"name\": \"" << methods[m]
-           << "\", \"rounds_per_second\": " << s.rounds_per_second
-           << ", \"setup_seconds\": " << s.setup_seconds
-           << ", \"wall_seconds\": " << s.wall_seconds
-           << ", \"peak_replica_mb\": " << s.peak_replica_mb
-           << ", \"final_replica_mb\": " << s.final_replica_mb
-           << ", \"peak_rss_mb\": " << s.peak_rss_mb
-           << ", \"materialized_clients\": " << s.cohort_rounds
-           << ", \"checkpoint_save_seconds\": " << s.checkpoint_save_seconds
-           << ", \"checkpoint_load_seconds\": " << s.checkpoint_load_seconds
-           << ", \"checkpoint_file_mb\": " << s.checkpoint_file_mb
-           << ", \"accuracy\": " << s.accuracy << "}"
-           << (m + 1 < methods.size() ? "," : "") << "\n";
     }
-    json << "    ]}" << (i + 1 < sizes.size() ? "," : "") << "\n";
   }
 
   // Hierarchical section: the O(100k)-device regime. The 100k point runs at
@@ -301,9 +225,7 @@ int main() {
   util::Table tree_table({"devices", "rounds/s", "wall (s)", "cohort",
                           "peak replicas (MB)", "peak RSS (MB)",
                           "fold e/r/root (ms)", "RSS drift (MB)"});
-  json << "  ],\n  \"hierarchy\": [\n";
-  for (std::size_t i = 0; i < tree_sizes.size(); ++i) {
-    const int devices = tree_sizes[i];
+  for (const int devices : tree_sizes) {
     const TreeScaleStats s =
         run_tree_once(devices, tree_cycles, kEdges, kFanout);
     std::ostringstream fold;
@@ -317,32 +239,7 @@ int main() {
                         util::Table::num(s.peak_replica_mb, 2),
                         util::Table::num(s.peak_rss_mb, 1), fold.str(),
                         util::Table::num(s.rss_growth_mb, 2)});
-    json << "    {\"devices\": " << devices << ", \"edge_nodes\": " << kEdges
-         << ", \"fanout\": " << kFanout << ", \"rounds\": " << tree_cycles
-         << ", \"rounds_per_second\": " << s.rounds_per_second
-         << ", \"setup_seconds\": " << s.setup_seconds
-         << ", \"wall_seconds\": " << s.wall_seconds
-         << ", \"peak_replica_mb\": " << s.peak_replica_mb
-         << ", \"peak_rss_mb\": " << s.peak_rss_mb
-         << ", \"merge_frame_mb\": " << s.merge_frame_mb
-         << ", \"device_frames\": " << s.device_frames
-         << ", \"cohort_devices\": " << s.cohort_devices
-         << ", \"edge_fold_seconds\": " << s.edge_fold_seconds
-         << ", \"regional_fold_seconds\": " << s.regional_fold_seconds
-         << ", \"root_fold_seconds\": " << s.root_fold_seconds
-         << ", \"round_rss_mb\": [";
-    for (std::size_t r = 0; r < s.round_rss_mb.size(); ++r) {
-      json << (r ? ", " : "") << s.round_rss_mb[r];
-    }
-    json << "], \"rss_growth_mb\": " << s.rss_growth_mb
-         << ", \"accuracy\": " << s.accuracy << "}"
-         << (i + 1 < tree_sizes.size() ? "," : "") << "\n";
   }
-
-  const obs::ProcMemory mem = obs::read_proc_memory();
-  json << "  ],\n  \"rss_mb\": " << mem.rss_mb
-       << ",\n  \"peak_rss_mb\": " << mem.peak_rss_mb << "\n}\n";
-  util::atomic_write_file("BENCH_scale.json", json.str());
 
   util::print_banner(std::cout,
                      "Population scale: rounds/s and memory, Helios vs "
@@ -353,8 +250,5 @@ int main() {
                      "tree (64 edges x fanout 8, lazy data, C = max(0.01, "
                      "8/N))");
   tree_table.print(std::cout);
-  std::cout << "wrote BENCH_scale.json (" << sizes.size()
-            << " fleet sizes x " << methods.size() << " strategies + "
-            << tree_sizes.size() << " tree rows)\n";
   return 0;
 }

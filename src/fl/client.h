@@ -180,8 +180,6 @@ class Client {
   /// position without materializing its shard; the shard's size is checked
   /// against that position when it is rebuilt.
   void io(util::CheckpointArchive& ar);
-  nn::Sgd& optimizer() { return opt_; }
-  const nn::Sgd& optimizer() const { return opt_; }
 
   /// Observability sink (set by Fleet::set_telemetry; may be null). The
   /// client reports each completed cycle's time split and trained-neuron

@@ -24,7 +24,6 @@ class Sgd {
   void step(Model& model);
 
   float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
   float momentum() const { return momentum_; }
 
   /// Checkpoint section: the velocity buffer is the only cross-step state.

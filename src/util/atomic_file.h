@@ -2,8 +2,8 @@
 // rename() over the destination. A reader never observes a torn file — it
 // sees either the complete old contents or the complete new contents,
 // because rename(2) is atomic within a filesystem. Used by every artifact
-// writer that a crash-tolerant run may race against (checkpoints, journal
-// summaries, BENCH_*.json snapshots).
+// writer that a crash-tolerant run may race against (checkpoints and the
+// telemetry artifacts).
 #pragma once
 
 #include <string>

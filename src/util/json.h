@@ -1,10 +1,10 @@
 // Minimal JSON reader for Helios's own machine-readable artifacts (the run
-// journal's JSONL lines, the BENCH_*.json snapshots, the exported metrics
-// and dashboard dumps). Parses the full JSON grammar into an owning value
-// tree; objects preserve insertion order so diffs stay stable.
+// journal's JSONL lines, the exported metrics and dashboard dumps). Parses
+// the full JSON grammar into an owning value tree; objects preserve
+// insertion order so diffs stay stable.
 //
-// It reads files Helios itself writes, but a journal or snapshot may come
-// from anywhere: the parser is recursive but caps nesting at kMaxDepth
+// It reads files Helios itself writes, but a journal may come from
+// anywhere: the parser is recursive but caps nesting at kMaxDepth
 // levels, and every error (malformed text, trailing garbage, nesting past
 // the cap) throws std::runtime_error with a byte offset. The design favors
 // a tiny API over streaming speed.
@@ -24,7 +24,7 @@ class JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
   /// Deepest array/object nesting parse() accepts (the deepest document
-  /// Helios writes, bench/baselines/BENCH_net.json, nests 9 levels).
+  /// Helios writes, the exported metrics, nests 4 levels).
   static constexpr int kMaxDepth = 64;
 
   /// Parses one complete JSON document; throws std::runtime_error (with a

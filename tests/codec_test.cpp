@@ -2,15 +2,19 @@
 // shapes, scales and degenerate masks), NaN/Inf rejection, the zero-run
 // escape coding's edges, frame truncation/corruption refusal, the one
 // frame format's version and codec rules, pinned frame bytes, merge-frame
-// refusal of a non-zero codec word, and fleet-level integration:
+// refusal of a non-zero codec word, fleet-level integration:
 // error-feedback compensation, wire-byte savings and thread-count
-// determinism with a quantized payload codec.
+// determinism with a quantized payload codec, and the int8pn acceptance
+// floor on the network benchmark's codec sweep.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <iostream>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,12 +24,16 @@
 #include "codec/codec.h"
 #include "codec/error_feedback.h"
 #include "core/helios_strategy.h"
+#include "core/straggler_id.h"
+#include "core/target.h"
 #include "fl/sync.h"
 #include "fl/transport.h"
 #include "models/zoo.h"
 #include "net/wire.h"
 #include "obs/journal_reader.h"
 #include "obs/telemetry.h"
+#include "sim/population.h"
+#include "sim/sampler.h"
 #include "test_support.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -873,6 +881,114 @@ TEST(CodecFleetTest, JournalSummarizesAndReplaysCodecEvents) {
   replayed.write_summary_json(replay_json);
   EXPECT_EQ(replay_json.str(), live_json.str());
 }
+
+// ---- The int8pn acceptance floor -------------------------------------------
+
+struct SweepCell {
+  double wire_bytes = 0.0;  // retransmits included
+  double accuracy = 0.0;
+};
+
+// One run of the network benchmark's codec sweep (`run_quant_once` in
+// bench/bench_net.cpp): a 40-device mobile long tail with its slowest
+// quarter flagged and given profiled volumes, sampled at C = 0.1 for 40
+// rounds over simulated channels (5 ms latency, 2 ms jitter, a x2 deadline),
+// error feedback on.
+SweepCell run_codec_sweep(bool helios, CodecId codec, double loss) {
+  constexpr int kDevices = 40;
+  const sim::PopulationGenerator pop(sim::mobile_longtail(kDevices));
+  fl::Fleet fleet = sim::build_fleet(pop);
+  const core::StragglerReport report =
+      core::StragglerIdentifier::time_based(fleet, kDevices / 4);
+  core::StragglerIdentifier::apply(fleet, report);
+  core::TargetDeterminer::assign_profiled(fleet, report);
+
+  sim::CohortSampler::Options sopts;
+  sopts.fraction = 0.1;
+  sopts.seed = 29;
+  sim::CohortSampler sampler(sopts);
+  sampler.attach(&fleet);
+  fleet.set_sampler(&sampler);
+
+  obs::TelemetryConfig tcfg;
+  tcfg.tracing = false;
+  obs::TelemetrySink telemetry(tcfg);
+  fleet.set_telemetry(&telemetry);
+
+  net::NetworkOptions opts;
+  opts.mode = net::NetMode::kSimulated;
+  opts.channel.loss_prob = loss;
+  opts.channel.latency_s = 0.005;
+  opts.channel.jitter_s = 0.002;
+  opts.deadline_factor = 2.0;
+  opts.seed = 97;
+  opts.payload_codec = codec;
+  opts.error_feedback = true;
+  fl::NetworkSession session(fleet, opts);
+
+  std::unique_ptr<fl::Strategy> strategy;
+  if (helios) {
+    strategy = std::make_unique<core::HeliosStrategy>();
+  } else {
+    strategy = std::make_unique<fl::SyncFL>();
+  }
+  SweepCell out;
+  out.accuracy = strategy->run(fleet, 40).final_accuracy();
+  for (int d = 0; d < kDevices; ++d) {
+    out.wire_bytes +=
+        telemetry.metrics()
+            .counter("helios.net.bytes_on_wire_total",
+                     {{"device", std::to_string(d)}})
+            .value();
+  }
+  fleet.set_telemetry(nullptr);
+  fleet.set_sampler(nullptr);
+  return out;
+}
+
+struct FloorCell {
+  const char* name;
+  bool helios;
+  double loss;
+};
+
+// gtest's default printer would list the struct's bytes, the name pointer
+// among them, so the ctest names discovered from the listing would change
+// from build to build.
+void PrintTo(const FloorCell& cell, std::ostream* os) { *os << cell.name; }
+
+class Int8pnFloorTest : public ::testing::TestWithParam<FloorCell> {};
+
+// Against fp32 at the same loss rate, int8pn puts at least 4x fewer bytes
+// on the wire and costs at most 0.5 points of final accuracy (the mean over
+// the last 3 rounds of 256 test samples each).
+TEST_P(Int8pnFloorTest, QuartersTheWireWithinHalfAPointOfFp32) {
+  const FloorCell& cell = GetParam();
+  const SweepCell fp32 = run_codec_sweep(cell.helios, CodecId::kFp32,
+                                         cell.loss);
+  const SweepCell int8 = run_codec_sweep(
+      cell.helios, CodecId::kInt8PerNeuron, cell.loss);
+  ASSERT_GT(int8.wire_bytes, 0.0);
+  const double reduction = fp32.wire_bytes / int8.wire_bytes;
+  const double delta = int8.accuracy - fp32.accuracy;
+  std::cout << cell.name << ": int8pn wire " << reduction
+            << "x below fp32, accuracy " << delta * 100.0
+            << " points against fp32\n";
+  EXPECT_GE(reduction, 4.0);
+  EXPECT_GE(delta, -0.005);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CodecSweep, Int8pnFloorTest,
+    ::testing::Values(FloorCell{"syn_fl_loss0", false, 0.0},
+                      FloorCell{"syn_fl_loss1", false, 0.01},
+                      FloorCell{"syn_fl_loss5", false, 0.05},
+                      FloorCell{"helios_loss0", true, 0.0},
+                      FloorCell{"helios_loss1", true, 0.01},
+                      FloorCell{"helios_loss5", true, 0.05}),
+    [](const ::testing::TestParamInfo<FloorCell>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace helios

@@ -107,11 +107,5 @@ TEST(Sgd, NegativeClipRejected) {
   EXPECT_THROW(Sgd(0.1F, 0.0F, 0.0F, -1.0F), std::invalid_argument);
 }
 
-TEST(Sgd, LrSetterApplies) {
-  Sgd opt(0.1F);
-  opt.set_lr(0.01F);
-  EXPECT_FLOAT_EQ(opt.lr(), 0.01F);
-}
-
 }  // namespace
 }  // namespace helios::nn
