@@ -20,7 +20,10 @@
 // The constants were recorded against commit c8dc84c, before the
 // data-movement fast paths (bounds-hoisted im2col/col2im, select ReLU,
 // fixed-window MaxPool) and before Model::backward stopped forming the
-// first layer's input gradient.
+// first layer's input gradient. The LeNet-16 pins (LeNet on 1x16x16, the
+// mobile_longtail model, whose conv2 dW GEMM has a 16-float plane) were
+// recorded against commit ed23d9d, before the NT kernels were register-tiled
+// and before im2col became block fills and row copies.
 // They are never re-recorded to make a change pass: a mismatch means a
 // layer's arithmetic changed. A mismatch prints the new value.
 #include <gtest/gtest.h>
@@ -266,6 +269,25 @@ const Pin kPins[] = {
      0xc2d9d628eb15dcd6ULL},
     {"MobileNet-lite", "layers.grads", 0xe5fdb38cdf9f2567ULL,
      0xd4e9895308f2ba7aULL},
+    // LeNet-16: recorded at ed23d9d; never re-record.
+    {"LeNet-16", "model.eval", 0xb74cda334d43be72ULL,
+     0xa5099901cebfd2dbULL},
+    {"LeNet-16", "model.train", 0xb74cda334d43be72ULL,
+     0xa5099901cebfd2dbULL},
+    {"LeNet-16", "model.grads", 0xd3017b86f9f35d38ULL,
+     0x74ceb8c94a5e5da3ULL},
+    {"LeNet-16", "model.grads16", 0xfc3a3197ed0e0d6aULL,
+     0x741ab0820e34bb4ULL},
+    {"LeNet-16", "layers.eval", 0x7beb51dccca227f5ULL,
+     0x8ea5ca08ccbe4bc4ULL},
+    {"LeNet-16", "layers.train", 0x57e4a4d03cdd9875ULL,
+     0x55759cb75832fcf4ULL},
+    {"LeNet-16", "layers.dx", 0x8ae38ffd943db202ULL,
+     0xdebf9363a342510aULL},
+    {"LeNet-16", "layers.grads", 0xcdaa3ba68ec3b98bULL,
+     0xe0e1cc68ab46caa6ULL},
+    {"LeNet-16", "pool.argmax", 0xe8d4c4977a106725ULL,
+     0xe8d4c4977a106725ULL},
 };
 
 class LayerDigestTest : public ::testing::TestWithParam<Backend> {
@@ -301,6 +323,14 @@ class LayerDigestTest : public ::testing::TestWithParam<Backend> {
 TEST_P(LayerDigestTest, LeNet) {
   // k5 pad 2, then k5 pad 0; two 2x2/stride-2 pools.
   expect_pinned("LeNet", model_parts(models::lenet_spec(), true));
+}
+
+TEST_P(LayerDigestTest, LeNet16) {
+  // The long-tail population's model: conv2 sees a 6x8x8 input, so its dW
+  // GEMM reduces over a 16-float plane (k < 32, no tail) and the Dense
+  // stack runs 64 -> 120 -> 84 -> 10.
+  expect_pinned("LeNet-16",
+                model_parts(models::lenet_spec({1, 16, 16, 10}), true));
 }
 
 TEST_P(LayerDigestTest, AlexNetLite) {

@@ -23,6 +23,12 @@
 // mobile_longtail(64) with a CohortSampler. CompressedSyncFL is left out of
 // the sampled case on purpose: it ignored the sampler before the round
 // driver, so its sampled trajectory changed by design.
+//
+// The scalar table hides the AVX2 kernels, so RoundGoldenAvx2Test pins the
+// sampled long tail (LeNet on 1x16x16, the benchmark's LeNet workloads'
+// model) on the AVX2 table under Helios, Syn. FL and AFO, at 1 and 4
+// threads. Those 3 digests were recorded at commit ed23d9d, before the NT
+// kernels were register-tiled; they skip where AVX2 is absent.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -274,6 +280,64 @@ INSTANTIATE_TEST_SUITE_P(
     Parent, RoundGoldenFourThreadTest, ::testing::ValuesIn(kCases),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return case_name(info.param);
+    });
+
+// The sampled long tail on the AVX2 table, recorded at ed23d9d. Never
+// re-record.
+const GoldenCase kAvx2Cases[] = {
+    {"helios", Env::kSampledLongtail, 0xc699ae7db01cab5dULL},
+    {"sync", Env::kSampledLongtail, 0x628ed4e79d2dc493ULL},
+    {"afo", Env::kSampledLongtail, 0xae8479eda0fcc90eULL},
+};
+
+struct Avx2Case {
+  GoldenCase golden;
+  int threads;
+};
+
+void PrintTo(const Avx2Case& c, std::ostream* os) {
+  *os << case_name(c.golden) << "_t" << c.threads;
+}
+
+std::vector<Avx2Case> avx2_cases() {
+  std::vector<Avx2Case> out;
+  for (int threads : {1, 4}) {
+    for (const GoldenCase& c : kAvx2Cases) out.push_back({c, threads});
+  }
+  return out;
+}
+
+class RoundGoldenAvx2Test : public ::testing::TestWithParam<Avx2Case> {
+ protected:
+  void SetUp() override {
+    if (!tensor::backend::avx2_available()) {
+      GTEST_SKIP() << "AVX2+FMA not available on this CPU or build";
+    }
+    util::set_global_threads(GetParam().threads);
+    tensor::backend::set_kernel_backend(tensor::backend::Backend::kAvx2);
+  }
+  void TearDown() override {
+    tensor::backend::clear_kernel_backend_override();
+    util::set_global_threads(0);
+  }
+};
+
+TEST_P(RoundGoldenAvx2Test, MatchesRecordedDigest) {
+  const Avx2Case& c = GetParam();
+  const std::uint64_t got = run_case(c.golden);
+  char hex[32];
+  std::snprintf(hex, sizeof hex, "0x%016llxULL",
+                static_cast<unsigned long long>(got));
+  EXPECT_EQ(got, c.golden.digest)
+      << case_name(c.golden) << " at " << c.threads
+      << " threads: digest is now " << hex;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Parent, RoundGoldenAvx2Test, ::testing::ValuesIn(avx2_cases()),
+    [](const ::testing::TestParamInfo<Avx2Case>& info) {
+      return case_name(info.param.golden) + "_t" +
+             std::to_string(info.param.threads);
     });
 
 }  // namespace
