@@ -3,6 +3,8 @@
 //    negligible next to a training step (paper: ~18 ms vs ~12 min);
 //  * masked vs dense matmul (soft-training's compute saving);
 //  * conv forward, per-neuron aggregation, and cost-model evaluation;
+//  * the two NT GEMMs and im2col on the shapes the benchmark's workloads
+//    run (single thread; Args are m, k, n or the conv geometry);
 //  * thread-scaling variants of the parallelized kernels at 1/2/4 threads.
 #include <benchmark/benchmark.h>
 
@@ -121,7 +123,7 @@ BENCHMARK(BM_CostModelEvaluation);
 
 void BM_Conv2dForward(benchmark::State& state) {
   util::Rng rng(10);
-  nn::Conv2d conv(3, 32, 32, 8, 3, 1, 1, rng);
+  nn::Conv2d conv(3, 32, 32, 8, 3, 1, 1, &rng);
   tensor::Tensor x = tensor::Tensor::randn({8, 3, 32, 32}, rng);
   for (auto _ : state) {
     tensor::Tensor y = conv.forward(x, false);
@@ -129,6 +131,86 @@ void BM_Conv2dForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Conv2dForward);
+
+// C[m,n] += A[m,k] B[n,k]^T: Conv2d's dW GEMM (out channels x output plane
+// x patch size). Single thread, as a pool worker runs it.
+void BM_NtRowsAcc(benchmark::State& state) {
+  util::set_global_threads(1);
+  const int m = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const int n = static_cast<int>(state.range(2));
+  util::Rng rng(12);
+  tensor::Tensor a = tensor::Tensor::randn({m, k}, rng);
+  tensor::Tensor b = tensor::Tensor::randn({n, k}, rng);
+  tensor::Tensor c({m, n});
+  for (auto _ : state) {
+    tensor::matmul_nt_masked_rows_accumulate(a, b, {}, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
+  util::set_global_threads(0);
+}
+BENCHMARK(BM_NtRowsAcc)
+    ->Args({6, 256, 25})    // LeNet-16 conv1
+    ->Args({16, 16, 150})   // LeNet-16 conv2
+    ->Args({8, 1024, 27})   // AlexNet-lite conv1
+    ->Args({16, 256, 72})   // conv2
+    ->Args({24, 64, 144})   // conv3
+    ->Args({24, 64, 216})   // conv4
+    ->Args({16, 64, 216});  // conv5
+
+// C[m,n] = A[m,k] B[n,k]^T: Dense's forward (batch x in x out).
+void BM_NtCols(benchmark::State& state) {
+  util::set_global_threads(1);
+  const int m = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const int n = static_cast<int>(state.range(2));
+  util::Rng rng(13);
+  tensor::Tensor a = tensor::Tensor::randn({m, k}, rng);
+  tensor::Tensor b = tensor::Tensor::randn({n, k}, rng);
+  tensor::Tensor c({m, n});
+  for (auto _ : state) {
+    tensor::matmul_nt_masked_cols_into(a, b, {}, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
+  util::set_global_threads(0);
+}
+BENCHMARK(BM_NtCols)
+    ->Args({8, 64, 120})    // LeNet-16 dense1
+    ->Args({8, 120, 84})    // dense2
+    ->Args({8, 84, 10})     // dense3
+    ->Args({16, 256, 128})  // AlexNet-lite dense1
+    ->Args({16, 128, 64})   // dense2
+    ->Args({16, 64, 10});   // dense3
+
+// One sample's im2col; Args are channels, height (= width), kernel, pad.
+void BM_Im2col(benchmark::State& state) {
+  tensor::Conv2dGeometry g;
+  g.in_channels = static_cast<int>(state.range(0));
+  g.in_h = g.in_w = static_cast<int>(state.range(1));
+  g.kernel = static_cast<int>(state.range(2));
+  g.pad = static_cast<int>(state.range(3));
+  util::Rng rng(14);
+  tensor::Tensor x = tensor::Tensor::randn({g.in_channels, g.in_h, g.in_w},
+                                           rng);
+  std::vector<float> cols(static_cast<std::size_t>(g.patch_size()) *
+                          g.out_h() * g.out_w());
+  for (auto _ : state) {
+    tensor::im2col(x.data(), g, cols.data());
+    benchmark::DoNotOptimize(cols.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Im2col)
+    ->Args({1, 16, 5, 2})   // LeNet-16 conv1
+    ->Args({6, 8, 5, 0})    // LeNet-16 conv2: 4-float rows, no padding
+    ->Args({3, 32, 3, 1})   // AlexNet-lite conv1
+    ->Args({8, 16, 3, 1})   // conv2
+    ->Args({16, 8, 3, 1})   // conv3
+    ->Args({24, 8, 3, 1});  // conv4 and conv5
 
 void BM_SyntheticGeneration(benchmark::State& state) {
   data::SyntheticSpec spec = data::mnist_like_spec(256);
@@ -165,7 +247,7 @@ BENCHMARK(BM_MatmulDenseThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 void BM_Conv2dForwardThreads(benchmark::State& state) {
   util::set_global_threads(static_cast<int>(state.range(0)));
   util::Rng rng(10);
-  nn::Conv2d conv(3, 32, 32, 16, 3, 1, 1, rng);
+  nn::Conv2d conv(3, 32, 32, 16, 3, 1, 1, &rng);
   tensor::Tensor x = tensor::Tensor::randn({16, 3, 32, 32}, rng);
   for (auto _ : state) {
     tensor::Tensor y = conv.forward(x, false);

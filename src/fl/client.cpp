@@ -46,7 +46,9 @@ Client::Client(int id, const models::ModelSpec& spec, DataFactory data_factory,
 
 nn::Model& Client::ensure_model() {
   if (!model_) {
-    model_ = std::make_unique<nn::Model>(spec_.build(config_.seed));
+    // Blank: train_cycle loads the global parameters and buffers before the
+    // replica's first read, so a drawn init would only be overwritten.
+    model_ = std::make_unique<nn::Model>(spec_.blank());
     if (expected_params_ != 0 &&
         model_->param_count() != expected_params_) {
       throw std::logic_error("Client: client/server parameter count mismatch");

@@ -60,10 +60,12 @@ struct ClientUpdate {
 class Client {
  public:
   /// The client does NOT build its model replica here — replicas are
-  /// materialized lazily (from `spec` with `config.seed`) on first use, so
-  /// a population-scale fleet of mostly-unsampled clients holds no live
-  /// model memory. Materialization is a pure function of the spec and seed,
-  /// so it is bit-identical whenever (and on whatever thread) it happens.
+  /// materialized lazily (`spec.blank()`) on first use, so a
+  /// population-scale fleet of mostly-unsampled clients holds no live model
+  /// memory. A replica is built blank, without the random init, because
+  /// every cycle loads the global parameters and buffers before the first
+  /// read; materialization is therefore the same whenever (and on whatever
+  /// thread) it happens.
   Client(int id, const models::ModelSpec& spec, data::Dataset local_data,
          ClientConfig config, device::ResourceProfile profile);
 
@@ -122,6 +124,7 @@ class Client {
   /// nominal size the lazy factory was registered with.
   std::size_t num_samples() const;
   /// The live model replica; materializes it if the client is hibernated.
+  /// Until a cycle loads the global model, its weights are zero.
   nn::Model& model();
   const ClientConfig& config() const { return config_; }
 

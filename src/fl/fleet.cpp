@@ -119,6 +119,7 @@ std::vector<Client*> Fleet::active_clients() {
 }
 
 std::vector<Client*> Fleet::round_roster(int round, bool hibernate_unsampled) {
+  HELIOS_TRACE_SPAN("fleet.round_roster");
   std::vector<Client*> active = active_clients();
   if (!sampler_) return active;
   std::vector<Client*> cohort = sampler_->sample(active, round);
@@ -154,7 +155,8 @@ double Fleet::evaluate() {
   const auto threads =
       static_cast<std::size_t>(util::global_thread_count());
   while (eval_replicas_.size() + 1 < threads) {
-    eval_replicas_.push_back(spec_.build(0));
+    // Blank: evaluate_accuracy loads the global model into each replica.
+    eval_replicas_.push_back(spec_.blank());
   }
   std::vector<nn::Model*> replicas{&server_.reference_model()};
   for (std::size_t r = 1; r < threads; ++r) {

@@ -107,8 +107,8 @@ class Fleet {
 
   /// Top-1 accuracy of the global model on the test set, on one model
   /// replica per pool thread (the server's reference model is replica 0;
-  /// the others are built from spec() on first use) in slices of
-  /// kEvalBatch / threads samples. Identical at any thread count.
+  /// the others are built blank from spec() on first use) in batches of at
+  /// most kEvalBatch / threads samples. Identical at any thread count.
   double evaluate();
 
   /// Round-level fan-out: runs `fn(client, i)` for every client in `roster`

@@ -137,8 +137,8 @@ double Server::evaluate_accuracy(const data::Dataset& test,
   const int n = test.size();
   const std::size_t sample = static_cast<std::size_t>(test.channels()) *
                              test.height() * test.width();
-  const int slices = (n + slice - 1) / slice;
-  const int used = std::min(static_cast<int>(replicas.size()), slices);
+  const int used =
+      std::min(static_cast<int>(replicas.size()), (n + slice - 1) / slice);
   std::vector<int> correct(static_cast<std::size_t>(used), 0);
   util::parallel_for(0, used, 1, [&](std::int64_t lo, std::int64_t hi) {
     for (auto r = static_cast<int>(lo); r < static_cast<int>(hi); ++r) {
@@ -146,9 +146,9 @@ double Server::evaluate_accuracy(const data::Dataset& test,
       model.clear_neuron_mask();
       model.load_params(global_);
       model.load_buffers(buffers_);
-      for (int s = slices * r / used; s < slices * (r + 1) / used; ++s) {
-        const int start = s * slice;
-        const int take = std::min(slice, n - start);
+      const int end = n * (r + 1) / used;
+      for (int start = n * r / used; start < end; start += slice) {
+        const int take = std::min(slice, end - start);
         tensor::Tensor x({take, test.channels(), test.height(), test.width()});
         std::copy_n(
             test.images.data() + static_cast<std::size_t>(start) * sample,

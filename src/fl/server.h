@@ -82,10 +82,11 @@ class Server {
   double evaluate_accuracy(const data::Dataset& test,
                            int batch = kEvalBatch);
   /// The same accuracy on `replicas` (models of the reference's
-  /// architecture; more than one run on the pool). The test set is cut into
-  /// contiguous slices of `slice` samples, and replica r loads the global
-  /// parameters and buffers and evaluates the r-th contiguous run of
-  /// slices. The result does not depend on `slice` or the replica count:
+  /// architecture; more than one run on the pool). With R replicas in use
+  /// (no more than the test set has slices of `slice` samples), replica r
+  /// loads the global parameters and buffers and evaluates the r-th of R
+  /// even contiguous shares of the test set, in batches of at most `slice`
+  /// samples. The result does not depend on `slice` or the replica count:
   /// inference logits are bit-identical whatever the batch (BatchNorm uses
   /// its running statistics), and the correct counts are integers.
   double evaluate_accuracy(const data::Dataset& test,

@@ -36,27 +36,47 @@ void SyncRoundStrategy::run_range(Fleet& fleet, RunResult& result, int begin,
     std::vector<Client*> roster;
     roster.reserve(round.plan.size());
     for (const PlannedClient& p : round.plan) roster.push_back(p.client);
-    round.updates = Fleet::parallel_train(
-        roster, [&](Client& client, std::size_t i) {
-          return client.train_cycle(round.global_before, buffers_before,
-                                    round.plan[i].mask,
-                                    round.plan[i].work_scale);
-        });
-    // Telemetry in roster order, whichever worker trained the cycle; it
-    // reports each update as trained, before post_train rewrites it.
-    for (std::size_t i = 0; i < roster.size(); ++i) {
-      roster[i]->record_cycle(round.updates[i]);
+    {
+      // The driving thread trains its share of the cycles inside this span,
+      // so its self time is the wait for the other workers.
+      HELIOS_TRACE_SPAN("round.train");
+      round.updates = Fleet::parallel_train(
+          roster, [&](Client& client, std::size_t i) {
+            return client.train_cycle(round.global_before, buffers_before,
+                                      round.plan[i].mask,
+                                      round.plan[i].work_scale);
+          });
     }
-    util::parallel_for_each(roster.size(), [&](std::size_t i) {
-      post_train(fleet, round.updates[i], round.global_before);
-    });
-    // The network (if any) decides what arrived and how long the round
-    // took; without a session this is the analytic max(train + upload).
-    round.net = deliver_round(fleet, round.updates, round.global_before);
+    {
+      // Telemetry in roster order, whichever worker trained the cycle; it
+      // reports each update as trained, before post_train rewrites it.
+      HELIOS_TRACE_SPAN("round.record_cycles");
+      for (std::size_t i = 0; i < roster.size(); ++i) {
+        roster[i]->record_cycle(round.updates[i]);
+      }
+    }
+    {
+      HELIOS_TRACE_SPAN("round.post_train");
+      util::parallel_for_each(roster.size(), [&](std::size_t i) {
+        post_train(fleet, round.updates[i], round.global_before);
+      });
+    }
+    {
+      // The network (if any) decides what arrived and how long the round
+      // took; without a session this is the analytic max(train + upload).
+      HELIOS_TRACE_SPAN("round.deliver");
+      round.net = deliver_round(fleet, round.updates, round.global_before);
+    }
     fleet.clock().advance(round.net.round_seconds);
-    before_aggregate(fleet, round);
+    {
+      HELIOS_TRACE_SPAN("round.before_aggregate");
+      before_aggregate(fleet, round);
+    }
     fleet.server().aggregate(round.net.aggregate_span(round.updates), agg_);
-    after_aggregate(fleet, round);
+    {
+      HELIOS_TRACE_SPAN("round.after_aggregate");
+      after_aggregate(fleet, round);
+    }
 
     double loss = 0.0;
     for (const ClientUpdate& u : round.updates) loss += u.mean_loss;

@@ -2,7 +2,6 @@
 
 #include "nn/conv2d.h"
 
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -16,13 +15,13 @@ namespace helios::nn {
 using tensor::Shape;
 
 Conv2d::Conv2d(int in_channels, int in_h, int in_w, int out_channels,
-               int kernel, int stride, int pad, util::Rng& rng, bool maskable)
+               int kernel, int stride, int pad, util::Rng* init,
+               bool maskable)
     : geometry_{in_channels, in_h, in_w, kernel, stride, pad},
       out_channels_(out_channels),
       maskable_(maskable),
-      weight_(Tensor::randn(
-          {out_channels, geometry_.patch_size()}, rng,
-          std::sqrt(2.0F / static_cast<float>(geometry_.patch_size())))),
+      weight_(he_weights({out_channels, geometry_.patch_size()},
+                         geometry_.patch_size(), init)),
       bias_(Tensor::zeros({out_channels})),
       dweight_(Tensor::zeros({out_channels, geometry_.patch_size()})),
       dbias_(Tensor::zeros({out_channels})) {

@@ -13,7 +13,7 @@ namespace helios::nn {
 class Conv2d final : public Layer {
  public:
   Conv2d(int in_channels, int in_h, int in_w, int out_channels, int kernel,
-         int stride, int pad, util::Rng& rng, bool maskable = true);
+         int stride, int pad, util::Rng* init, bool maskable = true);
 
   std::string name() const override;
   Tensor forward(const Tensor& x, bool training) override;

@@ -1,6 +1,5 @@
 #include "nn/dense.h"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "obs/trace.h"
@@ -10,13 +9,13 @@ namespace helios::nn {
 
 using tensor::Shape;
 
-Dense::Dense(int in_features, int out_features, util::Rng& rng, bool maskable)
+Dense::Dense(int in_features, int out_features, util::Rng* init,
+             bool maskable)
     : in_features_(in_features),
       out_features_(out_features),
       maskable_(maskable),
       // He initialization suits the ReLU networks used throughout.
-      weight_(Tensor::randn({out_features, in_features}, rng,
-                            std::sqrt(2.0F / static_cast<float>(in_features)))),
+      weight_(he_weights({out_features, in_features}, in_features, init)),
       bias_(Tensor::zeros({out_features})),
       dweight_(Tensor::zeros({out_features, in_features})),
       dbias_(Tensor::zeros({out_features})) {

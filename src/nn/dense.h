@@ -11,8 +11,9 @@ namespace helios::nn {
 class Dense final : public Layer {
  public:
   /// `maskable=false` is used for classifier heads, whose output units are
-  /// classes and must never be dropped by soft-training.
-  Dense(int in_features, int out_features, util::Rng& rng,
+  /// classes and must never be dropped by soft-training. A null `init`
+  /// builds a blank layer (nn::he_weights).
+  Dense(int in_features, int out_features, util::Rng* init,
         bool maskable = true);
 
   std::string name() const override;

@@ -1,6 +1,5 @@
 #include "nn/depthwise.h"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace helios::nn {
@@ -8,7 +7,7 @@ namespace helios::nn {
 using tensor::Shape;
 
 DepthwiseConv2d::DepthwiseConv2d(int channels, int in_h, int in_w, int kernel,
-                                 int stride, int pad, util::Rng& rng,
+                                 int stride, int pad, util::Rng* init,
                                  bool follower)
     : channels_(channels),
       in_h_(in_h),
@@ -17,9 +16,7 @@ DepthwiseConv2d::DepthwiseConv2d(int channels, int in_h, int in_w, int kernel,
       stride_(stride),
       pad_(pad),
       follower_(follower),
-      weight_(Tensor::randn({channels, kernel * kernel}, rng,
-                            std::sqrt(2.0F / static_cast<float>(
-                                                 kernel * kernel)))),
+      weight_(he_weights({channels, kernel * kernel}, kernel * kernel, init)),
       bias_(Tensor::zeros({channels})),
       dweight_(Tensor::zeros({channels, kernel * kernel})),
       dbias_(Tensor::zeros({channels})) {

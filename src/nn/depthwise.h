@@ -15,7 +15,7 @@ class DepthwiseConv2d final : public Layer {
   /// mask mirrors the leader's — the natural wiring inside a
   /// depthwise-separable block.
   DepthwiseConv2d(int channels, int in_h, int in_w, int kernel, int stride,
-                  int pad, util::Rng& rng, bool follower = false);
+                  int pad, util::Rng* init, bool follower = false);
 
   std::string name() const override;
   Tensor forward(const Tensor& x, bool training) override;

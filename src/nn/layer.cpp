@@ -1,5 +1,6 @@
 #include "nn/layer.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace helios::nn {
@@ -21,6 +22,12 @@ void check_mask_size(std::span<const std::uint8_t> mask, int expected,
                                 ": mask size " + std::to_string(mask.size()) +
                                 " != neuron count " + std::to_string(expected));
   }
+}
+
+Tensor he_weights(tensor::Shape shape, int fan_in, util::Rng* init) {
+  if (init == nullptr) return Tensor::zeros(std::move(shape));
+  return Tensor::randn(std::move(shape), *init,
+                       std::sqrt(2.0F / static_cast<float>(fan_in)));
 }
 
 int active_count(std::span<const std::uint8_t> mask) {

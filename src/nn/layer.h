@@ -103,4 +103,9 @@ void check_mask_size(std::span<const std::uint8_t> mask, int expected,
 /// Number of active entries in a mask.
 int active_count(std::span<const std::uint8_t> mask);
 
+/// He-initialized weights, N(0, 2 / fan_in) drawn from `init`; zeros when
+/// `init` is null. A layer built without an init stream is blank: its
+/// parameters are meant to be loaded (Model::load_params) before use.
+Tensor he_weights(tensor::Shape shape, int fan_in, util::Rng* init);
+
 }  // namespace helios::nn

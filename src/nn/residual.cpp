@@ -5,21 +5,21 @@
 namespace helios::nn {
 
 ResidualBlock::ResidualBlock(int in_channels, int in_h, int in_w,
-                             int out_channels, int stride, util::Rng& rng)
+                             int out_channels, int stride, util::Rng* init)
     : conv1_(std::make_unique<Conv2d>(in_channels, in_h, in_w, out_channels,
-                                      3, stride, 1, rng)),
+                                      3, stride, 1, init)),
       bn1_(std::make_unique<BatchNorm2d>(out_channels, conv1_->out_h(),
                                          conv1_->out_w())),
       relu1_(std::make_unique<ReLU>()),
       conv2_(std::make_unique<Conv2d>(out_channels, conv1_->out_h(),
                                       conv1_->out_w(), out_channels, 3, 1, 1,
-                                      rng)),
+                                      init)),
       bn2_(std::make_unique<BatchNorm2d>(out_channels, conv2_->out_h(),
                                          conv2_->out_w())),
       relu2_(std::make_unique<ReLU>()) {
   if (stride != 1 || in_channels != out_channels) {
     proj_ = std::make_unique<Conv2d>(in_channels, in_h, in_w, out_channels, 1,
-                                     stride, 0, rng, /*maskable=*/false);
+                                     stride, 0, init, /*maskable=*/false);
     projbn_ = std::make_unique<BatchNorm2d>(out_channels, proj_->out_h(),
                                             proj_->out_w());
   }

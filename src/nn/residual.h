@@ -22,7 +22,7 @@ namespace helios::nn {
 class ResidualBlock final : public Layer {
  public:
   ResidualBlock(int in_channels, int in_h, int in_w, int out_channels,
-                int stride, util::Rng& rng);
+                int stride, util::Rng* init);
 
   std::string name() const override;
   Tensor forward(const Tensor& x, bool training) override;

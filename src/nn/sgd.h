@@ -23,9 +23,6 @@ class Sgd {
   /// Applies one update using the gradients accumulated in `model`.
   void step(Model& model);
 
-  float lr() const { return lr_; }
-  float momentum() const { return momentum_; }
-
   /// Checkpoint section: the velocity buffer is the only cross-step state.
   /// Empty until the first momentum step (lazily sized), and stays empty
   /// forever when momentum == 0; a restore refuses any other length than

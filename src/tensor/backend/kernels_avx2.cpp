@@ -323,57 +323,181 @@ void v_matmul_tn_acc(const MatmulArgs& t, std::int64_t lo, std::int64_t hi) {
 }
 
 // ---------------------------------------------------------------------------
-// Vector dot product over k with four ascending-order accumulators; the
-// lane reduction order is fixed, so within-backend results never depend on
-// callers. Differs from scalar's single-accumulator order (ULP tolerance).
+// The two NT kernels: output (i, j) is the dot product of A row i and B row
+// j over k. Every output keeps one fixed recipe, so within the backend its
+// bits never depend on its neighbours or on the chunking:
+//   * four accumulator chains in ascending k: 32-wide steps into acc0..acc3,
+//     the 8-wide remainder into acc0, the masked tail into acc1;
+//   * s = (acc0 + acc1) + (acc2 + acc3);
+//   * lanes summed as (lo + hi) -> (0 + 2, 1 + 3) -> (0 + 1), each add with
+//     the lower lane as its first operand.
+// Outputs go eight at a time: the A row's loads are shared by two B rows per
+// pass (k >= 32) or held in registers across the whole row (k < 32, where
+// only acc0 and acc1 are live), and the eight s-vectors are reduced together
+// by hsum8, which applies that pairing lane by lane. Differs from scalar's
+// single-accumulator order (ULP tolerance).
 // ---------------------------------------------------------------------------
-inline float dot_avx2(const float* x, const float* y, int k) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  __m256 acc2 = _mm256_setzero_ps();
-  __m256 acc3 = _mm256_setzero_ps();
+
+// Lane j of the result is the horizontal sum of s[j].
+inline __m256 hsum8(const __m256* s) {
+  // lo + hi: [s0.lo + s0.hi | s4.lo + s4.hi], and so on.
+  const __m256 u04 = _mm256_add_ps(_mm256_permute2f128_ps(s[0], s[4], 0x20),
+                                   _mm256_permute2f128_ps(s[0], s[4], 0x31));
+  const __m256 u15 = _mm256_add_ps(_mm256_permute2f128_ps(s[1], s[5], 0x20),
+                                   _mm256_permute2f128_ps(s[1], s[5], 0x31));
+  const __m256 u26 = _mm256_add_ps(_mm256_permute2f128_ps(s[2], s[6], 0x20),
+                                   _mm256_permute2f128_ps(s[2], s[6], 0x31));
+  const __m256 u37 = _mm256_add_ps(_mm256_permute2f128_ps(s[3], s[7], 0x20),
+                                   _mm256_permute2f128_ps(s[3], s[7], 0x31));
+  // (0 + 2, 1 + 3): [s0 r02, s0 r13, s1 r02, s1 r13 | same for s4, s5].
+  const __m256 v01 = _mm256_add_ps(_mm256_shuffle_ps(u04, u15, 0x44),
+                                   _mm256_shuffle_ps(u04, u15, 0xEE));
+  const __m256 v23 = _mm256_add_ps(_mm256_shuffle_ps(u26, u37, 0x44),
+                                   _mm256_shuffle_ps(u26, u37, 0xEE));
+  // 0 + 1: [s0, s1, s2, s3 | s4, s5, s6, s7].
+  return _mm256_add_ps(_mm256_shuffle_ps(v01, v23, 0x88),
+                       _mm256_shuffle_ps(v01, v23, 0xDD));
+}
+
+// s-vectors of x.y0 and x.y1 with all four chains (k >= 32).
+inline void chains_pair(const float* x, const float* y0, const float* y1,
+                        int k, __m256& s0, __m256& s1) {
+  __m256 a00 = _mm256_setzero_ps(), a01 = a00, a02 = a00, a03 = a00;
+  __m256 a10 = a00, a11 = a00, a12 = a00, a13 = a00;
   int kk = 0;
   for (; kk + 32 <= k; kk += 32) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(x + kk),
-                           _mm256_loadu_ps(y + kk), acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(x + kk + 8),
-                           _mm256_loadu_ps(y + kk + 8), acc1);
-    acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(x + kk + 16),
-                           _mm256_loadu_ps(y + kk + 16), acc2);
-    acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(x + kk + 24),
-                           _mm256_loadu_ps(y + kk + 24), acc3);
+    const __m256 x0 = _mm256_loadu_ps(x + kk);
+    const __m256 x1 = _mm256_loadu_ps(x + kk + 8);
+    const __m256 x2 = _mm256_loadu_ps(x + kk + 16);
+    const __m256 x3 = _mm256_loadu_ps(x + kk + 24);
+    a00 = _mm256_fmadd_ps(x0, _mm256_loadu_ps(y0 + kk), a00);
+    a01 = _mm256_fmadd_ps(x1, _mm256_loadu_ps(y0 + kk + 8), a01);
+    a02 = _mm256_fmadd_ps(x2, _mm256_loadu_ps(y0 + kk + 16), a02);
+    a03 = _mm256_fmadd_ps(x3, _mm256_loadu_ps(y0 + kk + 24), a03);
+    a10 = _mm256_fmadd_ps(x0, _mm256_loadu_ps(y1 + kk), a10);
+    a11 = _mm256_fmadd_ps(x1, _mm256_loadu_ps(y1 + kk + 8), a11);
+    a12 = _mm256_fmadd_ps(x2, _mm256_loadu_ps(y1 + kk + 16), a12);
+    a13 = _mm256_fmadd_ps(x3, _mm256_loadu_ps(y1 + kk + 24), a13);
   }
   for (; kk + 8 <= k; kk += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(x + kk),
-                           _mm256_loadu_ps(y + kk), acc0);
+    const __m256 x0 = _mm256_loadu_ps(x + kk);
+    a00 = _mm256_fmadd_ps(x0, _mm256_loadu_ps(y0 + kk), a00);
+    a10 = _mm256_fmadd_ps(x0, _mm256_loadu_ps(y1 + kk), a10);
   }
   if (kk < k) {
     const __m256i tm = tail_mask(k - kk);
-    acc1 = _mm256_fmadd_ps(_mm256_maskload_ps(x + kk, tm),
-                           _mm256_maskload_ps(y + kk, tm), acc1);
+    const __m256 xt = _mm256_maskload_ps(x + kk, tm);
+    a01 = _mm256_fmadd_ps(xt, _mm256_maskload_ps(y0 + kk, tm), a01);
+    a11 = _mm256_fmadd_ps(xt, _mm256_maskload_ps(y1 + kk, tm), a11);
   }
-  const __m256 s01 = _mm256_add_ps(acc0, acc1);
-  const __m256 s23 = _mm256_add_ps(acc2, acc3);
-  const __m256 s = _mm256_add_ps(s01, s23);
-  const __m128 lo128 = _mm256_castps256_ps128(s);
-  const __m128 hi128 = _mm256_extractf128_ps(s, 1);
-  __m128 r = _mm_add_ps(lo128, hi128);
-  r = _mm_add_ps(r, _mm_movehl_ps(r, r));
-  r = _mm_add_ss(r, _mm_shuffle_ps(r, r, 0x55));
-  return _mm_cvtss_f32(r);
+  s0 = _mm256_add_ps(_mm256_add_ps(a00, a01), _mm256_add_ps(a02, a03));
+  s1 = _mm256_add_ps(_mm256_add_ps(a10, a11), _mm256_add_ps(a12, a13));
+}
+
+// Runs `emit(slot0, count, sums)` over output slots [0, slots) of A row x in
+// groups of up to eight; `brow(slot)` is the slot's B row and lane l of
+// `sums` is slot0 + l's dot product (lanes past `count` are +0, not
+// outputs).
+template <class BRow, class Emit>
+void nt_row_long(const float* x, int k, std::int64_t slots, BRow brow,
+                 Emit emit) {
+  for (std::int64_t j0 = 0; j0 < slots; j0 += 8) {
+    const int count = slots - j0 < 8 ? static_cast<int>(slots - j0) : 8;
+    __m256 s[8];
+    int l = 0;
+    for (; l + 2 <= count; l += 2) {
+      chains_pair(x, brow(j0 + l), brow(j0 + l + 1), k, s[l], s[l + 1]);
+    }
+    if (l < count) {
+      const float* y = brow(j0 + l);
+      chains_pair(x, y, y, k, s[l], s[l + 1]);
+      ++l;
+    }
+    for (; l < 8; ++l) s[l] = _mm256_setzero_ps();
+    emit(j0, count, hsum8(s));
+  }
+}
+
+// k < 32: only acc0 (kFull 8-wide steps) and acc1 (the masked tail) are
+// live, and acc2 + acc3 is +0. The A row stays in registers for the row.
+// Without a tail acc1 is +0 too, and (acc0 + 0) + 0 == acc0 + 0 bit for bit
+// (adding +0 only turns -0 into +0), so one add remains.
+template <int kFull, bool kTail, class BRow, class Emit>
+void nt_row_short(const float* x, int k, std::int64_t slots, BRow brow,
+                  Emit emit) {
+  const __m256 zero = _mm256_setzero_ps();
+  __m256 xv[kFull > 0 ? kFull : 1];
+  for (int q = 0; q < kFull; ++q) xv[q] = _mm256_loadu_ps(x + 8 * q);
+  const __m256i tm = tail_mask(kTail ? k - 8 * kFull : 0);
+  const __m256 xt = kTail ? _mm256_maskload_ps(x + 8 * kFull, tm) : zero;
+  for (std::int64_t j0 = 0; j0 < slots; j0 += 8) {
+    const int count = slots - j0 < 8 ? static_cast<int>(slots - j0) : 8;
+    __m256 s[8];
+    for (int l = 0; l < 8; ++l) {
+      if (l >= count) {
+        s[l] = zero;
+        continue;
+      }
+      const float* y = brow(j0 + l);
+      __m256 acc0 = zero;
+      for (int q = 0; q < kFull; ++q) {
+        acc0 = _mm256_fmadd_ps(xv[q], _mm256_loadu_ps(y + 8 * q), acc0);
+      }
+      if (kTail) {
+        const __m256 acc1 = _mm256_fmadd_ps(
+            xt, _mm256_maskload_ps(y + 8 * kFull, tm), zero);
+        s[l] = _mm256_add_ps(_mm256_add_ps(acc0, acc1), zero);
+      } else {
+        s[l] = _mm256_add_ps(acc0, zero);
+      }
+    }
+    emit(j0, count, hsum8(s));
+  }
+}
+
+template <class BRow, class Emit>
+void nt_row(const float* x, int k, std::int64_t slots, BRow brow, Emit emit) {
+  switch (k < 32 ? k / 8 * 2 + (k % 8 != 0) : -1) {
+    case 0: nt_row_short<0, false>(x, k, slots, brow, emit); break;
+    case 1: nt_row_short<0, true>(x, k, slots, brow, emit); break;
+    case 2: nt_row_short<1, false>(x, k, slots, brow, emit); break;
+    case 3: nt_row_short<1, true>(x, k, slots, brow, emit); break;
+    case 4: nt_row_short<2, false>(x, k, slots, brow, emit); break;
+    case 5: nt_row_short<2, true>(x, k, slots, brow, emit); break;
+    case 6: nt_row_short<3, false>(x, k, slots, brow, emit); break;
+    case 7: nt_row_short<3, true>(x, k, slots, brow, emit); break;
+    default: nt_row_long(x, k, slots, brow, emit); break;
+  }
 }
 
 // C[m,n] = A[m,k] B^T[n,k], column mask over n; partition over i.
 void v_matmul_nt_cols(const MatmulArgs& t, std::int64_t lo, std::int64_t hi) {
   const bool use_list = t.n_active >= 0;
   const std::int64_t cnt = use_list ? t.n_active : t.n;
+  const std::size_t k = static_cast<std::size_t>(t.k);
   for (std::int64_t i = lo; i < hi; ++i) {
-    const float* arow = t.a + static_cast<std::size_t>(i) * t.k;
     float* crow = t.c + static_cast<std::size_t>(i) * t.n;
-    for (std::int64_t idx = 0; idx < cnt; ++idx) {
-      const std::int64_t j = use_list ? t.active[idx] : idx;
-      crow[j] =
-          dot_avx2(arow, t.b + static_cast<std::size_t>(j) * t.k, t.k);
+    if (use_list) {
+      const std::int32_t* js = t.active;
+      nt_row(
+          t.a + i * k, t.k, cnt,
+          [&](std::int64_t slot) { return t.b + js[slot] * k; },
+          [&](std::int64_t j0, int count, __m256 sums) {
+            alignas(32) float out[8];
+            _mm256_store_ps(out, sums);
+            for (int l = 0; l < count; ++l) crow[js[j0 + l]] = out[l];
+          });
+    } else {
+      nt_row(
+          t.a + i * k, t.k, cnt,
+          [&](std::int64_t slot) { return t.b + slot * k; },
+          [&](std::int64_t j0, int count, __m256 sums) {
+            if (count == 8) {
+              _mm256_storeu_ps(crow + j0, sums);
+            } else {
+              _mm256_maskstore_ps(crow + j0, tail_mask(count), sums);
+            }
+          });
     }
   }
 }
@@ -381,14 +505,24 @@ void v_matmul_nt_cols(const MatmulArgs& t, std::int64_t lo, std::int64_t hi) {
 // C[m,n] += A[m,k] B^T[n,k] over active rows m; partition over i.
 void v_matmul_nt_rows_acc(const MatmulArgs& t, std::int64_t lo,
                           std::int64_t hi) {
+  const std::size_t k = static_cast<std::size_t>(t.k);
   for (std::int64_t i = lo; i < hi; ++i) {
     if (t.mask != nullptr && t.mask[i] == 0) continue;
-    const float* arow = t.a + static_cast<std::size_t>(i) * t.k;
     float* crow = t.c + static_cast<std::size_t>(i) * t.n;
-    for (int j = 0; j < t.n; ++j) {
-      crow[j] +=
-          dot_avx2(arow, t.b + static_cast<std::size_t>(j) * t.k, t.k);
-    }
+    nt_row(
+        t.a + i * k, t.k, t.n,
+        [&](std::int64_t slot) { return t.b + slot * k; },
+        [&](std::int64_t j0, int count, __m256 sums) {
+          if (count == 8) {
+            _mm256_storeu_ps(crow + j0,
+                             _mm256_add_ps(_mm256_loadu_ps(crow + j0), sums));
+          } else {
+            const __m256i tm = tail_mask(count);
+            _mm256_maskstore_ps(
+                crow + j0, tm,
+                _mm256_add_ps(_mm256_maskload_ps(crow + j0, tm), sums));
+          }
+        });
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -240,41 +241,58 @@ TapRange valid_taps(int offset, int stride, int extent, int out) {
   return {lo, std::clamp(hi, lo, out)};
 }
 
+/// Copies n floats between buffers that do not overlap. im2col's rows are
+/// often a few floats long (4 on LeNet-16's conv2), where a library call
+/// costs more than the copy, so 16-byte pieces are copied inline; the last
+/// piece ends at n and may overlap the one before it.
+void copy_floats(float* dst, const float* src, int n) {
+  if (n < 4) {
+    for (int i = 0; i < n; ++i) dst[i] = src[i];
+    return;
+  }
+  for (int i = 0; i + 4 < n; i += 4) {
+    std::memcpy(dst + i, src + i, 4 * sizeof(float));
+  }
+  std::memcpy(dst + n - 4, src + n - 4, 4 * sizeof(float));
+}
+
 }  // namespace
 
 // im2col and col2im share one loop nest, (c, ky, kx) rows, then oy, then
-// ox; each (ky, kx) row's valid output window is computed once, so the
-// inner loop is a plain copy or add with no bounds tests. col2im keeps the
-// reference nest order, so every dx element accumulates its terms in the
-// same order as the per-element bounds-checked loop it replaced.
+// ox; each (ky, kx) row's valid output window is computed once. im2col
+// zero-fills a tap's block whole when its window touches the padding, then
+// copies each row's valid span. col2im keeps the reference nest order, so
+// every dx element accumulates its terms in the same order as the
+// per-element bounds-checked loop it replaced.
 
 void im2col(const float* x, const Conv2dGeometry& g, float* cols) {
   const int oh = g.out_h(), ow = g.out_w(), s = g.stride;
   const std::size_t hw = static_cast<std::size_t>(g.in_h) * g.in_w;
+  const std::size_t block = static_cast<std::size_t>(oh) * ow;
   float* crow = cols;
   for (int c = 0; c < g.in_channels; ++c) {
     const float* plane = x + static_cast<std::size_t>(c) * hw;
     for (int ky = 0; ky < g.kernel; ++ky) {
       const TapRange ys = valid_taps(ky - g.pad, s, g.in_h, oh);
-      for (int kx = 0; kx < g.kernel; ++kx) {
+      for (int kx = 0; kx < g.kernel; ++kx, crow += block) {
         const TapRange xs = valid_taps(kx - g.pad, s, g.in_w, ow);
-        std::fill(crow, crow + static_cast<std::size_t>(ys.lo) * ow, 0.0F);
-        const int off = kx - g.pad;
-        for (int oy = ys.lo; oy < ys.hi; ++oy) {
-          float* dst = crow + static_cast<std::size_t>(oy) * ow;
-          const float* row =
-              plane + static_cast<std::size_t>(oy * s + ky - g.pad) * g.in_w;
-          std::fill(dst, dst + xs.lo, 0.0F);
-          if (s == 1) {
-            for (int ox = xs.lo; ox < xs.hi; ++ox) dst[ox] = row[ox + off];
-          } else {
-            for (int ox = xs.lo; ox < xs.hi; ++ox) dst[ox] = row[ox * s + off];
-          }
-          std::fill(dst + xs.hi, dst + ow, 0.0F);
+        if (ys.lo > 0 || ys.hi < oh || xs.lo > 0 || xs.hi < ow) {
+          std::memset(crow, 0, block * sizeof(float));
         }
-        float* end = crow + static_cast<std::size_t>(oh) * ow;
-        std::fill(crow + static_cast<std::size_t>(ys.hi) * ow, end, 0.0F);
-        crow = end;
+        const int len = xs.hi - xs.lo;
+        if (len == 0 || ys.lo == ys.hi) continue;
+        const float* src =
+            plane + static_cast<std::size_t>(ys.lo * s + ky - g.pad) * g.in_w +
+            (xs.lo * s + kx - g.pad);
+        float* dst = crow + static_cast<std::size_t>(ys.lo) * ow + xs.lo;
+        const std::size_t src_step = static_cast<std::size_t>(s) * g.in_w;
+        for (int oy = ys.lo; oy < ys.hi; ++oy, src += src_step, dst += ow) {
+          if (s == 1) {
+            copy_floats(dst, src, len);
+          } else {
+            for (int o = 0; o < len; ++o) dst[o] = src[o * s];
+          }
+        }
       }
     }
   }

@@ -275,6 +275,15 @@ const Shape3 kVerifyShapes[] = {
     {1, 1, 1},   {1, 7, 1},    {2, 3, 4},    {7, 5, 3},
     {8, 8, 8},   {16, 16, 16}, {17, 31, 13}, {5, 1, 9},
     {24, 150, 33}, {32, 64, 96}, {64, 63, 65}, {96, 37, 49},
+    // The NT tiles: k < 32 with and without a tail, n not a multiple of 8,
+    // and k = 32 + 8 + tail.
+    {3, 20, 11}, {4, 24, 17}, {9, 8, 7}, {5, 45, 19},
+    // Conv2d dW (out channels x plane x patch): LeNet-16, then AlexNet-lite.
+    {6, 256, 25}, {16, 16, 150}, {8, 1024, 27}, {16, 256, 72},
+    {24, 64, 144}, {24, 64, 216}, {16, 64, 216},
+    // Dense forward (batch x in x out): LeNet-16, then AlexNet-lite.
+    {8, 64, 120}, {8, 120, 84}, {8, 84, 10},
+    {16, 256, 128}, {16, 128, 64}, {16, 64, 10},
 };
 
 void verify_matmul(const MatmulVariant& v) {
@@ -456,7 +465,7 @@ ConvOutputs run_conv(const ConvCase& cc, Backend id, std::uint64_t seed) {
   helios::tensor::backend::set_kernel_backend(id);
   Rng rng(seed);
   helios::nn::Conv2d layer(cc.in_c, cc.in_h, cc.in_w, cc.out_c, cc.kernel,
-                           cc.stride, cc.pad, rng);
+                           cc.stride, cc.pad, &rng);
   // Mask some filters so the masked matmul paths are on the hot path.
   std::vector<std::uint8_t> mask(static_cast<std::size_t>(cc.out_c), 1);
   for (std::size_t j = 0; j < mask.size(); j += 3) mask[j] = 0;

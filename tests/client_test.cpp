@@ -7,14 +7,21 @@
 namespace helios::fl {
 namespace {
 
+models::ModelSpec spec() { return models::mlp_spec({1, 8, 8, 4}, 16); }
+
 Client make_client(int id = 0, std::uint64_t seed = 5) {
   ClientConfig cfg;
   cfg.seed = seed;
   cfg.batch_size = 8;
   cfg.lr = 0.05F;
-  return Client(id, models::mlp_spec({1, 8, 8, 4}, 16),
-                helios::testing::tiny_dataset(40), cfg,
+  return Client(id, spec(), helios::testing::tiny_dataset(40), cfg,
                 device::sim_scaled(device::raspberry_pi()));
+}
+
+/// A drawn global model to train from: a client's own replica is blank
+/// (zero weights) until a cycle loads the global parameters into it.
+std::vector<float> drawn_global(std::uint64_t seed) {
+  return spec().build(seed).params_flat();
 }
 
 TEST(ClientUpdate, TrainedFraction) {
@@ -26,8 +33,7 @@ TEST(ClientUpdate, TrainedFraction) {
 
 TEST(Client, RunCycleReturnsConsistentUpdate) {
   Client c = make_client();
-  const std::vector<float> global(c.model().param_count(), 0.0F);
-  auto global_init = c.model().params_flat();
+  const auto global_init = drawn_global(5);
   ClientUpdate u = c.run_cycle(global_init, c.model().buffers_flat(), {});
   EXPECT_EQ(u.client_id, 0);
   EXPECT_EQ(u.params.size(), c.model().param_count());
@@ -45,7 +51,7 @@ TEST(Client, RunCycleStartsFromGlobalParams) {
   // Two cycles from the same global with the same loader state are
   // deterministic only if the start point is the global; check the frozen
   // neurons case: masked params must equal the incoming global exactly.
-  auto global = c.model().params_flat();
+  const auto global = drawn_global(6);
   std::vector<std::uint8_t> mask(
       static_cast<std::size_t>(c.model().neuron_total()), 0);
   mask[0] = 1;  // only one neuron trains
@@ -62,7 +68,7 @@ TEST(Client, RunCycleStartsFromGlobalParams) {
 
 TEST(Client, MaskedCycleIsCheaper) {
   Client c = make_client(0, 7);
-  auto global = c.model().params_flat();
+  const auto global = drawn_global(7);
   const double full_s = c.estimate_cycle_seconds({});
   util::Rng rng(8);
   auto mask = random_volume_mask(c.model(), 0.25, rng);

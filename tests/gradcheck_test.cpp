@@ -23,14 +23,14 @@ using testing::numerical_derivative;
 
 TEST(GradCheck, Dense) {
   util::Rng rng(11);
-  nn::Dense layer(7, 5, rng);
+  nn::Dense layer(7, 5, &rng);
   tensor::Tensor x = tensor::Tensor::randn({4, 7}, rng);
   EXPECT_EQ(gradcheck_layer(layer, x, rng), 0);
 }
 
 TEST(GradCheck, DenseMasked) {
   util::Rng rng(12);
-  nn::Dense layer(6, 8, rng);
+  nn::Dense layer(6, 8, &rng);
   const std::vector<std::uint8_t> mask{1, 0, 1, 1, 0, 0, 1, 0};
   layer.set_mask(mask);
   tensor::Tensor x = tensor::Tensor::randn({3, 6}, rng);
@@ -39,14 +39,14 @@ TEST(GradCheck, DenseMasked) {
 
 TEST(GradCheck, Conv2d) {
   util::Rng rng(13);
-  nn::Conv2d layer(2, 6, 6, 3, 3, 1, 1, rng);
+  nn::Conv2d layer(2, 6, 6, 3, 3, 1, 1, &rng);
   tensor::Tensor x = tensor::Tensor::randn({2, 2, 6, 6}, rng);
   EXPECT_EQ(gradcheck_layer(layer, x, rng), 0);
 }
 
 TEST(GradCheck, Conv2dStridedMasked) {
   util::Rng rng(14);
-  nn::Conv2d layer(3, 8, 8, 4, 3, 2, 1, rng);
+  nn::Conv2d layer(3, 8, 8, 4, 3, 2, 1, &rng);
   const std::vector<std::uint8_t> mask{1, 0, 1, 0};
   layer.set_mask(mask);
   tensor::Tensor x = tensor::Tensor::randn({2, 3, 8, 8}, rng);
@@ -93,14 +93,14 @@ TEST(GradCheck, BatchNormMasked) {
 
 TEST(GradCheck, ResidualBlockIdentity) {
   util::Rng rng(20);
-  nn::ResidualBlock block(4, 5, 5, 4, 1, rng);
+  nn::ResidualBlock block(4, 5, 5, 4, 1, &rng);
   tensor::Tensor x = tensor::Tensor::randn({2, 4, 5, 5}, rng);
   EXPECT_EQ(gradcheck_layer(block, x, rng, 16, 1e-1), 0);
 }
 
 TEST(GradCheck, ResidualBlockProjection) {
   util::Rng rng(21);
-  nn::ResidualBlock block(3, 6, 6, 6, 2, rng);
+  nn::ResidualBlock block(3, 6, 6, 6, 2, &rng);
   tensor::Tensor x = tensor::Tensor::randn({2, 3, 6, 6}, rng);
   EXPECT_EQ(gradcheck_layer(block, x, rng, 16, 1e-1), 0);
 }

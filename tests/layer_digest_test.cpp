@@ -345,9 +345,9 @@ TEST_P(LayerDigestTest, ResNet18Lite) {
   // the 1x1 stride-2 projection.
   Parts parts = model_parts(models::resnet18_lite_spec(), false);
   util::Rng rng(10);
-  nn::Conv2d stage2(8, 16, 16, 16, 3, 2, 1, rng);
-  nn::Conv2d proj(8, 16, 16, 16, 1, 2, 0, rng, /*maskable=*/false);
-  nn::Conv2d stage4(32, 4, 4, 64, 3, 2, 1, rng);
+  nn::Conv2d stage2(8, 16, 16, 16, 3, 2, 1, &rng);
+  nn::Conv2d proj(8, 16, 16, 16, 1, 2, 0, &rng, /*maskable=*/false);
+  nn::Conv2d stage4(32, 4, 4, 64, 3, 2, 1, &rng);
   for (int masked = 0; masked < 2; ++masked) {
     for (nn::Conv2d* conv : {&stage2, &proj, &stage4}) {
       const auto& g = conv->geometry();

@@ -1,5 +1,7 @@
 // Bitwise oracles for the data-movement work around the GEMMs: im2col,
-// col2im, Conv2d's per-sample plumbing, ReLU and MaxPool.
+// col2im, Conv2d's per-sample plumbing, ReLU and MaxPool; and for the
+// register-tiled AVX2 NT GEMMs against the per-output dot product they
+// replaced.
 //
 // Each fast path is compared bit for bit against the loop it replaced,
 // kept here verbatim as the reference: the per-element bounds-checked
@@ -19,11 +21,16 @@
 #include <string>
 #include <vector>
 
+#if defined(HELIOS_HAVE_AVX2)
+#include <immintrin.h>
+#endif
+
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/pool.h"
 #include "tensor/backend/dispatch.h"
+#include "tensor/backend/kernels.h"
 #include "tensor/ops.h"
 #include "test_support.h"
 #include "util/rng.h"
@@ -363,7 +370,7 @@ TEST(LayerOracle, Conv2dMatchesReferenceLoops) {
       const int n = 1 + case_index % 4;  // batch 1 every fourth case
       const int oc = uniform(rng, 1, 9);
       nn::Conv2d layer(g.in_channels, g.in_h, g.in_w, oc, g.kernel, g.stride,
-                       g.pad, rng);
+                       g.pad, &rng);
       std::vector<std::uint8_t> mask;
       if (case_index++ % 3 == 1) {
         mask.resize(static_cast<std::size_t>(oc));
@@ -415,12 +422,12 @@ TEST(LayerOracle, GradientOnlyBackwardKeepsParameterGradients) {
   for (const Conv2dGeometry& g : conv_geometries()) {
     for (int n : {1, 4}) {
       nn::Conv2d conv(g.in_channels, g.in_h, g.in_w, 5, g.kernel, g.stride,
-                      g.pad, rng);
+                      g.pad, &rng);
       check(conv, Tensor::randn({n, g.in_channels, g.in_h, g.in_w}, rng),
             "conv " + describe(g) + " n=" + std::to_string(n));
     }
   }
-  nn::Dense dense(37, 11, rng);
+  nn::Dense dense(37, 11, &rng);
   dense.set_mask(std::vector<std::uint8_t>{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1});
   check(dense, Tensor::randn({5, 37}, rng), "dense");
 }
@@ -550,6 +557,195 @@ TEST(LayerOracle, MaxPoolBackwardRoutesLikeRuntimeWindowLoop) {
           << describe(g, n);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// AVX2 NT GEMMs: C[i,j] = or += dot(A row i, B row j)
+// ---------------------------------------------------------------------------
+
+#if defined(HELIOS_HAVE_AVX2)
+
+using tensor::backend::MatmulArgs;
+
+#define HELIOS_AVX2_FN __attribute__((target("avx2,fma")))
+
+HELIOS_AVX2_FN __m256i reference_tail_mask(int r) {
+  alignas(32) static const std::int32_t lut[16] = {
+      -1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0};
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(lut + (8 - r)));
+}
+
+// The per-output dot product both NT kernels used before tiling: four
+// ascending accumulators and their own horizontal sum.
+HELIOS_AVX2_FN float reference_dot_avx2(const float* x, const float* y,
+                                        int k) {
+  __m256 acc0 = _mm256_setzero_ps();
+  __m256 acc1 = _mm256_setzero_ps();
+  __m256 acc2 = _mm256_setzero_ps();
+  __m256 acc3 = _mm256_setzero_ps();
+  int kk = 0;
+  for (; kk + 32 <= k; kk += 32) {
+    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(x + kk),
+                           _mm256_loadu_ps(y + kk), acc0);
+    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(x + kk + 8),
+                           _mm256_loadu_ps(y + kk + 8), acc1);
+    acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(x + kk + 16),
+                           _mm256_loadu_ps(y + kk + 16), acc2);
+    acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(x + kk + 24),
+                           _mm256_loadu_ps(y + kk + 24), acc3);
+  }
+  for (; kk + 8 <= k; kk += 8) {
+    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(x + kk),
+                           _mm256_loadu_ps(y + kk), acc0);
+  }
+  if (kk < k) {
+    const __m256i tm = reference_tail_mask(k - kk);
+    acc1 = _mm256_fmadd_ps(_mm256_maskload_ps(x + kk, tm),
+                           _mm256_maskload_ps(y + kk, tm), acc1);
+  }
+  const __m256 s01 = _mm256_add_ps(acc0, acc1);
+  const __m256 s23 = _mm256_add_ps(acc2, acc3);
+  const __m256 s = _mm256_add_ps(s01, s23);
+  const __m128 lo128 = _mm256_castps256_ps128(s);
+  const __m128 hi128 = _mm256_extractf128_ps(s, 1);
+  __m128 r = _mm_add_ps(lo128, hi128);
+  r = _mm_add_ps(r, _mm_movehl_ps(r, r));
+  r = _mm_add_ss(r, _mm_shuffle_ps(r, r, 0x55));
+  return _mm_cvtss_f32(r);
+}
+
+HELIOS_AVX2_FN void reference_nt_cols(const MatmulArgs& t) {
+  const bool use_list = t.n_active >= 0;
+  const std::int64_t cnt = use_list ? t.n_active : t.n;
+  for (std::int64_t i = 0; i < t.m; ++i) {
+    const float* arow = t.a + static_cast<std::size_t>(i) * t.k;
+    float* crow = t.c + static_cast<std::size_t>(i) * t.n;
+    for (std::int64_t idx = 0; idx < cnt; ++idx) {
+      const std::int64_t j = use_list ? t.active[idx] : idx;
+      crow[j] =
+          reference_dot_avx2(arow, t.b + static_cast<std::size_t>(j) * t.k,
+                             t.k);
+    }
+  }
+}
+
+HELIOS_AVX2_FN void reference_nt_rows_acc(const MatmulArgs& t) {
+  for (std::int64_t i = 0; i < t.m; ++i) {
+    if (t.mask != nullptr && t.mask[i] == 0) continue;
+    const float* arow = t.a + static_cast<std::size_t>(i) * t.k;
+    float* crow = t.c + static_cast<std::size_t>(i) * t.n;
+    for (int j = 0; j < t.n; ++j) {
+      crow[j] +=
+          reference_dot_avx2(arow, t.b + static_cast<std::size_t>(j) * t.k,
+                             t.k);
+    }
+  }
+}
+
+#undef HELIOS_AVX2_FN
+
+/// Finite operands with signed zeros and tiny values: a product of two
+/// tiny values underflows to a signed zero, so a row whose products all
+/// underflow shows how every add treats -0.0. (NaN payloads are left out:
+/// IEEE addition of two NaNs may return either.)
+std::vector<float> nt_operand(std::size_t n, util::Rng& rng) {
+  std::vector<float> v(n);
+  for (float& x : v) {
+    switch (rng.uniform_int(10)) {
+      case 0: x = -0.0F; break;
+      case 1: x = 0.0F; break;
+      case 2: x = rng.uniform_int(2) == 0 ? 1e-30F : -1e-30F; break;
+      default: x = static_cast<float>(rng.normal()); break;
+    }
+  }
+  return v;
+}
+
+#endif  // HELIOS_HAVE_AVX2
+
+TEST(LayerOracle, AvxNtKernelsMatchPerOutputDotProducts) {
+#if !defined(HELIOS_HAVE_AVX2)
+  GTEST_SKIP() << "built without the AVX2 kernels";
+#else
+  if (!tensor::backend::avx2_available()) {
+    GTEST_SKIP() << "AVX2+FMA not available on this CPU";
+  }
+  const tensor::backend::KernelTable& avx2 = tensor::backend::avx2_kernels();
+  struct Shape3 {
+    int m, k, n;
+  };
+  std::vector<Shape3> shapes;
+  for (int k = 0; k <= 72; ++k) {
+    for (int n : {1, 3, 8, 9, 17, 25}) shapes.push_back({3, k, n});
+  }
+  // The benchmark workloads' Conv2d dW and Dense forward shapes.
+  for (Shape3 s : {Shape3{6, 256, 25}, {16, 16, 150}, {8, 1024, 27},
+                   {16, 256, 72}, {24, 64, 216}, {8, 64, 120}, {8, 120, 84},
+                   {16, 64, 10}}) {
+    shapes.push_back(s);
+  }
+  util::Rng rng(41);
+  for (const Shape3& s : shapes) {
+    const std::size_t ks = static_cast<std::size_t>(s.k);
+    std::vector<float> a = nt_operand(static_cast<std::size_t>(s.m) * ks, rng);
+    std::vector<float> b = nt_operand(static_cast<std::size_t>(s.n) * ks, rng);
+    // Every product of output (0, 0) underflows to -0.0, and C(0, 0) is
+    // -0.0, so the sign of a zero dot product shows in the bits.
+    std::fill_n(a.begin(), ks, -1e-30F);
+    std::fill_n(b.begin(), ks, 1e-30F);
+    std::vector<float> c0 =
+        nt_operand(static_cast<std::size_t>(s.m) * s.n, rng);
+    c0[0] = -0.0F;
+    for (bool masked : {false, true}) {
+      std::vector<std::uint8_t> mask;
+      std::vector<std::int32_t> active;
+      if (masked) {
+        mask.resize(static_cast<std::size_t>(std::max(s.m, s.n)));
+        for (auto& v : mask) v = rng.uniform_int(3) != 0;
+        for (int j = 0; j < s.n; ++j) {
+          if (mask[static_cast<std::size_t>(j)]) active.push_back(j);
+        }
+      }
+      MatmulArgs args;
+      args.a = a.data();
+      args.b = b.data();
+      args.m = s.m;
+      args.k = s.k;
+      args.n = s.n;
+      std::ostringstream what;
+      what << "m=" << s.m << " k=" << s.k << " n=" << s.n
+           << (masked ? " masked" : "");
+
+      // Dense forward: column mask as the packed active list.
+      if (masked) {
+        args.active = active.data();
+        args.n_active = static_cast<std::int32_t>(active.size());
+      }
+      std::vector<float> got(c0.size(), 0.0F);
+      std::vector<float> want = got;
+      args.c = got.data();
+      avx2.matmul_nt_cols(args, 0, s.m);
+      args.c = want.data();
+      reference_nt_cols(args);
+      EXPECT_TRUE(testing::bitwise_equal(got, want))
+          << "nt_cols " << what.str();
+
+      // Conv2d dW: row mask, accumulating onto C.
+      args.active = nullptr;
+      args.n_active = -1;
+      args.mask = masked ? mask.data() : nullptr;
+      got = c0;
+      want = c0;
+      args.c = got.data();
+      avx2.matmul_nt_rows_acc(args, 0, s.m);
+      args.c = want.data();
+      reference_nt_rows_acc(args);
+      EXPECT_TRUE(testing::bitwise_equal(got, want))
+          << "nt_rows_acc " << what.str();
+    }
+  }
+#endif
 }
 
 }  // namespace

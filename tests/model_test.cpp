@@ -109,12 +109,12 @@ TEST(Model, BatchNormFollowsConvMaskThroughLinking) {
   util::Rng rng(6);
   Model m;
   auto& conv = static_cast<Conv2d&>(
-      m.add(std::make_unique<Conv2d>(1, 4, 4, 3, 3, 1, 1, rng)));
+      m.add(std::make_unique<Conv2d>(1, 4, 4, 3, 3, 1, 1, &rng)));
   auto& bn = static_cast<BatchNorm2d&>(
       m.add(std::make_unique<BatchNorm2d>(3, 4, 4)));
   m.link_follower(bn, conv);
   m.add(std::make_unique<Flatten>(3, 4, 4));
-  m.add(std::make_unique<Dense>(48, 2, rng, /*maskable=*/false));
+  m.add(std::make_unique<Dense>(48, 2, &rng, /*maskable=*/false));
   m.finalize();
   // 3 conv filters are the only neurons; each owns conv row+bias and BN
   // gamma+beta: patch(9) + 1 + 1 + 1 = 12 params.
@@ -132,7 +132,7 @@ TEST(Model, FollowerLinkValidation) {
   util::Rng rng(7);
   Model m;
   auto& conv = static_cast<Conv2d&>(
-      m.add(std::make_unique<Conv2d>(1, 4, 4, 3, 3, 1, 1, rng)));
+      m.add(std::make_unique<Conv2d>(1, 4, 4, 3, 3, 1, 1, &rng)));
   auto& bn = static_cast<BatchNorm2d&>(
       m.add(std::make_unique<BatchNorm2d>(3, 4, 4)));
   auto& bn_wrong = static_cast<BatchNorm2d&>(
@@ -147,7 +147,7 @@ TEST(Model, AddAfterFinalizeThrows) {
   Model m = small_model();
   m.finalize();
   util::Rng rng(8);
-  EXPECT_THROW(m.add(std::make_unique<Dense>(2, 2, rng)), std::logic_error);
+  EXPECT_THROW(m.add(std::make_unique<Dense>(2, 2, &rng)), std::logic_error);
 }
 
 TEST(Model, TrainStepReducesLossOnAverage) {

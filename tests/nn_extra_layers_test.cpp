@@ -32,14 +32,14 @@ TEST(GradCheckExtra, GroupNormMasked) {
 
 TEST(GradCheckExtra, DepthwiseConv) {
   util::Rng rng(73);
-  DepthwiseConv2d layer(3, 6, 6, 3, 1, 1, rng);
+  DepthwiseConv2d layer(3, 6, 6, 3, 1, 1, &rng);
   Tensor x = Tensor::randn({2, 3, 6, 6}, rng);
   EXPECT_EQ(gradcheck_layer(layer, x, rng), 0);
 }
 
 TEST(GradCheckExtra, DepthwiseConvStridedMasked) {
   util::Rng rng(74);
-  DepthwiseConv2d layer(4, 8, 8, 3, 2, 1, rng);
+  DepthwiseConv2d layer(4, 8, 8, 3, 2, 1, &rng);
   const std::vector<std::uint8_t> mask{1, 0, 1, 0};
   layer.set_mask(mask);
   Tensor x = Tensor::randn({2, 4, 8, 8}, rng);
@@ -103,7 +103,7 @@ TEST(GroupNorm, MaskedChannelsZeroAndExcludedFromStats) {
 
 TEST(Depthwise, MaskedChannelOutputsZero) {
   util::Rng rng(81);
-  DepthwiseConv2d dw(3, 5, 5, 3, 1, 1, rng);
+  DepthwiseConv2d dw(3, 5, 5, 3, 1, 1, &rng);
   const std::vector<std::uint8_t> mask{0, 1, 1};
   dw.set_mask(mask);
   Tensor x = Tensor::randn({1, 3, 5, 5}, rng);
@@ -116,7 +116,7 @@ TEST(Depthwise, MaskedChannelOutputsZero) {
 
 TEST(Depthwise, FlopsScaleWithActiveChannels) {
   util::Rng rng(82);
-  DepthwiseConv2d dw(4, 8, 8, 3, 1, 1, rng);
+  DepthwiseConv2d dw(4, 8, 8, 3, 1, 1, &rng);
   const double full = dw.forward_flops_per_sample();
   const std::vector<std::uint8_t> mask{1, 0, 0, 0};
   dw.set_mask(mask);

@@ -18,7 +18,7 @@ using tensor::Tensor;
 
 TEST(Dense, ForwardShapeAndBias) {
   util::Rng rng(1);
-  Dense d(3, 4, rng);
+  Dense d(3, 4, &rng);
   Tensor x({2, 3});
   Tensor y = d.forward(x, false);
   EXPECT_EQ(y.shape(), (Shape{2, 4}));
@@ -28,7 +28,7 @@ TEST(Dense, ForwardShapeAndBias) {
 
 TEST(Dense, MaskedUnitsProduceZero) {
   util::Rng rng(2);
-  Dense d(5, 6, rng);
+  Dense d(5, 6, &rng);
   const std::vector<std::uint8_t> mask{1, 0, 1, 0, 1, 0};
   d.set_mask(mask);
   Tensor x = Tensor::randn({3, 5}, rng);
@@ -43,7 +43,7 @@ TEST(Dense, MaskedUnitsProduceZero) {
 
 TEST(Dense, MaskedForwardMatchesDenseOnActiveUnits) {
   util::Rng rng(3);
-  Dense d(4, 5, rng);
+  Dense d(4, 5, &rng);
   Tensor x = Tensor::randn({2, 4}, rng);
   Tensor full = d.forward(x, false);
   const std::vector<std::uint8_t> mask{1, 1, 0, 1, 1};
@@ -62,7 +62,7 @@ TEST(Dense, MaskedForwardMatchesDenseOnActiveUnits) {
 
 TEST(Dense, MaskedBackwardLeavesFrozenGradZero) {
   util::Rng rng(4);
-  Dense d(3, 4, rng);
+  Dense d(3, 4, &rng);
   const std::vector<std::uint8_t> mask{0, 1, 1, 0};
   d.set_mask(mask);
   Tensor x = Tensor::randn({2, 3}, rng);
@@ -82,7 +82,7 @@ TEST(Dense, MaskedBackwardLeavesFrozenGradZero) {
 
 TEST(Dense, NonMaskableHeadRejectsMask) {
   util::Rng rng(5);
-  Dense head(4, 3, rng, /*maskable=*/false);
+  Dense head(4, 3, &rng, /*maskable=*/false);
   EXPECT_EQ(head.neuron_count(), 0);
   const std::vector<std::uint8_t> mask{1, 1, 0};
   EXPECT_THROW(head.set_mask(mask), std::logic_error);
@@ -90,7 +90,7 @@ TEST(Dense, NonMaskableHeadRejectsMask) {
 
 TEST(Dense, NeuronSlicesCoverRowAndBias) {
   util::Rng rng(6);
-  Dense d(7, 3, rng);
+  Dense d(7, 3, &rng);
   const auto slices = d.neuron_slices(2);
   ASSERT_EQ(slices.size(), 2u);
   EXPECT_EQ(slices[0].param_index, 0);
@@ -104,7 +104,7 @@ TEST(Dense, NeuronSlicesCoverRowAndBias) {
 
 TEST(Dense, MaskReducesFlops) {
   util::Rng rng(7);
-  Dense d(10, 8, rng);
+  Dense d(10, 8, &rng);
   const double full = d.forward_flops_per_sample();
   const std::vector<std::uint8_t> mask{1, 1, 0, 0, 0, 0, 0, 0};
   d.set_mask(mask);
@@ -115,7 +115,7 @@ TEST(Dense, MaskReducesFlops) {
 
 TEST(Conv2d, OutputGeometry) {
   util::Rng rng(8);
-  Conv2d c(3, 8, 8, 4, 3, 2, 1, rng);
+  Conv2d c(3, 8, 8, 4, 3, 2, 1, &rng);
   EXPECT_EQ(c.out_h(), 4);
   EXPECT_EQ(c.out_w(), 4);
   Tensor x({2, 3, 8, 8});
@@ -125,7 +125,7 @@ TEST(Conv2d, OutputGeometry) {
 
 TEST(Conv2d, MaskedChannelsAreZero) {
   util::Rng rng(9);
-  Conv2d c(2, 5, 5, 3, 3, 1, 1, rng);
+  Conv2d c(2, 5, 5, 3, 3, 1, 1, &rng);
   const std::vector<std::uint8_t> mask{0, 1, 0};
   c.set_mask(mask);
   Tensor x = Tensor::randn({1, 2, 5, 5}, rng);
@@ -138,7 +138,7 @@ TEST(Conv2d, MaskedChannelsAreZero) {
 
 TEST(Conv2d, MaskedMatchesFullOnActiveChannels) {
   util::Rng rng(10);
-  Conv2d c(2, 6, 6, 4, 3, 1, 0, rng);
+  Conv2d c(2, 6, 6, 4, 3, 1, 0, &rng);
   Tensor x = Tensor::randn({2, 2, 6, 6}, rng);
   Tensor full = c.forward(x, false);
   const std::vector<std::uint8_t> mask{1, 0, 0, 1};
@@ -157,13 +157,13 @@ TEST(Conv2d, MaskedMatchesFullOnActiveChannels) {
 
 TEST(Conv2d, RejectsBadGeometry) {
   util::Rng rng(11);
-  EXPECT_THROW(Conv2d(0, 5, 5, 3, 3, 1, 1, rng), std::invalid_argument);
-  EXPECT_THROW(Conv2d(1, 2, 2, 3, 5, 1, 0, rng), std::invalid_argument);
+  EXPECT_THROW(Conv2d(0, 5, 5, 3, 3, 1, 1, &rng), std::invalid_argument);
+  EXPECT_THROW(Conv2d(1, 2, 2, 3, 5, 1, 0, &rng), std::invalid_argument);
 }
 
 TEST(Conv2d, FlopsScaleWithActiveFilters) {
   util::Rng rng(12);
-  Conv2d c(2, 8, 8, 4, 3, 1, 1, rng);
+  Conv2d c(2, 8, 8, 4, 3, 1, 1, &rng);
   const double full = c.forward_flops_per_sample();
   const std::vector<std::uint8_t> mask{1, 0, 0, 0};
   c.set_mask(mask);
@@ -276,7 +276,7 @@ TEST(BatchNorm, MaskedChannelOutputsZero) {
 
 TEST(Residual, IdentitySkipPreservesShape) {
   util::Rng rng(17);
-  ResidualBlock block(4, 6, 6, 4, 1, rng);
+  ResidualBlock block(4, 6, 6, 4, 1, &rng);
   Tensor x = Tensor::randn({2, 4, 6, 6}, rng);
   Tensor y = block.forward(x, false);
   EXPECT_EQ(y.shape(), x.shape());
@@ -284,7 +284,7 @@ TEST(Residual, IdentitySkipPreservesShape) {
 
 TEST(Residual, ProjectionChangesShape) {
   util::Rng rng(18);
-  ResidualBlock block(4, 6, 6, 8, 2, rng);
+  ResidualBlock block(4, 6, 6, 8, 2, &rng);
   Tensor x = Tensor::randn({2, 4, 6, 6}, rng);
   Tensor y = block.forward(x, false);
   EXPECT_EQ(y.shape(), (Shape{2, 8, 3, 3}));
@@ -292,7 +292,7 @@ TEST(Residual, ProjectionChangesShape) {
 
 TEST(Residual, LeavesExposeSublayers) {
   util::Rng rng(19);
-  ResidualBlock block(4, 6, 6, 8, 2, rng);
+  ResidualBlock block(4, 6, 6, 8, 2, &rng);
   std::vector<Layer*> leaves;
   block.append_leaves(leaves);
   // conv1, bn1, relu1, conv2, bn2, proj, projbn, relu2

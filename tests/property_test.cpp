@@ -137,7 +137,7 @@ class MaskedDenseProperty : public ::testing::TestWithParam<int> {};
 TEST_P(MaskedDenseProperty, ForwardConsistency) {
   const int keep_every = GetParam();
   util::Rng rng(31);
-  nn::Dense layer(9, 12, rng);
+  nn::Dense layer(9, 12, &rng);
   tensor::Tensor x = tensor::Tensor::randn({4, 9}, rng);
   const tensor::Tensor full = layer.forward(x, false);
   std::vector<std::uint8_t> mask(12, 0);

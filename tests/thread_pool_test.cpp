@@ -373,7 +373,7 @@ TEST(ParallelKernelsTest, Conv2dForwardBackwardBitIdentical) {
   auto run = [&](int threads, Tensor& dw, Tensor& db) {
     util::set_global_threads(threads);
     util::Rng rng(11);
-    nn::Conv2d conv(3, 32, 32, 16, 3, 1, 1, rng, /*maskable=*/true);
+    nn::Conv2d conv(3, 32, 32, 16, 3, 1, 1, &rng, /*maskable=*/true);
     Tensor y = conv.forward(x, /*training=*/true);
     Tensor dx = conv.backward(gy);
     dw = *conv.grads()[0];

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "models/zoo.h"
+#include "test_support.h"
 
 namespace helios::models {
 namespace {
@@ -79,6 +80,43 @@ TEST(Zoo, RejectsBadArguments) {
   EXPECT_THROW(make_resnet18_lite({3, 16, 16, 10}, 1, 0, 1),
                std::invalid_argument);
   EXPECT_THROW(make_mlp({1, 4, 4, 2}, 1, 0), std::invalid_argument);
+}
+
+// Client and evaluation replicas are built blank and loaded before use, so
+// load_params + load_buffers must overwrite every value a drawn model holds.
+TEST(Zoo, BlankModelLoadedWithADrawnModelIsThatModel) {
+  const ModelSpec specs[] = {lenet_spec({1, 16, 16, 10}), alexnet_lite_spec(),
+                             resnet18_lite_spec(), mlp_spec({1, 6, 6, 4}),
+                             mobilenet_lite_spec()};
+  for (const ModelSpec& spec : specs) {
+    const InputSpec& in = spec.input;
+    util::Rng rng(7);
+    const Tensor x = Tensor::randn({4, in.channels, in.height, in.width}, rng);
+    nn::Model drawn = spec.build(11);
+    drawn.forward(x, /*training=*/true);  // moves BatchNorm running stats
+    nn::Model blank = spec.blank();
+    EXPECT_EQ(blank.param_count(), drawn.param_count()) << spec.name;
+    EXPECT_EQ(blank.buffer_count(), drawn.buffer_count()) << spec.name;
+    EXPECT_EQ(blank.neuron_total(), drawn.neuron_total()) << spec.name;
+    EXPECT_FALSE(helios::testing::bitwise_equal(blank.params_flat(),
+                                                drawn.params_flat()))
+        << spec.name;
+    blank.load_params(drawn.params_flat());
+    blank.load_buffers(drawn.buffers_flat());
+    EXPECT_TRUE(helios::testing::bitwise_equal(blank.params_flat(),
+                                               drawn.params_flat()))
+        << spec.name;
+    EXPECT_TRUE(helios::testing::bitwise_equal(blank.buffers_flat(),
+                                               drawn.buffers_flat()))
+        << spec.name;
+    for (bool training : {false, true}) {
+      const Tensor a = drawn.forward(x, training);
+      const Tensor b = blank.forward(x, training);
+      EXPECT_TRUE(helios::testing::bitwise_equal(
+          std::span(a.data(), a.numel()), std::span(b.data(), b.numel())))
+          << spec.name << (training ? " training" : " eval");
+    }
+  }
 }
 
 TEST(Zoo, WidthScalingChangesCapacity) {
