@@ -132,9 +132,11 @@ void BM_Conv2dForward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForward);
 
-// C[m,n] += A[m,k] B[n,k]^T: Conv2d's dW GEMM (out channels x output plane
-// x patch size). Single thread, as a pool worker runs it.
-void BM_NtRowsAcc(benchmark::State& state) {
+// One unmasked NT GEMM, C[m,n] (+)= A[m,k] B[n,k]^T; Args are m, k, n.
+// Single thread, as a pool worker runs it.
+void run_nt(benchmark::State& state,
+            void (*gemm)(const tensor::Tensor&, const tensor::Tensor&,
+                         tensor::RowMask, tensor::Tensor&)) {
   util::set_global_threads(1);
   const int m = static_cast<int>(state.range(0));
   const int k = static_cast<int>(state.range(1));
@@ -144,12 +146,17 @@ void BM_NtRowsAcc(benchmark::State& state) {
   tensor::Tensor b = tensor::Tensor::randn({n, k}, rng);
   tensor::Tensor c({m, n});
   for (auto _ : state) {
-    tensor::matmul_nt_masked_rows_accumulate(a, b, {}, c);
+    gemm(a, b, {}, c);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
   util::set_global_threads(0);
+}
+
+// Conv2d's dW GEMM (out channels x output plane x patch size).
+void BM_NtRowsAcc(benchmark::State& state) {
+  run_nt(state, tensor::matmul_nt_masked_rows_accumulate);
 }
 BENCHMARK(BM_NtRowsAcc)
     ->Args({6, 256, 25})    // LeNet-16 conv1
@@ -160,23 +167,9 @@ BENCHMARK(BM_NtRowsAcc)
     ->Args({24, 64, 216})   // conv4
     ->Args({16, 64, 216});  // conv5
 
-// C[m,n] = A[m,k] B[n,k]^T: Dense's forward (batch x in x out).
+// Dense's forward (batch x in x out).
 void BM_NtCols(benchmark::State& state) {
-  util::set_global_threads(1);
-  const int m = static_cast<int>(state.range(0));
-  const int k = static_cast<int>(state.range(1));
-  const int n = static_cast<int>(state.range(2));
-  util::Rng rng(13);
-  tensor::Tensor a = tensor::Tensor::randn({m, k}, rng);
-  tensor::Tensor b = tensor::Tensor::randn({n, k}, rng);
-  tensor::Tensor c({m, n});
-  for (auto _ : state) {
-    tensor::matmul_nt_masked_cols_into(a, b, {}, c);
-    benchmark::DoNotOptimize(c.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
-  util::set_global_threads(0);
+  run_nt(state, tensor::matmul_nt_masked_cols_into);
 }
 BENCHMARK(BM_NtCols)
     ->Args({8, 64, 120})    // LeNet-16 dense1

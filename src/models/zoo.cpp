@@ -25,25 +25,9 @@ using nn::Model;
 using nn::ReLU;
 using nn::ResidualBlock;
 
-namespace {
-
-/// The weight-init stream of one build; none for a blank model.
-class InitStream {
- public:
-  explicit InitStream(Seed seed) {
-    if (seed) rng_.emplace(*seed);
-  }
-  util::Rng* rng() { return rng_ ? &*rng_ : nullptr; }
-
- private:
-  std::optional<util::Rng> rng_;
-};
-
-}  // namespace
-
 nn::Model make_lenet(const InputSpec& in, Seed seed) {
-  InitStream stream(seed);
-  util::Rng* const init = stream.rng();
+  util::Rng rng(seed.value_or(0));
+  util::Rng* const init = seed ? &rng : nullptr;  // null: a blank model
   Model m;
   // conv1 keeps spatial size (k5, pad 2), pool halves it.
   auto& c1 = static_cast<Conv2d&>(m.add(std::make_unique<Conv2d>(
@@ -70,8 +54,8 @@ nn::Model make_lenet(const InputSpec& in, Seed seed) {
 nn::Model make_alexnet_lite(const InputSpec& in, Seed seed,
                             int width) {
   if (width <= 0) throw std::invalid_argument("alexnet_lite: width <= 0");
-  InitStream stream(seed);
-  util::Rng* const init = stream.rng();
+  util::Rng rng(seed.value_or(0));
+  util::Rng* const init = seed ? &rng : nullptr;  // null: a blank model
   Model m;
   const int w = width;
   auto& c1 = static_cast<Conv2d&>(m.add(std::make_unique<Conv2d>(
@@ -111,8 +95,8 @@ nn::Model make_resnet18_lite(const InputSpec& in, Seed seed,
   if (base_width <= 0 || blocks_per_stage <= 0) {
     throw std::invalid_argument("resnet18_lite: bad width/blocks");
   }
-  InitStream stream(seed);
-  util::Rng* const init = stream.rng();
+  util::Rng rng(seed.value_or(0));
+  util::Rng* const init = seed ? &rng : nullptr;  // null: a blank model
   Model m;
   const int b = base_width;
   auto& stem = static_cast<Conv2d&>(m.add(std::make_unique<Conv2d>(
@@ -143,8 +127,8 @@ nn::Model make_resnet18_lite(const InputSpec& in, Seed seed,
 
 nn::Model make_mlp(const InputSpec& in, Seed seed, int hidden) {
   if (hidden <= 0) throw std::invalid_argument("mlp: hidden <= 0");
-  InitStream stream(seed);
-  util::Rng* const init = stream.rng();
+  util::Rng rng(seed.value_or(0));
+  util::Rng* const init = seed ? &rng : nullptr;  // null: a blank model
   Model m;
   const int feat = in.channels * in.height * in.width;
   m.add(std::make_unique<Flatten>(in.channels, in.height, in.width));
@@ -161,8 +145,8 @@ nn::Model make_mobilenet_lite(const InputSpec& in, Seed seed,
     throw std::invalid_argument(
         "mobilenet_lite: base width must be a positive multiple of 4");
   }
-  InitStream stream(seed);
-  util::Rng* const init = stream.rng();
+  util::Rng rng(seed.value_or(0));
+  util::Rng* const init = seed ? &rng : nullptr;  // null: a blank model
   Model m;
   const int b = base_width;
   auto& stem = static_cast<Conv2d&>(m.add(std::make_unique<Conv2d>(
