@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -91,29 +90,6 @@ ModelGeometry make_geometry(nn::Model& model) {
     }
   }
   return g;
-}
-
-std::vector<double> neuron_change_means(
-    std::span<const nn::NeuronInfo> neurons, std::span<const float> before,
-    std::span<const float> after, std::span<const std::uint8_t> mask) {
-  std::vector<double> means(neurons.size(), 0.0);
-  for (std::size_t j = 0; j < neurons.size(); ++j) {
-    if (!mask.empty() && !mask[j]) continue;
-    double change = 0.0;
-    std::size_t params = 0;
-    for (const nn::FlatSlice& s : neurons[j].slices) {
-      if (s.offset + s.length > before.size() ||
-          s.offset + s.length > after.size()) {
-        throw std::out_of_range("neuron_change_means: slice out of range");
-      }
-      for (std::size_t f = s.offset; f < s.offset + s.length; ++f) {
-        change += std::fabs(static_cast<double>(after[f]) - before[f]);
-      }
-      params += s.length;
-    }
-    if (params > 0) means[j] = change / static_cast<double>(params);
-  }
-  return means;
 }
 
 StreamingAccumulator::StreamingAccumulator(const ModelGeometry* geometry)

@@ -71,15 +71,6 @@ struct FoldWeights {
   double neuron = 1.0;
 };
 
-/// Per-neuron mean absolute parameter change between `before` and `after`,
-/// restricted to the neurons set in `mask` (others stay 0). This is the
-/// U^ij contribution statistic of core::SoftTrainer::update_contributions,
-/// extracted so edge aggregators can compute a device's contribution shard
-/// with bit-identical arithmetic (same slice order, same double sums).
-std::vector<double> neuron_change_means(
-    std::span<const nn::NeuronInfo> neurons, std::span<const float> before,
-    std::span<const float> after, std::span<const std::uint8_t> mask);
-
 class StreamingAccumulator {
  public:
   StreamingAccumulator() = default;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "net/round_protocol.h"
 #include "util/thread_pool.h"
 
 namespace helios::agg {
@@ -46,7 +47,6 @@ AggregatorTree::AggregatorTree(const TreeTopology& topology,
         regional_seed.fork(static_cast<std::uint64_t>(r)));
   }
   root_ = StreamingAccumulator(geo_);
-  staged_.resize(static_cast<std::size_t>(topo_.edge_nodes));
   begin_round();
 }
 
@@ -54,8 +54,6 @@ void AggregatorTree::begin_round() {
   for (auto& e : edges_) e.reset();
   for (auto& r : regionals_) r.reset();
   root_.reset();
-  for (auto& s : staged_) s.clear();
-  contributions_.clear();
   relay_ran_ = false;
   stats_.clear();
   stats_.push_back({.tier = "edge"});
@@ -65,8 +63,7 @@ void AggregatorTree::begin_round() {
 
 void AggregatorTree::fold(std::span<const UpdateView> updates,
                           std::span<const FoldWeights> weights,
-                          bool per_neuron_merge,
-                          std::span<const float> contribution_base) {
+                          bool per_neuron_merge) {
   if (updates.size() != weights.size()) {
     throw std::invalid_argument("AggregatorTree::fold: weights mismatch");
   }
@@ -84,24 +81,11 @@ void AggregatorTree::fold(std::span<const UpdateView> updates,
   util::parallel_for_each(edges_.size(), [&](std::size_t e) {
     for (std::size_t i : per_edge[e]) {
       edges_[e].fold(updates[i], weights[i], per_neuron_merge);
-      if (!contribution_base.empty() && !updates[i].trained_mask.empty()) {
-        staged_[e].emplace_back(
-            updates[i].client_id,
-            neuron_change_means(geo_->neurons, contribution_base,
-                                updates[i].params, updates[i].trained_mask));
-      }
     }
   });
   TierStats& edge_stats = stats_.front();
   edge_stats.fold_seconds += seconds_since(t0);
   edge_stats.frames_folded += updates.size();
-  // Root-side exact merge of the bookkeeping shards: devices are
-  // partitioned across edges, so concatenating in edge order is a disjoint
-  // union — no value is ever combined with another.
-  for (auto& s : staged_) {
-    for (auto& entry : s) contributions_.push_back(std::move(entry));
-    s.clear();
-  }
 }
 
 void AggregatorTree::collapse() {
@@ -173,40 +157,6 @@ void AggregatorTree::finalize(std::span<float> global,
   root_.finalize(global, buffers);
 }
 
-AggregatorTree::LinkDelivery AggregatorTree::send_link(
-    net::SimulatedChannel& chan, std::size_t bytes, double ready_at,
-    double deadline_abs_s) {
-  LinkDelivery d;
-  d.settle_s = ready_at;
-  double t = ready_at;
-  int transmissions = 0;
-  while (true) {
-    const net::SimulatedChannel::Attempt a = chan.try_send(bytes, t);
-    if (a.bytes > 0) ++transmissions;
-    d.bytes_on_wire += a.bytes;
-    d.settle_s = a.finish_s;
-    if (a.outcome == net::SimulatedChannel::Attempt::Outcome::kDelivered) {
-      d.delivered = true;
-      break;
-    }
-    if (a.outcome == net::SimulatedChannel::Attempt::Outcome::kDead) break;
-    if (a.outcome == net::SimulatedChannel::Attempt::Outcome::kBlocked) {
-      t = a.finish_s;  // outage: wait it out, no retry budget consumed
-      continue;
-    }
-    ++d.lost_frames;
-    if (transmissions > topo_.max_retries) break;
-    double backoff = topo_.retry_backoff_s;
-    for (int k = 1; k < transmissions; ++k) backoff *= 2.0;
-    t = a.finish_s + backoff;
-  }
-  d.retransmits = std::max(0, transmissions - 1);
-  if (d.delivered && deadline_abs_s > 0.0 && d.settle_s > deadline_abs_s) {
-    d.deadline_missed = true;
-  }
-  return d;
-}
-
 RelayOutcome AggregatorTree::relay(std::span<const double> edge_ready,
                                    std::span<const std::size_t> edge_extra_bytes,
                                    double round_start_s) {
@@ -230,7 +180,7 @@ RelayOutcome AggregatorTree::relay(std::span<const double> edge_ready,
   // accepted frame advances the close to its settle time; a miss makes the
   // parent wait until the tier deadline; a lost frame without a deadline
   // closes when the sender provably gives up (bounded retries).
-  auto account = [&](const LinkDelivery& d, double deadline, TierStats& ts) {
+  auto account = [&](const net::Delivery& d, double deadline, TierStats& ts) {
     out.bytes_on_wire += d.bytes_on_wire;
     out.retransmits += d.retransmits;
     out.lost_frames += d.lost_frames;
@@ -263,9 +213,9 @@ RelayOutcome AggregatorTree::relay(std::span<const double> edge_ready,
   for (std::size_t e = 0; e < edges_.size(); ++e) {
     if (edge_ready[e] < 0.0) continue;
     out.any_sent = true;
-    const LinkDelivery d =
-        send_link(edge_channels_[e], frame + edge_extra_bytes[e],
-                  edge_ready[e], edge_deadline);
+    const net::Delivery d = net::send_with_retries(
+        edge_channels_[e], frame + edge_extra_bytes[e], edge_ready[e],
+        edge_deadline, topo_.max_retries, topo_.retry_backoff_s);
     stats_.front().raw_bytes += frame + edge_extra_bytes[e];
     if (account(d, edge_deadline, stats_.front())) {
       edge_sent[e] = {true, d.settle_s, edge_extra_bytes[e]};
@@ -292,8 +242,9 @@ RelayOutcome AggregatorTree::relay(std::span<const double> edge_ready,
       children.push_back(e);
     }
     if (ready < 0.0) continue;
-    const LinkDelivery d =
-        send_link(regional_channels_[r], frame + extra, ready, root_deadline);
+    const net::Delivery d = net::send_with_retries(
+        regional_channels_[r], frame + extra, ready, root_deadline,
+        topo_.max_retries, topo_.retry_backoff_s);
     stats_[1].raw_bytes += frame + extra;
     if (account(d, root_deadline, stats_[1])) {
       for (std::size_t e : children) out.edge_on_time[e] = 1;

@@ -2,7 +2,7 @@
 //
 // Round lifecycle (driven by fl::HierarchySession):
 //
-//   begin_round()                      reset accumulators, shards, stats
+//   begin_round()                      reset accumulators and stats
 //   relay(edge_ready, extra, start)    simulated uplink timing (transport;
 //                                      skipped in ideal / pass-through mode)
 //   fold(updates, weights, ...)        edges fold their devices' updates
@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "agg/accumulator.h"
@@ -77,7 +76,6 @@ class AggregatorTree {
   AggregatorTree(const TreeTopology& topology, const ModelGeometry* geometry);
 
   const TreeTopology& topology() const { return topo_; }
-  const ModelGeometry& geometry() const { return *geo_; }
   /// Fixed uplink frame size for this geometry (excluding bookkeeping
   /// riders).
   std::size_t merge_frame_bytes() const {
@@ -89,12 +87,9 @@ class AggregatorTree {
   void begin_round();
 
   /// Folds each update into its edge's accumulator (updates[i] under
-  /// weights[i]). When `contribution_base` is non-empty, each edge also
-  /// computes the per-device U^ij contribution shard of its masked updates
-  /// (mean |after - before| per trained neuron against the base snapshot).
+  /// weights[i]).
   void fold(std::span<const UpdateView> updates,
-            std::span<const FoldWeights> weights, bool per_neuron_merge,
-            std::span<const float> contribution_base);
+            std::span<const FoldWeights> weights, bool per_neuron_merge);
 
   /// Encodes every non-empty edge accumulator into a merge frame that the
   /// parent merges with merge_frame — regional tier first (depth 3, one
@@ -108,23 +103,14 @@ class AggregatorTree {
 
   std::uint64_t root_folded() const { return root_.folded(); }
 
-  /// The root's merged per-device contribution shards, in edge order then
-  /// fold order within an edge. Devices are partitioned across edges
-  /// (edge_of is a pure function of the id), so the merge is an exact
-  /// disjoint union — no shard is ever combined with another.
-  const std::vector<std::pair<int, std::vector<double>>>& contributions()
-      const {
-    return contributions_;
-  }
-
   // -- Relay timing (transport side, simulated mode only) -------------------
 
   /// Simulates the uplink transfers for one round. `edge_ready[e]` is the
   /// absolute virtual time edge e holds its last accepted device frame
-  /// (negative = nothing to send); `edge_extra_bytes[e]` rides bookkeeping
-  /// shards on top of the fixed merge frame. Tier deadlines are absolute
-  /// from `round_start_s`: `edge_deadline_s` governs the edge uplink,
-  /// `root_deadline_s` the regional uplink (depth 3).
+  /// (negative = nothing to send); `edge_extra_bytes[e]` rides on top of the
+  /// fixed merge frame. Tier deadlines are absolute from `round_start_s`:
+  /// `edge_deadline_s` governs the edge uplink, `root_deadline_s` the
+  /// regional uplink (depth 3).
   RelayOutcome relay(std::span<const double> edge_ready,
                      std::span<const std::size_t> edge_extra_bytes,
                      double round_start_s);
@@ -149,24 +135,11 @@ class AggregatorTree {
 
   /// Checkpoint section. The cross-round mutable state is the uplink
   /// channels' RNG positions (advanced by jitter/loss draws): edge channels
-  /// in node order, then regional channels. Accumulators and shards live
-  /// only within a round.
+  /// in node order, then regional channels. Accumulators live only within a
+  /// round.
   void io(util::CheckpointArchive& ar);
 
  private:
-  /// One uplink send with bounded retransmits (mirrors
-  /// net::RoundProtocol::send_with_retries; aggregator nodes cannot die).
-  struct LinkDelivery {
-    bool delivered = false;
-    bool deadline_missed = false;
-    double settle_s = 0.0;
-    std::size_t bytes_on_wire = 0;
-    int retransmits = 0;
-    int lost_frames = 0;
-  };
-  LinkDelivery send_link(net::SimulatedChannel& chan, std::size_t bytes,
-                         double ready_at, double deadline_abs_s);
-
   TreeTopology topo_;
   const ModelGeometry* geo_;
   std::vector<StreamingAccumulator> edges_;
@@ -174,10 +147,6 @@ class AggregatorTree {
   StreamingAccumulator root_;
   std::vector<net::SimulatedChannel> edge_channels_;
   std::vector<net::SimulatedChannel> regional_channels_;
-  /// Per-edge staged (device, U^ij shard) pairs, concatenated into
-  /// contributions_ at the end of fold.
-  std::vector<std::vector<std::pair<int, std::vector<double>>>> staged_;
-  std::vector<std::pair<int, std::vector<double>>> contributions_;
   std::vector<TierStats> stats_;
   /// True once relay() ran this round: wire bytes were then accounted by the
   /// relay and collapse must not double-count them.

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 
-#include "fl/hierarchy.h"
 #include "obs/telemetry.h"
 
 namespace helios::core {
@@ -80,42 +79,28 @@ std::vector<fl::PlannedClient> HeliosStrategy::plan(fl::Fleet& fleet,
   return plan;
 }
 
-void HeliosStrategy::before_aggregate(fl::Fleet& fleet,
-                                      const fl::SyncRound& round) {
-  // With an active aggregator tree the edges compute the U^ij shards.
-  fl::HierarchySession* hier = fleet.hierarchy();
-  if (hier != nullptr && hier->active()) {
-    hier->stage_bookkeeping(round.global_before);
-  }
-}
-
 void HeliosStrategy::after_aggregate(fl::Fleet& fleet,
                                      const fl::SyncRound& round) {
-  // Phase 3: contribution updates + rotation bookkeeping. Only *delivered*
-  // updates count: if a straggler's frame was dropped, the server never saw
-  // its parameters, so crediting contributions and advancing the C_s
-  // rotation counters would drift the soft-training state away from what
-  // actually aggregated (a cohort lost whole closes as a clean no-op).
-  // With an aggregator tree attached, the edge nodes computed each device's
-  // U^ij shard while folding (armed in before_aggregate) and the root merged
-  // the shards — an exact disjoint union, bit-identical to computing them
-  // here against the same base snapshot. The C_s counters stay per-device.
-  const fl::HierarchySession* hier = fleet.hierarchy();
+  // Phase 3: contribution updates + rotation bookkeeping, over what the
+  // server aggregated. Only *delivered* updates count: if a straggler's
+  // frame was dropped, the server never saw its parameters, so crediting
+  // contributions and advancing the C_s rotation counters would drift the
+  // soft-training state away from what actually aggregated (a cohort lost
+  // whole closes as a clean no-op). U^ij is measured on the update
+  // Server::aggregate received — the decoded upload when a session ran, so
+  // a lossy codec's dequantized values — whether a tree folded it or not.
   obs::TelemetrySink* tel = fleet.telemetry();
   const fl::NetDelivery& net = round.net;
+  std::size_t arrived = 0;  // net.arrived holds the delivered, in plan order
   for (std::size_t i = 0; i < round.plan.size(); ++i) {
     const fl::PlannedClient& p = round.plan[i];
-    if (p.mask.empty()) continue;
     if (!net.pass_through && !net.delivered[i]) continue;
+    const fl::ClientUpdate& received =
+        net.pass_through ? round.updates[i] : net.arrived[arrived++];
+    if (p.mask.empty()) continue;
     StragglerState& st = state_for(*p.client);
-    const std::vector<double>* shard =
-        hier != nullptr ? hier->contributions_for(p.client->id()) : nullptr;
-    if (shard != nullptr) {
-      st.trainer->apply_contributions(p.mask, *shard);
-    } else {
-      st.trainer->update_contributions(round.global_before,
-                                       round.updates[i].params, p.mask);
-    }
+    st.trainer->update_contributions(round.global_before, received.params,
+                                     p.mask);
     st.regulator->record_cycle(p.mask);
     if (tel) {
       // Skipped-cycle distribution: neurons with C_s = 0 / 1 / 2 / >= 3.

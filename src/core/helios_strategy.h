@@ -68,10 +68,8 @@ class HeliosStrategy final : public fl::SyncRoundStrategy {
   /// Runs the cycle hook, then selects each straggler's soft-training
   /// submodel (rotation-forced neurons included).
   std::vector<fl::PlannedClient> plan(fl::Fleet& fleet, int cycle) override;
-  /// Arms the aggregator tree's sharded U^ij bookkeeping.
-  void before_aggregate(fl::Fleet& fleet,
-                        const fl::SyncRound& round) override;
-  /// Contribution updates, C_s rotation bookkeeping and pace adaptation.
+  /// Contribution updates (from the updates Server::aggregate received),
+  /// C_s rotation bookkeeping and pace adaptation.
   void after_aggregate(fl::Fleet& fleet, const fl::SyncRound& round) override;
 
   HeliosConfig config_;

@@ -5,10 +5,39 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "agg/accumulator.h"
 #include "obs/trace.h"
 
 namespace helios::core {
+
+namespace {
+
+/// Per-neuron mean absolute parameter change between `before` and `after`,
+/// restricted to the neurons set in `mask` (others stay 0): the U^ij
+/// statistic, in slice order with double sums.
+std::vector<double> neuron_change_means(
+    std::span<const nn::NeuronInfo> neurons, std::span<const float> before,
+    std::span<const float> after, std::span<const std::uint8_t> mask) {
+  std::vector<double> means(neurons.size(), 0.0);
+  for (std::size_t j = 0; j < neurons.size(); ++j) {
+    if (!mask.empty() && !mask[j]) continue;
+    double change = 0.0;
+    std::size_t params = 0;
+    for (const nn::FlatSlice& s : neurons[j].slices) {
+      if (s.offset + s.length > before.size() ||
+          s.offset + s.length > after.size()) {
+        throw std::out_of_range("neuron_change_means: slice out of range");
+      }
+      for (std::size_t f = s.offset; f < s.offset + s.length; ++f) {
+        change += std::fabs(static_cast<double>(after[f]) - before[f]);
+      }
+      params += s.length;
+    }
+    if (params > 0) means[j] = change / static_cast<double>(params);
+  }
+  return means;
+}
+
+}  // namespace
 
 NeuronGeometry::NeuronGeometry(nn::Model& model)
     : ranges(fl::layer_ranges(model)), neurons(model.neurons()) {}
@@ -133,28 +162,11 @@ void SoftTrainer::update_contributions(
   if (!trained_mask.empty() && trained_mask.size() != u_.size()) {
     throw std::invalid_argument("update_contributions: bad mask size");
   }
-  // The shared agg-layer statistic: the same slice order and double sums the
-  // inline loop used, so the refactor is bit-identical — and edge aggregators
-  // computing shards remotely match this trainer exactly.
-  const std::vector<double> means = agg::neuron_change_means(
-      geometry_->neurons, before, after, trained_mask);
+  const std::vector<double> means =
+      neuron_change_means(geometry_->neurons, before, after, trained_mask);
   for (std::size_t j = 0; j < u_.size(); ++j) {
     if (!trained_mask.empty() && !trained_mask[j]) continue;
     u_[j] = means[j];
-  }
-}
-
-void SoftTrainer::apply_contributions(std::span<const std::uint8_t> trained_mask,
-                                      std::span<const double> values) {
-  if (values.size() != u_.size()) {
-    throw std::invalid_argument("apply_contributions: size mismatch");
-  }
-  if (!trained_mask.empty() && trained_mask.size() != u_.size()) {
-    throw std::invalid_argument("apply_contributions: bad mask size");
-  }
-  for (std::size_t j = 0; j < u_.size(); ++j) {
-    if (!trained_mask.empty() && !trained_mask[j]) continue;
-    u_[j] = values[j];
   }
 }
 

@@ -66,14 +66,6 @@ class SoftTrainer {
                             std::span<const float> after,
                             std::span<const std::uint8_t> trained_mask);
 
-  /// Adopts contribution values computed elsewhere (an edge aggregator's
-  /// U^ij shard): U_j <- values[j] for the neurons set in `trained_mask`
-  /// (every neuron when the mask is empty). Bit-identical to
-  /// update_contributions when the values came from
-  /// agg::neuron_change_means over the same before/after pair.
-  void apply_contributions(std::span<const std::uint8_t> trained_mask,
-                           std::span<const double> values);
-
   const std::vector<double>& contributions() const { return u_; }
   double keep_ratio() const { return config_.keep_ratio; }
   /// Pace adaptation can adjust the volume between cycles.

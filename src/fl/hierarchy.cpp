@@ -8,29 +8,16 @@
 namespace helios::fl {
 
 HierarchySession::HierarchySession(Fleet& fleet, agg::TreeTopology topology)
-    : fleet_(fleet),
-      topology_(topology),
-      geometry_(agg::make_geometry(fleet.server().reference_model())) {
+    : fleet_(fleet), topology_(topology) {
   if (topology_.active()) {
-    tree_ = std::make_unique<agg::AggregatorTree>(topology_, &geometry_);
+    tree_ = std::make_unique<agg::AggregatorTree>(topology_,
+                                                  &fleet.server().geometry());
   }
   fleet_.set_hierarchy(this);
 }
 
 HierarchySession::~HierarchySession() {
   if (fleet_.hierarchy() == this) fleet_.set_hierarchy(nullptr);
-}
-
-void HierarchySession::stage_bookkeeping(std::span<const float> base_params) {
-  staged_base_ = base_params;
-}
-
-const std::vector<double>* HierarchySession::contributions_for(
-    int client_id) const {
-  if (tree_ == nullptr) return nullptr;
-  const auto it = contribution_index_.find(client_id);
-  if (it == contribution_index_.end()) return nullptr;
-  return &tree_->contributions()[it->second].second;
 }
 
 void HierarchySession::aggregate(std::span<const ClientUpdate> updates,
@@ -47,15 +34,9 @@ void HierarchySession::aggregate(std::span<const ClientUpdate> updates,
   for (const ClientUpdate& u : updates) {
     views.push_back({u.client_id, u.params, u.buffers, u.trained_mask});
   }
-  tree_->fold(views, weights, per_neuron_merge, staged_base_);
+  tree_->fold(views, weights, per_neuron_merge);
   tree_->collapse();
   tree_->finalize(global, buffers);
-  contribution_index_.clear();
-  const auto& shards = tree_->contributions();
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    contribution_index_.emplace(shards[i].first, i);
-  }
-  staged_base_ = {};
   emit_tier_telemetry();
 }
 

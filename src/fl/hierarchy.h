@@ -26,16 +26,13 @@
 // renormalizing exactly like a late device set, because the frames carry
 // their weight mass.
 //
-// The session also shards Helios' per-neuron bookkeeping: when a strategy
-// arms stage_bookkeeping(base), each edge computes the per-device U^ij
-// contribution vector of its masked updates while folding, and the root
-// exposes the exact disjoint-union merge via contributions_for().
+// The tree folds weights only. Strategy bookkeeping over the round's
+// updates (Helios' U^ij) reads what Server::aggregate received, after the
+// aggregation, so it is the same with a tree or without one.
 #pragma once
 
 #include <memory>
 #include <span>
-#include <unordered_map>
-#include <vector>
 
 #include "agg/tree.h"
 #include "fl/checkpoint.h"
@@ -47,10 +44,10 @@ class Fleet;
 
 class HierarchySession : public Checkpointable {
  public:
-  /// Builds the aggregation geometry from the fleet's server reference
-  /// model and attaches via Fleet::set_hierarchy. An inactive topology
-  /// (edge_nodes == 0) constructs no tree and leaves the flat path in
-  /// place. The session must outlive the fleet's use of it.
+  /// Folds over the server's aggregation geometry and attaches via
+  /// Fleet::set_hierarchy. An inactive topology (edge_nodes == 0)
+  /// constructs no tree and leaves the flat path in place. The session must
+  /// outlive the fleet's use of it.
   HierarchySession(Fleet& fleet, agg::TreeTopology topology);
   ~HierarchySession() override;
 
@@ -61,7 +58,6 @@ class HierarchySession : public Checkpointable {
   const agg::TreeTopology& topology() const { return topology_; }
   /// The tree (active() only).
   agg::AggregatorTree& tree() { return *tree_; }
-  const agg::ModelGeometry& geometry() const { return geometry_; }
 
   // -- Server path -----------------------------------------------------------
 
@@ -73,22 +69,12 @@ class HierarchySession : public Checkpointable {
                  bool per_neuron_merge, std::span<float> global,
                  std::span<float> buffers);
 
-  /// Arms U^ij shard staging for the next aggregate(): the edges compute
-  /// each masked update's per-neuron contribution vector against
-  /// `base_params` (the global snapshot the cohort trained from; the span
-  /// must stay valid through the aggregate call).
-  void stage_bookkeeping(std::span<const float> base_params);
-
-  /// The root-merged contribution shard of `client_id` from the last
-  /// aggregate(), or nullptr when the device's update carried no mask (or
-  /// never arrived). Valid until the next aggregate().
-  const std::vector<double>* contributions_for(int client_id) const;
-
   // -- Transport path (simulated mode) --------------------------------------
 
   /// Simulates the round's uplink relay. `edge_ready[e]` is the absolute
   /// time edge e received its last accepted device frame (< 0 = none);
-  /// `edge_extra_bytes[e]` is the bookkeeping rider riding its merge frame.
+  /// `edge_extra_bytes[e]` rides its merge frame: the U^ij bookkeeping of
+  /// its masked devices, one f64 per neuron plus the device id each.
   /// Opens the tree's round (resetting accumulators and stats).
   agg::RelayOutcome relay_round(std::span<const double> edge_ready,
                                 std::span<const std::size_t> edge_extra_bytes,
@@ -109,11 +95,7 @@ class HierarchySession : public Checkpointable {
 
   Fleet& fleet_;
   agg::TreeTopology topology_;
-  agg::ModelGeometry geometry_;
   std::unique_ptr<agg::AggregatorTree> tree_;
-  std::span<const float> staged_base_;
-  /// client id -> index into tree contributions, rebuilt per aggregate().
-  std::unordered_map<int, std::size_t> contribution_index_;
   /// True between relay_round() and the round's aggregate(): the tree's
   /// round is already open and aggregate() must not reset it.
   bool round_open_ = false;

@@ -49,10 +49,4 @@ std::vector<std::uint8_t> random_volume_mask(nn::Model& model,
   return mask;
 }
 
-int mask_active_count(const std::vector<std::uint8_t>& mask) {
-  int n = 0;
-  for (auto b : mask) n += (b != 0);
-  return n;
-}
-
 }  // namespace helios::fl

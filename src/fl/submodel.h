@@ -34,7 +34,4 @@ std::vector<std::uint8_t> random_volume_mask(nn::Model& model,
                                              double keep_ratio,
                                              util::Rng& rng);
 
-/// Number of active neurons in a mask.
-int mask_active_count(const std::vector<std::uint8_t>& mask);
-
 }  // namespace helios::fl

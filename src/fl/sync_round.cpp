@@ -68,10 +68,6 @@ void SyncRoundStrategy::run_range(Fleet& fleet, RunResult& result, int begin,
       round.net = deliver_round(fleet, round.updates, round.global_before);
     }
     fleet.clock().advance(round.net.round_seconds);
-    {
-      HELIOS_TRACE_SPAN("round.before_aggregate");
-      before_aggregate(fleet, round);
-    }
     fleet.server().aggregate(round.net.aggregate_span(round.updates), agg_);
     {
       HELIOS_TRACE_SPAN("round.after_aggregate");

@@ -7,8 +7,8 @@
 //   cycle span -> set_cycle -> plan() -> pre-round global/buffer snapshot
 //   -> Fleet::parallel_train (train_cycle per client)
 //   -> record_cycle per client, in plan order -> post_train (on the pool)
-//   -> deliver_round -> clock advance -> before_aggregate()
-//   -> Server::aggregate -> after_aggregate() -> evaluate
+//   -> deliver_round -> clock advance -> Server::aggregate
+//   -> after_aggregate() -> evaluate
 //   -> RoundRecord (loss averaged over max(1, trained)) -> record_cycle_result
 //
 // A strategy is a policy over that loop: it supplies its cycle span name
@@ -63,9 +63,8 @@ class SyncRoundStrategy : public Strategy {
   /// Runs concurrently across clients, so it must not mutate shared state.
   virtual void post_train(const Fleet& /*fleet*/, ClientUpdate& /*update*/,
                           std::span<const float> /*base*/) const {}
-  /// Called after the clock advances, before / after Server::aggregate.
-  virtual void before_aggregate(Fleet& /*fleet*/,
-                                const SyncRound& /*round*/) {}
+  /// Called after Server::aggregate, which received
+  /// round.net.aggregate_span(round.updates).
   virtual void after_aggregate(Fleet& /*fleet*/, const SyncRound& /*round*/) {}
 
  private:

@@ -47,10 +47,16 @@ net::WireMessage wire_message(const ClientUpdate& update) {
 
 /// A protocol delivery as the journal's transfer event; `delivered` is
 /// whether the server accepted the frame.
-obs::TransferEvent transfer_event(const net::RoundProtocol::Delivery& del,
-                                  bool delivered) {
+obs::TransferEvent transfer_event(const net::Delivery& del, bool delivered) {
   return {del.bytes_on_wire, del.transmissions, del.lost_frames, delivered,
           del.deadline_missed, del.died, del.comm_seconds};
+}
+
+/// Bytes an update's U^ij bookkeeping rides on its edge's merge frame
+/// through an aggregator tree: one f64 per neuron plus the device id when
+/// it trained a masked submodel, nothing for a full-model update.
+std::size_t rider_bytes(const ClientUpdate& update) {
+  return update.trained_mask.empty() ? 0 : 8 * update.trained_mask.size() + 8;
 }
 
 }  // namespace
@@ -262,22 +268,18 @@ NetDelivery NetworkSession::deliver_round(std::span<const ClientUpdate> updates,
     std::vector<double> edge_ready(static_cast<std::size_t>(edges), -1.0);
     std::vector<std::size_t> edge_extra(static_cast<std::size_t>(edges), 0);
     for (std::size_t i = 0; i < updates.size(); ++i) {
-      const net::RoundProtocol::Delivery& del = out.deliveries[i];
+      const net::Delivery& del = out.deliveries[i];
       if (!del.delivered || del.deadline_missed) continue;
       const auto e = static_cast<std::size_t>(
           hier->topology().edge_of(updates[i].client_id));
       edge_ready[e] = std::max(edge_ready[e], del.settle_s);
-      if (!updates[i].trained_mask.empty()) {
-        // Bookkeeping rider: one f64 U^ij shard per masked neuron plus the
-        // device id, forwarded alongside the edge's merge frame.
-        edge_extra[e] += 8 * updates[i].trained_mask.size() + 8;
-      }
+      edge_extra[e] += rider_bytes(updates[i]);
     }
     relay = hier->relay_round(edge_ready, edge_extra, round_start);
   }
 
   for (std::size_t i = 0; i < updates.size(); ++i) {
-    const net::RoundProtocol::Delivery& del = out.deliveries[i];
+    const net::Delivery& del = out.deliveries[i];
     d.comm_seconds[i] = del.comm_seconds;
     bool accepted = del.delivered && !del.deadline_missed;
     if (accepted && tree_relay) {
@@ -291,7 +293,7 @@ NetDelivery NetworkSession::deliver_round(std::span<const ClientUpdate> updates,
       decode_accepted(frames, d.delivered, base_params, updates);
   d.arrived.reserve(static_cast<std::size_t>(out.delivered));
   for (std::size_t i = 0; i < updates.size(); ++i) {
-    const net::RoundProtocol::Delivery& del = out.deliveries[i];
+    const net::Delivery& del = out.deliveries[i];
     if (del.died) {
       d.died.push_back(del.device_id);
       mark_death(del.device_id);
@@ -349,9 +351,8 @@ NetworkSession::SingleDelivery NetworkSession::deliver_update(
     return s;
   }
 
-  const net::RoundProtocol::Delivery del =
-      protocol_.send_with_retries(update.client_id, frame_bytes, start_s,
-                                  /*deadline_abs_s=*/0.0);
+  const net::Delivery del = protocol_.send_with_retries(
+      update.client_id, frame_bytes, start_s, /*deadline_abs_s=*/0.0);
   s.delivered = del.delivered;
   s.died = del.died;
   s.comm_seconds = del.comm_seconds;
@@ -363,9 +364,8 @@ NetworkSession::SingleDelivery NetworkSession::deliver_update(
     // uplink (no tier batching: each completion travels alone).
     HierarchySession* hier = fleet_.hierarchy();
     if (hier != nullptr && hier->active()) {
-      const std::size_t rider =
-          update.trained_mask.empty() ? 0 : 8 * update.trained_mask.size() + 8;
-      const double hop = hier->async_uplink_seconds(update.client_id, rider);
+      const double hop =
+          hier->async_uplink_seconds(update.client_id, rider_bytes(update));
       s.comm_seconds += hop;
       s.settle_s += hop;
     }

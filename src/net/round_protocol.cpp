@@ -66,12 +66,10 @@ void RoundProtocol::script_death(int id, double at_s) {
   channel(id).set_death(at_s);
 }
 
-RoundProtocol::Delivery RoundProtocol::send_with_retries(
-    int device_id, std::size_t frame_bytes, double ready_at,
-    double deadline_abs_s) {
-  SimulatedChannel& chan = channel(device_id);
+Delivery send_with_retries(SimulatedChannel& chan, std::size_t frame_bytes,
+                           double ready_at, double deadline_abs_s,
+                           int max_retries, double retry_backoff_s) {
   Delivery d;
-  d.device_id = device_id;
   d.settle_s = ready_at;
   double t = ready_at;
   bool done = false;
@@ -97,13 +95,13 @@ RoundProtocol::Delivery RoundProtocol::send_with_retries(
         break;
       case SimulatedChannel::Attempt::Outcome::kLost: {
         ++d.lost_frames;
-        if (d.transmissions > options_.max_retries) {
+        if (d.transmissions > max_retries) {
           done = true;  // retry budget exhausted; the frame is gone
           break;
         }
         // Ack timeout already elapsed at finish_s; back off before the
         // retransmit, doubling per retry.
-        double backoff = options_.retry_backoff_s;
+        double backoff = retry_backoff_s;
         for (int k = 1; k < d.transmissions; ++k) backoff *= 2.0;
         t = a.finish_s + backoff;
         break;
@@ -115,6 +113,18 @@ RoundProtocol::Delivery RoundProtocol::send_with_retries(
   if (d.delivered && deadline_abs_s > 0.0 && d.settle_s > deadline_abs_s) {
     d.deadline_missed = true;
   }
+  return d;
+}
+
+Delivery RoundProtocol::send_with_retries(int device_id,
+                                          std::size_t frame_bytes,
+                                          double ready_at,
+                                          double deadline_abs_s) {
+  Delivery d = net::send_with_retries(channel(device_id), frame_bytes,
+                                      ready_at, deadline_abs_s,
+                                      options_.max_retries,
+                                      options_.retry_backoff_s);
+  d.device_id = device_id;
   return d;
 }
 

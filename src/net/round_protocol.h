@@ -58,6 +58,42 @@ struct NetworkOptions {
   bool error_feedback = true;
 };
 
+/// The outcome of one frame's send with retries.
+struct Delivery {
+  /// The sending device (RoundProtocol); -1 on an aggregator link.
+  int device_id = -1;
+  bool delivered = false;
+  bool died = false;
+  /// Delivered, but after the deadline — the receiver does not count the
+  /// frame.
+  bool deadline_missed = false;
+  int attempts = 0;
+  /// Attempts that actually put the frame on the wire (lost ones count;
+  /// outage-blocked and dead-before-start ones do not).
+  int transmissions = 0;
+  /// transmissions beyond the first — the retransmit count.
+  int retransmits = 0;
+  int lost_frames = 0;
+  /// Bytes that transited the wire across all attempts.
+  std::size_t bytes_on_wire = 0;
+  /// Absolute time the transfer settled (delivery, final failure, death).
+  double settle_s = 0.0;
+  /// settle_s - ready_at: the sender's actual communication time.
+  double comm_seconds = 0.0;
+};
+
+/// One frame of `frame_bytes` over `chan` from `ready_at`, with bounded
+/// retransmits — the one retry loop of the device uplinks and the
+/// aggregator tree's links. An outage is waited out without spending the
+/// budget; a lost frame is resent at most `max_retries` times, retry k
+/// (0-based) after an extra `retry_backoff_s * 2^k`; a dead channel ends
+/// the send. `deadline_abs_s` <= 0 disables the deadline check (the sender
+/// itself never gives up early — the deadline is a receiver-side
+/// accounting rule).
+Delivery send_with_retries(SimulatedChannel& chan, std::size_t frame_bytes,
+                           double ready_at, double deadline_abs_s,
+                           int max_retries, double retry_backoff_s);
+
 class RoundProtocol {
  public:
   explicit RoundProtocol(NetworkOptions options);
@@ -99,31 +135,8 @@ class RoundProtocol {
     double ready_at = 0.0;
   };
 
-  struct Delivery {
-    int device_id = -1;
-    bool delivered = false;
-    bool died = false;
-    /// Delivered, but after the round deadline — the server does not count
-    /// the frame.
-    bool deadline_missed = false;
-    int attempts = 0;
-    /// Attempts that actually put the frame on the wire (lost ones count;
-    /// outage-blocked and dead-before-start ones do not).
-    int transmissions = 0;
-    /// transmissions beyond the first — the retransmit count.
-    int retransmits = 0;
-    int lost_frames = 0;
-    /// Bytes that transited the wire across all attempts.
-    std::size_t bytes_on_wire = 0;
-    /// Absolute time the transfer settled (delivery, final failure, death).
-    double settle_s = 0.0;
-    /// settle_s - ready_at: the device's actual communication time.
-    double comm_seconds = 0.0;
-  };
-
-  /// One frame with retries. `deadline_abs_s` <= 0 disables the deadline
-  /// check (the sender itself never gives up early — the deadline is a
-  /// server-side accounting rule).
+  /// send_with_retries over device `device_id`'s channel, under the
+  /// options' retry policy.
   Delivery send_with_retries(int device_id, std::size_t frame_bytes,
                              double ready_at, double deadline_abs_s);
 

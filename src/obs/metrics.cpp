@@ -40,31 +40,28 @@ MetricsRegistry::Series& MetricsRegistry::find_or_create(
     std::string_view name, LabelSet&& labels, Kind kind,
     const HistogramOptions* opts) {
   std::sort(labels.begin(), labels.end());
+  Key key{std::string(name), std::move(labels)};
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& s : series_) {
-    if (s->name == name && s->labels == labels) {
-      if (s->kind != kind) {
-        throw std::logic_error("MetricsRegistry: series '" +
-                               std::string(name) +
-                               "' already registered with another type");
-      }
-      return *s;
+  auto it = index_.lower_bound(key);
+  if (it != index_.end() && it->first == key) {
+    if (it->second.kind != kind) {
+      throw std::logic_error("MetricsRegistry: series '" + std::string(name) +
+                             "' already registered with another type");
     }
+    return it->second;
   }
-  auto s = std::make_unique<Series>();
-  s->name = std::string(name);
-  s->labels = std::move(labels);
-  s->kind = kind;
+  Series s{kind, nullptr, nullptr, nullptr};
   switch (kind) {
-    case Kind::kCounter: s->counter = std::make_unique<Counter>(); break;
-    case Kind::kGauge: s->gauge = std::make_unique<Gauge>(); break;
+    case Kind::kCounter: s.counter = std::make_unique<Counter>(); break;
+    case Kind::kGauge: s.gauge = std::make_unique<Gauge>(); break;
     case Kind::kHistogram:
-      s->histogram = std::make_unique<Histogram>(opts ? *opts
-                                                      : HistogramOptions{});
+      s.histogram = std::make_unique<Histogram>(opts ? *opts
+                                                     : HistogramOptions{});
       break;
   }
-  series_.push_back(std::move(s));
-  return *series_.back();
+  it = index_.emplace_hint(it, std::move(key), std::move(s));
+  series_.push_back(&*it);
+  return it->second;
 }
 
 Counter& MetricsRegistry::counter(std::string_view name, LabelSet labels) {
@@ -186,12 +183,13 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
   os << "[\n";
   for (std::size_t i = 0; i < series_.size(); ++i) {
-    const Series& s = *series_[i];
+    const auto& [key, s] = *series_[i];
+    const auto& [name, labels] = key;
     if (i) os << ",\n";
     os << "  {\"name\":\"";
-    json_escape(os, s.name);
+    json_escape(os, name);
     os << "\",\"labels\":";
-    write_labels_json(os, s.labels);
+    write_labels_json(os, labels);
     switch (s.kind) {
       case Kind::kCounter:
         os << ",\"type\":\"counter\",\"value\":"
@@ -230,9 +228,10 @@ void MetricsRegistry::write_json(std::ostream& os) const {
 void MetricsRegistry::write_prometheus(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string last_family;
-  for (const auto& sp : series_) {
-    const Series& s = *sp;
-    const std::string family = prom_name(s.name);
+  for (const Entry* entry : series_) {
+    const auto& [key, s] = *entry;
+    const auto& [name, labels] = key;
+    const std::string family = prom_name(name);
     if (family != last_family) {
       const char* type = s.kind == Kind::kCounter   ? "counter"
                          : s.kind == Kind::kGauge   ? "gauge"
@@ -240,7 +239,7 @@ void MetricsRegistry::write_prometheus(std::ostream& os) const {
       // The dotted registry name doubles as the help string: it is the one
       // piece of metadata the exposition would otherwise lose to prom_name's
       // character mangling.
-      os << "# HELP " << family << ' ' << s.name << '\n';
+      os << "# HELP " << family << ' ' << name << '\n';
       os << "# TYPE " << family << ' ' << type << '\n';
       last_family = family;
     }
@@ -250,7 +249,7 @@ void MetricsRegistry::write_prometheus(std::ostream& os) const {
         const double v = s.kind == Kind::kCounter ? s.counter->value()
                                                   : s.gauge->value();
         os << family;
-        write_labels_prom(os, s.labels);
+        write_labels_prom(os, labels);
         os << ' ' << format_double(v) << '\n';
         break;
       }
@@ -262,14 +261,14 @@ void MetricsRegistry::write_prometheus(std::ostream& os) const {
           const std::string le =
               b < h.bucket_count() ? format_double(h.upper_bound(b)) : "+Inf";
           os << family << "_bucket";
-          write_labels_prom(os, s.labels, "le", le);
+          write_labels_prom(os, labels, "le", le);
           os << ' ' << cumulative << '\n';
         }
         os << family << "_sum";
-        write_labels_prom(os, s.labels);
+        write_labels_prom(os, labels);
         os << ' ' << format_double(h.sum()) << '\n';
         os << family << "_count";
-        write_labels_prom(os, s.labels);
+        write_labels_prom(os, labels);
         os << ' ' << h.count() << '\n';
         break;
       }

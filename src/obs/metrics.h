@@ -15,11 +15,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace helios::obs {
@@ -115,20 +117,25 @@ class MetricsRegistry {
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
+  /// A series' identity: its name and its labels sorted by key.
+  using Key = std::pair<std::string, LabelSet>;
   struct Series {
-    std::string name;
-    LabelSet labels;
     Kind kind;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
+  using Entry = std::pair<const Key, Series>;
 
   Series& find_or_create(std::string_view name, LabelSet&& labels, Kind kind,
                          const HistogramOptions* opts);
 
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Series>> series_;
+  /// Every series by identity (map nodes never move, so references to
+  /// their instruments stay valid).
+  std::map<Key, Series> index_;
+  /// The same series in creation order, which the exporters follow.
+  std::vector<const Entry*> series_;
 };
 
 /// JSON string escaping shared by the exporters and the trace writer.

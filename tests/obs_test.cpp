@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <new>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -97,6 +98,44 @@ TEST(MetricsRegistryTest, LabelOrderIsCanonical) {
   obs::Counter& c = reg.counter("helios.test", {{"x", "1"}, {"y", "3"}});
   EXPECT_NE(&a, &c);
   EXPECT_EQ(reg.series_count(), 2U);
+}
+
+// The registry indexes series by (name, sorted labels), but both exporters
+// list them in creation order; one identity holds one kind, and a series
+// whose instrument cannot be built is not registered.
+TEST(MetricsRegistryTest, ExportsInCreationOrderAndKeepsOneKindPerSeries) {
+  obs::MetricsRegistry reg;
+  reg.counter("helios.z", {{"device", "9"}}).add(1);
+  reg.gauge("helios.a", {{"device", "10"}}).set(2);
+  reg.counter("helios.z", {{"device", "1"}}).add(3);
+  EXPECT_THROW(reg.gauge("helios.z", {{"device", "9"}}), std::logic_error);
+  EXPECT_THROW(
+      reg.histogram("helios.h", {}, obs::HistogramOptions{0.0, 2.0, 2}),
+      std::invalid_argument);
+  EXPECT_EQ(reg.series_count(), 3U);
+  EXPECT_EQ(reg.histogram("helios.h").count(), 0U);
+
+  std::ostringstream json;
+  reg.write_json(json);
+  const std::string j = json.str();
+  const std::size_t z9 = j.find("\"helios.z\",\"labels\":{\"device\":\"9\"}");
+  const std::size_t a10 = j.find("\"helios.a\"");
+  const std::size_t z1 = j.find("\"helios.z\",\"labels\":{\"device\":\"1\"}");
+  const std::size_t h = j.find("\"helios.h\"");
+  ASSERT_NE(h, std::string::npos);
+  EXPECT_LT(z9, a10);
+  EXPECT_LT(a10, z1);
+  EXPECT_LT(z1, h);
+
+  std::ostringstream prom;
+  reg.write_prometheus(prom);
+  const std::string p = prom.str();
+  const std::size_t pz9 = p.find("helios_z{device=\"9\"} 1");
+  const std::size_t pa10 = p.find("helios_a{device=\"10\"} 2");
+  const std::size_t pz1 = p.find("helios_z{device=\"1\"} 3");
+  ASSERT_NE(pz1, std::string::npos);
+  EXPECT_LT(pz9, pa10);
+  EXPECT_LT(pa10, pz1);
 }
 
 TEST(MetricsRegistryTest, PrometheusExport) {

@@ -10,6 +10,7 @@
 #include "fl/submodel.h"
 #include "models/zoo.h"
 #include "nn/dense.h"
+#include "nn/layer.h"
 #include "tensor/ops.h"
 
 namespace helios {
@@ -37,7 +38,7 @@ TEST_P(VolumeMaskProperty, BudgetsExactAtEveryVolume) {
     EXPECT_EQ(active, budgets[r]) << "volume " << volume << " layer " << r;
     total += active;
   }
-  EXPECT_EQ(total, fl::mask_active_count(mask));
+  EXPECT_EQ(total, nn::active_count(mask));
 }
 
 INSTANTIATE_TEST_SUITE_P(Volumes, VolumeMaskProperty,

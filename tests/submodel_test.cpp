@@ -2,6 +2,7 @@
 
 #include "fl/submodel.h"
 #include "models/zoo.h"
+#include "nn/layer.h"
 
 namespace helios::fl {
 namespace {
@@ -59,14 +60,14 @@ TEST(Submodel, RandomMasksVaryAcrossDraws) {
   const auto m1 = random_volume_mask(m, 0.5, rng);
   const auto m2 = random_volume_mask(m, 0.5, rng);
   EXPECT_NE(m1, m2);
-  EXPECT_EQ(mask_active_count(m1), mask_active_count(m2));
+  EXPECT_EQ(nn::active_count(m1), nn::active_count(m2));
 }
 
 TEST(Submodel, FullVolumeSelectsEverything) {
   nn::Model m = models::make_mlp({1, 4, 4, 3}, 7, 9);
   util::Rng rng(8);
   const auto mask = random_volume_mask(m, 1.0, rng);
-  EXPECT_EQ(mask_active_count(mask), m.neuron_total());
+  EXPECT_EQ(nn::active_count(mask), m.neuron_total());
 }
 
 }  // namespace
